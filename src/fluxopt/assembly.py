@@ -9,22 +9,10 @@ mutually consistent.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition
-
-_matrix_cache = weakref.WeakKeyDictionary()
-
-
-def _cache_for(mesh: Mesh) -> dict:
-    entry = _matrix_cache.get(mesh)
-    if entry is None:
-        entry = {}
-        _matrix_cache[mesh] = entry
-    return entry
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, dof_partition
 
 
 def _triangle_geometry(mesh: Mesh):
@@ -37,7 +25,12 @@ def _triangle_geometry(mesh: Mesh):
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
     if np.any(area <= 0):
         raise ValueError("degenerate or inverted triangle: nonpositive area")
-    return x, y, b, c, area
+    return b, c, area
+
+
+@cached
+def _areas(mesh: Mesh) -> np.ndarray:
+    return _triangle_geometry(mesh)[2]
 
 
 def local_stiffness(coords) -> np.ndarray:
@@ -71,72 +64,64 @@ def local_edge_mass(length) -> np.ndarray:
     return length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
-def _scatter(rows, cols, vals, nvert) -> sp.csr_matrix:
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(nvert, nvert))
-    return mat.tocsr()
+def _scatter(cells, blocks, nvert) -> sp.csr_matrix:
+    """Sum the k-by-k element blocks of (cells, k) vertex lists into a sparse matrix."""
+    # 32-bit indices halve the coordinate-list temporaries, which the heap
+    # otherwise keeps resident after assembly
+    cells = cells.astype(np.int32 if nvert <= np.iinfo(np.int32).max else np.int64)
+    k = cells.shape[1]
+    rows = np.repeat(cells, k, axis=1).ravel()
+    cols = np.tile(cells, (1, k)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nvert, nvert)).tocsr()
 
 
+@cached
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Gradient-gradient matrix of the piecewise-linear space."""
-    cache = _cache_for(mesh)
-    if "stiffness" not in cache:
-        _, _, b, c, area = _triangle_geometry(mesh)
-        blocks = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area)[:, None, None]
-        rows = np.repeat(mesh.triangles, 3, axis=1)
-        cols = np.tile(mesh.triangles, (1, 3))
-        cache["stiffness"] = _scatter(rows.ravel(), cols.ravel(), blocks.ravel(), len(mesh.vertices))
-    return cache["stiffness"]
+    b, c, area = _triangle_geometry(mesh)
+    blocks = b[:, :, None] * b[:, None, :]
+    blocks += c[:, :, None] * c[:, None, :]
+    blocks /= (4.0 * area)[:, None, None]
+    return _scatter(mesh.triangles, blocks, len(mesh.vertices))
 
 
+@cached
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Domain mass matrix of the piecewise-linear space."""
-    cache = _cache_for(mesh)
-    if "mass" not in cache:
-        _, _, _, _, area = _triangle_geometry(mesh)
-        base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        blocks = area[:, None, None] * base[None, :, :]
-        rows = np.repeat(mesh.triangles, 3, axis=1)
-        cols = np.tile(mesh.triangles, (1, 3))
-        cache["mass"] = _scatter(rows.ravel(), cols.ravel(), blocks.ravel(), len(mesh.vertices))
-    return cache["mass"]
+    area = _areas(mesh)
+    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    blocks = area[:, None, None] * base[None, :, :]
+    return _scatter(mesh.triangles, blocks, len(mesh.vertices))
 
 
+@cached
 def assemble_boundary_mass(mesh: Mesh, tag: BoundaryTag) -> sp.csr_matrix:
     """Mass matrix of the tagged boundary portion, in full vertex dimension.
 
     Rows and columns away from vertices of tagged edges are zero.
     """
     tag = BoundaryTag(tag)
-    cache = _cache_for(mesh)
-    key = f"bmass_{int(tag)}"
-    if key not in cache:
-        select = mesh.boundary_tags == tag
-        edges = mesh.boundary_edges[select]
-        if len(edges) == 0:
-            raise ValueError(f"no boundary edges carry tag {tag.name}")
-        p0 = mesh.vertices[edges[:, 0]]
-        p1 = mesh.vertices[edges[:, 1]]
-        length = np.sqrt(np.sum((p1 - p0) ** 2, axis=1))
-        base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-        blocks = length[:, None, None] * base[None, :, :]
-        rows = np.repeat(edges, 2, axis=1)
-        cols = np.tile(edges, (1, 2))
-        cache[key] = _scatter(rows.ravel(), cols.ravel(), blocks.ravel(), len(mesh.vertices))
-    return cache[key]
+    edges = mesh.boundary_edges[mesh.boundary_tags == tag]
+    if len(edges) == 0:
+        raise ValueError(f"no boundary edges carry tag {tag.name}")
+    p0 = mesh.vertices[edges[:, 0]]
+    p1 = mesh.vertices[edges[:, 1]]
+    length = np.sqrt(np.sum((p1 - p0) ** 2, axis=1))
+    base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    blocks = length[:, None, None] * base[None, :, :]
+    return _scatter(edges, blocks, len(mesh.vertices))
 
 
+@cached
 def _trace_mass(mesh: Mesh) -> sp.csr_matrix:
     """Flux-boundary mass matrix restricted to the trace index set."""
-    cache = _cache_for(mesh)
-    if "trace_mass" not in cache:
-        g2 = dof_partition(mesh).gamma2_trace_dofs
-        full = assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
-        cache["trace_mass"] = full[g2][:, g2].tocsr()
-    return cache["trace_mass"]
+    g2 = dof_partition(mesh).gamma2_trace_dofs
+    return assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)[g2][:, g2].tocsr()
 
 
+@cached
 def _midpoint_data(mesh: Mesh):
-    """Edge midpoints of every triangle and the pairs of incident local vertices."""
+    """Coordinates of the three edge midpoints of every triangle."""
     pts = mesh.vertices[mesh.triangles]
     mids = 0.5 * (pts + pts[:, [1, 2, 0], :])
     return mids[:, :, 0], mids[:, :, 1]
@@ -144,19 +129,19 @@ def _midpoint_data(mesh: Mesh):
 
 def assemble_load(mesh: Mesh, f) -> np.ndarray:
     """Load vector of the callable f via the edge-midpoint rule (degree-2 exact)."""
-    _, _, _, _, area = _triangle_geometry(mesh)
+    area = _areas(mesh)
     mx, my = _midpoint_data(mesh)
     vals = np.asarray(f(mx, my), dtype=float)
     if vals.shape == ():
         vals = np.full(mx.shape, float(vals))
     if not np.all(np.isfinite(vals)):
         raise ValueError("load integrand returned a non-finite value")
-    load = np.zeros(len(mesh.vertices))
     w = vals * (area / 6.0)[:, None]
-    for k in range(3):
-        np.add.at(load, mesh.triangles[:, k], w[:, k])
-        np.add.at(load, mesh.triangles[:, (k + 1) % 3], w[:, k])
-    return load
+    # midpoint k feeds local vertices k and k+1; bincount sums each vertex's
+    # contributions in the order of the array
+    vertices = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].T.ravel()
+    weights = w[:, [0, 0, 1, 1, 2, 2]].T.ravel()
+    return np.bincount(vertices, weights=weights, minlength=len(mesh.vertices))
 
 
 def l2_misfit_sq(u: NodalField, f) -> float:
@@ -166,7 +151,7 @@ def l2_misfit_sq(u: NodalField, f) -> float:
     so it is exact whenever the integrand is piecewise quadratic.
     """
     mesh = u.mesh
-    _, _, _, _, area = _triangle_geometry(mesh)
+    area = _areas(mesh)
     mx, my = _midpoint_data(mesh)
     fv = np.asarray(f(mx, my), dtype=float)
     if fv.shape == ():
@@ -183,7 +168,7 @@ def v_error_vs_exact(u: NodalField, f, grad_f) -> float:
     value and the gradient mismatch are integrated with the edge-midpoint rule.
     """
     mesh = u.mesh
-    _, _, b, c, area = _triangle_geometry(mesh)
+    b, c, area = _triangle_geometry(mesh)
     coeff = u.coefficients[mesh.triangles]
     ugx = np.sum(coeff * b, axis=1) / (2.0 * area)
     ugy = np.sum(coeff * c, axis=1) / (2.0 * area)

@@ -13,6 +13,7 @@ portable and runs bit-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -452,9 +453,14 @@ def write_csv(report: ConvergenceReport, path: str) -> None:
         lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
     tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _rate_check(fit: RateFit, threshold: float):

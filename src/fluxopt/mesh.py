@@ -11,8 +11,8 @@ boundary edges carry the controlled-flux tag (GAMMA2).
 from __future__ import annotations
 
 import enum
-import weakref
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,9 @@ class Mesh:
     boundary_tags : (E,) array of BoundaryTag values, one per boundary edge.
     gamma1_sides : the sides whose edges carry the GAMMA1 tag.
     h : longest triangle side, sqrt(2)/n.
+    store : values derived from the mesh alone (partition, areas,
+        matrices, factorizations, constants), filled on first use by
+        ``cached`` functions and released with the mesh.
     """
 
     n: int
@@ -47,6 +50,23 @@ class Mesh:
     boundary_tags: np.ndarray
     gamma1_sides: frozenset
     h: float
+    store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def cached(build):
+    """Keep build(mesh, *args) in the mesh's store, computed on first use.
+
+    The arguments after the mesh are positional and part of the key.
+    """
+
+    @functools.wraps(build)
+    def get(mesh: Mesh, *args):
+        key = (build,) + args
+        if key not in mesh.store:
+            mesh.store[key] = build(mesh, *args)
+        return mesh.store[key]
+
+    return get
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,9 +153,7 @@ def refine(mesh: Mesh) -> Mesh:
     return build_structured_mesh(2 * mesh.n, mesh.gamma1_sides)
 
 
-_partition_cache = weakref.WeakKeyDictionary()
-
-
+@cached
 def dof_partition(mesh: Mesh) -> DofPartition:
     """Split vertex indices by boundary role.
 
@@ -144,16 +162,39 @@ def dof_partition(mesh: Mesh) -> DofPartition:
     index set collects every vertex incident to a GAMMA2 edge, in increasing
     vertex order.
     """
-    part = _partition_cache.get(mesh)
-    if part is None:
-        nvert = len(mesh.vertices)
-        g1 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1])
-        g2 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2])
-        all_dofs = np.arange(nvert, dtype=np.int64)
-        free = np.setdiff1d(all_dofs, g1, assume_unique=True)
-        part = DofPartition(all_dofs=all_dofs, gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
-        _partition_cache[mesh] = part
-    return part
+    nvert = len(mesh.vertices)
+    g1 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1])
+    g2 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2])
+    all_dofs = np.arange(nvert, dtype=np.int64)
+    free = np.setdiff1d(all_dofs, g1, assume_unique=True)
+    return DofPartition(all_dofs=all_dofs, gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
+
+
+def nested_dissection(mesh: Mesh) -> np.ndarray:
+    """All vertex indices, ordered by recursive bisection of the vertex grid.
+
+    Each block of the grid is split by its middle grid line, which no mesh
+    edge crosses; the two halves come first, the line last.  A sparse
+    factorization in this order eliminates the halves independently and
+    fills in like O(N log N).
+    """
+    order = []
+
+    def split(block):
+        rows, cols = block.shape
+        if rows * cols <= 16:
+            order.append(block.ravel())
+        elif cols >= rows:
+            split(block[:, : cols // 2])
+            split(block[:, cols // 2 + 1 :])
+            order.append(block[:, cols // 2])
+        else:
+            split(block[: rows // 2])
+            split(block[rows // 2 + 1 :])
+            order.append(block[rows // 2])
+
+    split(np.arange(len(mesh.vertices)).reshape(mesh.n + 1, mesh.n + 1))
+    return np.concatenate(order)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,12 @@ M exceeds the square of the trace norm over the squared coercivity floor.
 Two independent routes compute the optimum: iterating the update map, and
 solving the dense reduced normal system assembled column by column from unit
 trace excitations.  The second path exists to cross-check the first, so the
-two must never share their formulation.
+two must never share their formulation.  They do share the linear solver:
+both solve with the mesh's one factorization, and every solve is checked by
+its residual, so their agreement tests the formulations, not the solver.
+
+Neither route returns an optimum whose cost, control or gradient is not
+finite; it raises ConvergenceError instead.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ import numpy as np
 import scipy.linalg
 
 from . import assembly, pde
-from .linsolve import ConvergenceError, DiscreteConstants, factorize
+from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
+    ConvergenceError,
+    DiscreteConstants,
+    factorize,
+    operators,
+    robin_operator,
+    solve_spd,
+)
 from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition, zero_trace
 
 
@@ -85,7 +97,9 @@ def solve_optimal_fixed_point(
 
     Stops when the boundary-norm step drops below tol * max(1, |q|).  When
     discrete constants are supplied and M sits at or below the contraction
-    threshold, a warning is issued and the iteration proceeds anyway.
+    threshold, a warning is issued and the iteration proceeds anyway.  A step
+    or control norm that overflows raises ConvergenceError with the step
+    ratios so far, as does an exhausted iteration budget.
     """
     if constants is not None:
         bound = constants.contraction_bound(spec.alpha)
@@ -107,24 +121,46 @@ def solve_optimal_fixed_point(
         if prev_step is not None and prev_step > 1e-300:
             ratios.append(step / prev_step)
         q = q_new
-        if step <= tol * max(1.0, assembly.norm(q, "Q")):
+        qnorm = assembly.norm(q, "Q")
+        if not (np.isfinite(step) and np.isfinite(qnorm)):
+            raise ConvergenceError(
+                f"control iteration diverged: non-finite step or control norm after "
+                f"{iterations} steps (last step ratio {_last_ratio(ratios)})",
+                ratios=ratios,
+            )
+        if step <= tol * max(1.0, qnorm):
             break
         prev_step = step
     else:
-        last = f"{ratios[-1]:.3g}" if ratios else "n/a"
         raise ConvergenceError(
-            f"control iteration did not converge in {max_iter} steps (last step ratio {last})"
+            f"control iteration did not converge in {max_iter} steps "
+            f"(last step ratio {_last_ratio(ratios)})",
+            ratios=ratios,
         )
+    return _optimum(mesh, spec, q, iterations, ratios)
 
+
+def _last_ratio(ratios) -> str:
+    return f"{ratios[-1]:.3g}" if ratios else "n/a"
+
+
+def _optimum(mesh, spec, q, iterations, ratios) -> OptimalSolution:
+    """State, adjoint, cost and gradient at q; raises unless all are finite."""
     u = pde.solve_state(mesh, spec, q)
     p = pde.solve_adjoint(mesh, spec, u)
-    grad = _gradient_of_adjoint(spec, q, p)
+    value = _cost_of_state(spec, u, q)
+    gradient_norm = assembly.norm(_gradient_of_adjoint(spec, q, p), "Q")
+    if not (np.isfinite(value) and np.isfinite(gradient_norm)):
+        raise ConvergenceError(
+            f"optimum is not finite: cost {value!r}, gradient norm {gradient_norm!r}",
+            ratios=ratios,
+        )
     return OptimalSolution(
         q_opt=q,
         u_opt=u,
         p_opt=p,
-        cost=_cost_of_state(spec, u, q),
-        gradient_norm=assembly.norm(grad, "Q"),
+        cost=value,
+        gradient_norm=gradient_norm,
         iterations=iterations,
         contraction_ratios=ratios,
     )
@@ -137,8 +173,10 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
     1/2 q' G q - L' q + c0.  G couples unit trace excitations through the
     state response and adds M times the boundary mass; it is symmetric
     positive definite, so a factorization failure downstream signals an
-    assembly bug.  Columns are built with a direct factorization of the one
-    system matrix, independent of the iterative path.
+    assembly bug.  The state responses to all unit excitations are solved as
+    one block of right-hand sides with the mesh's shared operator, the one
+    the iterative route uses; what keeps the two routes independent is that
+    this one never applies the update map.
     """
     part = dof_partition(mesh)
     g2 = part.gamma2_trace_dofs
@@ -155,22 +193,18 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
 
     if spec.alpha is None:
         free = part.free_dofs
-        matrix = stiff[free][:, free].tocsr()
-        solve = factorize(matrix)
-        lift = np.zeros(nvert)
-        lift[part.gamma1_dofs] = spec.b
-        rhs0 = load_g - stiff @ lift
-        u0 = lift.copy()
-        u0[free] = solve(rhs0[free])
+        clamped = operators(mesh).clamped
+        u0 = np.zeros(nvert)
+        u0[part.gamma1_dofs] = spec.b
+        rhs0 = load_g - stiff @ u0
+        u0[free] = solve_spd(clamped, rhs0[free])
         response = np.zeros((nvert, m))
-        response[free, :] = solve(-b2_cols[free, :])
+        response[free, :] = solve_spd(clamped, -b2_cols[free, :])
     else:
         b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-        matrix = (stiff + spec.alpha * b1).tocsr()
-        solve = factorize(matrix)
-        rhs0 = load_g + spec.alpha * spec.b * (b1 @ np.ones(nvert))
-        u0 = solve(rhs0)
-        response = solve(-b2_cols)
+        robin = robin_operator(mesh, spec.alpha)
+        u0 = solve_spd(robin, load_g + spec.alpha * spec.b * (b1 @ np.ones(nvert)))
+        response = solve_spd(robin, -b2_cols)
 
     trace_mass = np.asarray(b2[g2][:, g2].todense())
     gmat = response.T @ (mass @ response) + spec.M * trace_mass
@@ -191,15 +225,4 @@ def solve_optimal_reduced(
     except scipy.linalg.LinAlgError as exc:
         raise ConvergenceError(f"reduced operator is not positive definite: {exc}") from exc
     q = TraceField(mesh, scipy.linalg.cho_solve(chol, lvec))
-    u = pde.solve_state(mesh, spec, q)
-    p = pde.solve_adjoint(mesh, spec, u)
-    grad = _gradient_of_adjoint(spec, q, p)
-    return OptimalSolution(
-        q_opt=q,
-        u_opt=u,
-        p_opt=p,
-        cost=_cost_of_state(spec, u, q),
-        gradient_norm=assembly.norm(grad, "Q"),
-        iterations=0,
-        contraction_ratios=[],
-    )
+    return _optimum(mesh, spec, q, 0, [])

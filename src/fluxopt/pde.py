@@ -14,14 +14,13 @@ the derivative of the quadrature-evaluated tracking term exactly.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import assembly
-from .linsolve import solve_spd
+from .linsolve import operators, robin_operator, solve_spd
 from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition
 
 _SOLVE_TOL = 1e-12
@@ -56,47 +55,15 @@ class ProblemSpec:
         return replace(self, alpha=alpha)
 
 
-_op_cache = weakref.WeakKeyDictionary()
-
-
-def _ops(mesh: Mesh) -> dict:
-    entry = _op_cache.get(mesh)
-    if entry is None:
-        entry = {}
-        _op_cache[mesh] = entry
-    return entry
-
-
-def _clamped_operator(mesh: Mesh):
-    ops = _ops(mesh)
-    if "stiff_ff" not in ops:
-        part = dof_partition(mesh)
-        stiff = assembly.assemble_stiffness(mesh)
-        ops["stiff_ff"] = stiff[part.free_dofs][:, part.free_dofs].tocsr()
-        lift = np.zeros(len(mesh.vertices))
-        lift[part.gamma1_dofs] = 1.0
-        ops["stiff_lift"] = stiff @ lift
-    return ops["stiff_ff"], ops["stiff_lift"]
-
-
-def _robin_operator(mesh: Mesh, alpha: float):
-    ops = _ops(mesh)
-    robin = ops.setdefault("robin", {})
-    if alpha not in robin:
-        stiff = assembly.assemble_stiffness(mesh)
-        b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-        robin[alpha] = (stiff + alpha * b1).tocsr()
-    if "b1_ones" not in ops:
-        b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-        ops["b1_ones"] = b1 @ np.ones(len(mesh.vertices))
-    return robin[alpha], ops["b1_ones"]
-
-
 def _flux_term(mesh: Mesh, q: TraceField) -> np.ndarray:
     if q.mesh is not mesh:
         raise ValueError("control lives on a different mesh")
     b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
     return b2 @ assembly.trace_extend(q).coefficients
+
+
+def _tracking_load(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> np.ndarray:
+    return assembly.assemble_mass(mesh) @ u.coefficients - assembly.assemble_load(mesh, spec.z_d)
 
 
 def solve_state_dirichlet(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalField:
@@ -105,12 +72,13 @@ def solve_state_dirichlet(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> Nodal
     The clamped value is lifted by b times the indicator of the clamped
     vertices, so only the free-vertex block is solved.
     """
+    clamped = operators(mesh).clamped
     part = dof_partition(mesh)
-    stiff_ff, stiff_lift = _clamped_operator(mesh)
-    rhs = assembly.assemble_load(mesh, spec.g) - _flux_term(mesh, q) - spec.b * stiff_lift
     u = np.zeros(len(mesh.vertices))
-    u[part.free_dofs] = solve_spd(stiff_ff, rhs[part.free_dofs], tol=_SOLVE_TOL)
     u[part.gamma1_dofs] = spec.b
+    rhs = assembly.assemble_load(mesh, spec.g) - _flux_term(mesh, q)
+    rhs -= assembly.assemble_stiffness(mesh) @ u
+    u[part.free_dofs] = solve_spd(clamped, rhs[part.free_dofs], tol=_SOLVE_TOL)
     return NodalField(mesh, u)
 
 
@@ -118,12 +86,10 @@ def solve_adjoint_dirichlet(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> Nod
     """Adjoint of the clamped family: tracks u - z_d, zero on the clamped portion."""
     if u.mesh is not mesh:
         raise ValueError("state lives on a different mesh")
-    part = dof_partition(mesh)
-    stiff_ff, _ = _clamped_operator(mesh)
-    mass = assembly.assemble_mass(mesh)
-    rhs = mass @ u.coefficients - assembly.assemble_load(mesh, spec.z_d)
+    free = dof_partition(mesh).free_dofs
+    rhs = _tracking_load(mesh, spec, u)
     p = np.zeros(len(mesh.vertices))
-    p[part.free_dofs] = solve_spd(stiff_ff, rhs[part.free_dofs], tol=_SOLVE_TOL)
+    p[free] = solve_spd(operators(mesh).clamped, rhs[free], tol=_SOLVE_TOL)
     return NodalField(mesh, p)
 
 
@@ -131,14 +97,14 @@ def solve_state_robin(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalFiel
     """State of the Robin-type family with boundary penalty weight spec.alpha."""
     if spec.alpha is None:
         raise ValueError("Robin solve needs spec.alpha")
-    matrix, b1_ones = _robin_operator(mesh, spec.alpha)
+    robin = robin_operator(mesh, spec.alpha)
+    b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
     rhs = (
         assembly.assemble_load(mesh, spec.g)
         - _flux_term(mesh, q)
-        + spec.alpha * spec.b * b1_ones
+        + spec.alpha * spec.b * (b1 @ np.ones(len(mesh.vertices)))
     )
-    u = solve_spd(matrix, rhs, tol=_SOLVE_TOL)
-    return NodalField(mesh, u)
+    return NodalField(mesh, solve_spd(robin, rhs, tol=_SOLVE_TOL))
 
 
 def solve_adjoint_robin(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalField:
@@ -147,10 +113,8 @@ def solve_adjoint_robin(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalFi
         raise ValueError("Robin solve needs spec.alpha")
     if u.mesh is not mesh:
         raise ValueError("state lives on a different mesh")
-    matrix, _ = _robin_operator(mesh, spec.alpha)
-    mass = assembly.assemble_mass(mesh)
-    rhs = mass @ u.coefficients - assembly.assemble_load(mesh, spec.z_d)
-    p = solve_spd(matrix, rhs, tol=_SOLVE_TOL)
+    rhs = _tracking_load(mesh, spec, u)
+    p = solve_spd(robin_operator(mesh, spec.alpha), rhs, tol=_SOLVE_TOL)
     return NodalField(mesh, p)
 
 

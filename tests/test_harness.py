@@ -280,6 +280,18 @@ def test_csv_format_and_atomicity(tmp_path):
         assert handle.read() == before
 
 
+def test_failed_csv_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = os.path.join(tmp_path, "out.csv")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(sample_report(), path)
+    assert os.listdir(tmp_path) == []
+
+
 def test_floor_level_run_classifies_exact():
     # matching boundary value, zero forcing and zero flux make every level
     # reproduce the constant state and a zero adjoint to solver precision

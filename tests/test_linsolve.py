@@ -1,16 +1,29 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fluxopt import harness, pde
 from fluxopt.assembly import (
     assemble_boundary_mass,
+    assemble_load,
     assemble_mass,
     assemble_stiffness,
     norm,
+    trace_extend,
     trace_restrict,
 )
-from fluxopt.linsolve import ConvergenceError, estimate_constants, factorize, solve_spd
-from fluxopt.mesh import BoundaryTag, NodalField, build_structured_mesh, dof_partition
+from fluxopt.linsolve import (
+    ConvergenceError,
+    estimate_constants,
+    factorize,
+    operators,
+    robin_operator,
+    solve_spd,
+)
+from fluxopt.mesh import BoundaryTag, NodalField, TraceField, build_structured_mesh, dof_partition
 
 
 def free_block(mesh):
@@ -41,16 +54,18 @@ def test_zero_rhs_gives_zero():
 
 
 def test_solver_linearity():
+    # a block of right-hand sides is solved column by column, in blocks, on
+    # both families' operators; the columns must combine linearly
     mesh = build_structured_mesh(6, ["left"])
-    a, _ = free_block(mesh)
     rng = np.random.default_rng(11)
-    r1 = rng.standard_normal(a.shape[0])
-    r2 = rng.standard_normal(a.shape[0])
-    x12 = solve_spd(a, r1 + r2, tol=1e-13)
-    x1 = solve_spd(a, r1, tol=1e-13)
-    x2 = solve_spd(a, r2, tol=1e-13)
-    scale = np.linalg.norm(x12)
-    assert np.linalg.norm(x12 - x1 - x2) / scale < 1e-10
+    for op in (operators(mesh).clamped, robin_operator(mesh, 3.0)):
+        r1 = rng.standard_normal(op.shape[0])
+        r2 = rng.standard_normal(op.shape[0])
+        block = np.column_stack([r1, r2, r1 + r2, rng.standard_normal((op.shape[0], 8))])
+        x = solve_spd(op, block, tol=1e-13)
+        assert np.linalg.norm(x[:, 2] - x[:, 0] - x[:, 1]) / np.linalg.norm(x[:, 2]) < 1e-12
+        assert np.allclose(x[:, 0], solve_spd(op, r1, tol=1e-13), rtol=0.0, atol=1e-12)
+        assert np.allclose(x[:, 10], solve_spd(op, block[:, 10]), rtol=0.0, atol=1e-12)
 
 
 def test_dimension_mismatch_rejected():
@@ -60,24 +75,28 @@ def test_dimension_mismatch_rejected():
 
 
 def test_singular_matrix_raises():
-    # full stiffness matrix has the constants in its null space
+    # full stiffness matrix has the constants in its null space: the factor's
+    # last pivot is roundoff, and the inconsistent system fails its residual
     mesh = build_structured_mesh(4, ["bottom"])
     a = assemble_stiffness(mesh)
     rhs = assemble_mass(mesh) @ np.ones(a.shape[0])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="relative residual") as info:
         solve_spd(a, rhs)
+    assert info.value.residual > 1e-10
 
 
 def test_indefinite_matrix_raises():
     m = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="not positive definite: factor pivot"):
         solve_spd(m, np.array([1.0, -1.0]))
 
 
 def test_nonpositive_diagonal_raises():
     m = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="nonpositive diagonal"):
         solve_spd(m, np.ones(2))
+    with pytest.raises(ConvergenceError, match="nonpositive diagonal"):
+        factorize(m)
 
 
 def test_factorize_matches_direct_solve():
@@ -151,3 +170,95 @@ def test_contraction_bound_formula():
     assert c.contraction_bound(2.0) == c.contraction_bound(1.0)
     assert c.contraction_bound(0.5) == pytest.approx(4.0 * c.contraction_bound(1.0), rel=1e-12)
     assert c.contraction_bound(1.0) == pytest.approx(base / c.lambda1_h**2, rel=1e-15)
+
+
+def robin_residuals(mesh, spec, q, u, p):
+    """Relative residuals of the Robin state and adjoint, from assembled matrices."""
+    stiff = assemble_stiffness(mesh)
+    b1 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+    b2 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
+    matrix = stiff + spec.alpha * b1
+    rhs_u = (
+        assemble_load(mesh, spec.g)
+        - b2 @ trace_extend(q).coefficients
+        + spec.alpha * spec.b * (b1 @ np.ones(len(mesh.vertices)))
+    )
+    rhs_p = assemble_mass(mesh) @ u.coefficients - assemble_load(mesh, spec.z_d)
+    res_u = np.linalg.norm(matrix @ u.coefficients - rhs_u) / np.linalg.norm(rhs_u)
+    res_p = np.linalg.norm(matrix @ p.coefficients - rhs_p) / np.linalg.norm(rhs_p)
+    return res_u, res_p
+
+
+@pytest.fixture(scope="module")
+def fine_robin_case():
+    # the n = 128 data on which Jacobi-CG stalled at alpha 1.035 and raised
+    # at alpha 0.1: scale from default_rng(1), control from default_rng(29)
+    # after one uniform draw
+    mesh = build_structured_mesh(128, ("bottom",))
+    scale = float(np.random.default_rng(1).uniform(5.0, 15.0))
+    g = harness.field_from_config({"name": "sin_product", "scale": scale, "kx": 1, "ky": 1})
+    spec = pde.ProblemSpec(g=g, z_d=harness.field_from_config(0.0), b=1.0, M=1.0)
+    rng = np.random.default_rng(29)
+    rng.uniform()
+    q = TraceField(mesh, rng.standard_normal(len(dof_partition(mesh).gamma2_trace_dofs)))
+    return mesh, spec, q
+
+
+@pytest.mark.parametrize("alpha", [1.035, 0.1])
+def test_fine_robin_solves_meet_the_residual_limit(fine_robin_case, alpha):
+    mesh, spec, q = fine_robin_case
+    spec = spec.with_alpha(alpha)
+    u = pde.solve_state(mesh, spec, q)
+    p = pde.solve_adjoint(mesh, spec, u)
+    res_u, res_p = robin_residuals(mesh, spec, q, u, p)
+    assert res_u <= 1e-10 and res_p <= 1e-10
+
+
+def test_tiny_alpha_is_solved_or_raises_with_its_residual(fine_robin_case):
+    # K + alpha B1 nears the singular Neumann matrix as alpha -> 0; a solve
+    # that misses the limit must say so, never return unchecked
+    mesh, spec, q = fine_robin_case
+    spec = spec.with_alpha(1e-3)
+    try:
+        u = pde.solve_state(mesh, spec, q)
+        p = pde.solve_adjoint(mesh, spec, u)
+    except ConvergenceError as exc:
+        assert exc.residual > 1e-10
+    else:
+        assert max(robin_residuals(mesh, spec, q, u, p)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 1.035, 10.0, 1e4, 1e8])
+def test_schur_path_matches_a_one_shot_factorization(alpha):
+    mesh = build_structured_mesh(16, ("bottom", "left"))
+    matrix = assemble_stiffness(mesh) + alpha * assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+    rhs = np.random.default_rng(5).standard_normal(matrix.shape[0]) + alpha
+    x_ref = solve_spd(matrix, rhs)
+    x = solve_spd(robin_operator(mesh, alpha), rhs)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_schur_complement_matches_the_dense_formula():
+    mesh = build_structured_mesh(8, ("bottom", "right"))
+    part = dof_partition(mesh)
+    stiff = assemble_stiffness(mesh).toarray()
+    free, clamped = part.free_dofs, part.gamma1_dofs
+    k_fc = stiff[np.ix_(free, clamped)]
+    dense = stiff[np.ix_(clamped, clamped)] - k_fc.T @ np.linalg.solve(stiff[np.ix_(free, free)], k_fc)
+    assert np.abs(operators(mesh).schur0 - dense).max() <= 1e-12
+
+
+def test_many_alphas_keep_a_single_robin_operator():
+    mesh = build_structured_mesh(8, ("bottom",))
+    spec = pde.ProblemSpec(g=lambda x, y: 1.0 + x, z_d=lambda x, y: 0.0 * x, b=1.0, M=1.0)
+    q = TraceField(mesh, np.ones(len(dof_partition(mesh).gamma2_trace_dofs)))
+    alphas = np.geomspace(0.5, 5e3, 50)
+    pde.solve_adjoint(mesh, spec.with_alpha(alphas[0]), pde.solve_state(mesh, spec.with_alpha(alphas[0]), q))
+    first = weakref.ref(robin_operator(mesh, alphas[0]))
+    keys = set(mesh.store)
+    for alpha in alphas[1:]:
+        pde.solve_adjoint(mesh, spec.with_alpha(alpha), pde.solve_state(mesh, spec.with_alpha(alpha), q))
+    gc.collect()
+    assert set(mesh.store) == keys
+    assert first() is None
+    assert robin_operator(mesh, alphas[-1]) is mesh.store["robin"]

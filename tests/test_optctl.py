@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fluxopt import optctl, pde
+from fluxopt import harness, optctl, pde
 from fluxopt.assembly import assemble_boundary_mass, norm
 from fluxopt.linsolve import ConvergenceError, estimate_constants
 from fluxopt.mesh import (
@@ -234,6 +234,25 @@ def test_iteration_budget_exhaustion_raises():
     spec = make_spec()
     with pytest.raises(ConvergenceError, match="last step ratio"):
         optctl.solve_optimal_fixed_point(mesh, spec, max_iter=1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diverging_iteration_raises_where_the_dense_route_converges():
+    # M = 0.3 sits far below the contraction threshold: the iterates grow
+    # until the control norm overflows, which once passed the stop test
+    mesh = build_structured_mesh(16, ["bottom"])
+    spec = pde.ProblemSpec(
+        g=harness.field_from_config({"name": "sin_product", "scale": 10.0, "kx": 1, "ky": 1}),
+        z_d=harness.field_from_config(0.0),
+        b=1.0,
+        M=0.3,
+    )
+    with pytest.raises(ConvergenceError, match="diverged") as info:
+        optctl.solve_optimal_fixed_point(mesh, spec)
+    ratios = info.value.ratios
+    assert len(ratios) > 100 and ratios[-1] > 1.0
+    dense = optctl.solve_optimal_reduced(mesh, spec)
+    assert np.isfinite(dense.cost) and dense.gradient_norm < 1e-10
 
 
 def test_start_control_mesh_mismatch():
