@@ -127,8 +127,15 @@ def _midpoint_data(mesh: Mesh):
     return mids[:, :, 0], mids[:, :, 1]
 
 
+@cached
 def assemble_load(mesh: Mesh, f) -> np.ndarray:
-    """Load vector of the callable f via the edge-midpoint rule (degree-2 exact)."""
+    """Load vector of the callable f via the edge-midpoint rule (degree-2 exact).
+
+    The vector is kept in the mesh's store, keyed by the callable object,
+    and returned read-only.  Data callables must therefore be pure: f is
+    evaluated once per mesh, and a later change in what it returns is not
+    seen.
+    """
     area = _areas(mesh)
     mx, my = _midpoint_data(mesh)
     vals = np.asarray(f(mx, my), dtype=float)
@@ -141,7 +148,9 @@ def assemble_load(mesh: Mesh, f) -> np.ndarray:
     # contributions in the order of the array
     vertices = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].T.ravel()
     weights = w[:, [0, 0, 1, 1, 2, 2]].T.ravel()
-    return np.bincount(vertices, weights=weights, minlength=len(mesh.vertices))
+    load = np.bincount(vertices, weights=weights, minlength=len(mesh.vertices))
+    load.setflags(write=False)
+    return load
 
 
 def l2_misfit_sq(u: NodalField, f) -> float:

@@ -129,9 +129,13 @@ class RobinOperator:
         free, clamped = ops.free, ops.clamped_dofs
         y = ops.clamped.solve(rhs[free])
         x = np.empty(rhs.shape)
-        x[clamped] = scipy.linalg.cho_solve(self._chol, rhs[clamped] - ops.k_fc.T @ y)
+        x[clamped] = self.solve_schur(rhs[clamped] - ops.k_fc.T @ y)
         x[free] = y - ops.clamped.solve(ops.k_fc @ x[clamped])
         return x
+
+    def solve_schur(self, rhs_c):
+        """(S0 + alpha B1_cc)^-1 rhs_c on the clamped vertices, by its dense factor."""
+        return scipy.linalg.cho_solve(self._chol, rhs_c)
 
 
 class MeshOperators:
@@ -220,21 +224,47 @@ def solve_spd(matrix, rhs, tol=1e-12):
     return x
 
 
-def _solve_checked(op, rhs, tol):
+def solve_columns(matrix, columns, tol=1e-12):
+    """``solve_spd`` for the columns of a sparse (n, k) matrix, densified a few at a time.
+
+    Each block of columns is one ``solve_spd`` call with a dense right-hand
+    side, so no dense n-by-k copy of the right-hand side is ever made.
+    """
+    columns = sp.csc_matrix(columns)
+    x = np.empty(columns.shape, order="F")
+    for start in range(0, columns.shape[1], _BLOCK_COLUMNS):
+        cols = slice(start, start + _BLOCK_COLUMNS)
+        x[:, cols] = solve_spd(matrix, columns[:, cols].toarray(order="F"), tol)
+    return x
+
+
+def _relative_residual(rhs, residual) -> float:
     bnorm = np.linalg.norm(rhs, axis=0)
-    scale = np.where(bnorm > 0.0, bnorm, 1.0)
-    x = op.solve(rhs)
-    residual = rhs - op @ x
-    worst = float(np.max(np.linalg.norm(residual, axis=0) / scale))
-    if worst > tol:
-        x += op.solve(residual)
-        worst = float(np.max(np.linalg.norm(rhs - op @ x, axis=0) / scale))
+    return float(np.max(np.linalg.norm(residual, axis=0) / np.where(bnorm > 0.0, bnorm, 1.0)))
+
+
+def check_residual(rhs, residual, tol=1e-12) -> float:
+    """Worst relative residual |r| / |b| over the columns, raised above the limit.
+
+    The limit is ``solve_spd``'s: max(100 * tol, 1e-10).
+    """
+    worst = _relative_residual(rhs, residual)
     limit = max(100.0 * tol, 1e-10)
     if not worst <= limit:
         raise ConvergenceError(
             f"direct solve missed its tolerance: relative residual {worst:.3e} > {limit:.0e}",
             residual=worst,
         )
+    return worst
+
+
+def _solve_checked(op, rhs, tol):
+    x = op.solve(rhs)
+    residual = rhs - op @ x
+    if _relative_residual(rhs, residual) > tol:
+        x += op.solve(residual)
+        residual = rhs - op @ x
+    check_residual(rhs, residual, tol)
     return x
 
 

@@ -7,11 +7,16 @@ update map whose fixed point is the optimal control, a contraction whenever
 M exceeds the square of the trace norm over the squared coercivity floor.
 
 Two independent routes compute the optimum: iterating the update map, and
-solving the dense reduced normal system assembled column by column from unit
-trace excitations.  The second path exists to cross-check the first, so the
-two must never share their formulation.  They do share the linear solver:
-both solve with the mesh's one factorization, and every solve is checked by
-its residual, so their agreement tests the formulations, not the solver.
+solving the dense reduced normal system built from the state responses to
+unit trace excitations.  The second path exists to cross-check the first, so
+the two must never share their formulation.  They do share the linear
+solver, and more than that: the reduced route takes its responses from two
+blocks solved once per mesh with the K_ff factor that the state and adjoint
+solves use, and from the Schur complement factor of the Robin operator at
+the same alpha.  Every solve and every response is checked by its residual.
+The two routes stay independent only because the reduced route never
+applies the update map, so their agreement tests the formulations, not the
+solver.
 
 Neither route returns an optimum whose cost, control or gradient is not
 finite; it raises ConvergenceError instead.
@@ -25,17 +30,20 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from . import assembly, pde
 from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     ConvergenceError,
     DiscreteConstants,
+    check_residual,
     factorize,
     operators,
     robin_operator,
+    solve_columns,
     solve_spd,
 )
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition, zero_trace
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, dof_partition, zero_trace
 
 
 @dataclass(frozen=True)
@@ -97,9 +105,14 @@ def solve_optimal_fixed_point(
 
     Stops when the boundary-norm step drops below tol * max(1, |q|).  When
     discrete constants are supplied and M sits at or below the contraction
-    threshold, a warning is issued and the iteration proceeds anyway.  A step
-    or control norm that overflows raises ConvergenceError with the step
-    ratios so far, as does an exhausted iteration budget.
+    threshold, a warning is issued and the iteration proceeds anyway.
+
+    The update map is affine and its linear part is self-adjoint in the
+    boundary inner product (the gradient is an exact representer), so the
+    steps of a contraction never grow.  Two consecutive step ratios above 1
+    therefore mean divergence and raise ConvergenceError with the step
+    ratios so far, as do a step or control norm that is not finite and an
+    exhausted iteration budget.
     """
     if constants is not None:
         bound = constants.contraction_bound(spec.alpha)
@@ -130,6 +143,12 @@ def solve_optimal_fixed_point(
             )
         if step <= tol * max(1.0, qnorm):
             break
+        if len(ratios) >= 2 and min(ratios[-2:]) > 1.0:
+            raise ConvergenceError(
+                f"control iteration diverged: two consecutive steps grew after "
+                f"{iterations} steps (last step ratio {_last_ratio(ratios)})",
+                ratios=ratios,
+            )
         prev_step = step
     else:
         raise ConvergenceError(
@@ -166,50 +185,144 @@ def _optimum(mesh, spec, q, iterations, ratios) -> OptimalSolution:
     )
 
 
+# bytes of one block of response columns: wide enough for the products with
+# the block to run at matrix-matrix speed, small enough that the block and
+# its products add little to the peak memory
+_BLOCK_BYTES = 4 << 20
+
+
+def _excitation(mesh: Mesh) -> sp.csc_matrix:
+    """-B2 E: the load of each unit trace excitation, one sparse column each."""
+    g2 = dof_partition(mesh).gamma2_trace_dofs
+    return -assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)[:, g2].tocsc()
+
+
+def _frozen(block: np.ndarray) -> np.ndarray:
+    block.setflags(write=False)
+    return block
+
+
+@cached
+def clamped_response(mesh: Mesh) -> np.ndarray:
+    """Y = K_ff^-1 (-B2 E)_f: the clamped responses to the unit trace excitations.
+
+    One column per flux-boundary trace vertex, on the free vertices; the
+    clamped values are zero.  Read-only, since every reduced system of the
+    mesh shares it.
+    """
+    free = dof_partition(mesh).free_dofs
+    return _frozen(solve_columns(operators(mesh).clamped, _excitation(mesh)[free]))
+
+
+@cached
+def clamped_coupling(mesh: Mesh) -> np.ndarray:
+    """W = K_ff^-1 K_fc: the free-vertex responses to unit clamped values, negated.
+
+    Read-only, since every Robin reduced system of the mesh shares it.
+    """
+    ops = operators(mesh)
+    return _frozen(solve_columns(ops.clamped, ops.k_fc))
+
+
+class _Response:
+    """State responses R to the unit trace excitations, free vertices first.
+
+    R_f = Y - W X on the free vertices and R_c = X on the clamped ones; the
+    clamped family has X = 0.  Blocks of columns are formed on demand, so
+    the full vertex-by-trace matrix never exists.
+    """
+
+    def __init__(self, y, nclamped, w=None, x=None):
+        self.y, self.w, self.x = y, w, x
+        self.nfree = y.shape[0]
+        self.nvert = self.nfree + nclamped
+
+    def block(self, cols) -> np.ndarray:
+        y = self.y[:, cols]
+        r = np.zeros((self.nvert, y.shape[1]))
+        r[: self.nfree] = y
+        if self.x is not None:
+            x = self.x[:, cols]
+            r[: self.nfree] -= self.w @ x
+            r[self.nfree :] = x
+        return r
+
+    def t_dot(self, v, rows=slice(None)) -> np.ndarray:
+        """Rows of R' v for a vertex vector or an array of vertex columns."""
+        v_f = v[: self.nfree]
+        out = self.y[:, rows].T @ v_f
+        if self.x is not None:
+            out += self.x[:, rows].T @ (v[self.nfree :] - self.w.T @ v_f)
+        return out
+
+
 def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int = 2000):
     """Dense normal operator, linear term and constant of the reduced cost.
 
     The cost as a function of the control alone is
     1/2 q' G q - L' q + c0.  G couples unit trace excitations through the
-    state response and adds M times the boundary mass; it is symmetric
+    state responses R and adds M times the boundary mass; it is symmetric
     positive definite, so a factorization failure downstream signals an
-    assembly bug.  The state responses to all unit excitations are solved as
-    one block of right-hand sides with the mesh's shared operator, the one
-    the iterative route uses; what keeps the two routes independent is that
-    this one never applies the update map.
+    assembly bug.  G is accumulated a block of columns at a time as
+    R' M R_j, so neither R nor M R is ever formed whole.
+
+    R is built from two blocks that each mesh solves once with the K_ff
+    factor its Robin operators share: the clamped responses
+    Y = K_ff^-1 (-B2 E)_f, and for the Robin family W = K_ff^-1 K_fc.  At
+    any alpha the clamped values X = (S0 + alpha B1_cc)^-1 ((-B2 E)_c - K_cf Y)
+    come from the Robin operator's Schur complement factor, R_f = Y - W X,
+    and every block of R is checked against (K + alpha B1) R = -B2 E with
+    ``solve_spd``'s residual limit.  This route thus shares its responses
+    with the state solves of the iterative one; what keeps the two
+    independent is that this one never applies the update map.
     """
     part = dof_partition(mesh)
-    g2 = part.gamma2_trace_dofs
-    m = len(g2)
+    m = len(part.gamma2_trace_dofs)
     if m > max_trace_dofs:
         raise ValueError(f"reduced system guard: {m} trace vertices exceed the cap {max_trace_dofs}")
 
     stiff = assembly.assemble_stiffness(mesh)
     mass = assembly.assemble_mass(mesh)
-    b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
-    b2_cols = np.asarray(b2[:, g2].todense())
     load_g = assembly.assemble_load(mesh, spec.g)
     nvert = len(mesh.vertices)
+    free, clamped = part.free_dofs, part.gamma1_dofs
+    # the responses are formed with the free vertices first
+    order = np.concatenate([free, clamped])
+    y = clamped_response(mesh)
 
     if spec.alpha is None:
-        free = part.free_dofs
-        clamped = operators(mesh).clamped
         u0 = np.zeros(nvert)
-        u0[part.gamma1_dofs] = spec.b
+        u0[clamped] = spec.b
         rhs0 = load_g - stiff @ u0
-        u0[free] = solve_spd(clamped, rhs0[free])
-        response = np.zeros((nvert, m))
-        response[free, :] = solve_spd(clamped, -b2_cols[free, :])
+        u0[free] = solve_spd(operators(mesh).clamped, rhs0[free])
+        response = _Response(y, len(clamped))
     else:
         b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
         robin = robin_operator(mesh, spec.alpha)
         u0 = solve_spd(robin, load_g + spec.alpha * spec.b * (b1 @ np.ones(nvert)))
-        response = solve_spd(robin, -b2_cols)
+        excitation = _excitation(mesh)[order]
+        k_fc = operators(mesh).k_fc
+        x = robin.solve_schur(excitation[len(free) :].toarray() - k_fc.T @ y)
+        response = _Response(y, len(clamped), clamped_coupling(mesh), x)
+        robin_matrix = (stiff + spec.alpha * b1)[order][:, order]
 
-    trace_mass = np.asarray(b2[g2][:, g2].todense())
-    gmat = response.T @ (mass @ response) + spec.M * trace_mass
-    gmat = 0.5 * (gmat + gmat.T)
-    lvec = response.T @ (assembly.assemble_load(mesh, spec.z_d) - mass @ u0)
+    mass_ordered = mass[order][:, order]
+    gmat = np.empty((m, m))
+    width = max(1, _BLOCK_BYTES // (8 * nvert))
+    for start in range(0, m, width):
+        cols = slice(start, start + width)
+        r = response.block(cols)
+        if spec.alpha is not None:
+            rhs = excitation[:, cols].toarray()
+            check_residual(rhs, rhs - robin_matrix @ r)
+        # G is symmetric: only its upper triangle is formed
+        upper = slice(0, cols.stop)
+        gmat[upper, cols] = response.t_dot(mass_ordered @ r, upper)
+    gmat = np.triu(gmat) + np.triu(gmat, 1).T
+    b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
+    g2 = part.gamma2_trace_dofs
+    gmat += spec.M * b2[g2][:, g2].toarray()
+    lvec = response.t_dot((assembly.assemble_load(mesh, spec.z_d) - mass @ u0)[order])
     u0_field = NodalField(mesh, u0)
     c0 = 0.5 * assembly.l2_misfit_sq(u0_field, spec.z_d)
     return gmat, lvec, c0

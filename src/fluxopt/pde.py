@@ -30,11 +30,14 @@ _SOLVE_TOL = 1e-12
 class ProblemSpec:
     """Data of one control problem instance.
 
-    g : interior source, callable of coordinate arrays.
-    z_d : tracking target, callable of coordinate arrays.
+    g : interior source, a pure callable of coordinate arrays.
+    z_d : tracking target, a pure callable of coordinate arrays.
     b : clamped boundary value (a constant).
     M : control penalty weight in the cost, positive.
     alpha : Robin penalty weight; None selects the clamped family.
+
+    The load vectors of g and z_d are kept per mesh, keyed by the callable
+    object, so a callable must return the same values on every call.
     """
 
     g: Callable

@@ -156,6 +156,30 @@ def test_load_of_linear_matches_mass_times_interpolant():
     assert np.allclose(load, assemble_mass(m) @ u.coefficients, atol=1e-12)
 
 
+def test_load_vector_is_evaluated_once_per_mesh_and_callable():
+    m = build_structured_mesh(4, ["bottom"])
+    evaluations = []
+
+    def f(x, y):
+        evaluations.append(x.shape)
+        return x * y
+
+    first = assemble_load(m, f)
+    assert assemble_load(m, f) is first
+    assert len(evaluations) == 1
+    assemble_load(build_structured_mesh(4, ["bottom"]), f)
+    assert len(evaluations) == 2
+
+
+def test_cached_load_vector_is_read_only():
+    m = build_structured_mesh(3, ["left"])
+    load = assemble_load(m, lambda x, y: x + 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        load[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        load += 1.0
+
+
 def test_misfit_zero_for_exact_linear():
     m = build_structured_mesh(3, ["bottom"])
     u = interpolate_nodal(lambda x, y: 2.0 * x - y, m)

@@ -1,15 +1,18 @@
 """Quadratic cost structure, gradient consistency, the contraction of the
 update map, and agreement between the iterative and dense solution routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fluxopt import harness, optctl, pde
+from fluxopt import assembly, harness, linsolve, optctl, pde
 from fluxopt.assembly import assemble_boundary_mass, norm
-from fluxopt.linsolve import ConvergenceError, estimate_constants
+from fluxopt.linsolve import ConvergenceError, estimate_constants, operators, robin_operator
 from fluxopt.mesh import (
     BoundaryTag,
+    NodalField,
     TraceField,
     build_structured_mesh,
     dof_partition,
@@ -236,23 +239,43 @@ def test_iteration_budget_exhaustion_raises():
         optctl.solve_optimal_fixed_point(mesh, spec, max_iter=1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_diverging_iteration_raises_where_the_dense_route_converges():
-    # M = 0.3 sits far below the contraction threshold: the iterates grow
-    # until the control norm overflows, which once passed the stop test
+def divergence_case(M):
+    # n = 16, bottom clamped: the surrogate contraction bound is 6.36, while
+    # the step ratio is about 0.66 / M, so the iteration contracts for M > 0.66
     mesh = build_structured_mesh(16, ["bottom"])
     spec = pde.ProblemSpec(
         g=harness.field_from_config({"name": "sin_product", "scale": 10.0, "kx": 1, "ky": 1}),
         z_d=harness.field_from_config(0.0),
         b=1.0,
-        M=0.3,
+        M=M,
     )
-    with pytest.raises(ConvergenceError, match="diverged") as info:
-        optctl.solve_optimal_fixed_point(mesh, spec)
-    ratios = info.value.ratios
-    assert len(ratios) > 100 and ratios[-1] > 1.0
-    dense = optctl.solve_optimal_reduced(mesh, spec)
+    return mesh, spec
+
+
+def test_diverging_iteration_raises_where_the_dense_route_converges():
+    # M = 0.3 sits far below the contraction threshold: every step ratio is
+    # about 2.2, so the second growing step ends the run, long before the
+    # iterates could overflow
+    mesh, spec = divergence_case(0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="diverged") as info:
+            optctl.solve_optimal_fixed_point(mesh, spec)
+        ratios = info.value.ratios
+        assert len(ratios) <= 2  # at most 3 steps
+        assert all(r > 1.0 for r in ratios)
+        dense = optctl.solve_optimal_reduced(mesh, spec)
     assert np.isfinite(dense.cost) and dense.gradient_norm < 1e-10
+
+
+def test_contracting_iteration_below_the_surrogate_bound_runs_to_the_end():
+    # M = 1 is below the pessimistic bound but the map still contracts
+    # (ratio 0.66): no step grows, and the run is not cut short
+    mesh, spec = divergence_case(1.0)
+    sol = optctl.solve_optimal_fixed_point(mesh, spec)
+    assert max(sol.contraction_ratios) < 1.0
+    assert sol.gradient_norm <= 1e-8
+    assert sol.cost == pytest.approx(optctl.solve_optimal_reduced(mesh, spec).cost, rel=1e-10)
 
 
 def test_start_control_mesh_mismatch():
@@ -266,3 +289,106 @@ def test_reduced_system_trace_cap():
     mesh = build_structured_mesh(8, ["bottom"])
     with pytest.raises(ValueError, match="cap"):
         optctl.reduced_normal_system(mesh, make_spec(), max_trace_dofs=3)
+
+
+def per_alpha_reduced_system(mesh, spec):
+    """The reduced system as built before the response blocks were shared.
+
+    Every call solves the full responses to all unit trace excitations with
+    the family's operator; the oracle for ``optctl.reduced_normal_system``.
+    """
+    part = dof_partition(mesh)
+    g2 = part.gamma2_trace_dofs
+    stiff = assembly.assemble_stiffness(mesh)
+    mass = assembly.assemble_mass(mesh)
+    b2 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
+    b2_cols = np.asarray(b2[:, g2].todense())
+    load_g = assembly.assemble_load(mesh, spec.g)
+    nvert = len(mesh.vertices)
+    if spec.alpha is None:
+        free = part.free_dofs
+        clamped = operators(mesh).clamped
+        u0 = np.zeros(nvert)
+        u0[part.gamma1_dofs] = spec.b
+        rhs0 = load_g - stiff @ u0
+        u0[free] = linsolve.solve_spd(clamped, rhs0[free])
+        response = np.zeros((nvert, len(g2)))
+        response[free, :] = linsolve.solve_spd(clamped, -b2_cols[free, :])
+    else:
+        b1 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+        robin = robin_operator(mesh, spec.alpha)
+        u0 = linsolve.solve_spd(robin, load_g + spec.alpha * spec.b * (b1 @ np.ones(nvert)))
+        response = linsolve.solve_spd(robin, -b2_cols)
+    trace_mass = np.asarray(b2[g2][:, g2].todense())
+    gmat = response.T @ (mass @ response) + spec.M * trace_mass
+    gmat = 0.5 * (gmat + gmat.T)
+    lvec = response.T @ (assembly.assemble_load(mesh, spec.z_d) - mass @ u0)
+    c0 = 0.5 * assembly.l2_misfit_sq(NodalField(mesh, u0), spec.z_d)
+    return gmat, lvec, c0
+
+
+def relative_gap(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_shared_blocks_reproduce_the_per_alpha_reduced_system(n):
+    mesh = build_structured_mesh(n, ["bottom", "left"])
+    for alpha in (None, 1e-3, 1.0, 1.035, 1e4):
+        spec = make_spec(alpha)
+        got = optctl.reduced_normal_system(mesh, spec)
+        want = per_alpha_reduced_system(mesh, spec)
+        for g, w in zip(got, want):
+            assert relative_gap(g, w) <= 1e-9, alpha
+
+
+@pytest.mark.parametrize("n, sides", [(8, ("bottom", "right")), (16, ("bottom",))])
+def test_coupling_block_rebuilds_the_schur_complement(n, sides):
+    # K_cc - K_cf W and the certifying factor's trailing block are two
+    # independent constructions of S0
+    mesh = build_structured_mesh(n, sides)
+    ops = operators(mesh)
+    clamped = ops.clamped_dofs
+    schur = ops.stiff[clamped][:, clamped].toarray() - ops.k_fc.T @ optctl.clamped_coupling(mesh)
+    assert relative_gap(schur, ops.schur0) <= 1e-12
+
+
+def test_robin_reduced_systems_share_one_response_and_one_coupling_solve(monkeypatch):
+    mesh = build_structured_mesh(16, ["bottom"])
+    ops = operators(mesh)
+    block_solves = []
+    solve_columns = optctl.solve_columns
+
+    def counted(matrix, columns, *args):
+        block_solves.append((matrix, columns.shape))
+        return solve_columns(matrix, columns, *args)
+
+    factor_columns = [0]
+    factor_solve = ops.clamped.solve
+
+    def counted_factor(rhs):
+        factor_columns[0] += 1 if rhs.ndim == 1 else rhs.shape[1]
+        return factor_solve(rhs)
+
+    monkeypatch.setattr(optctl, "solve_columns", counted)
+    monkeypatch.setattr(ops.clamped, "solve", counted_factor)
+    for alpha in (0.5, 1.0, 10.0, 100.0, 1e4):
+        optctl.reduced_normal_system(mesh, make_spec(alpha))
+    nfree, nclamped = len(ops.free), len(ops.clamped_dofs)
+    ntrace = len(dof_partition(mesh).gamma2_trace_dofs)
+    assert block_solves == [(ops.clamped, (nfree, ntrace)), (ops.clamped, (nfree, nclamped))]
+    # each block column once and two vector solves per alpha for the offset
+    # state, at most doubled by refinement steps; per-alpha responses would
+    # take 2 ntrace columns for every alpha
+    once = ntrace + nclamped + 5 * 2
+    assert once <= factor_columns[0] <= 2 * once
+
+
+def test_corrupted_coupling_block_fails_the_robin_residual_check(monkeypatch):
+    mesh = build_structured_mesh(8, ["bottom"])
+    coupling = optctl.clamped_coupling(mesh) * (1.0 + 1e-6)
+    monkeypatch.setattr(optctl, "clamped_coupling", lambda _mesh: coupling)
+    optctl.reduced_normal_system(mesh, make_spec())  # the clamped family needs no W
+    with pytest.raises(ConvergenceError, match="residual") as info:
+        optctl.reduced_normal_system(mesh, make_spec(10.0))
+    assert info.value.residual > 1e-10
