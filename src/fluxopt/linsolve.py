@@ -31,6 +31,9 @@ from .mesh import BoundaryTag, Mesh, cached, dof_partition, nested_dissection
 # blocks more slowly per column, and they hold more memory
 _BLOCK_COLUMNS = 8
 
+# default relative residual target of a solve
+_TOL = 1e-12
+
 
 class ConvergenceError(RuntimeError):
     """A solve or an iteration failed; ``residual`` and ``ratios`` carry its diagnostics."""
@@ -192,7 +195,7 @@ def robin_operator(mesh: Mesh, alpha: float) -> RobinOperator:
     return robin
 
 
-def solve_spd(matrix, rhs, tol=1e-12):
+def solve_spd(matrix, rhs, tol=_TOL):
     """Solve a symmetric positive definite system and check the residual.
 
     Parameters
@@ -224,7 +227,7 @@ def solve_spd(matrix, rhs, tol=1e-12):
     return x
 
 
-def solve_columns(matrix, columns, tol=1e-12):
+def solve_columns(matrix, columns):
     """``solve_spd`` for the columns of a sparse (n, k) matrix, densified a few at a time.
 
     Each block of columns is one ``solve_spd`` call with a dense right-hand
@@ -234,7 +237,7 @@ def solve_columns(matrix, columns, tol=1e-12):
     x = np.empty(columns.shape, order="F")
     for start in range(0, columns.shape[1], _BLOCK_COLUMNS):
         cols = slice(start, start + _BLOCK_COLUMNS)
-        x[:, cols] = solve_spd(matrix, columns[:, cols].toarray(order="F"), tol)
+        x[:, cols] = solve_spd(matrix, columns[:, cols].toarray(order="F"))
     return x
 
 
@@ -243,29 +246,38 @@ def _relative_residual(rhs, residual) -> float:
     return float(np.max(np.linalg.norm(residual, axis=0) / np.where(bnorm > 0.0, bnorm, 1.0)))
 
 
-def check_residual(rhs, residual, tol=1e-12) -> float:
-    """Worst relative residual |r| / |b| over the columns, raised above the limit.
+def refinement(op, rhs, x):
+    """The step that makes x an accepted solution of op x = rhs, or None if x is one.
 
-    The limit is ``solve_spd``'s: max(100 * tol, 1e-10).
+    For an x formed by other means than op's solve, checked as ``solve_spd``
+    checks its own: op is a ``FactoredMatrix`` or a ``RobinOperator``, rhs
+    and x are vectors or (n, k) arrays.  Above the default tol of
+    ``solve_spd`` one refinement step through op's solve is returned, and
+    ConvergenceError is raised when x plus that step misses the limit.
     """
+    return _refinement(op, rhs, x, _TOL)
+
+
+def _refinement(op, rhs, x, tol):
+    residual = rhs - op @ x
     worst = _relative_residual(rhs, residual)
+    step = None
+    if worst > tol:
+        step = op.solve(residual)
+        worst = _relative_residual(rhs, rhs - op @ (x + step))
     limit = max(100.0 * tol, 1e-10)
     if not worst <= limit:
         raise ConvergenceError(
             f"direct solve missed its tolerance: relative residual {worst:.3e} > {limit:.0e}",
             residual=worst,
         )
-    return worst
+    return step
 
 
 def _solve_checked(op, rhs, tol):
     x = op.solve(rhs)
-    residual = rhs - op @ x
-    if _relative_residual(rhs, residual) > tol:
-        x += op.solve(residual)
-        residual = rhs - op @ x
-    check_residual(rhs, residual, tol)
-    return x
+    step = _refinement(op, rhs, x, tol)
+    return x if step is None else x + step
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,9 @@ from . import assembly, pde
 from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     ConvergenceError,
     DiscreteConstants,
-    check_residual,
     factorize,
     operators,
+    refinement,
     robin_operator,
     solve_columns,
     solve_spd,
@@ -225,34 +225,35 @@ def clamped_coupling(mesh: Mesh) -> np.ndarray:
 
 
 class _Response:
-    """State responses R to the unit trace excitations, free vertices first.
+    """State responses R to the unit trace excitations.
 
-    R_f = Y - W X on the free vertices and R_c = X on the clamped ones; the
-    clamped family has X = 0.  Blocks of columns are formed on demand, so
-    the full vertex-by-trace matrix never exists.
+    R = Y - W X on the free vertices and X on the clamped ones; the clamped
+    family has X = 0.  Blocks of columns are formed on demand, so the full
+    vertex-by-trace matrix never exists.
     """
 
-    def __init__(self, y, nclamped, w=None, x=None):
+    def __init__(self, part, y, w=None, x=None):
+        self.free, self.clamped = part.free_dofs, part.gamma1_dofs
+        self.nvert = len(self.free) + len(self.clamped)
         self.y, self.w, self.x = y, w, x
-        self.nfree = y.shape[0]
-        self.nvert = self.nfree + nclamped
 
     def block(self, cols) -> np.ndarray:
         y = self.y[:, cols]
         r = np.zeros((self.nvert, y.shape[1]))
-        r[: self.nfree] = y
-        if self.x is not None:
+        if self.x is None:
+            r[self.free] = y
+        else:
             x = self.x[:, cols]
-            r[: self.nfree] -= self.w @ x
-            r[self.nfree :] = x
+            r[self.free] = y - self.w @ x
+            r[self.clamped] = x
         return r
 
-    def t_dot(self, v, rows=slice(None)) -> np.ndarray:
-        """Rows of R' v for a vertex vector or an array of vertex columns."""
-        v_f = v[: self.nfree]
+    def t_dot(self, v, rows) -> np.ndarray:
+        """Rows of R' v for an array v of vertex columns."""
+        v_f = v[self.free]
         out = self.y[:, rows].T @ v_f
         if self.x is not None:
-            out += self.x[:, rows].T @ (v[self.nfree :] - self.w.T @ v_f)
+            out += self.x[:, rows].T @ (v[self.clamped] - self.w.T @ v_f)
         return out
 
 
@@ -263,16 +264,19 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
     1/2 q' G q - L' q + c0.  G couples unit trace excitations through the
     state responses R and adds M times the boundary mass; it is symmetric
     positive definite, so a factorization failure downstream signals an
-    assembly bug.  G is accumulated a block of columns at a time as
-    R' M R_j, so neither R nor M R is ever formed whole.
+    assembly bug.  G and L are accumulated a block of columns at a time as
+    R' M R_j and R_j' v, so neither R nor M R is ever formed whole.
 
     R is built from two blocks that each mesh solves once with the K_ff
     factor its Robin operators share: the clamped responses
     Y = K_ff^-1 (-B2 E)_f, and for the Robin family W = K_ff^-1 K_fc.  At
     any alpha the clamped values X = (S0 + alpha B1_cc)^-1 ((-B2 E)_c - K_cf Y)
     come from the Robin operator's Schur complement factor, R_f = Y - W X,
-    and every block of R is checked against (K + alpha B1) R = -B2 E with
-    ``solve_spd``'s residual limit.  This route thus shares its responses
+    and every block of R is checked against (K + alpha B1) R = -B2 E as
+    ``solve_spd`` checks its solves: a block above the target gets one
+    refinement step through the Robin operator's solve, which G and L use on
+    both sides.  Small alpha needs that step on fine meshes, where roundoff
+    in W X grows with |X| ~ 1/alpha.  This route thus shares its responses
     with the state solves of the iterative one; what keeps the two
     independent is that this one never applies the update map.
     """
@@ -286,8 +290,6 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
     load_g = assembly.assemble_load(mesh, spec.g)
     nvert = len(mesh.vertices)
     free, clamped = part.free_dofs, part.gamma1_dofs
-    # the responses are formed with the free vertices first
-    order = np.concatenate([free, clamped])
     y = clamped_response(mesh)
 
     if spec.alpha is None:
@@ -295,34 +297,40 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
         u0[clamped] = spec.b
         rhs0 = load_g - stiff @ u0
         u0[free] = solve_spd(operators(mesh).clamped, rhs0[free])
-        response = _Response(y, len(clamped))
+        response = _Response(part, y)
     else:
         b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
         robin = robin_operator(mesh, spec.alpha)
         u0 = solve_spd(robin, load_g + spec.alpha * spec.b * (b1 @ np.ones(nvert)))
-        excitation = _excitation(mesh)[order]
+        excitation = _excitation(mesh)
         k_fc = operators(mesh).k_fc
-        x = robin.solve_schur(excitation[len(free) :].toarray() - k_fc.T @ y)
-        response = _Response(y, len(clamped), clamped_coupling(mesh), x)
-        robin_matrix = (stiff + spec.alpha * b1)[order][:, order]
+        x = robin.solve_schur(excitation[clamped].toarray() - k_fc.T @ y)
+        response = _Response(part, y, clamped_coupling(mesh), x)
 
-    mass_ordered = mass[order][:, order]
+    v = assembly.assemble_load(mesh, spec.z_d) - mass @ u0
     gmat = np.empty((m, m))
+    lvec = np.empty(m)
+    mass_steps = []  # M times the refinement steps taken so far, with their columns
     width = max(1, _BLOCK_BYTES // (8 * nvert))
     for start in range(0, m, width):
         cols = slice(start, start + width)
         r = response.block(cols)
         if spec.alpha is not None:
-            rhs = excitation[:, cols].toarray()
-            check_residual(rhs, rhs - robin_matrix @ r)
-        # G is symmetric: only its upper triangle is formed
+            step = refinement(robin, excitation[:, cols].toarray(), r)
+            if step is not None:
+                r += step
+                mass_steps.append((cols, mass @ step))
+        # G is symmetric: only its upper triangle is formed, its rows from
+        # the blocks of R as formed plus their refinement steps
         upper = slice(0, cols.stop)
-        gmat[upper, cols] = response.t_dot(mass_ordered @ r, upper)
+        gmat[upper, cols] = response.t_dot(mass @ r, upper)
+        for rows, mass_step in mass_steps:
+            gmat[rows, cols] += mass_step.T @ r
+        lvec[cols] = r.T @ v
     gmat = np.triu(gmat) + np.triu(gmat, 1).T
     b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
     g2 = part.gamma2_trace_dofs
     gmat += spec.M * b2[g2][:, g2].toarray()
-    lvec = response.t_dot((assembly.assemble_load(mesh, spec.z_d) - mass @ u0)[order])
     u0_field = NodalField(mesh, u0)
     c0 = 0.5 * assembly.l2_misfit_sq(u0_field, spec.z_d)
     return gmat, lvec, c0

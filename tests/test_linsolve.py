@@ -20,6 +20,7 @@ from fluxopt.linsolve import (
     estimate_constants,
     factorize,
     operators,
+    refinement,
     robin_operator,
     solve_columns,
     solve_spd,
@@ -78,6 +79,20 @@ def test_sparse_columns_solve_like_their_dense_copy():
         x = solve_columns(op, columns)
         assert x.shape == columns.shape
         assert np.array_equal(x, solve_spd(op, columns.toarray()))
+
+
+def test_refinement_accepts_repairs_or_rejects_a_given_solution():
+    mesh = build_structured_mesh(8, ["bottom"])
+    for op in (operators(mesh).clamped, robin_operator(mesh, 2.0)):
+        rhs = np.random.default_rng(5).standard_normal((op.shape[0], 3))
+        x = solve_spd(op, rhs)
+        assert refinement(op, rhs, x) is None
+        near = x * (1.0 + 1e-6)
+        step = refinement(op, rhs, near)
+        assert np.allclose(near + step, x, rtol=0.0, atol=1e-12 * np.abs(x).max())
+        with pytest.raises(ConvergenceError, match="residual") as info:
+            refinement(op, rhs, x * 1e9)
+        assert info.value.residual > 1e-10
 
 
 def test_dimension_mismatch_rejected():

@@ -331,10 +331,19 @@ def relative_gap(a, b):
     return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
 
 
-@pytest.mark.parametrize("n", [8, 16])
-def test_shared_blocks_reproduce_the_per_alpha_reduced_system(n):
-    mesh = build_structured_mesh(n, ["bottom", "left"])
-    for alpha in (None, 1e-3, 1.0, 1.035, 1e4):
+ALPHAS = (None, 1e-3, 1.0, 1.035, 1e4)
+
+
+@pytest.mark.parametrize(
+    "n, sides, alphas",
+    [(8, ["bottom", "left"], ALPHAS), (16, ["bottom", "left"], ALPHAS), (64, ["bottom"], (1e-3,))],
+    ids=["8", "16", "64-small-alpha"],
+)
+def test_shared_blocks_reproduce_the_per_alpha_reduced_system(n, sides, alphas):
+    # at n = 64, alpha = 1e-3 the Robin blocks as formed miss the residual
+    # limit (1.7e-10, roundoff in W X) and pass after their refinement step
+    mesh = build_structured_mesh(n, sides)
+    for alpha in alphas:
         spec = make_spec(alpha)
         got = optctl.reduced_normal_system(mesh, spec)
         want = per_alpha_reduced_system(mesh, spec)
@@ -384,11 +393,18 @@ def test_robin_reduced_systems_share_one_response_and_one_coupling_solve(monkeyp
     assert once <= factor_columns[0] <= 2 * once
 
 
-def test_corrupted_coupling_block_fails_the_robin_residual_check(monkeypatch):
+def test_corrupted_coupling_block_is_refined_away_or_raises(monkeypatch):
+    # the refinement step solves with the Robin operator, which does not use
+    # W, so one step repairs a wrong W in the columns of G and, through the
+    # kept steps, in its rows; a W too wrong for one step fails the check
     mesh = build_structured_mesh(8, ["bottom"])
-    coupling = optctl.clamped_coupling(mesh) * (1.0 + 1e-6)
-    monkeypatch.setattr(optctl, "clamped_coupling", lambda _mesh: coupling)
-    optctl.reduced_normal_system(mesh, make_spec())  # the clamped family needs no W
+    spec = make_spec(10.0)
+    want = optctl.reduced_normal_system(mesh, spec)
+    coupling = optctl.clamped_coupling(mesh)
+    monkeypatch.setattr(optctl, "clamped_coupling", lambda _mesh: coupling * (1.0 + 1e-3))
+    for g, w in zip(optctl.reduced_normal_system(mesh, spec), want):
+        assert relative_gap(g, w) <= 1e-12
+    monkeypatch.setattr(optctl, "clamped_coupling", lambda _mesh: coupling * 1e8)
     with pytest.raises(ConvergenceError, match="residual") as info:
-        optctl.reduced_normal_system(mesh, make_spec(10.0))
+        optctl.reduced_normal_system(mesh, spec)
     assert info.value.residual > 1e-10
