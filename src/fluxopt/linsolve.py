@@ -2,17 +2,25 @@
 
 Every system the package solves is symmetric positive definite and is
 solved by a sparse LU factorization in symmetric mode without pivoting,
-so the factor is a Cholesky factorization in disguise and its pivot signs
-certify definiteness.  ``solve_spd`` checks the residual of every solution.
+so the factor is a Cholesky factorization in disguise.  ``solve_spd``
+checks the residual of every solution.  A factor that is kept is never
+asked for its pivots, since reading them makes SuperLU keep sparse copies
+of both triangles; definiteness is certified otherwise.
 
-Each mesh owns one ``MeshOperators``: a factor of the clamped free block
-K_ff, shared by the clamped family and by the Robin-type family at every
-alpha.  The Robin matrix K + alpha B1 differs from the clamped one only on
-the clamped vertices, so a Robin solve eliminates the free block with the
-K_ff factor and solves the small dense system (S0 + alpha B1_cc) on the
-clamped vertices, where S0 = K_cc - K_cf K_ff^-1 K_fc is the Schur
-complement of the free block.  As alpha grows the clamped values are
-pinned ever harder, and the clamped family is the limit.
+Each mesh owns one ``MeshOperators``: the only factorization the clamped
+family makes, of the free block K_ff, in the mesh's nested-dissection
+order.  P1 stiffness on a mesh of right triangles is a symmetric Z-matrix,
+so K_ff is certified positive definite by one solve, K_ff^-1 1 >= 0 (an
+M-matrix test), with no second factorization.
+
+The Robin matrix K + alpha B1 differs from the clamped one only on the
+clamped vertices, so a Robin solve at any alpha eliminates the free block
+with the K_ff factor and solves the small dense system (S0 + alpha B1_cc)
+on the clamped vertices, where S0 = K_cc - K_cf K_ff^-1 K_fc is the Schur
+complement of the free block.  S0 is built once per mesh, on the first
+Robin solve only, from a throwaway factor of K + B1 whose pivots are
+checked.  As alpha grows the clamped values are pinned ever harder, and
+the clamped family is the limit.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .mesh import BoundaryTag, Mesh, cached, dof_partition, nested_dissection
+from .mesh import BoundaryTag, Mesh, cached, dof_partition
 
 # right-hand side columns per call into the factor: SuperLU solves wider
 # blocks more slowly per column, and they hold more memory
@@ -33,6 +41,8 @@ _BLOCK_COLUMNS = 8
 
 # default relative residual target of a solve
 _TOL = 1e-12
+# relative residual up to which a solution is accepted, or 100 * tol if larger
+_LIMIT = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -75,16 +85,20 @@ def _pivots_checked(lu):
     return lu
 
 
-def factorize(matrix):
+def factorize(matrix, permc_spec="MMD_AT_PLUS_A"):
     """Factor a sparse symmetric matrix for repeated solves; returns a solve callable.
+
+    By default SuperLU picks a fill-reducing order (minimum degree on
+    A' + A); permc_spec="NATURAL" keeps the matrix's own order, for one
+    that already comes in a fill-reducing order, such as a mesh's K_ff.
 
     The pivots of a symmetric factorization without row exchanges are all
     positive exactly when the matrix is positive definite.  This factor is
-    kept, so its pivots are not read: callers first check them on a
-    throwaway factor of the same matrix (``certified``) or of one whose
-    leading block it is (``MeshOperators``).
+    kept, so its pivots are not read: callers certify the matrix by a
+    throwaway factor of it (``certified``) or by its M-matrix structure
+    (``certified_stieltjes``).
     """
-    return _splu(matrix).solve
+    return _splu(matrix, permc_spec).solve
 
 
 class FactoredMatrix:
@@ -100,9 +114,54 @@ class FactoredMatrix:
 
 
 def certified(matrix) -> FactoredMatrix:
-    """The matrix with its factor, once a throwaway factor's pivots prove it definite."""
+    """The matrix with its factor, once a throwaway factor's pivots prove it definite.
+
+    For sparse input of any structure; a mesh's K_ff is certified without
+    the throwaway factor (``certified_stieltjes``).
+    """
     _pivots_checked(_splu(matrix))
     return FactoredMatrix(matrix, factorize(matrix))
+
+
+def certified_stieltjes(matrix) -> FactoredMatrix:
+    """The matrix with its one factor, once its M-matrix structure proves it definite.
+
+    A Z-matrix A (every off-diagonal entry <= 0) is a nonsingular M-matrix
+    as soon as some x >= 0 has A x > 0, and a symmetric one is positive
+    definite (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, ch. 6).  P1 stiffness on a non-obtuse triangulation is a
+    symmetric Z-matrix (Ciarlet & Raviart, 1973).  The witness is
+    x = A^-1 1, solved with the kept factor; its residual must meet the
+    limit of ``solve_spd``, and no refinement step is taken, since A x > 0
+    is checked as computed.  ConvergenceError unless A is exactly
+    symmetric, a Z-matrix and x passes; the factor's pivots are never read.
+
+    A is factored in its own order, which should be fill-reducing: a mesh's
+    free vertices come in nested-dissection order (``dof_partition``).
+    """
+    csr = sp.csr_matrix(matrix)
+    if (csr != csr.T).nnz:
+        raise ConvergenceError("matrix is not exactly symmetric: no M-matrix certificate")
+    coo = csr.tocoo()
+    if np.any(coo.data[coo.row != coo.col] > 0):
+        raise ConvergenceError("matrix has a positive off-diagonal entry: not a Z-matrix")
+    op = FactoredMatrix(csr, factorize(csr, "NATURAL"))
+    ones = np.ones(csr.shape[0])
+    x = op.solve(ones)
+    ax = op @ x
+    residual = _relative_residual(ones, ones - ax)
+    if not residual <= _LIMIT:
+        raise ConvergenceError(
+            f"M-matrix witness missed its tolerance: "
+            f"relative residual {residual:.3e} > {_LIMIT:.0e}",
+            residual=residual,
+        )
+    if not (np.all(x >= 0) and np.all(ax > 0)):
+        raise ConvergenceError(
+            "Z-matrix is not an M-matrix, so not positive definite: "
+            f"A^-1 1 has minimum {x.min():.3e}"
+        )
+    return op
 
 
 class RobinOperator:
@@ -113,12 +172,12 @@ class RobinOperator:
     factor of S0 + alpha B1_cc.
     """
 
-    def __init__(self, ops: "MeshOperators", alpha: float):
+    def __init__(self, ops: "MeshOperators", schur0: np.ndarray, alpha: float):
         self.alpha = float(alpha)
         self.shape = ops.stiff.shape
         self._ops = ops
         try:
-            self._chol = scipy.linalg.cho_factor(ops.schur0 + self.alpha * ops.b1_cc)
+            self._chol = scipy.linalg.cho_factor(schur0 + self.alpha * ops.b1_cc)
         except scipy.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"Robin operator at alpha={self.alpha:g} is not positive definite: {exc}"
@@ -132,7 +191,7 @@ class RobinOperator:
         free, clamped = ops.free, ops.clamped_dofs
         y = ops.clamped.solve(rhs[free])
         x = np.empty(rhs.shape)
-        x[clamped] = self.solve_schur(rhs[clamped] - ops.k_fc.T @ y)
+        x[clamped] = self.solve_schur(rhs[clamped] - ops.k_cf @ y)
         x[free] = y - ops.clamped.solve(ops.k_fc @ x[clamped])
         return x
 
@@ -142,12 +201,13 @@ class RobinOperator:
 
 
 class MeshOperators:
-    """The clamped operator K_ff of one mesh and what its Robin operators share.
+    """The clamped operator K_ff of one mesh and the blocks its Robin operators share.
 
-    A throwaway factor of K + B1, free vertices first in nested-dissection
-    order, comes first: its leading pivots are those of K_ff, which proves
-    K_ff positive definite, and its trailing block factors S0 + B1_cc, which
-    yields S0.  The kept factor of K_ff is made after it is gone.
+    K_ff is factored once and certified by ``certified_stieltjes``; the
+    clamped family needs no other factorization.  The Schur complement S0
+    is kept apart (``schur_complement``), since only Robin operators use
+    it.  No reference to the mesh is kept, so the mesh's store holds no
+    cycle.
     """
 
     def __init__(self, mesh: Mesh):
@@ -156,14 +216,29 @@ class MeshOperators:
         self.stiff = assembly.assemble_stiffness(mesh)
         self.b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
         self.b1_cc = self.b1[self.clamped_dofs][:, self.clamped_dofs].toarray()
-        nd = nested_dissection(mesh)
-        order = np.concatenate([nd[np.isin(nd, self.free)], self.clamped_dofs])
-        robin1 = (self.stiff + self.b1)[order][:, order]
-        self.schur0 = _trailing_schur(robin1, len(self.clamped_dofs)) - self.b1_cc
         stiff_f = self.stiff[self.free]
-        k_ff = stiff_f[:, self.free]
-        self.clamped = FactoredMatrix(k_ff, factorize(k_ff))
+        self.clamped = certified_stieltjes(stiff_f[:, self.free])
         self.k_fc = stiff_f[:, self.clamped_dofs].tocsc()
+        self.k_cf = self.k_fc.T.tocsr()
+
+
+@cached
+def schur_complement(mesh: Mesh) -> np.ndarray:
+    """S0 = K_cc - K_cf K_ff^-1 K_fc on the clamped vertices, read-only.
+
+    A throwaway factor of K + B1, free vertices first in nested-dissection
+    order and the clamped ones last, gives it: its leading pivots are those
+    of K_ff and are checked, and its trailing block factors S0 + B1_cc.
+    """
+    part = dof_partition(mesh)
+    clamped = part.gamma1_dofs
+    stiff = assembly.assemble_stiffness(mesh)
+    b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+    order = np.concatenate([part.free_dofs, clamped])
+    schur0 = _trailing_schur((stiff + b1)[order][:, order], len(clamped))
+    schur0 -= b1[clamped][:, clamped].toarray()
+    schur0.setflags(write=False)
+    return schur0
 
 
 def _trailing_schur(matrix, size) -> np.ndarray:
@@ -183,7 +258,7 @@ def _trailing_schur(matrix, size) -> np.ndarray:
 
 @cached
 def operators(mesh: Mesh) -> MeshOperators:
-    """The mesh's clamped operator and Schur complement, built on first use."""
+    """The mesh's certified clamped operator, built on first use."""
     return MeshOperators(mesh)
 
 
@@ -191,7 +266,10 @@ def robin_operator(mesh: Mesh, alpha: float) -> RobinOperator:
     """K + alpha B1 on the mesh; the store keeps the operator of the last alpha only."""
     robin = mesh.store.get("robin")
     if robin is None or robin.alpha != float(alpha):
-        robin = mesh.store["robin"] = RobinOperator(operators(mesh), alpha)
+        # S0's throwaway factor comes before the kept one, which then reuses
+        # its freed heap instead of stacking on it
+        schur0 = schur_complement(mesh)
+        robin = mesh.store["robin"] = RobinOperator(operators(mesh), schur0, alpha)
     return robin
 
 
@@ -265,7 +343,7 @@ def _refinement(op, rhs, x, tol):
     if worst > tol:
         step = op.solve(residual)
         worst = _relative_residual(rhs, rhs - op @ (x + step))
-    limit = max(100.0 * tol, 1e-10)
+    limit = max(100.0 * tol, _LIMIT)
     if not worst <= limit:
         raise ConvergenceError(
             f"direct solve missed its tolerance: relative residual {worst:.3e} > {limit:.0e}",
@@ -346,7 +424,10 @@ def estimate_constants(mesh: Mesh, tol=1e-8) -> DiscreteConstants:
 
     free = ops.free
     v_ff = v_gram[free][:, free].tocsr()
-    lambda_h = 1.0 / _pencil_largest(v_ff, ops.clamped, rng.standard_normal(len(free)), rtol)
+    # drawn in vertex order, so the estimate does not depend on the order of the free dofs
+    start = np.empty(len(free))
+    start[np.argsort(free)] = rng.standard_normal(len(free))
+    lambda_h = 1.0 / _pencil_largest(v_ff, ops.clamped, start, rtol)
     lambda1_h = 1.0 / _pencil_largest(
         v_gram, robin_operator(mesh, 1.0), rng.standard_normal(v_gram.shape[0]), rtol
     )

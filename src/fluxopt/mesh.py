@@ -159,24 +159,27 @@ def dof_partition(mesh: Mesh) -> DofPartition:
 
     A vertex incident to any GAMMA1 edge is clamped (corners shared with the
     flux portion included, so the clamped condition wins there).  The trace
-    index set collects every vertex incident to a GAMMA2 edge, in increasing
-    vertex order.
+    and clamped index sets are in increasing vertex order; the free vertices
+    are in nested-dissection order, so the free block of any mesh matrix
+    comes in a fill-reducing order.
     """
     nvert = len(mesh.vertices)
     g1 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1])
     g2 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2])
     all_dofs = np.arange(nvert, dtype=np.int64)
-    free = np.setdiff1d(all_dofs, g1, assume_unique=True)
+    nd = nested_dissection(mesh)
+    free = nd[~np.isin(nd, g1)]
     return DofPartition(all_dofs=all_dofs, gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
 
 
+@cached
 def nested_dissection(mesh: Mesh) -> np.ndarray:
     """All vertex indices, ordered by recursive bisection of the vertex grid.
 
     Each block of the grid is split by its middle grid line, which no mesh
     edge crosses; the two halves come first, the line last.  A sparse
     factorization in this order eliminates the halves independently and
-    fills in like O(N log N).
+    fills in like O(N log N).  Read-only, since it is shared.
     """
     order = []
 
@@ -194,7 +197,9 @@ def nested_dissection(mesh: Mesh) -> np.ndarray:
             order.append(block[rows // 2])
 
     split(np.arange(len(mesh.vertices)).reshape(mesh.n + 1, mesh.n + 1))
-    return np.concatenate(order)
+    order = np.concatenate(order)
+    order.setflags(write=False)
+    return order
 
 
 @dataclass(frozen=True, eq=False)

@@ -303,8 +303,7 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
         robin = robin_operator(mesh, spec.alpha)
         u0 = solve_spd(robin, load_g + spec.alpha * spec.b * (b1 @ np.ones(nvert)))
         excitation = _excitation(mesh)
-        k_fc = operators(mesh).k_fc
-        x = robin.solve_schur(excitation[clamped].toarray() - k_fc.T @ y)
+        x = robin.solve_schur(excitation[clamped].toarray() - operators(mesh).k_cf @ y)
         response = _Response(part, y, clamped_coupling(mesh), x)
 
     v = assembly.assemble_load(mesh, spec.z_d) - mass @ u0

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fluxopt import harness, pde
 from fluxopt.assembly import (
@@ -17,11 +18,13 @@ from fluxopt.assembly import (
 )
 from fluxopt.linsolve import (
     ConvergenceError,
+    certified_stieltjes,
     estimate_constants,
     factorize,
     operators,
     refinement,
     robin_operator,
+    schur_complement,
     solve_columns,
     solve_spd,
 )
@@ -134,6 +137,116 @@ def test_factorize_matches_direct_solve():
     rhs = rng.standard_normal(a.shape[0])
     x = solve(rhs)
     assert np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "sides", [("bottom",), ("top",), ("bottom", "right"), ("left", "top", "right")]
+)
+def test_m_matrix_certificate_accepts_the_clamped_block(sides):
+    mesh = build_structured_mesh(8, sides)
+    a, _ = free_block(mesh)
+    op = certified_stieltjes(a)
+    rhs = np.random.default_rng(3).standard_normal(a.shape[0])
+    x_ref = np.linalg.solve(a.toarray(), rhs)
+    assert np.linalg.norm(op.solve(rhs) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def shifted_between_smallest_eigenvalues(a):
+    low = np.linalg.eigvalsh(a.toarray())[:2]
+    assert low[1] - low[0] > 1e-3 * low[1]
+    return (a - 0.5 * (low[0] + low[1]) * sp.eye(a.shape[0])).tocsr()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("stiffness+mass", "not a Z-matrix"),
+        # constants span the null space: the witness solve misses its residual
+        ("neumann", "relative residual"),
+        ("shifted", "not an M-matrix"),
+    ],
+)
+def test_m_matrix_certificate_rejects(case, message):
+    mesh = build_structured_mesh(8, ("bottom",))
+    stiff = assemble_stiffness(mesh)
+    matrices = {
+        "stiffness+mass": stiff + assemble_mass(mesh),
+        "neumann": stiff,
+        "shifted": shifted_between_smallest_eigenvalues(free_block(mesh)[0]),
+    }
+    with pytest.raises(ConvergenceError, match=message):
+        certified_stieltjes(matrices[case])
+
+
+def test_m_matrix_certificate_rejects_an_unsymmetric_matrix():
+    m = sp.csr_matrix(np.array([[2.0, -1.0], [-0.5, 2.0]]))
+    with pytest.raises(ConvergenceError, match="not exactly symmetric"):
+        certified_stieltjes(m)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Sizes of the SuperLU factorizations made, in order."""
+    sizes = []
+    splu = spla.splu
+
+    def counted(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return sizes
+
+
+def clamped_and_robin_use(n=8):
+    mesh = build_structured_mesh(n, ("bottom",))
+    spec = pde.ProblemSpec(g=lambda x, y: 1.0 + x, z_d=lambda x, y: 0.0 * x, b=1.0, M=1.0)
+    q = TraceField(mesh, np.ones(len(dof_partition(mesh).gamma2_trace_dofs)))
+
+    def solve(alpha):
+        s = spec.with_alpha(alpha)
+        pde.solve_adjoint(mesh, s, pde.solve_state(mesh, s, q))
+
+    return mesh, solve, len(mesh.vertices), len(dof_partition(mesh).free_dofs)
+
+
+def test_clamped_mesh_makes_exactly_one_factorization(factorizations):
+    _, solve, _, nfree = clamped_and_robin_use()
+    solve(None)
+    solve(None)
+    assert factorizations == [nfree]
+
+
+def test_robin_first_mesh_makes_the_schur_factor_before_the_kept_one(factorizations):
+    _, solve, nvert, nfree = clamped_and_robin_use()
+    for alpha in (2.0, 50.0, None):
+        solve(alpha)
+    assert factorizations == [nvert, nfree]
+
+
+def test_robin_after_clamped_adds_the_schur_factor_once(factorizations):
+    _, solve, nvert, nfree = clamped_and_robin_use()
+    for alpha in (None, 2.0, 50.0, 2.0):
+        solve(alpha)
+    assert factorizations == [nfree, nvert]
+
+
+def test_deleting_a_mesh_frees_it_without_the_cycle_collector():
+    # a store -> operators -> mesh reference would keep every factor of the
+    # mesh alive until the next collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mesh, solve, _, _ = clamped_and_robin_use()
+        solve(None)
+        solve(2.0)
+        estimate_constants(mesh)
+        ref = weakref.ref(mesh)
+        del mesh, solve
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_constants_ranges():
@@ -272,7 +385,7 @@ def test_schur_complement_matches_the_dense_formula():
     free, clamped = part.free_dofs, part.gamma1_dofs
     k_fc = stiff[np.ix_(free, clamped)]
     dense = stiff[np.ix_(clamped, clamped)] - k_fc.T @ np.linalg.solve(stiff[np.ix_(free, free)], k_fc)
-    assert np.abs(operators(mesh).schur0 - dense).max() <= 1e-12
+    assert np.abs(schur_complement(mesh) - dense).max() <= 1e-12
 
 
 def test_many_alphas_keep_a_single_robin_operator():
