@@ -43,6 +43,8 @@ _BLOCK_COLUMNS = 8
 _TOL = 1e-12
 # relative residual up to which a solution is accepted, or 100 * tol if larger
 _LIMIT = 1e-10
+# unit roundoff, which sets the floor of a computed residual
+_EPS = np.finfo(float).eps
 
 
 class ConvergenceError(RuntimeError):
@@ -94,33 +96,50 @@ def factorize(matrix, permc_spec="MMD_AT_PLUS_A"):
 
     The pivots of a symmetric factorization without row exchanges are all
     positive exactly when the matrix is positive definite.  This factor is
-    kept, so its pivots are not read: callers certify the matrix by a
-    throwaway factor of it (``certified``) or by its M-matrix structure
-    (``certified_stieltjes``).
+    kept, so its pivots are not read: callers certify the matrix by its
+    M-matrix structure (``certified_stieltjes``), or read the pivots of a
+    factor used only while one call runs (``certified``).
     """
     return _splu(matrix, permc_spec).solve
 
 
+def _norm_inf(matrix) -> float:
+    """|A|_inf, the largest absolute row sum of a sparse matrix.
+
+    ``abs(matrix)`` would sort the matrix's column indices in place, which
+    reorders the sums of every later product with it.
+    """
+    csr = sp.csr_matrix(matrix)
+    magnitudes = sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
+    return float(np.max(magnitudes @ np.ones(csr.shape[1])))
+
+
 class FactoredMatrix:
-    """A sparse symmetric positive definite matrix and the solve of its factor."""
+    """A sparse symmetric positive definite matrix and the solve of its factor.
+
+    ``norm_inf`` is |A|_inf, which bounds |A|_2 for symmetric A and sets
+    the roundoff floor of a solve's residual (``solve_spd``).
+    """
 
     def __init__(self, matrix, solve):
         self.matrix = sp.csr_matrix(matrix)
         self.shape = self.matrix.shape
         self.solve = solve
+        self.norm_inf = _norm_inf(self.matrix)
 
     def __matmul__(self, x):
         return self.matrix @ x
 
 
 def certified(matrix) -> FactoredMatrix:
-    """The matrix with its factor, once a throwaway factor's pivots prove it definite.
+    """The matrix with its one factor, once that factor's pivots prove it definite.
 
-    For sparse input of any structure; a mesh's K_ff is certified without
-    the throwaway factor (``certified_stieltjes``).
+    For sparse input of any structure, solved while one call runs: the
+    factor keeps the sparse copies of both triangles that reading its
+    pivots makes, so it is never stored.  A mesh's K_ff, which is kept, is
+    certified by its M-matrix structure instead (``certified_stieltjes``).
     """
-    _pivots_checked(_splu(matrix))
-    return FactoredMatrix(matrix, factorize(matrix))
+    return FactoredMatrix(matrix, _pivots_checked(_splu(matrix)).solve)
 
 
 def certified_stieltjes(matrix) -> FactoredMatrix:
@@ -149,7 +168,7 @@ def certified_stieltjes(matrix) -> FactoredMatrix:
     ones = np.ones(csr.shape[0])
     x = op.solve(ones)
     ax = op @ x
-    residual = _relative_residual(ones, ones - ax)
+    residual = float(np.linalg.norm(ones - ax) / np.linalg.norm(ones))
     if not residual <= _LIMIT:
         raise ConvergenceError(
             f"M-matrix witness missed its tolerance: "
@@ -169,12 +188,15 @@ class RobinOperator:
 
     The sum is never formed: products apply K and B1 separately, and solves
     eliminate the free block with the K_ff factor around a dense Cholesky
-    factor of S0 + alpha B1_cc.
+    factor of S0 + alpha B1_cc.  ``norm_inf`` = |K|_inf + alpha |B1|_inf
+    bounds |K + alpha B1|_inf from the mesh's norms, with no per-alpha
+    sparse work.
     """
 
     def __init__(self, ops: "MeshOperators", schur0: np.ndarray, alpha: float):
         self.alpha = float(alpha)
         self.shape = ops.stiff.shape
+        self.norm_inf = ops.stiff_norm + self.alpha * ops.b1_norm
         self._ops = ops
         try:
             self._chol = scipy.linalg.cho_factor(schur0 + self.alpha * ops.b1_cc)
@@ -206,8 +228,9 @@ class MeshOperators:
     K_ff is factored once and certified by ``certified_stieltjes``; the
     clamped family needs no other factorization.  The Schur complement S0
     is kept apart (``schur_complement``), since only Robin operators use
-    it.  No reference to the mesh is kept, so the mesh's store holds no
-    cycle.
+    it.  |K|_inf and |B1|_inf are kept for the residual floors of the
+    Robin operators.  No reference to the mesh is kept, so the mesh's store
+    holds no cycle.
     """
 
     def __init__(self, mesh: Mesh):
@@ -216,6 +239,8 @@ class MeshOperators:
         self.stiff = assembly.assemble_stiffness(mesh)
         self.b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
         self.b1_cc = self.b1[self.clamped_dofs][:, self.clamped_dofs].toarray()
+        self.stiff_norm = _norm_inf(self.stiff)
+        self.b1_norm = _norm_inf(self.b1)
         stiff_f = self.stiff[self.free]
         self.clamped = certified_stieltjes(stiff_f[:, self.free])
         self.k_fc = stiff_f[:, self.clamped_dofs].tocsc()
@@ -285,10 +310,16 @@ def solve_spd(matrix, rhs, tol=_TOL):
         solved in blocks of a few columns.
     tol : relative residual target |A x - b| / |b|, per column.
 
-    A residual above tol gets one step of iterative refinement.  The
-    residual cannot drop below the roundoff floor eps * |A| |x| / |b|, so a
-    solution is accepted up to max(100 * tol, 1e-10); above that,
-    ConvergenceError is raised with the residual attached.
+    A column gets one step of iterative refinement when its residual is
+    above both tol and its roundoff floor eps |A|_inf |x| / |b|, or above
+    the acceptance limit max(100 * tol, 1e-10).  Roundoff in forming A x
+    alone leaves a residual near the floor, so a step cannot push a
+    residual below it and one taken to meet a lower tol is wasted (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 12;
+    Rigal & Gaches, J. ACM 14, 1967).  The floor grows like h^-2 with
+    cond(A): it passes the default tol of 1e-12 from n = 128 on.  Above
+    the limit, after its step, ConvergenceError is raised with the
+    residual attached.
     """
     rhs = np.asarray(rhs, dtype=float)
     size = matrix.shape[0]
@@ -319,31 +350,38 @@ def solve_columns(matrix, columns):
     return x
 
 
-def _relative_residual(rhs, residual) -> float:
-    bnorm = np.linalg.norm(rhs, axis=0)
-    return float(np.max(np.linalg.norm(residual, axis=0) / np.where(bnorm > 0.0, bnorm, 1.0)))
-
-
 def refinement(op, rhs, x):
     """The step that makes x an accepted solution of op x = rhs, or None if x is one.
 
     For an x formed by other means than op's solve, checked as ``solve_spd``
     checks its own: op is a ``FactoredMatrix`` or a ``RobinOperator``, rhs
-    and x are vectors or (n, k) arrays.  Above the default tol of
-    ``solve_spd`` one refinement step through op's solve is returned, and
-    ConvergenceError is raised when x plus that step misses the limit.
+    and x are vectors or (n, k) arrays.  A column above both the default
+    tol of ``solve_spd`` and its roundoff floor, or above the limit, gets
+    one refinement step through op's solve; the step, zero in the other
+    columns, is returned, and ConvergenceError is raised when x plus that
+    step misses the limit.
     """
     return _refinement(op, rhs, x, _TOL)
 
 
 def _refinement(op, rhs, x, tol):
+    """The step for the columns above max(tol, floor) or above the limit, or None."""
+    bnorm = np.linalg.norm(rhs, axis=0)
+    bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
     residual = rhs - op @ x
-    worst = _relative_residual(rhs, residual)
-    step = None
-    if worst > tol:
-        step = op.solve(residual)
-        worst = _relative_residual(rhs, rhs - op @ (x + step))
+    relative = np.linalg.norm(residual, axis=0) / bnorm
+    floor = _EPS * op.norm_inf * np.linalg.norm(x, axis=0) / bnorm
     limit = max(100.0 * tol, _LIMIT)
+    take = ((relative > tol) & (relative > floor)) | (relative > limit)
+    step = None
+    if np.all(take):
+        step = op.solve(residual)
+    elif np.any(take):
+        step = np.zeros(x.shape)
+        step[:, take] = op.solve(residual[:, take])
+    if step is not None:
+        relative = np.linalg.norm(rhs - op @ (x + step), axis=0) / bnorm
+    worst = float(np.max(relative))
     if not worst <= limit:
         raise ConvergenceError(
             f"direct solve missed its tolerance: relative residual {worst:.3e} > {limit:.0e}",

@@ -273,12 +273,13 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
     any alpha the clamped values X = (S0 + alpha B1_cc)^-1 ((-B2 E)_c - K_cf Y)
     come from the Robin operator's Schur complement factor, R_f = Y - W X,
     and every block of R is checked against (K + alpha B1) R = -B2 E as
-    ``solve_spd`` checks its solves: a block above the target gets one
-    refinement step through the Robin operator's solve, which G and L use on
-    both sides.  Small alpha needs that step on fine meshes, where roundoff
-    in W X grows with |X| ~ 1/alpha.  This route thus shares its responses
-    with the state solves of the iterative one; what keeps the two
-    independent is that this one never applies the update map.
+    ``solve_spd`` checks its solves: a column above both the target and its
+    roundoff floor, or above the limit, gets one refinement step through
+    the Robin operator's solve, which G and L use on both sides.  Small
+    alpha needs that step on fine meshes, where roundoff in W X grows with
+    |X| ~ 1/alpha.  This route thus shares its responses with the state
+    solves of the iterative one; what keeps the two independent is that
+    this one never applies the update map.
     """
     part = dof_partition(mesh)
     m = len(part.gamma2_trace_dofs)

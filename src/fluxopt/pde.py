@@ -23,8 +23,6 @@ from . import assembly
 from .linsolve import operators, robin_operator, solve_spd
 from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition
 
-_SOLVE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -81,7 +79,7 @@ def solve_state_dirichlet(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> Nodal
     u[part.gamma1_dofs] = spec.b
     rhs = assembly.assemble_load(mesh, spec.g) - _flux_term(mesh, q)
     rhs -= assembly.assemble_stiffness(mesh) @ u
-    u[part.free_dofs] = solve_spd(clamped, rhs[part.free_dofs], tol=_SOLVE_TOL)
+    u[part.free_dofs] = solve_spd(clamped, rhs[part.free_dofs])
     return NodalField(mesh, u)
 
 
@@ -92,7 +90,7 @@ def solve_adjoint_dirichlet(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> Nod
     free = dof_partition(mesh).free_dofs
     rhs = _tracking_load(mesh, spec, u)
     p = np.zeros(len(mesh.vertices))
-    p[free] = solve_spd(operators(mesh).clamped, rhs[free], tol=_SOLVE_TOL)
+    p[free] = solve_spd(operators(mesh).clamped, rhs[free])
     return NodalField(mesh, p)
 
 
@@ -107,7 +105,7 @@ def solve_state_robin(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalFiel
         - _flux_term(mesh, q)
         + spec.alpha * spec.b * (b1 @ np.ones(len(mesh.vertices)))
     )
-    return NodalField(mesh, solve_spd(robin, rhs, tol=_SOLVE_TOL))
+    return NodalField(mesh, solve_spd(robin, rhs))
 
 
 def solve_adjoint_robin(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalField:
@@ -117,7 +115,7 @@ def solve_adjoint_robin(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalFi
     if u.mesh is not mesh:
         raise ValueError("state lives on a different mesh")
     rhs = _tracking_load(mesh, spec, u)
-    p = solve_spd(robin_operator(mesh, spec.alpha), rhs, tol=_SOLVE_TOL)
+    p = solve_spd(robin_operator(mesh, spec.alpha), rhs)
     return NodalField(mesh, p)
 
 

@@ -18,6 +18,8 @@ from fluxopt.assembly import (
 )
 from fluxopt.linsolve import (
     ConvergenceError,
+    FactoredMatrix,
+    certified,
     certified_stieltjes,
     estimate_constants,
     factorize,
@@ -90,12 +92,41 @@ def test_refinement_accepts_repairs_or_rejects_a_given_solution():
         rhs = np.random.default_rng(5).standard_normal((op.shape[0], 3))
         x = solve_spd(op, rhs)
         assert refinement(op, rhs, x) is None
-        near = x * (1.0 + 1e-6)
+        for scale in (1e-6, 1e-11):  # above the limit; above the target only
+            near = x * (1.0 + scale)
+            step = refinement(op, rhs, near)
+            assert np.allclose(near + step, x, rtol=0.0, atol=1e-12 * np.abs(x).max())
+        # only the column above its target gets a step
+        near = x.copy()
+        near[:, 1] *= 1.0 + 1e-6
         step = refinement(op, rhs, near)
+        assert np.all(step[:, [0, 2]] == 0.0)
         assert np.allclose(near + step, x, rtol=0.0, atol=1e-12 * np.abs(x).max())
         with pytest.raises(ConvergenceError, match="residual") as info:
             refinement(op, rhs, x * 1e9)
         assert info.value.residual > 1e-10
+
+
+def test_operator_norms_bound_the_matrix_and_leave_it_alone():
+    mesh = build_structured_mesh(8, ("bottom", "left"))
+    stiff = assemble_stiffness(mesh)
+    b1 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+    part = dof_partition(mesh)
+    # column indexing leaves the indices unsorted, as in estimate_constants
+    block = (stiff + assemble_mass(mesh))[part.free_dofs][:, part.free_dofs]
+    assert not block.has_sorted_indices
+    indices = block.indices.copy()
+    norm_inf = FactoredMatrix(block, None).norm_inf
+    assert np.array_equal(block.indices, indices)
+    # scipy's own norm sorts the indices
+    assert norm_inf == pytest.approx(spla.norm(block, np.inf), rel=1e-15)
+    assert operators(mesh).clamped.norm_inf == pytest.approx(
+        spla.norm(free_block(mesh)[0], np.inf), rel=1e-15
+    )
+    for alpha in (0.1, 10.0, 1e4):
+        bound = robin_operator(mesh, alpha).norm_inf
+        exact = spla.norm(stiff + alpha * b1, np.inf)
+        assert exact <= bound <= exact * (1.0 + 1e-14) + alpha * spla.norm(b1, np.inf)
 
 
 def test_dimension_mismatch_rejected():
@@ -208,6 +239,17 @@ def clamped_and_robin_use(n=8):
         pde.solve_adjoint(mesh, s, pde.solve_state(mesh, s, q))
 
     return mesh, solve, len(mesh.vertices), len(dof_partition(mesh).free_dofs)
+
+
+def test_certified_makes_one_factorization(factorizations):
+    mesh = build_structured_mesh(8, ("bottom",))
+    v_gram = (assemble_stiffness(mesh) + assemble_mass(mesh)).tocsr()
+    op = certified(v_gram)
+    rhs = np.random.default_rng(2).standard_normal(v_gram.shape[0])
+    x = solve_spd(op, rhs)
+    assert np.linalg.norm(v_gram @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    solve_spd(v_gram, rhs)
+    assert factorizations == [v_gram.shape[0]] * 2
 
 
 def test_clamped_mesh_makes_exactly_one_factorization(factorizations):
@@ -366,6 +408,49 @@ def test_tiny_alpha_is_solved_or_raises_with_its_residual(fine_robin_case):
         assert exc.residual > 1e-10
     else:
         assert max(robin_residuals(mesh, spec, q, u, p)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [None, 100.0])
+def test_fine_adjoint_at_its_roundoff_floor_takes_no_step(fine_robin_case, monkeypatch, alpha):
+    # at n = 128 the adjoint's residual as solved sits near eps cond(K_ff),
+    # above the 1e-12 target but below its roundoff floor, where a step
+    # cannot take it: one factor solve per K_ff, no refinement step
+    mesh, spec, q = fine_robin_case
+    spec = spec.with_alpha(alpha)
+    u = pde.solve_state(mesh, spec, q)
+    ops = operators(mesh)
+    factor_solve = ops.clamped.solve
+    solves = [0]
+
+    def counted(rhs):
+        solves[0] += 1
+        return factor_solve(rhs)
+
+    monkeypatch.setattr(ops.clamped, "solve", counted)
+    adjoint = pde.solve_adjoint(mesh, spec, u)
+    assert solves[0] == (1 if alpha is None else 2)
+    monkeypatch.undo()
+
+    rhs = assemble_mass(mesh) @ u.coefficients - assemble_load(mesh, spec.z_d)
+    if alpha is None:
+        op, rhs, x = ops.clamped, rhs[ops.free], adjoint.coefficients[ops.free]
+    else:
+        op, x = robin_operator(mesh, alpha), adjoint.coefficients
+        assert robin_residuals(mesh, spec, q, u, adjoint)[1] <= 1e-10
+    residual = np.linalg.norm(rhs - op @ x) / np.linalg.norm(rhs)
+    assert 1e-12 < residual <= 1e-10
+    assert refinement(op, rhs, x) is None
+    refined = x + op.solve(rhs - op @ x)
+    assert np.linalg.norm(x - refined) <= 1e-11 * np.linalg.norm(refined)
+    # an x off by a few times the floor, within the limit, still gets its step
+    floor = np.finfo(float).eps * op.norm_inf * np.linalg.norm(x) / np.linalg.norm(rhs)
+    assert residual < floor
+    near = x * (1.0 + 4.0 * floor)
+    assert np.linalg.norm(rhs - op @ near) <= 1e-10 * np.linalg.norm(rhs)
+    for near in (near, x * (1.0 + 1e-6)):
+        step = refinement(op, rhs, near)
+        assert step is not None
+        assert np.linalg.norm(near + step - refined) <= 1e-11 * np.linalg.norm(refined)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 1.035, 10.0, 1e4, 1e8])
