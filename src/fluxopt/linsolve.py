@@ -97,8 +97,8 @@ def factorize(matrix, permc_spec="MMD_AT_PLUS_A"):
     The pivots of a symmetric factorization without row exchanges are all
     positive exactly when the matrix is positive definite.  This factor is
     kept, so its pivots are not read: callers certify the matrix by its
-    M-matrix structure (``certified_stieltjes``), or read the pivots of a
-    factor used only while one call runs (``certified``).
+    M-matrix structure (``certified_stieltjes``).  A factor used only while
+    one call runs may read its own (``certified``).
     """
     return _splu(matrix, permc_spec).solve
 
