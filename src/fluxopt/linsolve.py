@@ -188,15 +188,14 @@ class RobinOperator:
 
     The sum is never formed: products apply K and B1 separately, and solves
     eliminate the free block with the K_ff factor around a dense Cholesky
-    factor of S0 + alpha B1_cc.  ``norm_inf`` = |K|_inf + alpha |B1|_inf
-    bounds |K + alpha B1|_inf from the mesh's norms, with no per-alpha
-    sparse work.
+    factor of S0 + alpha B1_cc.  ``norm_inf`` is |K + alpha B1|_inf, summed
+    from the mesh's split of its rows (``MeshOperators.robin_norm_inf``).
     """
 
     def __init__(self, ops: "MeshOperators", schur0: np.ndarray, alpha: float):
         self.alpha = float(alpha)
         self.shape = ops.stiff.shape
-        self.norm_inf = ops.stiff_norm + self.alpha * ops.b1_norm
+        self.norm_inf = ops.robin_norm_inf(self.alpha)
         self._ops = ops
         try:
             self._chol = scipy.linalg.cho_factor(schur0 + self.alpha * ops.b1_cc)
@@ -228,9 +227,10 @@ class MeshOperators:
     K_ff is factored once and certified by ``certified_stieltjes``; the
     clamped family needs no other factorization.  The Schur complement S0
     is kept apart (``schur_complement``), since only Robin operators use
-    it.  |K|_inf and |B1|_inf are kept for the residual floors of the
-    Robin operators.  No reference to the mesh is kept, so the mesh's store
-    holds no cycle.
+    it.  The rows of K + alpha B1 are split once, so that the norm that
+    sets a Robin operator's residual floor costs no sparse work per alpha
+    (``robin_norm_inf``).  No reference to the mesh is kept, so the mesh's
+    store holds no cycle.
     """
 
     def __init__(self, mesh: Mesh):
@@ -239,12 +239,42 @@ class MeshOperators:
         self.stiff = assembly.assemble_stiffness(mesh)
         self.b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
         self.b1_cc = self.b1[self.clamped_dofs][:, self.clamped_dofs].toarray()
-        self.stiff_norm = _norm_inf(self.stiff)
-        self.b1_norm = _norm_inf(self.b1)
+        self._robin_rows = _robin_row_split(self.stiff, self.b1)
         stiff_f = self.stiff[self.free]
         self.clamped = certified_stieltjes(stiff_f[:, self.free])
         self.k_fc = stiff_f[:, self.clamped_dofs].tocsc()
         self.k_cf = self.k_fc.T.tocsr()
+
+    def robin_norm_inf(self, alpha: float) -> float:
+        """|K + alpha B1|_inf, from the rows that B1 touches and the largest of the rest."""
+        rest, row, stiff, b1 = self._robin_rows
+        sums = np.bincount(row, np.abs(stiff + alpha * b1))
+        return float(np.max(sums, initial=rest))
+
+
+def _robin_row_split(stiff, b1):
+    """The rows of K + alpha B1 split for ``MeshOperators.robin_norm_inf``.
+
+    Rows that B1 leaves empty do not depend on alpha: only their largest
+    |K| row sum is kept.  In each row that B1 touches, K's entries and
+    B1's are gathered on their shared pattern: K's off-diagonal
+    entries there are not positive and B1's are, so their sum cancels in
+    part.  Returns (largest other row sum, row number, K value, B1 value)
+    of each gathered entry.  Neither matrix is changed.
+    """
+    size = stiff.shape[1]
+    k, b = stiff.tocoo(), b1.tocoo()
+    touched = np.unique(b.row)
+    rest = np.bincount(k.row, np.abs(k.data), stiff.shape[0])
+    rest[touched] = 0.0
+    in_touched = np.isin(k.row, touched)
+    keys = np.concatenate([k.row[in_touched] * size + k.col[in_touched], b.row * size + b.col])
+    entries, slot = np.unique(keys, return_inverse=True)
+    split = int(in_touched.sum())
+    k_values = np.bincount(slot[:split], k.data[in_touched], len(entries))
+    b_values = np.bincount(slot[split:], b.data, len(entries))
+    row = np.searchsorted(touched, entries // size)
+    return float(rest.max()), row, k_values, b_values
 
 
 @cached
@@ -374,12 +404,9 @@ def _refinement(op, rhs, x, tol):
     limit = max(100.0 * tol, _LIMIT)
     take = ((relative > tol) & (relative > floor)) | (relative > limit)
     step = None
-    if np.all(take):
-        step = op.solve(residual)
-    elif np.any(take):
-        step = np.zeros(x.shape)
-        step[:, take] = op.solve(residual[:, take])
-    if step is not None:
+    if np.any(take):
+        # a zero column solves to an exact zero step
+        step = op.solve(residual * take)
         relative = np.linalg.norm(rhs - op @ (x + step), axis=0) / bnorm
     worst = float(np.max(relative))
     if not worst <= limit:
