@@ -42,9 +42,7 @@ def main(argv=None) -> int:
         for name, fit in sorted(report.rates.items()):
             print(f"   rate {name}: {fit.rate:.3f} ({fit.status})")
         for name in sorted(report.checks):
-            value = report.checks[name]
-            verdict = "PASS" if value is True else ("FAIL" if value is False else str(value))
-            print(f"   check {name}: {verdict}")
+            print(f"   check {name}: {harness.verdict(report.checks[name])}")
         all_good = all_good and report.passed
     print("all checks passed" if all_good else "SOME CHECKS FAILED")
     return 0 if all_good else 1

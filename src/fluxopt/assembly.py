@@ -33,37 +33,6 @@ def _areas(mesh: Mesh) -> np.ndarray:
     return _triangle_geometry(mesh)[2]
 
 
-def local_stiffness(coords) -> np.ndarray:
-    """Element stiffness matrix for one triangle given as a (3, 2) array."""
-    coords = np.asarray(coords, dtype=float)
-    x = coords[:, 0]
-    y = coords[:, 1]
-    b = y[[1, 2, 0]] - y[[2, 0, 1]]
-    c = x[[2, 0, 1]] - x[[1, 2, 0]]
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
-    if area <= 0:
-        raise ValueError("degenerate or inverted triangle: nonpositive area")
-    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-
-
-def local_mass(coords) -> np.ndarray:
-    """Element mass matrix for one triangle given as a (3, 2) array."""
-    coords = np.asarray(coords, dtype=float)
-    x = coords[:, 0]
-    y = coords[:, 1]
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
-    if area <= 0:
-        raise ValueError("degenerate or inverted triangle: nonpositive area")
-    return area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-
-
-def local_edge_mass(length) -> np.ndarray:
-    """Element mass matrix of one boundary edge of the given length."""
-    if length <= 0:
-        raise ValueError("edge length must be positive")
-    return length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-
-
 def _scatter(cells, blocks, nvert) -> sp.csr_matrix:
     """Sum the k-by-k element blocks of (cells, k) vertex lists into a sparse matrix."""
     # 32-bit indices halve the coordinate-list temporaries, which the heap
@@ -228,13 +197,3 @@ def norm(field, which: str) -> float:
         val = val + coeff @ (stiff @ coeff)
         return float(np.sqrt(max(val, 0.0)))
     raise ValueError(f"unknown norm kind {which!r}")
-
-
-def coo_text(matrix) -> str:
-    """Coordinate-triplet text form of a sparse matrix, one "row col value" per line."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        lines.append(f"{r} {c} {v:.17g}")
-    return "\n".join(lines) + "\n"

@@ -22,15 +22,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Convergence experiments for flux-controlled boundary problems",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    helps = {
-        "state-conv": "mesh convergence of state and adjoint at a fixed control",
-        "control-conv": "mesh convergence of the optimal control",
-        "alpha-sweep": "large transfer coefficient limit at a fixed mesh",
-        "diagram": "joint mesh/transfer-coefficient distance table",
-        "constants": "discrete coercivity and trace constants per level",
-    }
-    for kind in harness.KINDS:
-        p = sub.add_parser(kind, help=helps[kind])
+    for kind, experiment in harness.EXPERIMENTS.items():
+        p = sub.add_parser(kind, help=experiment.summary)
         p.add_argument("--config", metavar="PATH", help="JSON config file (defaults apply if omitted)")
         p.add_argument("--out", metavar="DIR", default=".", help="output directory for the CSV report")
         p.add_argument("--seed", type=int, metavar="N", help="override the config seed for random starts")
@@ -62,13 +55,11 @@ def main(argv=None) -> int:
     if config.kind == "constants":
         for row in report.rows:
             print(
-                f"n={row[0]:d} h={row[1]:.6g} lambda={row[2]:.12g} "
-                f"lambda1={row[3]:.12g} gamma0_norm={row[4]:.12g}"
+                f"n={row['n']:d} h={row['h']:.6g} lambda={row['lambda']:.12g} "
+                f"lambda1={row['lambda1']:.12g} gamma0_norm={row['gamma0_norm']:.12g}"
             )
     for name in sorted(report.checks):
-        value = report.checks[name]
-        verdict = "PASS" if value is True else ("FAIL" if value is False else str(value))
-        print(f"check {name}: {verdict}")
+        print(f"check {name}: {harness.verdict(report.checks[name])}")
     print(f"report written to {out_path}")
     return 0 if report.passed else 1
 

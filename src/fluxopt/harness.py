@@ -1,10 +1,13 @@
 """Experiment runners for the convergence studies and their CSV reports.
 
-Each runner takes an ExperimentConfig, produces a ConvergenceReport with raw
-error columns, least-squares rate fits and named pass/fail checks, and leaves
-writing to write_csv.  Reference solutions for the vanishing-mesh-size limit
-are computed on a fine nested mesh and compared through exact prolongation,
-so no cross-mesh interpolation error enters the reported numbers.
+EXPERIMENTS holds one entry per experiment kind: its runner, a one-line
+summary and its default configuration.  run validates a config once and
+dispatches to the runner, which takes its problem data and ProblemSpec from
+prepare and produces a ConvergenceReport: rows keyed by column name, least-
+squares rate fits and named pass/fail checks; write_csv writes it.  Reference
+solutions for the vanishing-mesh-size limit are computed on a fine nested
+mesh and compared through exact prolongation, so no cross-mesh interpolation
+error enters the reported numbers.
 
 Problem data fields (forcing, target, fixed control, exact solution) are
 named built-in expressions rather than arbitrary code, which keeps configs
@@ -17,7 +20,7 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,9 +37,6 @@ from .mesh import (
     prolongate_trace,
     restrict_trace,
 )
-
-KINDS = ("state-conv", "control-conv", "alpha-sweep", "diagram", "constants")
-
 
 class Field:
     """Scalar field callable with an optional closed-form gradient."""
@@ -149,17 +149,21 @@ def field_from_config(value) -> Field:
     if not isinstance(value, dict) or "name" not in value:
         raise ValueError(f"field config must be a number or a dict with a 'name' key, got {value!r}")
     name = value["name"]
-    if name not in _FIELD_BUILDERS:
+    if not isinstance(name, str) or name not in _FIELD_BUILDERS:
         raise ValueError(f"unknown field {name!r}; known fields: {sorted(_FIELD_BUILDERS)}")
     builder, allowed = _FIELD_BUILDERS[name]
     params = {k: v for k, v in value.items() if k != "name"}
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"field {name!r} does not accept parameters {sorted(unknown)}")
-    return builder(**params)
+    try:
+        return builder(**params)
+    except TypeError as exc:
+        raise ValueError(f"field {name!r} has a parameter of the wrong type: {exc}") from None
 
 
-_PROBLEM_KEYS = {"g", "z_d", "b", "M", "q_star", "exact"}
+_DATA_FIELDS = ("g", "z_d", "q_star", "exact")
+_PROBLEM_KEYS = {"b", "M", *_DATA_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -177,73 +181,37 @@ class ExperimentConfig:
     tol: Dict[str, float] = field(default_factory=dict)
 
 
-_DEFAULT_PROBLEMS = {
-    "state-conv": {
-        "g": {"name": "mms_load"},
-        "z_d": 0.0,
-        "b": 1.0,
-        "M": 1.0,
-        "q_star": {"name": "mms_flux"},
-        "exact": {"name": "mms_solution", "offset": 1.0},
-    },
-    "control-conv": {
-        "g": {"name": "sin_product", "scale": 10.0, "ky": 2},
-        "z_d": 0.0,
-        "b": 1.0,
-        "M": "auto",
-    },
-    "alpha-sweep": {
-        "g": {"name": "sin_product", "scale": 10.0, "ky": 2},
-        "z_d": 0.0,
-        "b": 1.0,
-        "M": "auto",
-        "q_star": {"name": "mms_flux"},
-    },
-    "diagram": {
-        "g": {"name": "sin_product", "scale": 10.0, "ky": 2},
-        "z_d": 0.0,
-        "b": 1.0,
-        "M": "auto",
-    },
-    "constants": {"g": 0.0, "z_d": 0.0, "b": 1.0, "M": 1.0},
-}
+@dataclass(frozen=True)
+class ExperimentKind:
+    """Runner, summary and defaults of one experiment kind.
 
-_DEFAULT_SHAPES = {
-    "state-conv": {"levels": (8, 16, 32, 64), "alphas": (), "n_ref": 128},
-    "control-conv": {"levels": (4, 8, 16, 32), "alphas": (), "n_ref": 128},
-    "alpha-sweep": {
-        "levels": (16,),
-        "alphas": (1.0, 10.0, 100.0, 1000.0, 10000.0),
-        "n_ref": None,
-    },
-    "diagram": {"levels": (4, 8, 16), "alphas": (1.0, 10.0, 100.0, 1000.0, 10000.0), "n_ref": 64},
-    "constants": {"levels": (2, 4, 8, 16, 32), "alphas": (), "n_ref": None},
-}
+    A kind compares against a fine reference mesh when its default n_ref is
+    set, and needs an alpha ladder when its default alphas are nonempty.
+    Its default tol keys are the only ones a config may set.
+    """
 
-_DEFAULT_TOLS = {
-    "state-conv": {"rate_slack": 0.15},
-    "control-conv": {"rate_slack": 0.15, "cost_rate_slack": 0.3, "start_gap": 1e-8},
-    "alpha-sweep": {"decay_factor": 1e-2, "penalty_growth": 10.0},
-    "diagram": {"corner_factor": 5.0},
-    "constants": {},
-}
-
-# Rate fits need three points; the sweep kinds use levels differently.
-_MIN_LEVELS = {"state-conv": 3, "control-conv": 3, "alpha-sweep": 1, "diagram": 2, "constants": 1}
+    runner: Callable[[ExperimentConfig], ConvergenceReport]
+    summary: str
+    problem: dict
+    levels: Tuple[int, ...]
+    tol: Dict[str, float]
+    min_levels: int
+    alphas: Tuple[float, ...] = ()
+    n_ref: Optional[int] = None
 
 
 def default_config(kind: str) -> ExperimentConfig:
-    if kind not in KINDS:
+    if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}; known kinds: {KINDS}")
-    shape = _DEFAULT_SHAPES[kind]
+    experiment = EXPERIMENTS[kind]
     return ExperimentConfig(
         kind=kind,
-        problem=dict(_DEFAULT_PROBLEMS[kind]),
+        problem=dict(experiment.problem),
         gamma1_sides=("bottom",),
-        levels=shape["levels"],
-        alphas=shape["alphas"],
-        n_ref=shape["n_ref"],
-        tol=dict(_DEFAULT_TOLS[kind]),
+        levels=experiment.levels,
+        alphas=experiment.alphas,
+        n_ref=experiment.n_ref,
+        tol=dict(experiment.tol),
     )
 
 
@@ -251,24 +219,40 @@ def _is_pow2(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    if not _is_number(value) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def validate_config(config: ExperimentConfig) -> None:
     """Reject configurations the runners cannot execute faithfully."""
-    if config.kind not in KINDS:
+    if config.kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {config.kind!r}")
+    experiment = EXPERIMENTS[config.kind]
     levels = config.levels
-    if len(levels) < _MIN_LEVELS[config.kind]:
+    if len(levels) < experiment.min_levels:
         raise ValueError(
-            f"{config.kind} needs at least {_MIN_LEVELS[config.kind]} mesh levels, got {len(levels)}"
+            f"{config.kind} needs at least {experiment.min_levels} mesh levels, got {len(levels)}"
         )
     for n in levels:
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        if _integer(n, "mesh level") < 1:
             raise ValueError(f"mesh levels must be positive integers, got {n!r}")
     for a, b in zip(levels, levels[1:]):
         # nesting requires each step to be a whole number of halvings
         if b <= a or b % a != 0 or not _is_pow2(b // a):
             raise ValueError(f"levels must increase by power-of-two factors, got {a} -> {b}")
-    needs_ref = config.kind in ("state-conv", "control-conv", "diagram")
-    if needs_ref:
+    if experiment.n_ref is not None:
         n_ref = config.n_ref
         if n_ref is None or n_ref <= max(levels):
             raise ValueError(f"n_ref must exceed the finest level {max(levels)}, got {n_ref!r}")
@@ -277,15 +261,15 @@ def validate_config(config: ExperimentConfig) -> None:
                 raise ValueError(
                     f"n_ref = {n_ref} must be a power-of-two multiple of every level (level {n})"
                 )
-    if config.kind in ("alpha-sweep", "diagram"):
-        if len(config.alphas) < 2:
-            raise ValueError(f"{config.kind} needs an alpha ladder with at least 2 entries")
+    if experiment.alphas and len(config.alphas) < 2:
+        raise ValueError(f"{config.kind} needs an alpha ladder with at least 2 entries")
     for a, b in zip(config.alphas, config.alphas[1:]):
         if b <= a:
             raise ValueError(f"alphas must be strictly increasing, got {a} -> {b}")
     if any(a <= 0 for a in config.alphas):
         raise ValueError("alphas must be positive")
-    sides = set(config.gamma1_sides)
+    named = all(isinstance(side, str) for side in config.gamma1_sides)
+    sides = set(config.gamma1_sides) if named else set()
     if not sides or sides == set(SIDES) or sides - set(SIDES):
         raise ValueError(f"gamma1_sides must be a nonempty proper subset of {SIDES}")
     if not 1.0 < config.r <= 2.0:
@@ -293,21 +277,31 @@ def validate_config(config: ExperimentConfig) -> None:
     unknown = set(config.problem) - _PROBLEM_KEYS
     if unknown:
         raise ValueError(f"unknown problem keys {sorted(unknown)}; allowed: {sorted(_PROBLEM_KEYS)}")
-    merged = dict(_DEFAULT_PROBLEMS[config.kind])
-    merged.update(config.problem)
-    for key in ("g", "z_d"):
-        field_from_config(merged[key])
-    b_val = merged["b"]
-    if not isinstance(b_val, (int, float)) or isinstance(b_val, bool) or not math.isfinite(b_val):
-        raise ValueError(f"boundary value b must be a finite number, got {b_val!r}")
-    m_val = merged["M"]
-    if m_val != "auto" and (
-        not isinstance(m_val, (int, float)) or isinstance(m_val, bool) or not m_val > 0
-    ):
-        raise ValueError(f"penalty weight M must be 'auto' or a positive number, got {m_val!r}")
+    unknown = set(config.tol) - set(experiment.tol)
+    if unknown:
+        raise ValueError(
+            f"unknown tol keys {sorted(unknown)} for {config.kind}; allowed: {sorted(experiment.tol)}"
+        )
+    for key, value in config.tol.items():
+        _number(value, f"tol {key}")
+    prepare(config)
 
 
 _CONFIG_KEYS = {"problem", "levels", "alphas", "n_ref", "tol", "gamma1_sides", "seed", "r"}
+
+
+def _list(data: dict, key: str, default) -> tuple:
+    value = data.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _object(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def config_from_dict(kind: str, data: dict) -> ExperimentConfig:
@@ -318,50 +312,47 @@ def config_from_dict(kind: str, data: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}; allowed: {sorted(_CONFIG_KEYS)}")
     base = default_config(kind)
-    problem = dict(base.problem)
-    problem.update(data.get("problem", {}))
-    tol = dict(base.tol)
-    tol.update(data.get("tol", {}))
+    n_ref = data.get("n_ref")
     config = ExperimentConfig(
         kind=kind,
-        problem=problem,
-        gamma1_sides=tuple(data.get("gamma1_sides", base.gamma1_sides)),
-        levels=tuple(int(n) for n in data.get("levels", base.levels)),
-        alphas=tuple(float(a) for a in data.get("alphas", base.alphas)),
-        n_ref=int(data["n_ref"]) if data.get("n_ref") is not None else base.n_ref,
-        r=float(data.get("r", base.r)),
-        seed=int(data.get("seed", base.seed)),
-        tol=tol,
+        problem={**base.problem, **_object(data, "problem")},
+        gamma1_sides=_list(data, "gamma1_sides", base.gamma1_sides),
+        levels=tuple(_integer(n, "mesh level") for n in _list(data, "levels", base.levels)),
+        alphas=tuple(_number(a, "alpha") for a in _list(data, "alphas", base.alphas)),
+        n_ref=base.n_ref if n_ref is None else _integer(n_ref, "n_ref"),
+        r=_number(data.get("r", base.r), "regularity exponent r"),
+        seed=_integer(data.get("seed", base.seed), "seed"),
+        tol={**base.tol, **_object(data, "tol")},
     )
     validate_config(config)
     return config
 
 
-def _problem_fields(config: ExperimentConfig) -> dict:
-    merged = dict(_DEFAULT_PROBLEMS[config.kind])
-    merged.update(config.problem)
-    return merged
+def prepare(
+    config: ExperimentConfig, mesh: Optional[Mesh] = None
+) -> Tuple[Dict[str, Field], pde.ProblemSpec]:
+    """The data fields and the ProblemSpec of a config's problem.
 
-
-def resolve_penalty_weight(config: ExperimentConfig, coarse_mesh: Mesh) -> float:
-    """The config's M, with "auto" meaning 4x the contraction threshold.
-
-    The threshold is the clamped-family surrogate bound at the given mesh
-    (the coarsest of the run).  The factor keeps the default experiments
-    inside the contraction regime for both families with margin, since the
-    Robin threshold at unit or larger transfer coefficient is below 2.6x
-    the clamped one on these meshes.
+    The config's problem entries are merged over its kind's defaults; the
+    returned dict maps each data field name present to its Field.  M = "auto"
+    is 4x the clamped-family contraction threshold on ``mesh``, the coarsest
+    of the run; the factor keeps the default experiments inside the
+    contraction regime for both families with margin, since the Robin
+    threshold at unit or larger transfer coefficient is below 2.6x the
+    clamped one on these meshes.  Runs that do not optimize pass no mesh,
+    and "auto" then means 1.
     """
-    m_val = _problem_fields(config)["M"]
-    if m_val != "auto":
-        return float(m_val)
-    return 4.0 * estimate_constants(coarse_mesh).contraction_bound()
-
-
-def resolve_penalty_weight_scalar(fields: dict) -> float:
-    """Numeric M for runs that do not optimize; "auto" falls back to 1."""
-    m_val = fields["M"]
-    return 1.0 if m_val == "auto" else float(m_val)
+    problem = {**EXPERIMENTS[config.kind].problem, **config.problem}
+    b = _number(problem["b"], "boundary value b")
+    m_val = problem["M"]
+    if m_val == "auto":
+        M = 1.0 if mesh is None else 4.0 * estimate_constants(mesh).contraction_bound()
+    elif _is_number(m_val) and m_val > 0:
+        M = float(m_val)
+    else:
+        raise ValueError(f"penalty weight M must be 'auto' or a positive number, got {m_val!r}")
+    fields = {key: field_from_config(problem[key]) for key in _DATA_FIELDS if key in problem}
+    return fields, pde.ProblemSpec(g=fields["g"], z_d=fields["z_d"], b=b, M=M)
 
 
 @dataclass(frozen=True)
@@ -403,12 +394,15 @@ def fit_rate(hs, errs, floor: float = 1e-10) -> RateFit:
 
 @dataclass
 class ConvergenceReport:
-    """Raw experiment numbers plus fitted rates and named verdicts."""
+    """Raw experiment numbers plus fitted rates and named verdicts.
+
+    Each row is a dict from column name to value, with the same keys in the
+    same order in every row; the first row's keys are the columns.
+    """
 
     kind: str
-    columns: Tuple[str, ...]
     column_notes: str
-    rows: List[tuple]
+    rows: List[Dict[str, object]]
     meta: Dict[str, object]
     rates: Dict[str, RateFit]
     checks: Dict[str, object]  # True, False, or "UNRELIABLE"
@@ -417,9 +411,23 @@ class ConvergenceReport:
     def passed(self) -> bool:
         return all(v is True for v in self.checks.values())
 
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return tuple(self.rows[0]) if self.rows else ()
+
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.asarray([row[idx] for row in self.rows], dtype=float)
+        if name not in self.columns:
+            raise ValueError(f"no column {name!r}; columns: {self.columns}")
+        return np.asarray(_column(self.rows, name), dtype=float)
+
+
+def _column(rows, name: str) -> list:
+    return [row[name] for row in rows]
+
+
+def verdict(value) -> str:
+    """PASS for a True check, FAIL for False, else the check's own word."""
+    return "PASS" if value is True else ("FAIL" if value is False else str(value))
 
 
 def _fmt(value) -> str:
@@ -445,12 +453,10 @@ def write_csv(report: ConvergenceReport, path: str) -> None:
             f"status={fit.status} points={fit.points}"
         )
     for key in sorted(report.checks):
-        value = report.checks[key]
-        verdict = "PASS" if value is True else ("FAIL" if value is False else str(value))
-        lines.append(f"# check {key}: {verdict}")
+        lines.append(f"# check {key}: {verdict(report.checks[key])}")
     lines.append(",".join(report.columns))
     for row in report.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_fmt(v) for v in row.values()))
     text = "\n".join(lines) + "\n"
     tmp = path + ".tmp"
     try:
@@ -498,22 +504,15 @@ def _boundary_energy(mesh: Mesh, coefficients: np.ndarray) -> float:
     return float(coefficients @ (b1 @ coefficients))
 
 
-def run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
+def _run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Mesh-size convergence of state and adjoint at a fixed control.
 
     The state error is measured against the closed-form exact solution; the
     adjoint, which has no closed form, is compared against the fine reference
     mesh through exact prolongation.
     """
-    validate_config(config)
-    if config.kind != "state-conv":
-        raise ValueError(f"config kind {config.kind!r} does not match state-conv")
-    fields = _problem_fields(config)
-    g = field_from_config(fields["g"])
-    z_d = field_from_config(fields["z_d"])
-    q_star = field_from_config(fields["q_star"])
-    exact = field_from_config(fields["exact"])
-    spec = pde.ProblemSpec(g=g, z_d=z_d, b=float(fields["b"]), M=resolve_penalty_weight_scalar(fields))
+    fields, spec = prepare(config)
+    q_star, exact = fields["q_star"], fields["exact"]
 
     ref_mesh = build_structured_mesh(config.n_ref, config.gamma1_sides)
     u_ref = pde.solve_state(ref_mesh, spec, interpolate_trace(q_star, ref_mesh))
@@ -524,24 +523,25 @@ def run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
         mesh = build_structured_mesh(n, config.gamma1_sides)
         u = pde.solve_state(mesh, spec, interpolate_trace(q_star, mesh))
         p = pde.solve_adjoint(mesh, spec, u)
-        state_err = assembly.v_error_vs_exact(u, exact, exact.gradient)
-        adj_err = assembly.norm(prolongate(p, mesh, ref_mesh) - p_ref, "V")
-        rows.append((n, mesh.h, state_err, adj_err))
+        rows.append(
+            {
+                "n": n,
+                "h": mesh.h,
+                "state_err": assembly.v_error_vs_exact(u, exact, exact.gradient),
+                "adjoint_err": assembly.norm(prolongate(p, mesh, ref_mesh) - p_ref, "V"),
+            }
+        )
 
-    hs = [row[1] for row in rows]
+    hs = _column(rows, "h")
     rates = {
-        "state_rate": fit_rate(hs, [row[2] for row in rows]),
-        "adjoint_rate": fit_rate(hs, [row[3] for row in rows]),
+        "state_rate": fit_rate(hs, _column(rows, "state_err")),
+        "adjoint_rate": fit_rate(hs, _column(rows, "adjoint_err")),
     }
     expected = config.r - 1.0
     slack = config.tol["rate_slack"]
-    checks = {
-        "state_rate": _rate_check(rates["state_rate"], expected - slack),
-        "adjoint_rate": _rate_check(rates["adjoint_rate"], expected - slack),
-    }
+    checks = {name: _rate_check(fit, expected - slack) for name, fit in rates.items()}
     return ConvergenceReport(
         kind=config.kind,
-        columns=("n", "h", "state_err", "adjoint_err"),
         column_notes=(
             "n: cells per side; h: longest triangle side; "
             "state_err: first-order-norm distance of the discrete state to the exact solution; "
@@ -554,7 +554,7 @@ def run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
     )
 
 
-def run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
+def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Mesh-size convergence of the optimal control, its state and adjoint.
 
     Per-level optima come from the contraction iteration; the fine reference
@@ -562,89 +562,63 @@ def run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
     generated by the code path under test.  Cost columns record the two
     quadratic optimal-value gaps and the two cost-consistency distances.
     """
-    validate_config(config)
-    if config.kind != "control-conv":
-        raise ValueError(f"config kind {config.kind!r} does not match control-conv")
-    fields = _problem_fields(config)
-    g = field_from_config(fields["g"])
-    z_d = field_from_config(fields["z_d"])
     level_meshes = [build_structured_mesh(n, config.gamma1_sides) for n in config.levels]
-    M = resolve_penalty_weight(config, level_meshes[0])
-    spec = pde.ProblemSpec(g=g, z_d=z_d, b=float(fields["b"]), M=M)
+    _, spec = prepare(config, level_meshes[0])
 
     ref_mesh = build_structured_mesh(config.n_ref, config.gamma1_sides)
     ref = optctl.solve_optimal_reduced(ref_mesh, spec)
 
     rows = []
-    coarse_solution = None
+    solutions = []
     for mesh in level_meshes:
-        constants = estimate_constants(mesh)
-        sol = optctl.solve_optimal_fixed_point(mesh, spec, constants=constants)
-        if coarse_solution is None:
-            coarse_solution = sol
+        sol = optctl.solve_optimal_fixed_point(mesh, spec, constants=estimate_constants(mesh))
+        solutions.append(sol)
         q_up = prolongate_trace(sol.q_opt, mesh, ref_mesh)
-        control_err = assembly.norm(q_up - ref.q_opt, "Q")
-        state_err = assembly.norm(prolongate(sol.u_opt, mesh, ref_mesh) - ref.u_opt, "V")
-        adjoint_err = assembly.norm(prolongate(sol.p_opt, mesh, ref_mesh) - ref.p_opt, "V")
-        cost_up = optctl.cost(ref_mesh, spec, q_up)
-        q_down = restrict_trace(ref.q_opt, ref_mesh, mesh)
-        cost_down = optctl.cost(mesh, spec, q_down)
-        rows.append(
-            (
-                mesh.n,
-                mesh.h,
-                control_err,
-                state_err,
-                adjoint_err,
-                cost_up - ref.cost,
-                cost_down - sol.cost,
-                abs(cost_down - ref.cost),
-                abs(sol.cost - ref.cost),
-            )
-        )
+        row = {
+            "n": mesh.n,
+            "h": mesh.h,
+            "control_err": assembly.norm(q_up - ref.q_opt, "Q"),
+            "state_err": assembly.norm(prolongate(sol.u_opt, mesh, ref_mesh) - ref.u_opt, "V"),
+            "adjoint_err": assembly.norm(prolongate(sol.p_opt, mesh, ref_mesh) - ref.p_opt, "V"),
+            "cost_gap_ref": optctl.cost(ref_mesh, spec, q_up) - ref.cost,
+        }
+        cost_down = optctl.cost(mesh, spec, restrict_trace(ref.q_opt, ref_mesh, mesh))
+        row["cost_gap_level"] = cost_down - sol.cost
+        row["cost_value_gap"] = abs(cost_down - ref.cost)
+        row["cost_opt_value_gap"] = abs(sol.cost - ref.cost)
+        rows.append(row)
 
     # start independence: rerun the coarsest level from a seeded random control
     mesh0 = level_meshes[0]
     rng = np.random.default_rng(config.seed)
-    q_rand = TraceField(mesh0, rng.standard_normal(len(coarse_solution.q_opt.coefficients)))
+    q_rand = TraceField(mesh0, rng.standard_normal(len(solutions[0].q_opt.coefficients)))
     alt = optctl.solve_optimal_fixed_point(mesh0, spec, q0=q_rand, constants=estimate_constants(mesh0))
-    start_gap = assembly.norm(alt.q_opt - coarse_solution.q_opt, "Q")
+    start_gap = assembly.norm(alt.q_opt - solutions[0].q_opt, "Q")
 
-    hs = [row[1] for row in rows]
+    hs = _column(rows, "h")
     rates = {
-        "control_rate": fit_rate(hs, [row[2] for row in rows]),
-        "state_rate": fit_rate(hs, [row[3] for row in rows]),
-        "adjoint_rate": fit_rate(hs, [row[4] for row in rows]),
-        "cost_gap_ref_rate": fit_rate(hs, [row[5] for row in rows]),
-        "cost_gap_level_rate": fit_rate(hs, [row[6] for row in rows]),
-        "cost_value_rate": fit_rate(hs, [row[7] for row in rows]),
-        "cost_opt_value_rate": fit_rate(hs, [row[8] for row in rows]),
+        "control_rate": fit_rate(hs, _column(rows, "control_err")),
+        "state_rate": fit_rate(hs, _column(rows, "state_err")),
+        "adjoint_rate": fit_rate(hs, _column(rows, "adjoint_err")),
+        "cost_gap_ref_rate": fit_rate(hs, _column(rows, "cost_gap_ref")),
+        "cost_gap_level_rate": fit_rate(hs, _column(rows, "cost_gap_level")),
+        "cost_value_rate": fit_rate(hs, _column(rows, "cost_value_gap")),
+        "cost_opt_value_rate": fit_rate(hs, _column(rows, "cost_opt_value_gap")),
     }
     expected = config.r - 1.0
-    slack = config.tol["rate_slack"]
-    cost_slack = config.tol["cost_rate_slack"]
+    first = expected - config.tol["rate_slack"]
+    second = 2.0 * expected - config.tol["cost_rate_slack"]
     checks = {
-        "control_rate": _rate_check(rates["control_rate"], expected - slack),
-        "state_rate": _rate_check(rates["state_rate"], expected - slack),
-        "adjoint_rate": _rate_check(rates["adjoint_rate"], expected - slack),
-        "cost_gap_ref_rate": _rate_check(rates["cost_gap_ref_rate"], 2.0 * expected - cost_slack),
-        "cost_gap_level_rate": _rate_check(rates["cost_gap_level_rate"], 2.0 * expected - cost_slack),
-        "cost_value_rate": _rate_check(rates["cost_value_rate"], expected - slack),
+        "control_rate": _rate_check(rates["control_rate"], first),
+        "state_rate": _rate_check(rates["state_rate"], first),
+        "adjoint_rate": _rate_check(rates["adjoint_rate"], first),
+        "cost_gap_ref_rate": _rate_check(rates["cost_gap_ref_rate"], second),
+        "cost_gap_level_rate": _rate_check(rates["cost_gap_level_rate"], second),
+        "cost_value_rate": _rate_check(rates["cost_value_rate"], first),
         "start_agreement": bool(start_gap <= config.tol["start_gap"]),
     }
     return ConvergenceReport(
         kind=config.kind,
-        columns=(
-            "n",
-            "h",
-            "control_err",
-            "state_err",
-            "adjoint_err",
-            "cost_gap_ref",
-            "cost_gap_level",
-            "cost_value_gap",
-            "cost_opt_value_gap",
-        ),
         column_notes=(
             "control_err/state_err/adjoint_err: distances of the prolonged level optimum "
             "to the reference optimum; "
@@ -658,7 +632,7 @@ def run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
         rows=rows,
         meta={
             "n_ref": config.n_ref,
-            "M": M,
+            "M": spec.M,
             "expected_rate": expected,
             "start_gap": start_gap,
             "reference_cost": ref.cost,
@@ -669,26 +643,18 @@ def run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
     )
 
 
-def run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
+def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
     """Large-transfer-coefficient limit of the Robin family at a fixed mesh.
 
     Records, per ladder entry, the fixed-control state and adjoint distances
     to the clamped-family solution, the three optimal-solution distances, and
     the weighted boundary penalties whose boundedness encodes the limit.
     """
-    validate_config(config)
-    if config.kind != "alpha-sweep":
-        raise ValueError(f"config kind {config.kind!r} does not match alpha-sweep")
-    fields = _problem_fields(config)
-    g = field_from_config(fields["g"])
-    z_d = field_from_config(fields["z_d"])
-    q_star_field = field_from_config(fields["q_star"])
     mesh = build_structured_mesh(config.levels[-1], config.gamma1_sides)
-    M = resolve_penalty_weight(config, mesh)
-    spec = pde.ProblemSpec(g=g, z_d=z_d, b=float(fields["b"]), M=M)
+    fields, spec = prepare(config, mesh)
     constants = estimate_constants(mesh)
 
-    q_star = interpolate_trace(q_star_field, mesh)
+    q_star = interpolate_trace(fields["q_star"], mesh)
     u_fix = pde.solve_state(mesh, spec, q_star)
     p_fix = pde.solve_adjoint(mesh, spec, u_fix)
     clamped = optctl.solve_optimal_fixed_point(mesh, spec, constants=constants)
@@ -702,54 +668,31 @@ def run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
         sol = optctl.solve_optimal_fixed_point(mesh, spec_a, constants=constants)
         weight = alpha - 1.0
         rows.append(
-            (
-                alpha,
-                assembly.norm(u_fix_a - u_fix, "V"),
-                assembly.norm(p_fix_a - p_fix, "V"),
-                assembly.norm(sol.q_opt - clamped.q_opt, "Q"),
-                assembly.norm(sol.u_opt - clamped.u_opt, "V"),
-                assembly.norm(sol.p_opt - clamped.p_opt, "V"),
-                weight * _boundary_energy(mesh, u_fix_a.coefficients - b_shift),
-                weight * _boundary_energy(mesh, sol.u_opt.coefficients - b_shift),
-                weight * _boundary_energy(mesh, sol.p_opt.coefficients),
-            )
+            {
+                "alpha": alpha,
+                "fixed_state_dist": assembly.norm(u_fix_a - u_fix, "V"),
+                "fixed_adjoint_dist": assembly.norm(p_fix_a - p_fix, "V"),
+                "control_dist": assembly.norm(sol.q_opt - clamped.q_opt, "Q"),
+                "state_dist": assembly.norm(sol.u_opt - clamped.u_opt, "V"),
+                "adjoint_dist": assembly.norm(sol.p_opt - clamped.p_opt, "V"),
+                "fixed_state_penalty": weight * _boundary_energy(mesh, u_fix_a.coefficients - b_shift),
+                "state_penalty": weight * _boundary_energy(mesh, sol.u_opt.coefficients - b_shift),
+                "adjoint_penalty": weight * _boundary_energy(mesh, sol.p_opt.coefficients),
+            }
         )
 
     inv_alphas = [1.0 / a for a in config.alphas]
-    distance_cols = {
-        "fixed_state_dist": 1,
-        "fixed_adjoint_dist": 2,
-        "control_dist": 3,
-        "state_dist": 4,
-        "adjoint_dist": 5,
-    }
-    rates = {
-        name + "_alpha_rate": fit_rate(inv_alphas, [row[idx] for row in rows])
-        for name, idx in distance_cols.items()
-    }
-    decay = config.tol["decay_factor"]
-    growth = config.tol["penalty_growth"]
+    rates = {}
     checks = {}
-    for name, idx in distance_cols.items():
-        seq = [row[idx] for row in rows]
+    for name in ("fixed_state_dist", "fixed_adjoint_dist", "control_dist", "state_dist", "adjoint_dist"):
+        seq = _column(rows, name)
+        rates[name + "_alpha_rate"] = fit_rate(inv_alphas, seq)
         checks[name + "_decreasing"] = _strictly_decreasing(seq)
-        checks[name + "_small"] = _decay_ok(seq, decay)
-    checks["fixed_state_penalty_bounded"] = _bounded_along_ladder([row[6] for row in rows], growth)
-    checks["state_penalty_bounded"] = _bounded_along_ladder([row[7] for row in rows], growth)
-    checks["adjoint_penalty_bounded"] = _bounded_along_ladder([row[8] for row in rows], growth)
+        checks[name + "_small"] = _decay_ok(seq, config.tol["decay_factor"])
+    for name in ("fixed_state_penalty", "state_penalty", "adjoint_penalty"):
+        checks[name + "_bounded"] = _bounded_along_ladder(_column(rows, name), config.tol["penalty_growth"])
     return ConvergenceReport(
         kind=config.kind,
-        columns=(
-            "alpha",
-            "fixed_state_dist",
-            "fixed_adjoint_dist",
-            "control_dist",
-            "state_dist",
-            "adjoint_dist",
-            "fixed_state_penalty",
-            "state_penalty",
-            "adjoint_penalty",
-        ),
         column_notes=(
             "fixed_*_dist: Robin state/adjoint distance to the clamped solution at the fixed "
             "control; control/state/adjoint_dist: Robin optimal solution distances to the "
@@ -759,7 +702,7 @@ def run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
         rows=rows,
         meta={
             "level": mesh.n,
-            "M": M,
+            "M": spec.M,
             "clamped_cost": clamped.cost,
             "contraction_bound_clamped": constants.contraction_bound(),
             "contraction_bound_robin": constants.contraction_bound(config.alphas[0]),
@@ -769,7 +712,7 @@ def run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
     )
 
 
-def run_diagram(config: ExperimentConfig) -> ConvergenceReport:
+def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     """Distance table of Robin-family optima to the limit across both axes.
 
     Cell (level, alpha) holds the boundary-norm distance between the
@@ -780,15 +723,8 @@ def run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     Robin optimum at the largest ladder entry on the reference mesh (mesh
     size sent to zero first).
     """
-    validate_config(config)
-    if config.kind != "diagram":
-        raise ValueError(f"config kind {config.kind!r} does not match diagram")
-    fields = _problem_fields(config)
-    g = field_from_config(fields["g"])
-    z_d = field_from_config(fields["z_d"])
     level_meshes = [build_structured_mesh(n, config.gamma1_sides) for n in config.levels]
-    M = resolve_penalty_weight(config, level_meshes[0])
-    spec = pde.ProblemSpec(g=g, z_d=z_d, b=float(fields["b"]), M=M)
+    _, spec = prepare(config, level_meshes[0])
 
     ref_mesh = build_structured_mesh(config.n_ref, config.gamma1_sides)
     ref = optctl.solve_optimal_reduced(ref_mesh, spec)
@@ -800,7 +736,7 @@ def run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     rows = []
     table = []
     pure_h = []
-    meta: Dict[str, object] = {"n_ref": config.n_ref, "M": M, "reference_cost": ref.cost}
+    meta: Dict[str, object] = {"n_ref": config.n_ref, "M": spec.M, "reference_cost": ref.cost}
     for mesh in level_meshes:
         constants = estimate_constants(mesh)
         clamped = optctl.solve_optimal_fixed_point(mesh, spec, constants=constants)
@@ -812,7 +748,7 @@ def run_diagram(config: ExperimentConfig) -> ConvergenceReport:
             sol = optctl.solve_optimal_fixed_point(mesh, spec.with_alpha(alpha), constants=constants)
             dist = assembly.norm(prolongate_trace(sol.q_opt, mesh, ref_mesh) - ref.q_opt, "Q")
             row_values.append(dist)
-            rows.append((mesh.n, mesh.h, alpha, dist))
+            rows.append({"n": mesh.n, "h": mesh.h, "alpha": alpha, "distance": dist})
         table.append(row_values)
     for alpha, dist in zip(config.alphas, pure_alpha):
         meta[f"pure_alpha_{alpha:g}"] = dist
@@ -842,7 +778,6 @@ def run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     )
     return ConvergenceReport(
         kind=config.kind,
-        columns=("n", "h", "alpha", "distance"),
         column_notes=(
             "distance: boundary-norm distance of the prolonged Robin optimum at (n, alpha) "
             "to the clamped reference optimum at n_ref; pure_h_n*/pure_alpha_* meta entries "
@@ -855,29 +790,26 @@ def run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     )
 
 
-def run_constants(config: ExperimentConfig) -> ConvergenceReport:
+def _run_constants(config: ExperimentConfig) -> ConvergenceReport:
     """Surrogate coercivity and trace constants across mesh levels."""
-    validate_config(config)
-    if config.kind != "constants":
-        raise ValueError(f"config kind {config.kind!r} does not match constants")
     rows = []
     for n in config.levels:
         mesh = build_structured_mesh(n, config.gamma1_sides)
         c = estimate_constants(mesh)
         rows.append(
-            (
-                n,
-                mesh.h,
-                c.lambda_h,
-                c.lambda1_h,
-                c.gamma0_norm_h,
-                c.contraction_bound(),
-                c.contraction_bound(1.0),
-            )
+            {
+                "n": n,
+                "h": mesh.h,
+                "lambda": c.lambda_h,
+                "lambda1": c.lambda1_h,
+                "gamma0_norm": c.gamma0_norm_h,
+                "bound_clamped": c.contraction_bound(),
+                "bound_robin": c.contraction_bound(1.0),
+            }
         )
-    lam = [row[2] for row in rows]
-    lam1 = [row[3] for row in rows]
-    gam = [row[4] for row in rows]
+    lam = _column(rows, "lambda")
+    lam1 = _column(rows, "lambda1")
+    gam = _column(rows, "gamma0_norm")
     checks = {
         "lambda_in_range": all(0.0 < v <= 1.0 for v in lam),
         "lambda1_in_range": all(0.0 < v <= 1.0 for v in lam1),
@@ -889,7 +821,6 @@ def run_constants(config: ExperimentConfig) -> ConvergenceReport:
     }
     return ConvergenceReport(
         kind=config.kind,
-        columns=("n", "h", "lambda", "lambda1", "gamma0_norm", "bound_clamped", "bound_robin"),
         column_notes=(
             "lambda: clamped-space coercivity surrogate; lambda1: unit-transfer Robin "
             "coercivity surrogate; gamma0_norm: flux-boundary trace norm surrogate; "
@@ -902,14 +833,68 @@ def run_constants(config: ExperimentConfig) -> ConvergenceReport:
     )
 
 
-RUNNERS = {
-    "state-conv": run_state_convergence,
-    "control-conv": run_control_convergence,
-    "alpha-sweep": run_alpha_sweep,
-    "diagram": run_diagram,
-    "constants": run_constants,
+# The optimizing kinds share one source; the large-alpha kinds one ladder.
+_SOURCE = {"name": "sin_product", "scale": 10.0, "ky": 2}
+_LADDER = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+
+EXPERIMENTS = {
+    "state-conv": ExperimentKind(
+        runner=_run_state_convergence,
+        summary="mesh convergence of state and adjoint at a fixed control",
+        problem={
+            "g": {"name": "mms_load"},
+            "z_d": 0.0,
+            "b": 1.0,
+            "M": 1.0,
+            "q_star": {"name": "mms_flux"},
+            "exact": {"name": "mms_solution", "offset": 1.0},
+        },
+        levels=(8, 16, 32, 64),
+        n_ref=128,
+        tol={"rate_slack": 0.15},
+        min_levels=3,  # a rate fit needs three points
+    ),
+    "control-conv": ExperimentKind(
+        runner=_run_control_convergence,
+        summary="mesh convergence of the optimal control",
+        problem={"g": _SOURCE, "z_d": 0.0, "b": 1.0, "M": "auto"},
+        levels=(4, 8, 16, 32),
+        n_ref=128,
+        tol={"rate_slack": 0.15, "cost_rate_slack": 0.3, "start_gap": 1e-8},
+        min_levels=3,
+    ),
+    "alpha-sweep": ExperimentKind(
+        runner=_run_alpha_sweep,
+        summary="large transfer coefficient limit at a fixed mesh",
+        problem={"g": _SOURCE, "z_d": 0.0, "b": 1.0, "M": "auto", "q_star": {"name": "mms_flux"}},
+        levels=(16,),
+        alphas=_LADDER,
+        tol={"decay_factor": 1e-2, "penalty_growth": 10.0},
+        min_levels=1,  # runs on the finest level only
+    ),
+    "diagram": ExperimentKind(
+        runner=_run_diagram,
+        summary="joint mesh/transfer-coefficient distance table",
+        problem={"g": _SOURCE, "z_d": 0.0, "b": 1.0, "M": "auto"},
+        levels=(4, 8, 16),
+        alphas=_LADDER,
+        n_ref=64,
+        tol={"corner_factor": 5.0},
+        min_levels=2,
+    ),
+    "constants": ExperimentKind(
+        runner=_run_constants,
+        summary="discrete coercivity and trace constants per level",
+        problem={"g": 0.0, "z_d": 0.0, "b": 1.0, "M": 1.0},
+        levels=(2, 4, 8, 16, 32),
+        tol={},
+        min_levels=1,
+    ),
 }
+KINDS = tuple(EXPERIMENTS)
 
 
 def run(config: ExperimentConfig) -> ConvergenceReport:
-    return RUNNERS[config.kind](config)
+    """Validate a config and run its kind's experiment."""
+    validate_config(config)
+    return EXPERIMENTS[config.kind].runner(config)

@@ -203,8 +203,8 @@ def nested_dissection(mesh: Mesh) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class NodalField:
-    """Piecewise-linear function given by one coefficient per mesh vertex."""
+class _Field:
+    """Coefficient vector on a mesh, with the vector-space operations."""
 
     mesh: Mesh
     coefficients: np.ndarray
@@ -212,12 +212,11 @@ class NodalField:
     def __post_init__(self):
         coeff = np.asarray(self.coefficients, dtype=float)
         object.__setattr__(self, "coefficients", coeff)
-        if coeff.shape != (len(self.mesh.vertices),):
-            raise ValueError(
-                f"expected {len(self.mesh.vertices)} coefficients, got shape {coeff.shape}"
-            )
+        size = self._size()
+        if coeff.shape != (size,):
+            raise ValueError(f"expected {size} {self._label} coefficients, got shape {coeff.shape}")
         if not np.all(np.isfinite(coeff)):
-            raise ValueError("nodal coefficients must be finite")
+            raise ValueError(f"{self._label} coefficients must be finite")
 
     def _check_same_mesh(self, other):
         if self.mesh is not other.mesh:
@@ -225,63 +224,40 @@ class NodalField:
 
     def __add__(self, other):
         self._check_same_mesh(other)
-        return NodalField(self.mesh, self.coefficients + other.coefficients)
+        return type(self)(self.mesh, self.coefficients + other.coefficients)
 
     def __sub__(self, other):
         self._check_same_mesh(other)
-        return NodalField(self.mesh, self.coefficients - other.coefficients)
+        return type(self)(self.mesh, self.coefficients - other.coefficients)
 
     def __mul__(self, scalar):
-        return NodalField(self.mesh, self.coefficients * float(scalar))
+        return type(self)(self.mesh, self.coefficients * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return NodalField(self.mesh, -self.coefficients)
+        return type(self)(self.mesh, -self.coefficients)
 
 
-@dataclass(frozen=True, eq=False)
-class TraceField:
+class NodalField(_Field):
+    """Piecewise-linear function given by one coefficient per mesh vertex."""
+
+    _label = "nodal"
+
+    def _size(self):
+        return len(self.mesh.vertices)
+
+
+class TraceField(_Field):
     """Function on the flux boundary portion, one coefficient per trace vertex.
 
     Coefficients follow the gamma2_trace_dofs ordering of the mesh partition.
     """
 
-    mesh: Mesh
-    coefficients: np.ndarray
+    _label = "trace"
 
-    def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=float)
-        object.__setattr__(self, "coefficients", coeff)
-        ndofs = len(dof_partition(self.mesh).gamma2_trace_dofs)
-        if coeff.shape != (ndofs,):
-            raise ValueError(f"expected {ndofs} trace coefficients, got shape {coeff.shape}")
-        if not np.all(np.isfinite(coeff)):
-            raise ValueError("trace coefficients must be finite")
-
-    def _check_same_mesh(self, other):
-        if self.mesh is not other.mesh:
-            raise ValueError("fields live on different meshes")
-
-    def __add__(self, other):
-        self._check_same_mesh(other)
-        return TraceField(self.mesh, self.coefficients + other.coefficients)
-
-    def __sub__(self, other):
-        self._check_same_mesh(other)
-        return TraceField(self.mesh, self.coefficients - other.coefficients)
-
-    def __mul__(self, scalar):
-        return TraceField(self.mesh, self.coefficients * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TraceField(self.mesh, -self.coefficients)
-
-
-def zero_nodal(mesh: Mesh) -> NodalField:
-    return NodalField(mesh, np.zeros(len(mesh.vertices)))
+    def _size(self):
+        return len(dof_partition(self.mesh).gamma2_trace_dofs)
 
 
 def zero_trace(mesh: Mesh) -> TraceField:
@@ -381,55 +357,3 @@ def restrict_trace(fine: TraceField, fine_mesh: Mesh, coarse_mesh: Mesh) -> Trac
     if not np.array_equal(g2f[pos], fine_dofs):
         raise ValueError("coarse trace vertices missing from the fine trace set")
     return TraceField(coarse_mesh, fine.coefficients[pos])
-
-
-def evaluate_nodal(field: NodalField, x, y) -> np.ndarray:
-    """Evaluate a piecewise-linear field at points of the unit square."""
-    mesh = field.mesh
-    n = mesh.n
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx = x * n
-    fy = y * n
-    i = np.clip(np.floor(fx), 0, n - 1).astype(np.int64)
-    j = np.clip(np.floor(fy), 0, n - 1).astype(np.int64)
-    lx = fx - i
-    ly = fy - j
-    grid = field.coefficients.reshape(n + 1, n + 1)
-    c00 = grid[j, i]
-    c10 = grid[j, i + 1]
-    c01 = grid[j + 1, i]
-    c11 = grid[j + 1, i + 1]
-    lower = lx >= ly
-    vals = np.where(
-        lower,
-        c00 * (1.0 - lx) + c10 * (lx - ly) + c11 * ly,
-        c00 * (1.0 - ly) + c01 * (ly - lx) + c11 * lx,
-    )
-    return vals
-
-
-def mesh_from_config(config: dict) -> Mesh:
-    """Build a mesh from a JSON-style dict {"n": int, "gamma1_sides": [str, ...]}."""
-    if not isinstance(config, dict):
-        raise ValueError("mesh config must be a dict")
-    unknown = set(config) - {"n", "gamma1_sides"}
-    if unknown:
-        raise ValueError(f"unknown mesh config keys {sorted(unknown)}")
-    if "n" not in config or "gamma1_sides" not in config:
-        raise ValueError('mesh config needs keys "n" and "gamma1_sides"')
-    return build_structured_mesh(config["n"], config["gamma1_sides"])
-
-
-def mesh_to_text(mesh: Mesh) -> str:
-    """Plain-text node/element/boundary listing for debugging."""
-    lines = [f"nodes {len(mesh.vertices)}"]
-    for k, (vx, vy) in enumerate(mesh.vertices):
-        lines.append(f"{k} {vx:.17g} {vy:.17g}")
-    lines.append(f"triangles {len(mesh.triangles)}")
-    for k, (a, b, c) in enumerate(mesh.triangles):
-        lines.append(f"{k} {a} {b} {c}")
-    lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        lines.append(f"{a} {b} {BoundaryTag(tag).name}")
-    return "\n".join(lines) + "\n"

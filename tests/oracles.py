@@ -1,0 +1,68 @@
+"""Reference implementations the tests compare the package against.
+
+The element matrices are the loop-free textbook formulas for one triangle or
+edge; the package assembles every element at once.  evaluate_nodal evaluates
+a piecewise-linear field at arbitrary points of the unit square, which the
+package itself never needs.
+"""
+
+import numpy as np
+
+from fluxopt.mesh import NodalField
+
+
+def local_stiffness(coords) -> np.ndarray:
+    """Element stiffness matrix for one triangle given as a (3, 2) array."""
+    coords = np.asarray(coords, dtype=float)
+    x = coords[:, 0]
+    y = coords[:, 1]
+    b = y[[1, 2, 0]] - y[[2, 0, 1]]
+    c = x[[2, 0, 1]] - x[[1, 2, 0]]
+    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+    if area <= 0:
+        raise ValueError("degenerate or inverted triangle: nonpositive area")
+    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+
+
+def local_mass(coords) -> np.ndarray:
+    """Element mass matrix for one triangle given as a (3, 2) array."""
+    coords = np.asarray(coords, dtype=float)
+    x = coords[:, 0]
+    y = coords[:, 1]
+    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+    if area <= 0:
+        raise ValueError("degenerate or inverted triangle: nonpositive area")
+    return area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+
+
+def local_edge_mass(length) -> np.ndarray:
+    """Element mass matrix of one boundary edge of the given length."""
+    if length <= 0:
+        raise ValueError("edge length must be positive")
+    return length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+
+
+def evaluate_nodal(field: NodalField, x, y) -> np.ndarray:
+    """Evaluate a piecewise-linear field at points of the unit square."""
+    mesh = field.mesh
+    n = mesh.n
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    fx = x * n
+    fy = y * n
+    i = np.clip(np.floor(fx), 0, n - 1).astype(np.int64)
+    j = np.clip(np.floor(fy), 0, n - 1).astype(np.int64)
+    lx = fx - i
+    ly = fy - j
+    grid = field.coefficients.reshape(n + 1, n + 1)
+    c00 = grid[j, i]
+    c10 = grid[j, i + 1]
+    c01 = grid[j + 1, i]
+    c11 = grid[j + 1, i + 1]
+    lower = lx >= ly
+    vals = np.where(
+        lower,
+        c00 * (1.0 - lx) + c10 * (lx - ly) + c11 * ly,
+        c00 * (1.0 - ly) + c01 * (ly - lx) + c11 * lx,
+    )
+    return vals

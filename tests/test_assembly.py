@@ -14,11 +14,7 @@ from fluxopt.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    coo_text,
     l2_misfit_sq,
-    local_edge_mass,
-    local_mass,
-    local_stiffness,
     norm,
     trace_extend,
     trace_restrict,
@@ -34,6 +30,7 @@ from fluxopt.mesh import (
     interpolate_trace,
     prolongate,
 )
+from oracles import local_edge_mass, local_mass, local_stiffness
 
 REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -91,6 +88,12 @@ def test_mass_total_is_domain_area():
     mm = assemble_mass(m)
     ones = np.ones(len(m.vertices))
     assert ones @ (mm @ ones) == pytest.approx(1.0, rel=1e-14)
+    assert mm.data.sum() == pytest.approx(1.0, rel=1e-14)
+    # assembly is deterministic: a fresh mesh gives the same sorted CSR arrays
+    again = assemble_mass(build_structured_mesh(3, ["top"]))
+    assert mm.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(again, name), getattr(mm, name))
     one_field = NodalField(m, ones)
     assert norm(one_field, "H") == pytest.approx(1.0, rel=1e-14)
     assert norm(one_field, "V") == pytest.approx(1.0, rel=1e-14)
@@ -227,23 +230,6 @@ def test_norms_stable_under_prolongation():
     assert norm(up, "H") == pytest.approx(norm(u, "H"), rel=1e-12)
     assert norm(up, "V") == pytest.approx(norm(u, "V"), rel=1e-12)
     assert norm(up, "Q") == pytest.approx(norm(u, "Q"), rel=1e-12)
-
-
-def test_coo_text_deterministic_listing():
-    m = build_structured_mesh(1, ["bottom"])
-    mat = assemble_mass(m)
-    text = coo_text(mat)
-    lines = text.strip().splitlines()
-    header = lines[0].split()
-    assert [int(header[0]), int(header[1])] == [4, 4]
-    assert int(header[2]) == len(lines) - 1
-    parts = [ln.split() for ln in lines[1:]]
-    assert all(len(p) == 3 for p in parts)
-    keys = [(int(p[0]), int(p[1])) for p in parts]
-    assert keys == sorted(keys)
-    total = sum(float(p[2]) for p in parts)
-    assert total == pytest.approx(1.0, rel=1e-14)  # mass entries sum to the area
-    assert text == coo_text(assemble_mass(m))
 
 
 @given(n=st.integers(min_value=1, max_value=6), seed=st.integers(min_value=0, max_value=999))

@@ -37,6 +37,15 @@ def test_invalid_config_value_is_a_config_error(tmp_path, capsys):
     assert "power-of-two" in capsys.readouterr().err
 
 
+def test_malformed_config_value_is_a_config_error(tmp_path, capsys):
+    cfg = os.path.join(tmp_path, "levels.json")
+    with open(cfg, "w") as handle:
+        json.dump({"levels": 5}, handle)
+    code = main(["constants", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_malformed_json_is_a_config_error(tmp_path, capsys):
     cfg = os.path.join(tmp_path, "broken.json")
     with open(cfg, "w") as handle:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fluxopt import harness
+from fluxopt import cli, harness
 from fluxopt.harness import (
     ConvergenceReport,
     RateFit,
@@ -17,8 +17,7 @@ from fluxopt.harness import (
     default_config,
     field_from_config,
     fit_rate,
-    resolve_penalty_weight,
-    resolve_penalty_weight_scalar,
+    prepare,
     write_csv,
 )
 from fluxopt.linsolve import estimate_constants
@@ -110,11 +109,16 @@ def test_field_config_parsing():
         field_from_config({"name": "sin_product", "phase": 0.5})
 
 
-def test_default_configs_validate():
+def test_default_configs_validate(capsys):
     for kind in harness.KINDS:
         config = default_config(kind)
         harness.validate_config(config)
         assert config.kind == kind
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    for experiment in harness.EXPERIMENTS.values():
+        assert experiment.summary in usage
     with pytest.raises(ValueError):
         default_config("spectral")
 
@@ -139,6 +143,20 @@ def test_default_configs_validate():
         ("state-conv", {"problem": {"M": -1.0}}, "penalty weight"),
         ("state-conv", {"problem": {"b": True}}, "boundary value"),
         ("state-conv", {"problem": {"g": {"name": "warp"}}}, "unknown field"),
+        ("state-conv", {"problem": {"q_star": {"name": "warp"}}}, "unknown field"),
+        ("constants", {"levels": 5}, "levels must be a list"),
+        ("constants", {"levels": [2.7, 4]}, "mesh level must be an integer"),
+        ("constants", {"tol": 3}, "tol must be a JSON object"),
+        ("constants", {"problem": [1]}, "problem must be a JSON object"),
+        ("constants", {"seed": None}, "seed must be an integer"),
+        ("state-conv", {"n_ref": 128.5}, "n_ref must be an integer"),
+        ("state-conv", {"tol": {"rate_slak": 0.5}}, "unknown tol keys"),
+        ("constants", {"tol": {"rate_slack": 0.5}}, "unknown tol keys"),
+        ("state-conv", {"tol": {"rate_slack": "wide"}}, "tol rate_slack must be a finite number"),
+        ("state-conv", {"tol": {"rate_slack": float("nan")}}, "tol rate_slack must be a finite number"),
+        ("state-conv", {"gamma1_sides": [["bottom"]]}, "proper subset"),
+        ("state-conv", {"problem": {"g": {"name": ["warp"]}}}, "unknown field"),
+        ("state-conv", {"problem": {"g": {"name": "constant", "value": None}}}, "wrong type"),
     ],
 )
 def test_config_rejections(kind, data, fragment):
@@ -159,12 +177,14 @@ def test_config_merge_keeps_defaults():
 def test_penalty_weight_resolution():
     config = default_config("control-conv")
     mesh = build_structured_mesh(4, config.gamma1_sides)
-    auto = resolve_penalty_weight(config, mesh)
-    assert auto == pytest.approx(4.0 * estimate_constants(mesh).contraction_bound(), rel=1e-12)
+    _, spec = prepare(config, mesh)
+    assert spec.M == pytest.approx(4.0 * estimate_constants(mesh).contraction_bound(), rel=1e-12)
     fixed = config_from_dict("control-conv", {"problem": {"M": 7.0}})
-    assert resolve_penalty_weight(fixed, mesh) == 7.0
-    assert resolve_penalty_weight_scalar({"M": "auto"}) == 1.0
-    assert resolve_penalty_weight_scalar({"M": 3}) == 3.0
+    assert prepare(fixed, mesh)[1].M == 7.0
+    # state-conv does not optimize: it passes no mesh, and "auto" means 1
+    auto = config_from_dict("state-conv", {"problem": {"M": "auto"}})
+    assert prepare(auto)[1].M == 1.0
+    assert prepare(config_from_dict("state-conv", {"problem": {"M": 3}}))[1].M == 3.0
 
 
 def test_rate_fit_classification():
@@ -229,9 +249,11 @@ def test_sequence_checks():
 def sample_report():
     return ConvergenceReport(
         kind="state-conv",
-        columns=("n", "h", "err"),
         column_notes="n: cells per side; h: mesh size; err: error",
-        rows=[(2, math.sqrt(2.0) / 2.0, 0.25), (4, math.sqrt(2.0) / 4.0, 0.0625)],
+        rows=[
+            {"n": 2, "h": math.sqrt(2.0) / 2.0, "err": 0.25},
+            {"n": 4, "h": math.sqrt(2.0) / 4.0, "err": 0.0625},
+        ],
         meta={"alpha": 2.0, "note": "probe"},
         rates={"err": fit_rate([0.4, 0.2, 0.1], [0.04, 0.01, 0.0025])},
         checks={"a": True, "b": False, "c": "UNRELIABLE"},
@@ -244,8 +266,9 @@ def test_report_accessors():
     assert np.allclose(report.column("err"), [0.25, 0.0625])
     with pytest.raises(ValueError):
         report.column("missing")
+    assert report.columns == ("n", "h", "err")
     passing = ConvergenceReport(
-        kind="constants", columns=("n",), column_notes="", rows=[],
+        kind="constants", column_notes="", rows=[],
         meta={}, rates={}, checks={"only": True},
     )
     assert passing.passed

@@ -13,7 +13,6 @@ from fluxopt.mesh import (
     TraceField,
     build_structured_mesh,
     dof_partition,
-    evaluate_nodal,
     interpolate_nodal,
     interpolate_trace,
     nested_dissection,
@@ -21,9 +20,9 @@ from fluxopt.mesh import (
     prolongate_trace,
     refine,
     restrict_trace,
-    zero_nodal,
     zero_trace,
 )
+from oracles import evaluate_nodal
 
 
 def triangle_areas(mesh):
@@ -140,7 +139,7 @@ def test_trace_interpolation_lives_on_flux_dofs():
 
 def test_zero_fields():
     m = build_structured_mesh(2, ["right"])
-    assert np.all(zero_nodal(m).coefficients == 0.0)
+    assert np.all(NodalField(m, np.zeros(len(m.vertices))).coefficients == 0.0)
     assert len(zero_trace(m).coefficients) == len(dof_partition(m).gamma2_trace_dofs)
 
 
@@ -186,7 +185,7 @@ def test_restrict_after_prolong_is_identity():
 def test_prolongation_rejects_non_nested_meshes():
     a = build_structured_mesh(4, ["bottom"])
     b = build_structured_mesh(6, ["bottom"])
-    u = zero_nodal(a)
+    u = NodalField(a, np.zeros(len(a.vertices)))
     with pytest.raises(ValueError):
         prolongate(u, a, b)
     c = build_structured_mesh(4, ["left"])
@@ -233,6 +232,7 @@ def test_structural_invariants(n, mask):
     assert len(m.triangles) == 2 * n * n
     assert len(m.boundary_edges) == 4 * n
     assert np.count_nonzero(m.boundary_tags == BoundaryTag.GAMMA1) == n * len(sides)
+    assert m.gamma1_sides == frozenset(sides)
     assert np.all(triangle_areas(m) > 0)
     part = dof_partition(m)
     assert len(part.gamma1_dofs) + len(part.free_dofs) == len(m.vertices)
@@ -255,34 +255,9 @@ def test_trace_prolongation_identity_roundtrip(n):
 def test_field_mesh_mismatch_rejected():
     a = build_structured_mesh(2, ["bottom"])
     b = build_structured_mesh(4, ["bottom"])
-    u = zero_nodal(a)
+    u = NodalField(a, np.zeros(len(a.vertices)))
     with pytest.raises(ValueError):
         NodalField(a, np.zeros(3))
-    v = zero_nodal(b)
+    v = NodalField(b, np.zeros(len(b.vertices)))
     with pytest.raises(ValueError):
         _ = u + v
-
-
-def test_mesh_from_config_roundtrip():
-    from fluxopt.mesh import mesh_from_config
-
-    m = mesh_from_config({"n": 3, "gamma1_sides": ["left", "top"]})
-    assert m.n == 3
-    assert m.gamma1_sides == frozenset({"left", "top"})
-    with pytest.raises(ValueError):
-        mesh_from_config({"n": 3})
-    with pytest.raises(ValueError):
-        mesh_from_config({"n": 3, "gamma1_sides": ["left"], "extra": 1})
-
-
-def test_mesh_to_text_lists_everything():
-    from fluxopt.mesh import mesh_to_text
-
-    m = build_structured_mesh(1, ["bottom"])
-    text = mesh_to_text(m)
-    lines = text.splitlines()
-    assert lines[0] == "nodes 4"
-    assert "triangles 2" in lines
-    assert "boundary_edges 4" in lines
-    assert sum(1 for ln in lines if ln.endswith("GAMMA1")) == 1
-    assert sum(1 for ln in lines if ln.endswith("GAMMA2")) == 3

@@ -22,9 +22,9 @@ from fluxopt.mesh import (
     TraceField,
     build_structured_mesh,
     dof_partition,
-    evaluate_nodal,
     zero_trace,
 )
+from oracles import evaluate_nodal
 
 
 def make_spec(alpha=None, M=25.0):

