@@ -454,9 +454,10 @@ def write_csv(report: ConvergenceReport, path: str) -> None:
         )
     for key in sorted(report.checks):
         lines.append(f"# check {key}: {verdict(report.checks[key])}")
-    lines.append(",".join(report.columns))
+    columns = report.columns
+    lines.append(",".join(columns))
     for row in report.rows:
-        lines.append(",".join(_fmt(v) for v in row.values()))
+        lines.append(",".join(_fmt(row[name]) for name in columns))
     text = "\n".join(lines) + "\n"
     tmp = path + ".tmp"
     try:
