@@ -142,8 +142,8 @@ _FIELD_BUILDERS = {
 
 def field_from_config(value) -> Field:
     """Build a named field from a config entry: a number or {"name": ..., params}."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _const_field(value)
+    if _is_number(value):
+        return _const_field(_number(value, "field value"))
     if isinstance(value, Field):
         return value
     if not isinstance(value, dict) or "name" not in value:
@@ -157,9 +157,13 @@ def field_from_config(value) -> Field:
     if unknown:
         raise ValueError(f"field {name!r} does not accept parameters {sorted(unknown)}")
     try:
-        return builder(**params)
+        built = builder(**params)
     except TypeError as exc:
         raise ValueError(f"field {name!r} has a parameter of the wrong type: {exc}") from None
+    for key, param in params.items():
+        if not np.all(np.isfinite(np.asarray(param, dtype=float))):
+            raise ValueError(f"field {name!r} parameter {key} must be finite, got {param!r}")
+    return built
 
 
 _DATA_FIELDS = ("g", "z_d", "q_star", "exact")

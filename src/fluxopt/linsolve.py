@@ -17,10 +17,12 @@ The Robin matrix K + alpha B1 differs from the clamped one only on the
 clamped vertices, so a Robin solve at any alpha eliminates the free block
 with the K_ff factor and solves the small dense system (S0 + alpha B1_cc)
 on the clamped vertices, where S0 = K_cc - K_cf K_ff^-1 K_fc is the Schur
-complement of the free block.  S0 is built once per mesh, on the first
-Robin solve only, from a throwaway factor of K + B1 whose pivots are
-checked.  As alpha grows the clamped values are pinned ever harder, and
-the clamped family is the limit.
+complement of the free block.  One eigendecomposition of the pencil
+(S0, B1_cc) per mesh solves that system at every alpha, so nothing is
+factored per alpha.  S0 is built once per mesh, on the first Robin solve
+only, from a throwaway factor of K + B1 whose pivots are checked.  As
+alpha grows the clamped values are pinned ever harder, and the clamped
+family is the limit.
 """
 
 from __future__ import annotations
@@ -187,22 +189,26 @@ class RobinOperator:
     """K + alpha B1 on one mesh, solved through the clamped-block factor.
 
     The sum is never formed: products apply K and B1 separately, and solves
-    eliminate the free block with the K_ff factor around a dense Cholesky
-    factor of S0 + alpha B1_cc.  ``norm_inf`` is |K + alpha B1|_inf, summed
-    from the mesh's split of its rows (``MeshOperators.robin_norm_inf``).
+    eliminate the free block with the K_ff factor around the mesh's pencil
+    (``schur_pencil``).  Of alpha it keeps d = 1 / (lambda + alpha), which
+    must be positive, or ConvergenceError is raised.  ``norm_inf`` is
+    |K + alpha B1|_inf, summed from the mesh's split of its rows
+    (``MeshOperators.robin_norm_inf``).
     """
 
-    def __init__(self, ops: "MeshOperators", schur0: np.ndarray, alpha: float):
+    def __init__(self, ops: "MeshOperators", pencil, alpha: float):
         self.alpha = float(alpha)
+        eigenvalues, self._v = pencil
+        shifted = eigenvalues + self.alpha
+        if not np.all(shifted > 0):
+            raise ConvergenceError(
+                f"Robin operator at alpha={self.alpha:g} is not positive definite: "
+                f"smallest lambda + alpha is {shifted.min():.3e}"
+            )
+        self._d = 1.0 / shifted
         self.shape = ops.stiff.shape
         self.norm_inf = ops.robin_norm_inf(self.alpha)
         self._ops = ops
-        try:
-            self._chol = scipy.linalg.cho_factor(schur0 + self.alpha * ops.b1_cc)
-        except scipy.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"Robin operator at alpha={self.alpha:g} is not positive definite: {exc}"
-            ) from exc
 
     def __matmul__(self, x):
         return self._ops.stiff @ x + self.alpha * (self._ops.b1 @ x)
@@ -217,20 +223,20 @@ class RobinOperator:
         return x
 
     def solve_schur(self, rhs_c):
-        """(S0 + alpha B1_cc)^-1 rhs_c on the clamped vertices, by its dense factor."""
-        return scipy.linalg.cho_solve(self._chol, rhs_c)
+        """(S0 + alpha B1_cc)^-1 rhs_c = V diag(d) V' rhs_c, for a vector or a column block."""
+        return (self._v * self._d) @ (self._v.T @ rhs_c)
 
 
 class MeshOperators:
     """The clamped operator K_ff of one mesh and the blocks its Robin operators share.
 
     K_ff is factored once and certified by ``certified_stieltjes``; the
-    clamped family needs no other factorization.  The Schur complement S0
-    is kept apart (``schur_complement``), since only Robin operators use
-    it.  The rows of K + alpha B1 are split once, so that the norm that
-    sets a Robin operator's residual floor costs no sparse work per alpha
-    (``robin_norm_inf``).  No reference to the mesh is kept, so the mesh's
-    store holds no cycle.
+    clamped family needs no other factorization.  The pencil of the Schur
+    complement S0 is kept apart (``schur_pencil``), since only Robin
+    operators use it.  The rows of K + alpha B1 are split once, so that the
+    norm that sets a Robin operator's residual floor costs no sparse work
+    per alpha (``robin_norm_inf``).  No reference to the mesh is kept, so
+    the mesh's store holds no cycle.
     """
 
     def __init__(self, mesh: Mesh):
@@ -238,7 +244,6 @@ class MeshOperators:
         self.free, self.clamped_dofs = part.free_dofs, part.gamma1_dofs
         self.stiff = assembly.assemble_stiffness(mesh)
         self.b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-        self.b1_cc = self.b1[self.clamped_dofs][:, self.clamped_dofs].toarray()
         self._robin_rows = _robin_row_split(self.stiff, self.b1)
         stiff_f = self.stiff[self.free]
         self.clamped = certified_stieltjes(stiff_f[:, self.free])
@@ -278,22 +283,26 @@ def _robin_row_split(stiff, b1):
 
 
 @cached
-def schur_complement(mesh: Mesh) -> np.ndarray:
-    """S0 = K_cc - K_cf K_ff^-1 K_fc on the clamped vertices, read-only.
+def schur_pencil(mesh: Mesh):
+    """(lambda, V) with V' S0 V = diag(lambda) and V' B1_cc V = I, read-only.
 
-    A throwaway factor of K + B1, free vertices first in nested-dissection
-    order and the clamped ones last, gives it: its leading pivots are those
-    of K_ff and are checked, and its trailing block factors S0 + B1_cc.
+    Then (S0 + alpha B1_cc)^-1 = V diag(1 / (lambda + alpha)) V' (Golub &
+    Van Loan, Matrix Computations, 4th ed., 8.7).  A throwaway factor of
+    K + B1, free vertices first in nested-dissection order and the clamped
+    ones last, gives S0: its leading pivots are those of K_ff and are
+    checked, and its trailing block factors S0 + B1_cc.
     """
     part = dof_partition(mesh)
     clamped = part.gamma1_dofs
     stiff = assembly.assemble_stiffness(mesh)
     b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
     order = np.concatenate([part.free_dofs, clamped])
-    schur0 = _trailing_schur((stiff + b1)[order][:, order], len(clamped))
-    schur0 -= b1[clamped][:, clamped].toarray()
-    schur0.setflags(write=False)
-    return schur0
+    b1_cc = b1[clamped][:, clamped].toarray()
+    schur0 = _trailing_schur((stiff + b1)[order][:, order], len(clamped)) - b1_cc
+    eigenvalues, v = scipy.linalg.eigh(schur0, b1_cc)
+    eigenvalues.setflags(write=False)
+    v.setflags(write=False)
+    return eigenvalues, v
 
 
 def _trailing_schur(matrix, size) -> np.ndarray:
@@ -318,14 +327,11 @@ def operators(mesh: Mesh) -> MeshOperators:
 
 
 def robin_operator(mesh: Mesh, alpha: float) -> RobinOperator:
-    """K + alpha B1 on the mesh; the store keeps the operator of the last alpha only."""
-    robin = mesh.store.get("robin")
-    if robin is None or robin.alpha != float(alpha):
-        # S0's throwaway factor comes before the kept one, which then reuses
-        # its freed heap instead of stacking on it
-        schur0 = schur_complement(mesh)
-        robin = mesh.store["robin"] = RobinOperator(operators(mesh), schur0, alpha)
-    return robin
+    """K + alpha B1 on the mesh, built afresh on every call: nothing per alpha is kept."""
+    # S0's throwaway factor comes before the kept one, which then reuses
+    # its freed heap instead of stacking on it
+    pencil = schur_pencil(mesh)
+    return RobinOperator(operators(mesh), pencil, alpha)
 
 
 def solve_spd(matrix, rhs, tol=_TOL):
@@ -433,13 +439,11 @@ class DiscreteConstants:
         boundary mass, over the whole space.
     gamma0_norm_h : operator norm of the flux-boundary trace map from the
         first-order norm to the boundary L2 norm.
-    mesh_n : cells per side of the mesh the constants were estimated on.
     """
 
     lambda_h: float
     lambda1_h: float
     gamma0_norm_h: float
-    mesh_n: int
 
     def contraction_bound(self, alpha=None) -> float:
         """Smallest penalty weight at which the control update map contracts.
@@ -503,5 +507,4 @@ def estimate_constants(mesh: Mesh, tol=1e-8) -> DiscreteConstants:
         lambda_h=lambda_h,
         lambda1_h=lambda1_h,
         gamma0_norm_h=float(np.sqrt(gamma_sq)),
-        mesh_n=mesh.n,
     )

@@ -73,7 +73,6 @@ def cached(build):
 class DofPartition:
     """Index sets splitting the vertices of a mesh by boundary role."""
 
-    all_dofs: np.ndarray
     gamma1_dofs: np.ndarray
     free_dofs: np.ndarray
     gamma2_trace_dofs: np.ndarray
@@ -163,13 +162,11 @@ def dof_partition(mesh: Mesh) -> DofPartition:
     are in nested-dissection order, so the free block of any mesh matrix
     comes in a fill-reducing order.
     """
-    nvert = len(mesh.vertices)
     g1 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1])
     g2 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2])
-    all_dofs = np.arange(nvert, dtype=np.int64)
     nd = nested_dissection(mesh)
     free = nd[~np.isin(nd, g1)]
-    return DofPartition(all_dofs=all_dofs, gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
+    return DofPartition(gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
 
 
 @cached

@@ -10,10 +10,11 @@ Two independent routes compute the optimum: iterating the update map, and
 solving the dense reduced normal system built from the state responses to
 unit trace excitations.  The second path exists to cross-check the first, so
 the two must never share their formulation.  They do share the linear
-solver, and more than that: the reduced route takes its responses from two
-blocks solved once per mesh with the K_ff factor that the state and adjoint
-solves use, and from the Schur complement factor of the Robin operator at
-the same alpha.  Every solve and every response is checked by its residual.
+solver, and more than that: the reduced route takes its base state from
+``pde.solve_state``, and its responses from two blocks solved once per mesh
+with the K_ff factor that the state and adjoint solves use and from the
+Robin operator's Schur solve at the same alpha.  Every solve and every
+response is checked by its residual.
 The two routes stay independent only because the reduced route never
 applies the update map, so their agreement tests the formulations, not the
 solver.
@@ -41,7 +42,6 @@ from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     refinement,
     robin_operator,
     solve_columns,
-    solve_spd,
 )
 from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, dof_partition, zero_trace
 
@@ -271,7 +271,7 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
     factor its Robin operators share: the clamped responses
     Y = K_ff^-1 (-B2 E)_f, and for the Robin family W = K_ff^-1 K_fc.  At
     any alpha the clamped values X = (S0 + alpha B1_cc)^-1 ((-B2 E)_c - K_cf Y)
-    come from the Robin operator's Schur complement factor, R_f = Y - W X,
+    come from the Robin operator's Schur solve, R_f = Y - W X,
     and every block of R is checked against (K + alpha B1) R = -B2 E as
     ``solve_spd`` checks its solves: a column above both the target and its
     roundoff floor, or above the limit, gets one refinement step through
@@ -286,28 +286,21 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
     if m > max_trace_dofs:
         raise ValueError(f"reduced system guard: {m} trace vertices exceed the cap {max_trace_dofs}")
 
-    stiff = assembly.assemble_stiffness(mesh)
     mass = assembly.assemble_mass(mesh)
-    load_g = assembly.assemble_load(mesh, spec.g)
     nvert = len(mesh.vertices)
-    free, clamped = part.free_dofs, part.gamma1_dofs
     y = clamped_response(mesh)
+    base = pde.solve_state(mesh, spec, zero_trace(mesh))
 
     if spec.alpha is None:
-        u0 = np.zeros(nvert)
-        u0[clamped] = spec.b
-        rhs0 = load_g - stiff @ u0
-        u0[free] = solve_spd(operators(mesh).clamped, rhs0[free])
         response = _Response(part, y)
     else:
-        b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
         robin = robin_operator(mesh, spec.alpha)
-        u0 = solve_spd(robin, load_g + spec.alpha * spec.b * (b1 @ np.ones(nvert)))
         excitation = _excitation(mesh)
+        clamped = part.gamma1_dofs
         x = robin.solve_schur(excitation[clamped].toarray() - operators(mesh).k_cf @ y)
         response = _Response(part, y, clamped_coupling(mesh), x)
 
-    v = assembly.assemble_load(mesh, spec.z_d) - mass @ u0
+    v = assembly.assemble_load(mesh, spec.z_d) - mass @ base.coefficients
     gmat = np.empty((m, m))
     lvec = np.empty(m)
     mass_steps = []  # M times the refinement steps taken so far, with their columns
@@ -331,8 +324,7 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
     b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
     g2 = part.gamma2_trace_dofs
     gmat += spec.M * b2[g2][:, g2].toarray()
-    u0_field = NodalField(mesh, u0)
-    c0 = 0.5 * assembly.l2_misfit_sq(u0_field, spec.z_d)
+    c0 = 0.5 * assembly.l2_misfit_sq(base, spec.z_d)
     return gmat, lvec, c0
 
 

@@ -46,6 +46,23 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, problem",
+    [
+        ("state-conv", {"g": {"name": "constant", "value": float("nan")}}),
+        ("control-conv", {"g": {"name": "polynomial", "coefficients": [[1, float("nan")]]}}),
+    ],
+)
+def test_non_finite_field_parameter_is_a_config_error(tmp_path, capsys, kind, problem):
+    cfg = os.path.join(tmp_path, "nan.json")
+    with open(cfg, "w") as handle:
+        json.dump({"levels": [2, 4, 8], "n_ref": 16, "problem": problem}, handle)
+    code = main([kind, "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, f"{kind}.csv"))
+
+
 def test_malformed_json_is_a_config_error(tmp_path, capsys):
     cfg = os.path.join(tmp_path, "broken.json")
     with open(cfg, "w") as handle:

@@ -157,6 +157,13 @@ def test_default_configs_validate(capsys):
         ("state-conv", {"gamma1_sides": [["bottom"]]}, "proper subset"),
         ("state-conv", {"problem": {"g": {"name": ["warp"]}}}, "unknown field"),
         ("state-conv", {"problem": {"g": {"name": "constant", "value": None}}}, "wrong type"),
+        ("state-conv", {"problem": {"g": float("nan")}}, "field value must be a finite number"),
+        ("state-conv", {"problem": {"z_d": float("inf")}}, "field value must be a finite number"),
+        ("state-conv", {"problem": {"g": {"name": "constant", "value": float("nan")}}}, "must be finite"),
+        ("state-conv", {"problem": {"g": {"name": "constant", "value": "nan"}}}, "must be finite"),
+        ("control-conv", {"problem": {"g": {"name": "polynomial", "coefficients": [[1, float("nan")]]}}},
+         "coefficients must be finite"),
+        ("alpha-sweep", {"problem": {"q_star": {"name": "sin_product", "kx": float("inf")}}}, "kx must be finite"),
     ],
 )
 def test_config_rejections(kind, data, fragment):
@@ -279,7 +286,8 @@ def test_csv_format_and_atomicity(tmp_path):
     path = os.path.join(tmp_path, "out.csv")
     write_csv(report, path)
     assert not os.path.exists(path + ".tmp")
-    lines = open(path).read().splitlines()
+    with open(path) as handle:
+        lines = handle.read().splitlines()
     assert lines[0] == "# state-conv report"
     assert lines[1].startswith("# columns:")
     assert "# meta alpha = 2" in lines

@@ -14,7 +14,7 @@ from fluxopt.linsolve import (
     estimate_constants,
     operators,
     robin_operator,
-    schur_complement,
+    schur_pencil,
 )
 from fluxopt.mesh import (
     BoundaryTag,
@@ -365,7 +365,11 @@ def test_coupling_block_rebuilds_the_schur_complement(n, sides):
     ops = operators(mesh)
     clamped = ops.clamped_dofs
     schur = ops.stiff[clamped][:, clamped].toarray() - ops.k_fc.T @ optctl.clamped_coupling(mesh)
-    assert relative_gap(schur, schur_complement(mesh)) <= 1e-12
+    b1_cc = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)[clamped][:, clamped].toarray()
+    eigenvalues, v = schur_pencil(mesh)
+    rebuilt = b1_cc @ v @ np.diag(eigenvalues) @ v.T @ b1_cc
+    assert relative_gap(rebuilt, schur) <= 1e-12
+    assert relative_gap(v.T @ b1_cc @ v, np.eye(len(clamped))) <= 1e-12
 
 
 def test_robin_reduced_systems_share_one_response_and_one_coupling_solve(monkeypatch):
