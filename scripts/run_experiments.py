@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Run every experiment kind with its default configuration.
 
-Writes one CSV per kind into the output directory (default: ./reports) and
-prints the named checks as they complete.  Exit status is nonzero if any
-check fails.  Individual kinds can be selected by name on the command line:
+Each kind runs through the command line front end (``fluxopt.cli``), which
+writes one CSV per kind into the output directory (default: ./reports) and
+prints the kind's checks.  Exit status is the worst of the kinds'.
+Individual kinds can be selected by name on the command line:
 
     python3 scripts/run_experiments.py diagram alpha-sweep --out /tmp/r
 """
 
 import argparse
-import os
 import sys
 import time
 
-from fluxopt import harness
+from fluxopt import cli, harness
 
 
 def main(argv=None) -> int:
@@ -28,24 +28,15 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown kinds {sorted(unknown)}; choose from {harness.KINDS}")
 
-    os.makedirs(args.out, exist_ok=True)
-    all_good = True
+    seed_args = [] if args.seed is None else ["--seed", str(args.seed)]
+    worst = 0
     for kind in args.kinds:
-        data = {} if args.seed is None else {"seed": args.seed}
-        config = harness.config_from_dict(kind, data)
         start = time.perf_counter()
-        report = harness.run(config)
-        elapsed = time.perf_counter() - start
-        path = os.path.join(args.out, f"{kind}.csv")
-        harness.write_csv(report, path)
-        print(f"== {kind} ({elapsed:.1f} s) -> {path}")
-        for name, fit in sorted(report.rates.items()):
-            print(f"   rate {name}: {fit.rate:.3f} ({fit.status})")
-        for name in sorted(report.checks):
-            print(f"   check {name}: {harness.verdict(report.checks[name])}")
-        all_good = all_good and report.passed
-    print("all checks passed" if all_good else "SOME CHECKS FAILED")
-    return 0 if all_good else 1
+        status = cli.main([kind, "--out", args.out] + seed_args)
+        print(f"== {kind}: exit status {status} ({time.perf_counter() - start:.1f} s)")
+        worst = max(worst, status)
+    print("all checks passed" if worst == 0 else "SOME CHECKS FAILED")
+    return worst
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, dof_partition
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, _evaluate_callable, cached, dof_partition
 
 
 def _triangle_geometry(mesh: Mesh):
@@ -96,6 +96,12 @@ def _midpoint_data(mesh: Mesh):
     return mids[:, :, 0], mids[:, :, 1]
 
 
+def _midpoint_values(mesh: Mesh, f) -> np.ndarray:
+    """f at the quadrature points, checked as vertex values are (``interpolate_nodal``)."""
+    mx, my = _midpoint_data(mesh)
+    return _evaluate_callable(f, mx, my, "quadrature point")
+
+
 @cached
 def assemble_load(mesh: Mesh, f) -> np.ndarray:
     """Load vector of the callable f via the edge-midpoint rule (degree-2 exact).
@@ -106,13 +112,7 @@ def assemble_load(mesh: Mesh, f) -> np.ndarray:
     seen.
     """
     area = _areas(mesh)
-    mx, my = _midpoint_data(mesh)
-    vals = np.asarray(f(mx, my), dtype=float)
-    if vals.shape == ():
-        vals = np.full(mx.shape, float(vals))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("load integrand returned a non-finite value")
-    w = vals * (area / 6.0)[:, None]
+    w = _midpoint_values(mesh, f) * (area / 6.0)[:, None]
     # midpoint k feeds local vertices k and k+1; bincount sums each vertex's
     # contributions in the order of the array
     vertices = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].T.ravel()
@@ -130,10 +130,7 @@ def l2_misfit_sq(u: NodalField, f) -> float:
     """
     mesh = u.mesh
     area = _areas(mesh)
-    mx, my = _midpoint_data(mesh)
-    fv = np.asarray(f(mx, my), dtype=float)
-    if fv.shape == ():
-        fv = np.full(mx.shape, float(fv))
+    fv = _midpoint_values(mesh, f)
     coeff = u.coefficients[mesh.triangles]
     umid = 0.5 * (coeff + coeff[:, [1, 2, 0]])
     return float(np.sum((area / 3.0)[:, None] * (umid - fv) ** 2))

@@ -52,12 +52,6 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{config.kind}.csv")
     harness.write_csv(report, out_path)
-    if config.kind == "constants":
-        for row in report.rows:
-            print(
-                f"n={row['n']:d} h={row['h']:.6g} lambda={row['lambda']:.12g} "
-                f"lambda1={row['lambda1']:.12g} gamma0_norm={row['gamma0_norm']:.12g}"
-            )
     for name in sorted(report.checks):
         print(f"check {name}: {harness.verdict(report.checks[name])}")
     print(f"report written to {out_path}")

@@ -359,6 +359,10 @@ def prepare(
     return fields, pde.ProblemSpec(g=fields["g"], z_d=fields["z_d"], b=b, M=M)
 
 
+# errors at or below this count as solved exactly
+_RATE_FLOOR = 1e-10
+
+
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares slope of log error against log mesh size."""
@@ -369,8 +373,8 @@ class RateFit:
     points: int
 
 
-def fit_rate(hs, errs, floor: float = 1e-10) -> RateFit:
-    """Fit err ~ C*h^rate in log10 space, ignoring error values at the floor.
+def fit_rate(hs, errs) -> RateFit:
+    """Fit err ~ C*h^rate in log10 space, ignoring error values at the floor 1e-10.
 
     Values at or below the floor are treated as exactly zero (converged to
     solver precision): if nothing lies above the floor the fit is "exact".
@@ -383,7 +387,7 @@ def fit_rate(hs, errs, floor: float = 1e-10) -> RateFit:
         raise ValueError("rate fit needs matching 1D arrays of sizes and errors")
     if np.any(errs < 0) or np.any(hs <= 0):
         raise ValueError("rate fit needs positive sizes and nonnegative errors")
-    keep = errs > floor
+    keep = errs > _RATE_FLOOR
     if not np.any(keep):
         return RateFit(rate=math.inf, residual=0.0, status="exact", points=0)
     if np.count_nonzero(keep) < 3:

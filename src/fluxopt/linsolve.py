@@ -41,10 +41,13 @@ from .mesh import BoundaryTag, Mesh, cached, dof_partition
 # blocks more slowly per column, and they hold more memory
 _BLOCK_COLUMNS = 8
 
-# default relative residual target of a solve
+# relative residual target of a solve
 _TOL = 1e-12
-# relative residual up to which a solution is accepted, or 100 * tol if larger
+# relative residual up to which a solution is accepted
 _LIMIT = 1e-10
+# relative change of the estimate at which a power iteration stops, and its step cap
+_POWER_RTOL = 1e-10
+_POWER_STEPS = 50000
 # unit roundoff, which sets the floor of a computed residual
 _EPS = np.finfo(float).eps
 
@@ -89,12 +92,11 @@ def _pivots_checked(lu):
     return lu
 
 
-def factorize(matrix, permc_spec="MMD_AT_PLUS_A"):
+def factorize(matrix):
     """Factor a sparse symmetric matrix for repeated solves; returns a solve callable.
 
-    By default SuperLU picks a fill-reducing order (minimum degree on
-    A' + A); permc_spec="NATURAL" keeps the matrix's own order, for one
-    that already comes in a fill-reducing order, such as a mesh's K_ff.
+    The matrix is factored in its own order, which should be fill-reducing,
+    as a mesh's K_ff is (``dof_partition``).
 
     The pivots of a symmetric factorization without row exchanges are all
     positive exactly when the matrix is positive definite.  This factor is
@@ -102,7 +104,7 @@ def factorize(matrix, permc_spec="MMD_AT_PLUS_A"):
     M-matrix structure (``certified_stieltjes``).  A factor used only while
     one call runs may read its own (``certified``).
     """
-    return _splu(matrix, permc_spec).solve
+    return _splu(matrix, "NATURAL").solve
 
 
 def _norm_inf(matrix) -> float:
@@ -166,7 +168,7 @@ def certified_stieltjes(matrix) -> FactoredMatrix:
     coo = csr.tocoo()
     if np.any(coo.data[coo.row != coo.col] > 0):
         raise ConvergenceError("matrix has a positive off-diagonal entry: not a Z-matrix")
-    op = FactoredMatrix(csr, factorize(csr, "NATURAL"))
+    op = FactoredMatrix(csr, factorize(csr))
     ones = np.ones(csr.shape[0])
     x = op.solve(ones)
     ax = op @ x
@@ -334,41 +336,34 @@ def robin_operator(mesh: Mesh, alpha: float) -> RobinOperator:
     return RobinOperator(operators(mesh), pencil, alpha)
 
 
-def solve_spd(matrix, rhs, tol=_TOL):
+def solve_spd(matrix, rhs):
     """Solve a symmetric positive definite system and check the residual.
 
     Parameters
     ----------
     matrix : ``operators(mesh).clamped``, a ``robin_operator(mesh, alpha)``,
-        any ``FactoredMatrix``, or a sparse matrix, which is then factored
-        for this call alone.
+        or any ``FactoredMatrix``, such as ``certified(sparse_matrix)``.
     rhs : right-hand side vector, or an (n, k) array of k right-hand sides,
         solved in blocks of a few columns.
-    tol : relative residual target |A x - b| / |b|, per column.
 
-    A column gets one step of iterative refinement when its residual is
-    above both tol and its roundoff floor eps |A|_inf |x| / |b|, or above
-    the acceptance limit max(100 * tol, 1e-10).  Roundoff in forming A x
-    alone leaves a residual near the floor, so a step cannot push a
-    residual below it and one taken to meet a lower tol is wasted (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 12;
-    Rigal & Gaches, J. ACM 14, 1967).  The floor grows like h^-2 with
-    cond(A): it passes the default tol of 1e-12 from n = 128 on.  Above
-    the limit, after its step, ConvergenceError is raised with the
-    residual attached.
+    Each solution is checked, and refined if need be, by ``refinement``;
+    ConvergenceError is raised with the residual attached when one misses
+    the acceptance limit.
     """
     rhs = np.asarray(rhs, dtype=float)
     size = matrix.shape[0]
     if matrix.shape != (size, size) or rhs.ndim not in (1, 2) or rhs.shape[0] != size:
         raise ValueError("matrix and right-hand side dimensions do not match")
-    if not isinstance(matrix, (FactoredMatrix, RobinOperator)):
-        matrix = certified(matrix)
     if rhs.ndim == 1:
-        return _solve_checked(matrix, rhs, tol)
+        blocks = [Ellipsis]  # the whole vector
+    else:
+        blocks = [np.s_[:, s:s + _BLOCK_COLUMNS] for s in range(0, rhs.shape[1], _BLOCK_COLUMNS)]
     x = np.empty(rhs.shape)
-    for start in range(0, rhs.shape[1], _BLOCK_COLUMNS):
-        cols = slice(start, start + _BLOCK_COLUMNS)
-        x[:, cols] = _solve_checked(matrix, np.asfortranarray(rhs[:, cols]), tol)
+    for cols in blocks:
+        block = np.asfortranarray(rhs[cols])
+        solved = matrix.solve(block)
+        step = refinement(matrix, block, solved)
+        x[cols] = solved if step is None else solved + step
     return x
 
 
@@ -389,44 +384,38 @@ def solve_columns(matrix, columns):
 def refinement(op, rhs, x):
     """The step that makes x an accepted solution of op x = rhs, or None if x is one.
 
-    For an x formed by other means than op's solve, checked as ``solve_spd``
-    checks its own: op is a ``FactoredMatrix`` or a ``RobinOperator``, rhs
-    and x are vectors or (n, k) arrays.  A column above both the default
-    tol of ``solve_spd`` and its roundoff floor, or above the limit, gets
-    one refinement step through op's solve; the step, zero in the other
-    columns, is returned, and ConvergenceError is raised when x plus that
-    step misses the limit.
+    op is a ``FactoredMatrix`` or a ``RobinOperator``; rhs and x are
+    vectors or (n, k) arrays.  A column gets one step of iterative
+    refinement through op's solve when its relative residual
+    |A x - b| / |b| is above both the target 1e-12 and its roundoff floor
+    eps |A|_inf |x| / |b|, or above the acceptance limit 1e-10; the step,
+    zero in the other columns, is returned.  Roundoff in forming A x alone
+    leaves a residual near the floor, so a step cannot push a residual
+    below it and one taken to meet a lower target is wasted (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 12;
+    Rigal & Gaches, J. ACM 14, 1967).  The floor grows like h^-2 with
+    cond(A): it passes the target from n = 128 on.  ConvergenceError is
+    raised, with the residual attached, when x plus the step misses the
+    limit.
     """
-    return _refinement(op, rhs, x, _TOL)
-
-
-def _refinement(op, rhs, x, tol):
-    """The step for the columns above max(tol, floor) or above the limit, or None."""
     bnorm = np.linalg.norm(rhs, axis=0)
     bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
     residual = rhs - op @ x
     relative = np.linalg.norm(residual, axis=0) / bnorm
     floor = _EPS * op.norm_inf * np.linalg.norm(x, axis=0) / bnorm
-    limit = max(100.0 * tol, _LIMIT)
-    take = ((relative > tol) & (relative > floor)) | (relative > limit)
+    take = ((relative > _TOL) & (relative > floor)) | (relative > _LIMIT)
     step = None
     if np.any(take):
         # a zero column solves to an exact zero step
         step = op.solve(residual * take)
         relative = np.linalg.norm(rhs - op @ (x + step), axis=0) / bnorm
     worst = float(np.max(relative))
-    if not worst <= limit:
+    if not worst <= _LIMIT:
         raise ConvergenceError(
-            f"direct solve missed its tolerance: relative residual {worst:.3e} > {limit:.0e}",
+            f"direct solve missed its tolerance: relative residual {worst:.3e} > {_LIMIT:.0e}",
             residual=worst,
         )
     return step
-
-
-def _solve_checked(op, rhs, tol):
-    x = op.solve(rhs)
-    step = _refinement(op, rhs, x, tol)
-    return x if step is None else x + step
 
 
 @dataclass(frozen=True)
@@ -458,18 +447,18 @@ class DiscreteConstants:
         return self.gamma0_norm_h**2 / floor**2
 
 
-def _pencil_largest(num_mat, den, start, rtol, max_iter=50000) -> float:
+def _pencil_largest(num_mat, den, start) -> float:
     """Largest generalized eigenvalue of (num, den) by power iteration on den^-1 num."""
     x = start / np.linalg.norm(start)
     mu = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_STEPS):
         y = solve_spd(den, num_mat @ x)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             raise ConvergenceError("power iteration collapsed to the null space")
         y /= ny
         mu_new = float((y @ (num_mat @ y)) / (y @ (den @ y)))
-        if abs(mu_new - mu) <= rtol * abs(mu_new):
+        if abs(mu_new - mu) <= _POWER_RTOL * abs(mu_new):
             return mu_new
         mu = mu_new
         x = y
@@ -477,31 +466,30 @@ def _pencil_largest(num_mat, den, start, rtol, max_iter=50000) -> float:
 
 
 @cached
-def estimate_constants(mesh: Mesh, tol=1e-8) -> DiscreteConstants:
+def estimate_constants(mesh: Mesh) -> DiscreteConstants:
     """Estimate the discrete stability constants by inverse power iterations.
 
     Each constant is an extremal generalized Rayleigh quotient; smallest
     eigenvalues are obtained as reciprocals of the largest ones of the swapped
-    pencil, iterated to a relative tolerance well below tol.
+    pencil, iterated until the estimate changes by at most 1e-10 relative.
     """
     ops = operators(mesh)
     mass = assembly.assemble_mass(mesh)
     b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
     v_gram = (ops.stiff + mass).tocsr()
     rng = np.random.default_rng(0)
-    rtol = min(tol * 1e-2, 1e-10)
 
     free = ops.free
     v_ff = v_gram[free][:, free].tocsr()
     # drawn in vertex order, so the estimate does not depend on the order of the free dofs
     start = np.empty(len(free))
     start[np.argsort(free)] = rng.standard_normal(len(free))
-    lambda_h = 1.0 / _pencil_largest(v_ff, ops.clamped, start, rtol)
+    lambda_h = 1.0 / _pencil_largest(v_ff, ops.clamped, start)
     lambda1_h = 1.0 / _pencil_largest(
-        v_gram, robin_operator(mesh, 1.0), rng.standard_normal(v_gram.shape[0]), rtol
+        v_gram, robin_operator(mesh, 1.0), rng.standard_normal(v_gram.shape[0])
     )
     gamma_sq = _pencil_largest(
-        b2, certified(v_gram), rng.standard_normal(v_gram.shape[0]), rtol
+        b2, certified(v_gram), rng.standard_normal(v_gram.shape[0])
     )
     return DiscreteConstants(
         lambda_h=lambda_h,

@@ -327,16 +327,12 @@ def prolongate_trace(coarse: TraceField, coarse_mesh: Mesh, fine_mesh: Mesh) -> 
     """Exact fine-mesh representation of a flux-boundary trace function."""
     if coarse.mesh is not coarse_mesh:
         raise ValueError("field does not live on the given coarse mesh")
-    steps = _nesting_steps(coarse_mesh, fine_mesh)
-    # extend by zero, prolongate the full grid, restrict; boundary midpoints
-    # only ever average the two endpoints of their own boundary edge
-    grid = np.zeros((coarse_mesh.n + 1, coarse_mesh.n + 1))
-    g2c = dof_partition(coarse_mesh).gamma2_trace_dofs
-    grid.ravel()[g2c] = coarse.coefficients
-    for _ in range(steps):
-        grid = _prolong_grid(grid)
-    g2f = dof_partition(fine_mesh).gamma2_trace_dofs
-    return TraceField(fine_mesh, grid.ravel()[g2f])
+    # extend by zero, prolongate, restrict; boundary midpoints only ever
+    # average the two endpoints of their own boundary edge
+    extended = np.zeros(len(coarse_mesh.vertices))
+    extended[dof_partition(coarse_mesh).gamma2_trace_dofs] = coarse.coefficients
+    fine = prolongate(NodalField(coarse_mesh, extended), coarse_mesh, fine_mesh)
+    return TraceField(fine_mesh, fine.coefficients[dof_partition(fine_mesh).gamma2_trace_dofs])
 
 
 def restrict_trace(fine: TraceField, fine_mesh: Mesh, coarse_mesh: Mesh) -> TraceField:

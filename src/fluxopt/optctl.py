@@ -45,6 +45,13 @@ from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
 )
 from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, dof_partition, zero_trace
 
+# the fixed-point iteration stops once a step is at most this relative to |q|
+_STEP_TOL = 1e-10
+# fixed-point steps before the iteration gives up
+_MAX_ITER = 10000
+# trace vertices up to which the dense reduced system is built
+_MAX_TRACE_DOFS = 2000
+
 
 @dataclass(frozen=True)
 class OptimalSolution:
@@ -97,13 +104,11 @@ def solve_optimal_fixed_point(
     mesh: Mesh,
     spec: pde.ProblemSpec,
     q0: Optional[TraceField] = None,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
     constants: Optional[DiscreteConstants] = None,
 ) -> OptimalSolution:
     """Iterate the control update map to its fixed point.
 
-    Stops when the boundary-norm step drops below tol * max(1, |q|).  When
+    Stops when the boundary-norm step drops below 1e-10 * max(1, |q|).  When
     discrete constants are supplied and M sits at or below the contraction
     threshold, a warning is issued and the iteration proceeds anyway.
 
@@ -128,7 +133,7 @@ def solve_optimal_fixed_point(
     ratios: List[float] = []
     prev_step = None
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         q_new = fixed_point_map(mesh, spec, q)
         step = assembly.norm(q_new - q, "Q")
         if prev_step is not None and prev_step > 1e-300:
@@ -141,7 +146,7 @@ def solve_optimal_fixed_point(
                 f"{iterations} steps (last step ratio {_last_ratio(ratios)})",
                 ratios=ratios,
             )
-        if step <= tol * max(1.0, qnorm):
+        if step <= _STEP_TOL * max(1.0, qnorm):
             break
         if len(ratios) >= 2 and min(ratios[-2:]) > 1.0:
             raise ConvergenceError(
@@ -152,7 +157,7 @@ def solve_optimal_fixed_point(
         prev_step = step
     else:
         raise ConvergenceError(
-            f"control iteration did not converge in {max_iter} steps "
+            f"control iteration did not converge in {_MAX_ITER} steps "
             f"(last step ratio {_last_ratio(ratios)})",
             ratios=ratios,
         )
@@ -257,7 +262,7 @@ class _Response:
         return out
 
 
-def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int = 2000):
+def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     """Dense normal operator, linear term and constant of the reduced cost.
 
     The cost as a function of the control alone is
@@ -283,8 +288,8 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
     """
     part = dof_partition(mesh)
     m = len(part.gamma2_trace_dofs)
-    if m > max_trace_dofs:
-        raise ValueError(f"reduced system guard: {m} trace vertices exceed the cap {max_trace_dofs}")
+    if m > _MAX_TRACE_DOFS:
+        raise ValueError(f"reduced system guard: {m} trace vertices exceed the cap {_MAX_TRACE_DOFS}")
 
     mass = assembly.assemble_mass(mesh)
     nvert = len(mesh.vertices)
@@ -328,11 +333,9 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int
     return gmat, lvec, c0
 
 
-def solve_optimal_reduced(
-    mesh: Mesh, spec: pde.ProblemSpec, max_trace_dofs: int = 2000
-) -> OptimalSolution:
+def solve_optimal_reduced(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
     """Solve the dense reduced normal system directly; the oracle route."""
-    gmat, lvec, _ = reduced_normal_system(mesh, spec, max_trace_dofs)
+    gmat, lvec, _ = reduced_normal_system(mesh, spec)
     try:
         chol = scipy.linalg.cho_factor(gmat)
     except scipy.linalg.LinAlgError as exc:

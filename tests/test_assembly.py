@@ -183,6 +183,23 @@ def test_cached_load_vector_is_read_only():
         load += 1.0
 
 
+def test_data_callables_are_checked_at_the_quadrature_points():
+    # x[:, 0] is one value per triangle: it must not broadcast against the rule
+    m = build_structured_mesh(4, ["bottom"])
+    zero = NodalField(m, np.zeros(len(m.vertices)))
+
+    def per_triangle(x, y):
+        return x[:, 0]
+
+    with pytest.raises(ValueError, match="field callable returned shape"):
+        assemble_load(m, per_triangle)
+    with pytest.raises(ValueError, match="field callable returned shape"):
+        l2_misfit_sq(zero, per_triangle)
+    # NaN on the edge midpoints x = 0.125, none of which is a vertex
+    with pytest.raises(ValueError, match="non-finite value at a quadrature point"):
+        l2_misfit_sq(zero, lambda x, y: np.where(x == 0.125, np.nan, x))
+
+
 def test_misfit_zero_for_exact_linear():
     m = build_structured_mesh(3, ["bottom"])
     u = interpolate_nodal(lambda x, y: 2.0 * x - y, m)

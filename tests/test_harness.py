@@ -217,11 +217,6 @@ def test_rate_fit_rejects_bad_input():
         fit_rate([0.5, 0.25], [1.0, -1.0])
 
 
-def test_rate_fit_floor_override():
-    fit = fit_rate([0.4, 0.2, 0.1], [1e-7, 1e-7, 1e-7], floor=1e-6)
-    assert fit.status == "exact"
-
-
 @given(
     s=st.floats(min_value=0.5, max_value=3.0),
     c=st.floats(min_value=-2.0, max_value=2.0),

@@ -42,7 +42,7 @@ def free_block(mesh):
 
 def test_diagonal_system():
     d = sp.diags([1.0, 2.0, 4.0]).tocsr()
-    x = solve_spd(d, np.array([1.0, 4.0, 12.0]))
+    x = solve_spd(certified(d), np.array([1.0, 4.0, 12.0]))
     assert np.allclose(x, [1.0, 2.0, 3.0], atol=1e-12)
 
 
@@ -51,14 +51,14 @@ def test_recovers_manufactured_solution():
     a, part = free_block(mesh)
     rng = np.random.default_rng(3)
     x_star = rng.standard_normal(a.shape[0])
-    x = solve_spd(a, a @ x_star, tol=1e-13)
+    x = solve_spd(certified(a), a @ x_star)
     assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) < 1e-10
 
 
 def test_zero_rhs_gives_zero():
     mesh = build_structured_mesh(4, ["bottom"])
     a, _ = free_block(mesh)
-    assert np.all(solve_spd(a, np.zeros(a.shape[0])) == 0.0)
+    assert np.all(solve_spd(certified(a), np.zeros(a.shape[0])) == 0.0)
 
 
 def test_solver_linearity():
@@ -70,9 +70,9 @@ def test_solver_linearity():
         r1 = rng.standard_normal(op.shape[0])
         r2 = rng.standard_normal(op.shape[0])
         block = np.column_stack([r1, r2, r1 + r2, rng.standard_normal((op.shape[0], 8))])
-        x = solve_spd(op, block, tol=1e-13)
+        x = solve_spd(op, block)
         assert np.linalg.norm(x[:, 2] - x[:, 0] - x[:, 1]) / np.linalg.norm(x[:, 2]) < 1e-12
-        assert np.allclose(x[:, 0], solve_spd(op, r1, tol=1e-13), rtol=0.0, atol=1e-12)
+        assert np.allclose(x[:, 0], solve_spd(op, r1), rtol=0.0, atol=1e-12)
         assert np.allclose(x[:, 10], solve_spd(op, block[:, 10]), rtol=0.0, atol=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_refinement_floor_and_limit_decide_the_step():
 def test_dimension_mismatch_rejected():
     d = sp.eye(3).tocsr()
     with pytest.raises(ValueError):
-        solve_spd(d, np.ones(4))
+        solve_spd(certified(d), np.ones(4))
 
 
 def test_singular_matrix_raises():
@@ -161,20 +161,20 @@ def test_singular_matrix_raises():
     a = assemble_stiffness(mesh)
     rhs = assemble_mass(mesh) @ np.ones(a.shape[0])
     with pytest.raises(ConvergenceError, match="relative residual") as info:
-        solve_spd(a, rhs)
+        solve_spd(certified(a), rhs)
     assert info.value.residual > 1e-10
 
 
 def test_indefinite_matrix_raises():
     m = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ConvergenceError, match="not positive definite: factor pivot"):
-        solve_spd(m, np.array([1.0, -1.0]))
+        solve_spd(certified(m), np.array([1.0, -1.0]))
 
 
 def test_nonpositive_diagonal_raises():
     m = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ConvergenceError, match="nonpositive diagonal"):
-        solve_spd(m, np.ones(2))
+        solve_spd(certified(m), np.ones(2))
     with pytest.raises(ConvergenceError, match="nonpositive diagonal"):
         factorize(m)
 
@@ -267,7 +267,7 @@ def test_certified_makes_one_factorization(factorizations):
     rhs = np.random.default_rng(2).standard_normal(v_gram.shape[0])
     x = solve_spd(op, rhs)
     assert np.linalg.norm(v_gram @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-    solve_spd(v_gram, rhs)
+    solve_spd(certified(v_gram), rhs)
     assert factorizations == [v_gram.shape[0]] * 2
 
 
@@ -478,7 +478,7 @@ def test_schur_path_matches_a_one_shot_factorization(alpha):
     mesh = build_structured_mesh(16, ("bottom", "left"))
     matrix = assemble_stiffness(mesh) + alpha * assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
     rhs = np.random.default_rng(5).standard_normal(matrix.shape[0]) + alpha
-    x_ref = solve_spd(matrix, rhs)
+    x_ref = solve_spd(certified(matrix), rhs)
     x = solve_spd(robin_operator(mesh, alpha), rhs)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 

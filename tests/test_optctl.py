@@ -238,11 +238,12 @@ def test_warning_when_penalty_sits_below_the_bound():
         optctl.solve_optimal_fixed_point(mesh, spec, constants=constants)
 
 
-def test_iteration_budget_exhaustion_raises():
+def test_iteration_budget_exhaustion_raises(monkeypatch):
     mesh = build_structured_mesh(4, ["bottom"])
     spec = make_spec()
+    monkeypatch.setattr(optctl, "_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="last step ratio"):
-        optctl.solve_optimal_fixed_point(mesh, spec, max_iter=1)
+        optctl.solve_optimal_fixed_point(mesh, spec)
 
 
 def divergence_case(M):
@@ -291,10 +292,11 @@ def test_start_control_mesh_mismatch():
         optctl.solve_optimal_fixed_point(mesh, make_spec(), q0=zero_trace(other))
 
 
-def test_reduced_system_trace_cap():
+def test_reduced_system_trace_cap(monkeypatch):
     mesh = build_structured_mesh(8, ["bottom"])
+    monkeypatch.setattr(optctl, "_MAX_TRACE_DOFS", 3)
     with pytest.raises(ValueError, match="cap"):
-        optctl.reduced_normal_system(mesh, make_spec(), max_trace_dofs=3)
+        optctl.reduced_normal_system(mesh, make_spec())
 
 
 def per_alpha_reduced_system(mesh, spec):
