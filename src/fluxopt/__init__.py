@@ -25,7 +25,6 @@ from .mesh import (
     NodalField,
     TraceField,
     build_structured_mesh,
-    interpolate_nodal,
     interpolate_trace,
     prolongate,
     prolongate_trace,
@@ -61,7 +60,6 @@ __all__ = [
     "estimate_constants",
     "fixed_point_map",
     "gradient",
-    "interpolate_nodal",
     "interpolate_trace",
     "norm",
     "prolongate",

@@ -97,7 +97,7 @@ def _midpoint_data(mesh: Mesh):
 
 
 def _midpoint_values(mesh: Mesh, f) -> np.ndarray:
-    """f at the quadrature points, checked as vertex values are (``interpolate_nodal``)."""
+    """f at the quadrature points, checked by ``_evaluate_callable``."""
     mx, my = _midpoint_data(mesh)
     return _evaluate_callable(f, mx, my, "quadrature point")
 
@@ -147,10 +147,8 @@ def v_error_vs_exact(u: NodalField, f, grad_f) -> float:
     coeff = u.coefficients[mesh.triangles]
     ugx = np.sum(coeff * b, axis=1) / (2.0 * area)
     ugy = np.sum(coeff * c, axis=1) / (2.0 * area)
-    mx, my = _midpoint_data(mesh)
-    gfx, gfy = grad_f(mx, my)
-    gfx = np.asarray(gfx, dtype=float)
-    gfy = np.asarray(gfy, dtype=float)
+    gfx = _midpoint_values(mesh, lambda x, y: grad_f(x, y)[0])
+    gfy = _midpoint_values(mesh, lambda x, y: grad_f(x, y)[1])
     semi = np.sum((area / 3.0)[:, None] * ((ugx[:, None] - gfx) ** 2 + (ugy[:, None] - gfy) ** 2))
     return float(np.sqrt(l2_misfit_sq(u, f) + semi))
 

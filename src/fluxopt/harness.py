@@ -498,10 +498,14 @@ def _decay_ok(values, factor: float) -> bool:
     return values[-1] <= factor * values[0]
 
 
-def _bounded_along_ladder(values, growth: float, floor: float = 1e-14) -> bool:
+# ladder entries at or below this are too small to scale the others by
+_LADDER_FLOOR = 1e-14
+
+
+def _bounded_along_ladder(values, growth: float) -> bool:
     """True when no entry exceeds growth times the first meaningful entry."""
     values = list(values)
-    ref = next((v for v in values if v > floor), None)
+    ref = next((v for v in values if v > _LADDER_FLOOR), None)
     if ref is None:
         return True
     return max(values) <= growth * ref
@@ -580,7 +584,7 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
     rows = []
     solutions = []
     for mesh in level_meshes:
-        sol = optctl.solve_optimal_fixed_point(mesh, spec, constants=estimate_constants(mesh))
+        sol = optctl.solve_optimal_fixed_point(mesh, spec)
         solutions.append(sol)
         q_up = prolongate_trace(sol.q_opt, mesh, ref_mesh)
         row = {
@@ -601,7 +605,7 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
     mesh0 = level_meshes[0]
     rng = np.random.default_rng(config.seed)
     q_rand = TraceField(mesh0, rng.standard_normal(len(solutions[0].q_opt.coefficients)))
-    alt = optctl.solve_optimal_fixed_point(mesh0, spec, q0=q_rand, constants=estimate_constants(mesh0))
+    alt = optctl.solve_optimal_fixed_point(mesh0, spec, q0=q_rand)
     start_gap = assembly.norm(alt.q_opt - solutions[0].q_opt, "Q")
 
     hs = _column(rows, "h")
@@ -666,7 +670,7 @@ def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
     q_star = interpolate_trace(fields["q_star"], mesh)
     u_fix = pde.solve_state(mesh, spec, q_star)
     p_fix = pde.solve_adjoint(mesh, spec, u_fix)
-    clamped = optctl.solve_optimal_fixed_point(mesh, spec, constants=constants)
+    clamped = optctl.solve_optimal_fixed_point(mesh, spec)
 
     b_shift = spec.b * np.ones(len(mesh.vertices))
     rows = []
@@ -674,7 +678,7 @@ def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
         spec_a = spec.with_alpha(alpha)
         u_fix_a = pde.solve_state(mesh, spec_a, q_star)
         p_fix_a = pde.solve_adjoint(mesh, spec_a, u_fix_a)
-        sol = optctl.solve_optimal_fixed_point(mesh, spec_a, constants=constants)
+        sol = optctl.solve_optimal_fixed_point(mesh, spec_a)
         weight = alpha - 1.0
         rows.append(
             {
@@ -747,14 +751,13 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     pure_h = []
     meta: Dict[str, object] = {"n_ref": config.n_ref, "M": spec.M, "reference_cost": ref.cost}
     for mesh in level_meshes:
-        constants = estimate_constants(mesh)
-        clamped = optctl.solve_optimal_fixed_point(mesh, spec, constants=constants)
+        clamped = optctl.solve_optimal_fixed_point(mesh, spec)
         tail = assembly.norm(prolongate_trace(clamped.q_opt, mesh, ref_mesh) - ref.q_opt, "Q")
         pure_h.append(tail)
         meta[f"pure_h_n{mesh.n}"] = tail
         row_values = []
         for alpha in config.alphas:
-            sol = optctl.solve_optimal_fixed_point(mesh, spec.with_alpha(alpha), constants=constants)
+            sol = optctl.solve_optimal_fixed_point(mesh, spec.with_alpha(alpha))
             dist = assembly.norm(prolongate_trace(sol.q_opt, mesh, ref_mesh) - ref.q_opt, "Q")
             row_values.append(dist)
             rows.append({"n": mesh.n, "h": mesh.h, "alpha": alpha, "distance": dist})

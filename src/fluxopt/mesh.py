@@ -272,12 +272,6 @@ def _evaluate_callable(f, x, y, where):
     return vals
 
 
-def interpolate_nodal(f, mesh: Mesh) -> NodalField:
-    """Vertex interpolant of the callable f(x, y) (accepts coordinate arrays)."""
-    vals = _evaluate_callable(f, mesh.vertices[:, 0], mesh.vertices[:, 1], "vertex")
-    return NodalField(mesh, vals)
-
-
 def interpolate_trace(f, mesh: Mesh) -> TraceField:
     """Interpolant of f(x, y) at the flux-boundary trace vertices."""
     g2 = dof_partition(mesh).gamma2_trace_dofs

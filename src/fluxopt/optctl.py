@@ -25,7 +25,6 @@ finite; it raises ConvergenceError instead.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -36,7 +35,6 @@ import scipy.sparse as sp
 from . import assembly, pde
 from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     ConvergenceError,
-    DiscreteConstants,
     factorize,
     operators,
     refinement,
@@ -104,29 +102,18 @@ def solve_optimal_fixed_point(
     mesh: Mesh,
     spec: pde.ProblemSpec,
     q0: Optional[TraceField] = None,
-    constants: Optional[DiscreteConstants] = None,
 ) -> OptimalSolution:
     """Iterate the control update map to its fixed point.
 
-    Stops when the boundary-norm step drops below 1e-10 * max(1, |q|).  When
-    discrete constants are supplied and M sits at or below the contraction
-    threshold, a warning is issued and the iteration proceeds anyway.
-
-    The update map is affine and its linear part is self-adjoint in the
+    Stops when the boundary-norm step drops below 1e-10 * max(1, |q|).
+    Whether the map contracts is decided by the measured step ratios, not by
+    a bound: the map is affine and its linear part is self-adjoint in the
     boundary inner product (the gradient is an exact representer), so the
     steps of a contraction never grow.  Two consecutive step ratios above 1
     therefore mean divergence and raise ConvergenceError with the step
     ratios so far, as do a step or control norm that is not finite and an
     exhausted iteration budget.
     """
-    if constants is not None:
-        bound = constants.contraction_bound(spec.alpha)
-        if spec.M <= bound:
-            warnings.warn(
-                f"penalty weight M={spec.M:g} is not above the contraction bound "
-                f"{bound:g}; the control iteration may diverge",
-                stacklevel=2,
-            )
     q = q0 if q0 is not None else zero_trace(mesh)
     if q.mesh is not mesh:
         raise ValueError("start control lives on a different mesh")

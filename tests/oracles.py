@@ -2,13 +2,14 @@
 
 The element matrices are the loop-free textbook formulas for one triangle or
 edge; the package assembles every element at once.  evaluate_nodal evaluates
-a piecewise-linear field at arbitrary points of the unit square, which the
-package itself never needs.
+a piecewise-linear field at arbitrary points of the unit square, and
+interpolate_nodal takes a callable's vertex values; the package itself never
+needs either.
 """
 
 import numpy as np
 
-from fluxopt.mesh import NodalField
+from fluxopt.mesh import NodalField, _evaluate_callable
 
 
 def local_stiffness(coords) -> np.ndarray:
@@ -66,3 +67,9 @@ def evaluate_nodal(field: NodalField, x, y) -> np.ndarray:
         c00 * (1.0 - ly) + c01 * (ly - lx) + c11 * lx,
     )
     return vals
+
+
+def interpolate_nodal(f, mesh) -> NodalField:
+    """Vertex interpolant of the callable f(x, y) (accepts coordinate arrays)."""
+    vals = _evaluate_callable(f, mesh.vertices[:, 0], mesh.vertices[:, 1], "vertex")
+    return NodalField(mesh, vals)

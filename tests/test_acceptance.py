@@ -130,7 +130,7 @@ def test_criterion_3_contraction_reproduction():
             for alpha in (None, 1.0):
                 bound = constants.contraction_bound(alpha)
                 spec = make_spec(alpha, M=4.0 * bound)
-                sol = optctl.solve_optimal_fixed_point(mesh, spec, constants=constants)
+                sol = optctl.solve_optimal_fixed_point(mesh, spec)
                 assert sol.contraction_ratios, "need at least two iterations"
                 assert max(sol.contraction_ratios) <= bound / spec.M + 0.05
                 rng = np.random.default_rng(n)

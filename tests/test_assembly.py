@@ -26,11 +26,10 @@ from fluxopt.mesh import (
     TraceField,
     build_structured_mesh,
     dof_partition,
-    interpolate_nodal,
     interpolate_trace,
     prolongate,
 )
-from oracles import local_edge_mass, local_mass, local_stiffness
+from oracles import interpolate_nodal, local_edge_mass, local_mass, local_stiffness
 
 REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -198,6 +197,18 @@ def test_data_callables_are_checked_at_the_quadrature_points():
     # NaN on the edge midpoints x = 0.125, none of which is a vertex
     with pytest.raises(ValueError, match="non-finite value at a quadrature point"):
         l2_misfit_sq(zero, lambda x, y: np.where(x == 0.125, np.nan, x))
+
+
+def test_gradient_callables_are_checked_at_the_quadrature_points():
+    m = build_structured_mesh(4, ["bottom"])
+    u = interpolate_nodal(lambda x, y: x, m)
+    # one value per triangle must not broadcast into a triangles-by-triangles array
+    with pytest.raises(ValueError, match="field callable returned shape"):
+        v_error_vs_exact(u, lambda x, y: x, lambda x, y: (x[:, 0] ** 0, 0.0 * x[:, 0]))
+    with pytest.raises(ValueError, match="non-finite value at a quadrature point"):
+        v_error_vs_exact(u, lambda x, y: x, lambda x, y: (np.where(x == 0.125, np.nan, 1.0), 0.0 * x))
+    # scalar components broadcast, as for the value callable
+    assert v_error_vs_exact(u, lambda x, y: x, lambda x, y: (1.0, 0.0)) < 1e-14
 
 
 def test_misfit_zero_for_exact_linear():

@@ -13,7 +13,6 @@ from fluxopt.mesh import (
     TraceField,
     build_structured_mesh,
     dof_partition,
-    interpolate_nodal,
     interpolate_trace,
     nested_dissection,
     prolongate,
@@ -22,7 +21,7 @@ from fluxopt.mesh import (
     restrict_trace,
     zero_trace,
 )
-from oracles import evaluate_nodal
+from oracles import evaluate_nodal, interpolate_nodal
 
 
 def triangle_areas(mesh):

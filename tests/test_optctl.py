@@ -165,7 +165,7 @@ def test_iteration_reaches_a_fixed_point(alpha):
     mesh = build_structured_mesh(8, ["bottom"])
     spec = make_spec(alpha)
     constants = estimate_constants(mesh)
-    sol = optctl.solve_optimal_fixed_point(mesh, spec, constants=constants)
+    sol = optctl.solve_optimal_fixed_point(mesh, spec)
     residual = norm(optctl.fixed_point_map(mesh, spec, sol.q_opt) - sol.q_opt, "Q")
     assert residual <= 1e-8
     assert sol.gradient_norm <= 1e-8
@@ -229,15 +229,6 @@ def test_cost_decreases_along_the_iteration():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_warning_when_penalty_sits_below_the_bound():
-    mesh = build_structured_mesh(4, ["bottom"])
-    spec = make_spec(M=6.0)  # just under the estimated contraction threshold
-    constants = estimate_constants(mesh)
-    assert spec.M <= constants.contraction_bound(None)
-    with pytest.warns(UserWarning, match="contraction bound"):
-        optctl.solve_optimal_fixed_point(mesh, spec, constants=constants)
-
-
 def test_iteration_budget_exhaustion_raises(monkeypatch):
     mesh = build_structured_mesh(4, ["bottom"])
     spec = make_spec()
@@ -275,10 +266,13 @@ def test_diverging_iteration_raises_where_the_dense_route_converges():
     assert np.isfinite(dense.cost) and dense.gradient_norm < 1e-10
 
 
-def test_contracting_iteration_below_the_surrogate_bound_runs_to_the_end():
-    # M = 1 is below the pessimistic bound but the map still contracts
-    # (ratio 0.66): no step grows, and the run is not cut short
-    mesh, spec = divergence_case(1.0)
+@pytest.mark.parametrize("M", [1.0, 6.0])
+def test_contracting_iteration_below_the_surrogate_bound_runs_to_the_end(M):
+    # both M sit below the pessimistic bound but the map still contracts
+    # (ratio 0.66 / M): no step grows, the run is not cut short and, with
+    # warnings as errors, nothing warns
+    mesh, spec = divergence_case(M)
+    assert spec.M <= estimate_constants(mesh).contraction_bound()
     sol = optctl.solve_optimal_fixed_point(mesh, spec)
     assert max(sol.contraction_ratios) < 1.0
     assert sol.gradient_norm <= 1e-8
