@@ -14,7 +14,6 @@ from .harness import (
     ConvergenceReport,
     ExperimentConfig,
     config_from_dict,
-    default_config,
     run,
     write_csv,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "build_structured_mesh",
     "config_from_dict",
     "cost",
-    "default_config",
     "estimate_constants",
     "fixed_point_map",
     "gradient",

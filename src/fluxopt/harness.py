@@ -1,10 +1,11 @@
 """Experiment runners for the convergence studies and their CSV reports.
 
 EXPERIMENTS holds one entry per experiment kind: its runner, a one-line
-summary and its default configuration.  run validates a config once and
-dispatches to the runner, which takes its problem data and ProblemSpec from
-prepare and produces a ConvergenceReport: rows keyed by column name, least-
-squares rate fits and named pass/fail checks; write_csv writes it.  Reference
+summary and its default configuration.  An ExperimentConfig takes its kind's
+defaults and is checked once, when it is built; run dispatches it to the
+runner, which takes its problem data and ProblemSpec from prepare and
+produces a ConvergenceReport: rows keyed by column name, least-squares rate
+fits and named pass/fail checks; write_csv writes it.  Reference
 solutions for the vanishing-mesh-size limit are computed on a fine nested
 mesh and compared through exact prolongation, so no cross-mesh interpolation
 error enters the reported numbers.
@@ -172,17 +173,88 @@ _PROBLEM_KEYS = {"b", "M", *_DATA_FIELDS}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run, checked when it is built.
+
+    Fields left as None take the kind's defaults from EXPERIMENTS, and
+    ``problem`` and ``tol`` are merged over the kind's own; a config the
+    runners cannot execute faithfully raises ValueError at construction.
+    """
 
     kind: str
-    problem: dict
-    gamma1_sides: Tuple[str, ...]
-    levels: Tuple[int, ...]
-    alphas: Tuple[float, ...]
-    n_ref: Optional[int]
+    problem: dict = field(default_factory=dict)
+    gamma1_sides: Tuple[str, ...] = ("bottom",)
+    levels: Optional[Tuple[int, ...]] = None
+    alphas: Optional[Tuple[float, ...]] = None
+    n_ref: Optional[int] = None
     r: float = 2.0
     seed: int = 0
     tol: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment kind {self.kind!r}; known kinds: {KINDS}")
+        experiment = EXPERIMENTS[self.kind]
+        levels = experiment.levels if self.levels is None else self.levels
+        alphas = experiment.alphas if self.alphas is None else self.alphas
+        n_ref = experiment.n_ref if self.n_ref is None else _integer(self.n_ref, "n_ref")
+        filled = {
+            "problem": {**experiment.problem, **self.problem},
+            "gamma1_sides": tuple(self.gamma1_sides),
+            "levels": tuple(_integer(n, "mesh level") for n in levels),
+            "alphas": tuple(_number(a, "alpha") for a in alphas),
+            "n_ref": n_ref,
+            "r": _number(self.r, "regularity exponent r"),
+            "seed": _integer(self.seed, "seed"),
+            "tol": {**experiment.tol, **self.tol},
+        }
+        for name, value in filled.items():
+            object.__setattr__(self, name, value)
+        levels = self.levels
+        if len(levels) < experiment.min_levels:
+            raise ValueError(
+                f"{self.kind} needs at least {experiment.min_levels} mesh levels, got {len(levels)}"
+            )
+        for n in levels:
+            if n < 1:
+                raise ValueError(f"mesh levels must be positive integers, got {n!r}")
+        for a, b in zip(levels, levels[1:]):
+            # nesting requires each step to be a whole number of halvings
+            if b <= a or b % a != 0 or not _is_pow2(b // a):
+                raise ValueError(f"levels must increase by power-of-two factors, got {a} -> {b}")
+        if experiment.n_ref is not None:
+            if n_ref <= max(levels):
+                raise ValueError(f"n_ref must exceed the finest level {max(levels)}, got {n_ref!r}")
+            for n in levels:
+                if n_ref % n != 0 or not _is_pow2(n_ref // n):
+                    raise ValueError(
+                        f"n_ref = {n_ref} must be a power-of-two multiple of every level (level {n})"
+                    )
+        if experiment.alphas and len(self.alphas) < 2:
+            raise ValueError(f"{self.kind} needs an alpha ladder with at least 2 entries")
+        for a, b in zip(self.alphas, self.alphas[1:]):
+            if b <= a:
+                raise ValueError(f"alphas must be strictly increasing, got {a} -> {b}")
+        if any(a <= 0 for a in self.alphas):
+            raise ValueError("alphas must be positive")
+        named = all(isinstance(side, str) for side in self.gamma1_sides)
+        sides = set(self.gamma1_sides) if named else set()
+        if not sides or sides == set(SIDES) or sides - set(SIDES):
+            raise ValueError(f"gamma1_sides must be a nonempty proper subset of {SIDES}")
+        if not 1.0 < self.r <= 2.0:
+            raise ValueError(f"regularity exponent r must lie in (1, 2], got {self.r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        unknown = set(self.problem) - _PROBLEM_KEYS
+        if unknown:
+            raise ValueError(f"unknown problem keys {sorted(unknown)}; allowed: {sorted(_PROBLEM_KEYS)}")
+        unknown = set(self.tol) - set(experiment.tol)
+        if unknown:
+            raise ValueError(
+                f"unknown tol keys {sorted(unknown)} for {self.kind}; allowed: {sorted(experiment.tol)}"
+            )
+        for key, value in self.tol.items():
+            _number(value, f"tol {key}")
+        prepare(self)
 
 
 @dataclass(frozen=True)
@@ -202,21 +274,6 @@ class ExperimentKind:
     min_levels: int
     alphas: Tuple[float, ...] = ()
     n_ref: Optional[int] = None
-
-
-def default_config(kind: str) -> ExperimentConfig:
-    if kind not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment kind {kind!r}; known kinds: {KINDS}")
-    experiment = EXPERIMENTS[kind]
-    return ExperimentConfig(
-        kind=kind,
-        problem=dict(experiment.problem),
-        gamma1_sides=("bottom",),
-        levels=experiment.levels,
-        alphas=experiment.alphas,
-        n_ref=experiment.n_ref,
-        tol=dict(experiment.tol),
-    )
 
 
 def _is_pow2(k: int) -> bool:
@@ -239,97 +296,23 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def validate_config(config: ExperimentConfig) -> None:
-    """Reject configurations the runners cannot execute faithfully."""
-    if config.kind not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment kind {config.kind!r}")
-    experiment = EXPERIMENTS[config.kind]
-    levels = config.levels
-    if len(levels) < experiment.min_levels:
-        raise ValueError(
-            f"{config.kind} needs at least {experiment.min_levels} mesh levels, got {len(levels)}"
-        )
-    for n in levels:
-        if _integer(n, "mesh level") < 1:
-            raise ValueError(f"mesh levels must be positive integers, got {n!r}")
-    for a, b in zip(levels, levels[1:]):
-        # nesting requires each step to be a whole number of halvings
-        if b <= a or b % a != 0 or not _is_pow2(b // a):
-            raise ValueError(f"levels must increase by power-of-two factors, got {a} -> {b}")
-    if experiment.n_ref is not None:
-        n_ref = config.n_ref
-        if n_ref is None or n_ref <= max(levels):
-            raise ValueError(f"n_ref must exceed the finest level {max(levels)}, got {n_ref!r}")
-        for n in levels:
-            if n_ref % n != 0 or not _is_pow2(n_ref // n):
-                raise ValueError(
-                    f"n_ref = {n_ref} must be a power-of-two multiple of every level (level {n})"
-                )
-    if experiment.alphas and len(config.alphas) < 2:
-        raise ValueError(f"{config.kind} needs an alpha ladder with at least 2 entries")
-    for a, b in zip(config.alphas, config.alphas[1:]):
-        if b <= a:
-            raise ValueError(f"alphas must be strictly increasing, got {a} -> {b}")
-    if any(a <= 0 for a in config.alphas):
-        raise ValueError("alphas must be positive")
-    named = all(isinstance(side, str) for side in config.gamma1_sides)
-    sides = set(config.gamma1_sides) if named else set()
-    if not sides or sides == set(SIDES) or sides - set(SIDES):
-        raise ValueError(f"gamma1_sides must be a nonempty proper subset of {SIDES}")
-    if not 1.0 < config.r <= 2.0:
-        raise ValueError(f"regularity exponent r must lie in (1, 2], got {config.r}")
-    unknown = set(config.problem) - _PROBLEM_KEYS
-    if unknown:
-        raise ValueError(f"unknown problem keys {sorted(unknown)}; allowed: {sorted(_PROBLEM_KEYS)}")
-    unknown = set(config.tol) - set(experiment.tol)
-    if unknown:
-        raise ValueError(
-            f"unknown tol keys {sorted(unknown)} for {config.kind}; allowed: {sorted(experiment.tol)}"
-        )
-    for key, value in config.tol.items():
-        _number(value, f"tol {key}")
-    prepare(config)
-
-
 _CONFIG_KEYS = {"problem", "levels", "alphas", "n_ref", "tol", "gamma1_sides", "seed", "r"}
 
 
-def _list(data: dict, key: str, default) -> tuple:
-    value = data.get(key, default)
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    return tuple(value)
-
-
-def _object(data: dict, key: str) -> dict:
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
 def config_from_dict(kind: str, data: dict) -> ExperimentConfig:
-    """Merge a JSON config dict over the per-kind defaults and validate."""
+    """The config of a JSON object keyed by field name; absent keys take the kind's defaults."""
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}; allowed: {sorted(_CONFIG_KEYS)}")
-    base = default_config(kind)
-    n_ref = data.get("n_ref")
-    config = ExperimentConfig(
-        kind=kind,
-        problem={**base.problem, **_object(data, "problem")},
-        gamma1_sides=_list(data, "gamma1_sides", base.gamma1_sides),
-        levels=tuple(_integer(n, "mesh level") for n in _list(data, "levels", base.levels)),
-        alphas=tuple(_number(a, "alpha") for a in _list(data, "alphas", base.alphas)),
-        n_ref=base.n_ref if n_ref is None else _integer(n_ref, "n_ref"),
-        r=_number(data.get("r", base.r), "regularity exponent r"),
-        seed=_integer(data.get("seed", base.seed), "seed"),
-        tol={**base.tol, **_object(data, "tol")},
-    )
-    validate_config(config)
-    return config
+    for key in ("levels", "alphas", "gamma1_sides"):
+        if key in data and not isinstance(data[key], (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {data[key]!r}")
+    for key in ("problem", "tol"):
+        if key in data and not isinstance(data[key], dict):
+            raise ValueError(f"{key} must be a JSON object, got {data[key]!r}")
+    return ExperimentConfig(kind, **data)
 
 
 def prepare(
@@ -337,16 +320,15 @@ def prepare(
 ) -> Tuple[Dict[str, Field], pde.ProblemSpec]:
     """The data fields and the ProblemSpec of a config's problem.
 
-    The config's problem entries are merged over its kind's defaults; the
-    returned dict maps each data field name present to its Field.  M = "auto"
-    is 4x the clamped-family contraction threshold on ``mesh``, the coarsest
-    of the run; the factor keeps the default experiments inside the
-    contraction regime for both families with margin, since the Robin
-    threshold at unit or larger transfer coefficient is below 2.6x the
-    clamped one on these meshes.  Runs that do not optimize pass no mesh,
-    and "auto" then means 1.
+    The returned dict maps each data field name present in the config's
+    problem to its Field.  M = "auto" is 4x the clamped-family contraction
+    threshold on ``mesh``, the coarsest of the run; the factor keeps the
+    default experiments inside the contraction regime for both families
+    with margin, since the Robin threshold at unit or larger transfer
+    coefficient is below 2.6x the clamped one on these meshes.  Runs that
+    do not optimize pass no mesh, and "auto" then means 1.
     """
-    problem = {**EXPERIMENTS[config.kind].problem, **config.problem}
+    problem = config.problem
     b = _number(problem["b"], "boundary value b")
     m_val = problem["M"]
     if m_val == "auto":
@@ -422,11 +404,6 @@ class ConvergenceReport:
     @property
     def columns(self) -> Tuple[str, ...]:
         return tuple(self.rows[0]) if self.rows else ()
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.columns:
-            raise ValueError(f"no column {name!r}; columns: {self.columns}")
-        return np.asarray(_column(self.rows, name), dtype=float)
 
 
 def _column(rows, name: str) -> list:
@@ -907,6 +884,5 @@ KINDS = tuple(EXPERIMENTS)
 
 
 def run(config: ExperimentConfig) -> ConvergenceReport:
-    """Validate a config and run its kind's experiment."""
-    validate_config(config)
+    """Run a config's experiment."""
     return EXPERIMENTS[config.kind].runner(config)

@@ -154,10 +154,9 @@ def certified_stieltjes(matrix) -> FactoredMatrix:
     definite (Berman & Plemmons, Nonnegative Matrices in the Mathematical
     Sciences, ch. 6).  P1 stiffness on a non-obtuse triangulation is a
     symmetric Z-matrix (Ciarlet & Raviart, 1973).  The witness is
-    x = A^-1 1, solved with the kept factor; its residual must meet the
-    limit of ``solve_spd``, and no refinement step is taken, since A x > 0
-    is checked as computed.  ConvergenceError unless A is exactly
-    symmetric, a Z-matrix and x passes; the factor's pivots are never read.
+    x = A^-1 1, solved with the kept factor by ``solve_spd``, which checks
+    its residual.  ConvergenceError unless A is exactly symmetric, a
+    Z-matrix and x passes; the factor's pivots are never read.
 
     A is factored in its own order, which should be fill-reducing: a mesh's
     free vertices come in nested-dissection order (``dof_partition``).
@@ -169,17 +168,8 @@ def certified_stieltjes(matrix) -> FactoredMatrix:
     if np.any(coo.data[coo.row != coo.col] > 0):
         raise ConvergenceError("matrix has a positive off-diagonal entry: not a Z-matrix")
     op = FactoredMatrix(csr, factorize(csr))
-    ones = np.ones(csr.shape[0])
-    x = op.solve(ones)
-    ax = op @ x
-    residual = float(np.linalg.norm(ones - ax) / np.linalg.norm(ones))
-    if not residual <= _LIMIT:
-        raise ConvergenceError(
-            f"M-matrix witness missed its tolerance: "
-            f"relative residual {residual:.3e} > {_LIMIT:.0e}",
-            residual=residual,
-        )
-    if not (np.all(x >= 0) and np.all(ax > 0)):
+    x = solve_spd(op, np.ones(csr.shape[0]))
+    if not (np.all(x >= 0) and np.all(op @ x > 0)):
         raise ConvergenceError(
             "Z-matrix is not an M-matrix, so not positive definite: "
             f"A^-1 1 has minimum {x.min():.3e}"

@@ -4,7 +4,7 @@ The element matrices are the loop-free textbook formulas for one triangle or
 edge; the package assembles every element at once.  evaluate_nodal evaluates
 a piecewise-linear field at arbitrary points of the unit square, and
 interpolate_nodal takes a callable's vertex values; the package itself never
-needs either.
+needs either.  column reads one column of a report's rows.
 """
 
 import numpy as np
@@ -73,3 +73,10 @@ def interpolate_nodal(f, mesh) -> NodalField:
     """Vertex interpolant of the callable f(x, y) (accepts coordinate arrays)."""
     vals = _evaluate_callable(f, mesh.vertices[:, 0], mesh.vertices[:, 1], "vertex")
     return NodalField(mesh, vals)
+
+
+def column(report, name: str) -> np.ndarray:
+    """One column of a ConvergenceReport's rows as a float array."""
+    if name not in report.columns:
+        raise ValueError(f"no column {name!r}; columns: {report.columns}")
+    return np.asarray([row[name] for row in report.rows], dtype=float)

@@ -14,7 +14,7 @@ import pytest
 
 from fluxopt import harness, optctl, pde
 from fluxopt.assembly import assemble_boundary_mass, norm, trace_restrict
-from fluxopt.harness import default_config
+from fluxopt.harness import ExperimentConfig
 from fluxopt.linsolve import estimate_constants
 from fluxopt.mesh import (
     BoundaryTag,
@@ -23,6 +23,7 @@ from fluxopt.mesh import (
     dof_partition,
     zero_trace,
 )
+from oracles import column
 
 
 @contextlib.contextmanager
@@ -144,7 +145,7 @@ def test_criterion_3_contraction_reproduction():
 
 def test_criterion_4_state_adjoint_mesh_rates():
     with criterion(4, "state and adjoint first-order rates"):
-        report = harness.run(default_config("state-conv"))
+        report = harness.run(ExperimentConfig("state-conv"))
         state = report.rates["state_rate"]
         adjoint = report.rates["adjoint_rate"]
         assert state.status == "ok" and abs(state.rate - 1.0) <= 0.15
@@ -154,7 +155,7 @@ def test_criterion_4_state_adjoint_mesh_rates():
 
 def test_criterion_5_optimal_control_mesh_rates():
     with criterion(5, "optimal control mesh rates"):
-        report = harness.run(default_config("control-conv"))
+        report = harness.run(ExperimentConfig("control-conv"))
         for name in ("control_rate", "state_rate", "adjoint_rate"):
             fit = report.rates[name]
             assert fit.status == "ok" and fit.rate >= 0.85, name
@@ -169,7 +170,7 @@ def test_criterion_5_optimal_control_mesh_rates():
 
 def test_criterion_6_large_alpha_limit():
     with criterion(6, "large-alpha limit"):
-        report = harness.run(default_config("alpha-sweep"))
+        report = harness.run(ExperimentConfig("alpha-sweep"))
         for name in (
             "fixed_state_dist",
             "fixed_adjoint_dist",
@@ -177,7 +178,7 @@ def test_criterion_6_large_alpha_limit():
             "state_dist",
             "adjoint_dist",
         ):
-            values = report.column(name)
+            values = column(report, name)
             assert all(b < a for a, b in zip(values, values[1:])), name
             assert values[-1] <= 1e-2 * values[0], name
         for name in ("fixed_state_penalty", "state_penalty", "adjoint_penalty"):
@@ -187,7 +188,7 @@ def test_criterion_6_large_alpha_limit():
 
 def test_criterion_7_joint_limit_diagram():
     with criterion(7, "joint limit diagram closes"):
-        report = harness.run(default_config("diagram"))
+        report = harness.run(ExperimentConfig("diagram"))
         assert report.checks["rows_decreasing"] is True
         assert report.checks["columns_decreasing"] is True
         tails = report.meta["tail_h"] + report.meta["tail_alpha"]

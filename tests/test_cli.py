@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from fluxopt import harness
 from fluxopt.cli import main
 
 
@@ -60,6 +61,17 @@ def test_non_finite_field_parameter_is_a_config_error(tmp_path, capsys, kind, pr
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(tmp_path, f"{kind}.csv"))
+
+
+def test_negative_seed_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a config error must stop the run before its first solve")
+
+    monkeypatch.setattr(harness.optctl, "solve_optimal_reduced", no_solve)
+    code = main(["control-conv", "--out", str(tmp_path), "--seed", "-1"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_malformed_json_is_a_config_error(tmp_path, capsys):

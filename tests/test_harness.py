@@ -1,6 +1,7 @@
 """Field registry, config validation, rate fitting, report serialization,
 and one end-to-end run whose errors sit at the solver floor."""
 
+import dataclasses
 import math
 import os
 
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from fluxopt import cli, harness
 from fluxopt.harness import (
     ConvergenceReport,
+    ExperimentConfig,
     RateFit,
     config_from_dict,
-    default_config,
     field_from_config,
     fit_rate,
     prepare,
@@ -22,6 +23,7 @@ from fluxopt.harness import (
 )
 from fluxopt.linsolve import estimate_constants
 from fluxopt.mesh import build_structured_mesh
+from oracles import column
 
 
 def fd_gradient(f, x, y, h=1e-6):
@@ -111,16 +113,34 @@ def test_field_config_parsing():
 
 def test_default_configs_validate(capsys):
     for kind in harness.KINDS:
-        config = default_config(kind)
-        harness.validate_config(config)
+        config = ExperimentConfig(kind)
         assert config.kind == kind
     with pytest.raises(SystemExit):
         cli.main(["--help"])
     usage = " ".join(capsys.readouterr().out.split())
     for experiment in harness.EXPERIMENTS.values():
         assert experiment.summary in usage
-    with pytest.raises(ValueError):
-        default_config("spectral")
+    with pytest.raises(ValueError, match="unknown experiment kind"):
+        ExperimentConfig("spectral")
+
+
+@pytest.mark.parametrize("kind", harness.KINDS)
+def test_default_config_carries_the_kind_table(kind):
+    experiment = harness.EXPERIMENTS[kind]
+    config = ExperimentConfig(kind)
+    assert config.levels == experiment.levels
+    assert config.alphas == experiment.alphas
+    assert config.n_ref == experiment.n_ref
+    assert config.problem == experiment.problem
+    assert config.tol == experiment.tol
+    assert config_from_dict(kind, {}) == config
+
+
+def test_config_is_checked_when_built():
+    with pytest.raises(ValueError, match="power-of-two"):
+        ExperimentConfig("state-conv", levels=(4, 12, 24))
+    with pytest.raises(ValueError, match="exponent"):
+        dataclasses.replace(ExperimentConfig("state-conv"), r=3.0)
 
 
 @pytest.mark.parametrize(
@@ -164,6 +184,7 @@ def test_default_configs_validate(capsys):
         ("control-conv", {"problem": {"g": {"name": "polynomial", "coefficients": [[1, float("nan")]]}}},
          "coefficients must be finite"),
         ("alpha-sweep", {"problem": {"q_star": {"name": "sin_product", "kx": float("inf")}}}, "kx must be finite"),
+        ("control-conv", {"seed": -1}, "seed"),
     ],
 )
 def test_config_rejections(kind, data, fragment):
@@ -182,7 +203,7 @@ def test_config_merge_keeps_defaults():
 
 
 def test_penalty_weight_resolution():
-    config = default_config("control-conv")
+    config = ExperimentConfig("control-conv")
     mesh = build_structured_mesh(4, config.gamma1_sides)
     _, spec = prepare(config, mesh)
     assert spec.M == pytest.approx(4.0 * estimate_constants(mesh).contraction_bound(), rel=1e-12)
@@ -265,9 +286,9 @@ def sample_report():
 def test_report_accessors():
     report = sample_report()
     assert not report.passed
-    assert np.allclose(report.column("err"), [0.25, 0.0625])
+    assert np.allclose(column(report, "err"), [0.25, 0.0625])
     with pytest.raises(ValueError):
-        report.column("missing")
+        column(report, "missing")
     assert report.columns == ("n", "h", "err")
     passing = ConvergenceReport(
         kind="constants", column_notes="", rows=[],
@@ -335,4 +356,4 @@ def test_floor_level_run_classifies_exact():
     assert report.checks["state_rate"] is True
     assert report.checks["adjoint_rate"] is True
     assert report.passed
-    assert np.all(report.column("state_err") <= 1e-10)
+    assert np.all(column(report, "state_err") <= 1e-10)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fluxopt import harness, pde
+from fluxopt import harness, linsolve, pde
 from fluxopt.assembly import (
     assemble_boundary_mass,
     assemble_load,
@@ -226,6 +226,20 @@ def test_m_matrix_certificate_rejects(case, message):
     }
     with pytest.raises(ConvergenceError, match=message):
         certified_stieltjes(matrices[case])
+
+
+def test_m_matrix_witness_is_checked_like_every_solve(monkeypatch):
+    # a factor that solves to twice the solution leaves residual 1, and the
+    # refinement step through the same factor cannot mend it
+    def doubled(matrix):
+        solve = factorize(matrix)
+        return lambda b: 2.0 * solve(b)
+
+    monkeypatch.setattr(linsolve, "factorize", doubled)
+    a, _ = free_block(build_structured_mesh(8, ("bottom",)))
+    with pytest.raises(ConvergenceError, match="relative residual") as caught:
+        certified_stieltjes(a)
+    assert caught.value.residual > 1e-10
 
 
 def test_m_matrix_certificate_rejects_an_unsymmetric_matrix():
