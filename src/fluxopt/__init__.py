@@ -4,9 +4,9 @@ Two families of discrete optimal control problems posed on nested structured
 triangulations of the unit square: one clamps the controlled boundary value
 directly, the other enforces it through a Robin transfer term.  The package
 provides the mesh and assembly layers, deterministic linear solvers with
-discrete constant estimation, the two solver families, the optimizer pair
-(contraction iteration and dense reduced solve), and experiment runners that
-measure both limits and their commutation.
+discrete constant estimation, the two solver families, three optimizer
+routes (contraction iteration, conjugate gradients and dense reduced solve),
+and experiment runners that measure both limits and their commutation.
 """
 
 from .assembly import norm, v_error_vs_exact
@@ -36,6 +36,7 @@ from .optctl import (
     fixed_point_map,
     gradient,
     reduced_normal_system,
+    solve_optimal_cg,
     solve_optimal_fixed_point,
     solve_optimal_reduced,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "restrict_trace",
     "run",
     "solve_adjoint",
+    "solve_optimal_cg",
     "solve_optimal_fixed_point",
     "solve_optimal_reduced",
     "solve_spd",

@@ -548,15 +548,18 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Mesh-size convergence of the optimal control, its state and adjoint.
 
     Per-level optima come from the contraction iteration; the fine reference
-    optimum comes from the dense reduced solve, so the reference is not
-    generated by the code path under test.  Cost columns record the two
-    quadratic optimal-value gaps and the two cost-consistency distances.
+    optimum comes from conjugate gradients on the reduced Hessian, so the
+    reference is not generated by the code path under test, and the finest
+    level's optimum must agree with the dense reduced solve within its
+    gradient bound.  Cost columns record the two quadratic optimal-value
+    gaps, each as its quadratic form about the optimum, and the two
+    cost-consistency distances.
     """
     level_meshes = [build_structured_mesh(n, config.gamma1_sides) for n in config.levels]
     _, spec = prepare(config, level_meshes[0])
 
     ref_mesh = build_structured_mesh(config.n_ref, config.gamma1_sides)
-    ref = optctl.solve_optimal_reduced(ref_mesh, spec)
+    ref = optctl.solve_optimal_cg(ref_mesh, spec)
 
     rows = []
     solutions = []
@@ -564,19 +567,20 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
         sol = optctl.solve_optimal_fixed_point(mesh, spec)
         solutions.append(sol)
         q_up = prolongate_trace(sol.q_opt, mesh, ref_mesh)
+        q_down = restrict_trace(ref.q_opt, ref_mesh, mesh)
         row = {
             "n": mesh.n,
             "h": mesh.h,
             "control_err": assembly.norm(q_up - ref.q_opt, "Q"),
             "state_err": assembly.norm(prolongate(sol.u_opt, mesh, ref_mesh) - ref.u_opt, "V"),
             "adjoint_err": assembly.norm(prolongate(sol.p_opt, mesh, ref_mesh) - ref.p_opt, "V"),
-            "cost_gap_ref": optctl.cost(ref_mesh, spec, q_up) - ref.cost,
+            "cost_gap_ref": optctl.cost_gap(ref_mesh, spec, q_up, ref),
+            "cost_gap_level": optctl.cost_gap(mesh, spec, q_down, sol),
         }
-        cost_down = optctl.cost(mesh, spec, restrict_trace(ref.q_opt, ref_mesh, mesh))
-        row["cost_gap_level"] = cost_down - sol.cost
-        row["cost_value_gap"] = abs(cost_down - ref.cost)
+        row["cost_value_gap"] = abs(sol.cost + row["cost_gap_level"] - ref.cost)
         row["cost_opt_value_gap"] = abs(sol.cost - ref.cost)
         rows.append(row)
+    optctl.check_with_reduced(level_meshes[-1], spec, solutions[-1])
 
     # start independence: rerun the coarsest level from a seeded random control
     mesh0 = level_meshes[0]
@@ -711,16 +715,18 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     must be controlled by the two single-limit tails: the clamped optimum at
     the finest level (transfer coefficient sent to infinity first) and the
     Robin optimum at the largest ladder entry on the reference mesh (mesh
-    size sent to zero first).
+    size sent to zero first).  The references come from conjugate gradients
+    on the reduced Hessian, and every optimum at the finest level must agree
+    with the dense reduced solve within its gradient bound.
     """
     level_meshes = [build_structured_mesh(n, config.gamma1_sides) for n in config.levels]
     _, spec = prepare(config, level_meshes[0])
 
     ref_mesh = build_structured_mesh(config.n_ref, config.gamma1_sides)
-    ref = optctl.solve_optimal_reduced(ref_mesh, spec)
+    ref = optctl.solve_optimal_cg(ref_mesh, spec)
     pure_alpha = []
     for alpha in config.alphas:
-        robin_ref = optctl.solve_optimal_reduced(ref_mesh, spec.with_alpha(alpha))
+        robin_ref = optctl.solve_optimal_cg(ref_mesh, spec.with_alpha(alpha))
         pure_alpha.append(assembly.norm(robin_ref.q_opt - ref.q_opt, "Q"))
 
     rows = []
@@ -728,13 +734,19 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     pure_h = []
     meta: Dict[str, object] = {"n_ref": config.n_ref, "M": spec.M, "reference_cost": ref.cost}
     for mesh in level_meshes:
+        finest = mesh is level_meshes[-1]
         clamped = optctl.solve_optimal_fixed_point(mesh, spec)
+        if finest:
+            optctl.check_with_reduced(mesh, spec, clamped)
         tail = assembly.norm(prolongate_trace(clamped.q_opt, mesh, ref_mesh) - ref.q_opt, "Q")
         pure_h.append(tail)
         meta[f"pure_h_n{mesh.n}"] = tail
         row_values = []
         for alpha in config.alphas:
-            sol = optctl.solve_optimal_fixed_point(mesh, spec.with_alpha(alpha))
+            spec_a = spec.with_alpha(alpha)
+            sol = optctl.solve_optimal_fixed_point(mesh, spec_a)
+            if finest:
+                optctl.check_with_reduced(mesh, spec_a, sol)
             dist = assembly.norm(prolongate_trace(sol.q_opt, mesh, ref_mesh) - ref.q_opt, "Q")
             row_values.append(dist)
             rows.append({"n": mesh.n, "h": mesh.h, "alpha": alpha, "distance": dist})

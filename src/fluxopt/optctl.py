@@ -1,26 +1,39 @@
-"""Optimal boundary-flux control: cost, gradient, fixed point, reduced system.
+"""Optimal boundary-flux control: cost, gradient, three routes to the optimum.
 
 The cost is the quadrature-evaluated tracking term plus a boundary penalty
 M/2 on the control.  Its gradient has the boundary representation
 M q - (trace of adjoint); dividing the adjoint trace by M gives the control
 update map whose fixed point is the optimal control, a contraction whenever
 M exceeds the square of the trace norm over the squared coercivity floor.
+The gradient is affine in q, and its linear part H, the gradient of the
+homogeneous problem, is self-adjoint in the boundary inner product and at
+least M times the identity there.
 
-Two independent routes compute the optimum: iterating the update map, and
-solving the dense reduced normal system built from the state responses to
-unit trace excitations.  The second path exists to cross-check the first, so
-the two must never share their formulation.  They do share the linear
-solver, and more than that: the reduced route takes its base state from
-``pde.solve_state``, and its responses from two blocks solved once per mesh
-with the K_ff factor that the state and adjoint solves use and from the
-Robin operator's Schur solve at the same alpha.  Every solve and every
-response is checked by its residual.
-The two routes stay independent only because the reduced route never
-applies the update map, so their agreement tests the formulations, not the
-solver.
+Three routes compute the optimum:
 
-Neither route returns an optimum whose cost, control or gradient is not
-finite; it raises ConvergenceError instead.
+* ``solve_optimal_fixed_point`` iterates the update map.  It is the
+  paper's characterization of the optimum, and the route the harness
+  tests at every mesh level.
+* ``solve_optimal_cg`` runs conjugate gradients on H, one state and one
+  adjoint solve per step; it converges for every M > 0, and gives the
+  harness its fine reference optima.
+* ``solve_optimal_reduced`` solves the dense reduced normal system built
+  from the state responses to unit trace excitations.  Its optimum comes
+  without an adjoint solve, so it is the oracle for the other two:
+  ``check_with_reduced`` raises when an optimum disagrees with it beyond
+  what the two gradients allow.
+
+The dense route shares the linear solver with the others, and more than
+that: it takes its base state from ``pde.solve_state``, and its responses
+from two blocks solved once per mesh with the K_ff factor that the state
+and adjoint solves use and from the Robin operator's Schur solve at the same
+alpha.  Every solve and every response is checked by its residual.  The
+routes stay independent only because the dense one never solves the
+adjoint equation for its optimum, so its agreement with the others tests
+the formulations, not the solver.
+
+No route returns an optimum whose cost, control or gradient is not finite;
+it raises ConvergenceError instead.
 """
 
 from __future__ import annotations
@@ -49,6 +62,10 @@ _STEP_TOL = 1e-10
 _MAX_ITER = 10000
 # trace vertices up to which the dense reduced system is built
 _MAX_TRACE_DOFS = 2000
+# conjugate gradients stop once the residual is this relative to the first
+_CG_TOL = 1e-12
+# conjugate-gradient steps before the iteration gives up
+_MAX_CG_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,38 @@ def gradient(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField) -> TraceField:
 
 def _gradient_of_adjoint(spec, q, p) -> TraceField:
     return TraceField(q.mesh, spec.M * q.coefficients - assembly.trace_restrict(p).coefficients)
+
+
+def _zero(x, y):
+    return np.zeros_like(x)
+
+
+def hessian_product(mesh: Mesh, spec: pde.ProblemSpec, d: TraceField) -> TraceField:
+    """H d: the gradient of the homogeneous problem (g = z_d = 0, b = 0) at d.
+
+    The gradient is affine in the control, and H is its linear part.  One
+    module-level zero callable keeps the homogeneous load vectors cached per
+    mesh.
+    """
+    homogeneous = pde.ProblemSpec(g=_zero, z_d=_zero, b=0.0, M=spec.M, alpha=spec.alpha)
+    return gradient(mesh, homogeneous, d)
+
+
+def _inner(a: TraceField, b: TraceField) -> float:
+    return float(a.coefficients @ (assembly._trace_mass(a.mesh) @ b.coefficients))
+
+
+def cost_gap(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField, opt: OptimalSolution) -> float:
+    """J(q) - J(q*) as the quadratic form 1/2 <e, H e> + <grad J(q*), e>, e = q - q*.
+
+    The cost is quadratic, so the expansion is exact; unlike the difference
+    of the two costs, it does not cancel, and it stays accurate to roundoff
+    relative to the gap itself.  The gradient at q* comes from the state and
+    adjoint that opt holds.
+    """
+    e = q - opt.q_opt
+    grad = _gradient_of_adjoint(spec, opt.q_opt, opt.p_opt)
+    return 0.5 * _inner(e, hessian_product(mesh, spec, e)) + _inner(grad, e)
 
 
 def fixed_point_map(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField) -> TraceField:
@@ -149,6 +198,51 @@ def solve_optimal_fixed_point(
             ratios=ratios,
         )
     return _optimum(mesh, spec, q, iterations, ratios)
+
+
+def solve_optimal_cg(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
+    """Conjugate gradients on H q = -grad J(0) in the boundary inner product.
+
+    H is self-adjoint and at least M times the identity in that inner
+    product, so the iteration converges for every M > 0; each step costs one
+    H product, a state and an adjoint solve.  It stops once the recursive
+    residual is at most 1e-12 of the first gradient in the boundary norm.  A
+    nonpositive curvature <d, H d>, an exhausted step budget, or a
+    recomputed gradient at the result above the same relative tolerance
+    raise ConvergenceError.
+    """
+    q = zero_trace(mesh)
+    r = -gradient(mesh, spec, q)
+    d = r
+    rr = first = _inner(r, r)
+    for iterations in range(1, _MAX_CG_ITER + 1):
+        hd = hessian_product(mesh, spec, d)
+        curvature = _inner(d, hd)
+        if not curvature > 0.0:
+            raise ConvergenceError(
+                f"conjugate gradients met the nonpositive curvature {curvature!r} "
+                f"at step {iterations}"
+            )
+        step = rr / curvature
+        q = q + d * step
+        r = r - hd * step
+        rr, rr_prev = _inner(r, r), rr
+        if rr <= _CG_TOL**2 * first:
+            break
+        d = r + d * (rr / rr_prev)
+    else:
+        raise ConvergenceError(
+            f"conjugate gradients did not converge in {_MAX_CG_ITER} steps "
+            f"(residual {np.sqrt(rr / first):.3g} of the first)"
+        )
+    sol = _optimum(mesh, spec, q, iterations, [])
+    if sol.gradient_norm > _CG_TOL * np.sqrt(first):
+        raise ConvergenceError(
+            f"conjugate-gradient optimum has gradient norm {sol.gradient_norm:.3e}, above "
+            f"{_CG_TOL:g} of the first {np.sqrt(first):.3e}",
+            residual=sol.gradient_norm / np.sqrt(first),
+        )
+    return sol
 
 
 def _last_ratio(ratios) -> str:
@@ -329,3 +423,29 @@ def solve_optimal_reduced(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
         raise ConvergenceError(f"reduced operator is not positive definite: {exc}") from exc
     q = TraceField(mesh, scipy.linalg.cho_solve(chol, lvec))
     return _optimum(mesh, spec, q, 0, [])
+
+
+class OracleMismatch(ConvergenceError):
+    """An optimum and the dense route's lie further apart than their gradients allow."""
+
+    def __init__(self, gap: float, bound: float):
+        super().__init__(
+            f"optimum is {gap:.3e} from the dense route's, above the gradient bound {bound:.3e}"
+        )
+        self.gap = gap
+        self.bound = bound
+
+
+def check_with_reduced(mesh: Mesh, spec: pde.ProblemSpec, sol: OptimalSolution) -> None:
+    """Raise unless sol lies within the gradient bound of the dense route's optimum.
+
+    H is at least M times the identity in the boundary inner product, so
+    two controls q1, q2 are at most |grad J(q1) - grad J(q2)| / M apart,
+    and so at most (|grad J(q1)| + |grad J(q2)|) / M.  A larger distance
+    raises ConvergenceError carrying the distance and the bound.
+    """
+    dense = solve_optimal_reduced(mesh, spec)
+    gap = assembly.norm(sol.q_opt - dense.q_opt, "Q")
+    bound = (sol.gradient_norm + dense.gradient_norm) / spec.M
+    if not gap <= bound:
+        raise OracleMismatch(gap, bound)

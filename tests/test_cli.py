@@ -67,7 +67,8 @@ def test_negative_seed_is_a_config_error_before_any_solve(tmp_path, capsys, monk
     def no_solve(*args, **kwargs):
         raise AssertionError("a config error must stop the run before its first solve")
 
-    monkeypatch.setattr(harness.optctl, "solve_optimal_reduced", no_solve)
+    for route in ("solve_optimal_cg", "solve_optimal_fixed_point", "solve_optimal_reduced"):
+        monkeypatch.setattr(harness.optctl, route, no_solve)
     code = main(["control-conv", "--out", str(tmp_path), "--seed", "-1"])
     assert code == 2
     assert "config error" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Quadratic cost structure, gradient consistency, the contraction of the
-update map, and agreement between the iterative and dense solution routes."""
+update map, and agreement between the fixed-point, conjugate-gradient and
+dense solution routes."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -264,6 +266,106 @@ def test_diverging_iteration_raises_where_the_dense_route_converges():
         assert all(r > 1.0 for r in ratios)
         dense = optctl.solve_optimal_reduced(mesh, spec)
     assert np.isfinite(dense.cost) and dense.gradient_norm < 1e-10
+
+
+@pytest.mark.parametrize("M, alpha", [(0.3, None), (0.03, None), (0.3, 10.0)])
+def test_conjugate_gradients_agree_with_the_dense_route(M, alpha):
+    # M = 0.3 and 0.03 sit where the fixed-point iteration diverges
+    mesh, spec = divergence_case(M)
+    spec = spec.with_alpha(alpha)
+    cg = optctl.solve_optimal_cg(mesh, spec)
+    dense = optctl.solve_optimal_reduced(mesh, spec)
+    assert norm(cg.q_opt - dense.q_opt, "Q") <= 1e-9 * norm(dense.q_opt, "Q")
+    assert cg.cost == pytest.approx(dense.cost, rel=1e-9)
+    assert cg.contraction_ratios == []
+    optctl.check_with_reduced(mesh, spec, cg)
+
+
+def count_solves(monkeypatch):
+    counts = {"state": 0, "adjoint": 0}
+    for name, module_name in (("state", "solve_state"), ("adjoint", "solve_adjoint")):
+        solve = getattr(pde, module_name)
+
+        def counted(*args, _solve=solve, _name=name):
+            counts[_name] += 1
+            return _solve(*args)
+
+        monkeypatch.setattr(pde, module_name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("alpha", [None, 10.0])
+def test_conjugate_gradients_take_no_more_solves_than_the_fixed_point_iteration(
+    monkeypatch, alpha
+):
+    # the default M of the optimizing experiments: 4x the contraction bound
+    # of their coarsest mesh
+    config = harness.ExperimentConfig("control-conv")
+    _, spec = harness.prepare(config, build_structured_mesh(config.levels[0], ["bottom"]))
+    spec = spec.with_alpha(alpha)
+    mesh = build_structured_mesh(16, ["bottom"])
+    counts = count_solves(monkeypatch)
+    fp = optctl.solve_optimal_fixed_point(mesh, spec)
+    fp_counts = dict(counts)
+    counts.update(state=0, adjoint=0)
+    cg = optctl.solve_optimal_cg(mesh, spec)
+    assert counts["state"] == counts["adjoint"] == cg.iterations + 2
+    assert counts["state"] <= fp_counts["state"] and counts["adjoint"] <= fp_counts["adjoint"]
+    assert norm(cg.q_opt - fp.q_opt, "Q") <= 1e-8
+
+
+def test_nonpositive_curvature_raises(monkeypatch):
+    mesh = build_structured_mesh(8, ["bottom"])
+    hessian_product = optctl.hessian_product
+    monkeypatch.setattr(optctl, "hessian_product", lambda *args: -hessian_product(*args))
+    with pytest.raises(ConvergenceError, match="nonpositive curvature"):
+        optctl.solve_optimal_cg(mesh, make_spec())
+
+
+def test_conjugate_gradient_budget_exhaustion_raises(monkeypatch):
+    mesh = build_structured_mesh(8, ["bottom"])
+    monkeypatch.setattr(optctl, "_MAX_CG_ITER", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 steps"):
+        optctl.solve_optimal_cg(mesh, make_spec())
+
+
+def test_conjugate_gradients_check_the_recomputed_gradient(monkeypatch):
+    # with H doubled the recursion converges, to half the optimum, and only
+    # the recomputed gradient at the result shows it
+    mesh = build_structured_mesh(8, ["bottom"])
+    hessian_product = optctl.hessian_product
+    monkeypatch.setattr(optctl, "hessian_product", lambda *args: hessian_product(*args) * 2.0)
+    with pytest.raises(ConvergenceError, match="gradient norm") as info:
+        optctl.solve_optimal_cg(mesh, make_spec())
+    assert info.value.residual > optctl._CG_TOL
+
+
+@pytest.mark.parametrize("alpha", [None, 1.0])
+def test_perturbed_optimum_fails_the_dense_cross_check(alpha):
+    mesh = build_structured_mesh(8, ["bottom"])
+    spec = make_spec(alpha)
+    sol = optctl.solve_optimal_fixed_point(mesh, spec)
+    optctl.check_with_reduced(mesh, spec, sol)
+    shifted = TraceField(mesh, sol.q_opt.coefficients + 1e-8)
+    with pytest.raises(ConvergenceError, match="gradient bound") as info:
+        optctl.check_with_reduced(mesh, spec, dataclasses.replace(sol, q_opt=shifted))
+    assert info.value.gap > info.value.bound
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("alpha", [None, 10.0])
+@pytest.mark.parametrize("scale", [1.0, 1e-4])
+def test_quadratic_form_gap_is_the_difference_of_costs(n, alpha, scale):
+    mesh = build_structured_mesh(n, ["bottom"])
+    spec = make_spec(alpha)
+    opt = optctl.solve_optimal_fixed_point(mesh, spec)
+    q = opt.q_opt + random_trace(mesh, 21) * scale
+    difference = optctl.cost(mesh, spec, q) - opt.cost
+    # a few roundoffs of the two costs; measured at most 4.6e-16 of their sum
+    noise = 4.0 * np.finfo(float).eps * (optctl.cost(mesh, spec, q) + opt.cost)
+    gap = optctl.cost_gap(mesh, spec, q, opt)
+    assert gap > 0.0
+    assert abs(gap - difference) <= noise
 
 
 @pytest.mark.parametrize("M", [1.0, 6.0])
