@@ -1,28 +1,35 @@
-"""Direct linear solves with checked residuals, and discrete stability constants.
+"""Linear solves with checked residuals, and discrete stability constants.
 
-Every system the package solves is symmetric positive definite and is
-solved by a sparse LU factorization in symmetric mode without pivoting,
-so the factor is a Cholesky factorization in disguise.  ``solve_spd``
-checks the residual of every solution.  A factor that is kept is never
-asked for its pivots, since reading them makes SuperLU keep sparse copies
-of both triangles; definiteness is certified otherwise.
+Every system the package solves is symmetric positive definite, and
+``solve_spd`` checks the residual of every solution.
 
-Each mesh owns one ``MeshOperators``: the only factorization the clamped
-family makes, of the free block K_ff, in the mesh's nested-dissection
-order.  P1 stiffness on a mesh of right triangles is a symmetric Z-matrix,
-so K_ff is certified positive definite by one solve, K_ff^-1 1 >= 0 (an
-M-matrix test), with no second factorization.
+Each mesh owns one ``MeshOperators``, which solves the clamped block K_ff
+with no sparse factorization.  The mesh is a uniform grid of the unit
+square and the clamped portion a union of whole sides, so P1 stiffness is
+the Kronecker sum K = K1 (x) D1 + D1 (x) K1 of the 1-D stiffness
+K1 = tridiag(-1, 2, -1) (1 in both corners) and the 1-D lumped mass
+D1 = diag(1/2, 1, ..., 1, 1/2), in vertex order j (n+1) + i.  The free
+vertices form a tensor grid, so K_ff is the Kronecker sum of the 1-D
+matrices restricted to the free x- and y-indices, and one eigendecomposition
+of each 1-D pencil solves it exactly (``fast_diagonalization``).  P1
+stiffness on a mesh of right triangles is a symmetric Z-matrix, so the
+assembled K_ff is certified positive definite by one solve, K_ff^-1 1 >= 0
+(an M-matrix test), and every solve is checked against it.
 
 The Robin matrix K + alpha B1 differs from the clamped one only on the
 clamped vertices, so a Robin solve at any alpha eliminates the free block
-with the K_ff factor and solves the small dense system (S0 + alpha B1_cc)
+with the K_ff solve and solves the small dense system (S0 + alpha B1_cc)
 on the clamped vertices, where S0 = K_cc - K_cf K_ff^-1 K_fc is the Schur
 complement of the free block.  One eigendecomposition of the pencil
 (S0, B1_cc) per mesh solves that system at every alpha, so nothing is
 factored per alpha.  S0 is built once per mesh, on the first Robin solve
-only, from a throwaway factor of K + B1 whose pivots are checked.  As
-alpha grows the clamped values are pinned ever harder, and the clamped
+only, from a throwaway sparse factor of K + B1 whose pivots are checked.
+As alpha grows the clamped values are pinned ever harder, and the clamped
 family is the limit.
+
+Sparse LU factors in symmetric mode without pivoting, Cholesky factors in
+disguise, are made only for matrices of other structure (``factorize``)
+and are never kept past the call that made them.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .mesh import BoundaryTag, Mesh, cached, dof_partition
+from .mesh import BoundaryTag, Mesh, cached, dof_partition, nested_dissection
 
-# right-hand side columns per call into the factor: SuperLU solves wider
-# blocks more slowly per column, and they hold more memory
+# right-hand side columns per call into a solve: a sparse factor solves
+# wider blocks more slowly per column, and they hold more memory
 _BLOCK_COLUMNS = 8
 
 # relative residual target of a solve
@@ -80,7 +87,7 @@ def _pivots_checked(lu):
     """The factor, once its pivots prove the matrix positive definite.
 
     Reading the pivots makes SuperLU keep sparse copies of both factors for
-    the lifetime of the object, so only throwaway factors are checked.
+    the lifetime of the object, which is why no sparse factor is kept.
     """
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise ConvergenceError("factorization exchanged rows: pivot signs are not conclusive")
@@ -93,18 +100,15 @@ def _pivots_checked(lu):
 
 
 def factorize(matrix):
-    """Factor a sparse symmetric matrix for repeated solves; returns a solve callable.
-
-    The matrix is factored in its own order, which should be fill-reducing,
-    as a mesh's K_ff is (``dof_partition``).
+    """Factor a sparse symmetric matrix in a fill-reducing order; returns a solve callable.
 
     The pivots of a symmetric factorization without row exchanges are all
-    positive exactly when the matrix is positive definite.  This factor is
-    kept, so its pivots are not read: callers certify the matrix by its
-    M-matrix structure (``certified_stieltjes``).  A factor used only while
-    one call runs may read its own (``certified``).
+    positive exactly when the matrix is positive definite, and they are
+    checked: ConvergenceError otherwise.  The factor then holds sparse
+    copies of both triangles, so it serves the solves of one call and is
+    not kept.  A mesh's K_ff is never factored (``fast_diagonalization``).
     """
-    return _splu(matrix, "NATURAL").solve
+    return _pivots_checked(_splu(matrix)).solve
 
 
 def _norm_inf(matrix) -> float:
@@ -119,10 +123,12 @@ def _norm_inf(matrix) -> float:
 
 
 class FactoredMatrix:
-    """A sparse symmetric positive definite matrix and the solve of its factor.
+    """A sparse symmetric positive definite matrix and an exact solve with it.
 
-    ``norm_inf`` is |A|_inf, which bounds |A|_2 for symmetric A and sets
-    the roundoff floor of a solve's residual (``solve_spd``).
+    The solve is a sparse factor's (``certified``) or, for a mesh's K_ff,
+    a fast diagonalization's (``certified_stieltjes``).  ``norm_inf`` is
+    |A|_inf, which bounds |A|_2 for symmetric A and sets the roundoff floor
+    of a solve's residual (``solve_spd``).
     """
 
     def __init__(self, matrix, solve):
@@ -136,30 +142,25 @@ class FactoredMatrix:
 
 
 def certified(matrix) -> FactoredMatrix:
-    """The matrix with its one factor, once that factor's pivots prove it definite.
+    """The matrix with its one sparse factor, whose pivots prove it definite (``factorize``).
 
-    For sparse input of any structure, solved while one call runs: the
-    factor keeps the sparse copies of both triangles that reading its
-    pivots makes, so it is never stored.  A mesh's K_ff, which is kept, is
-    certified by its M-matrix structure instead (``certified_stieltjes``).
+    For sparse input of any structure, solved while one call runs.
     """
-    return FactoredMatrix(matrix, _pivots_checked(_splu(matrix)).solve)
+    return FactoredMatrix(matrix, factorize(matrix))
 
 
-def certified_stieltjes(matrix) -> FactoredMatrix:
-    """The matrix with its one factor, once its M-matrix structure proves it definite.
+def certified_stieltjes(matrix, solve) -> FactoredMatrix:
+    """The matrix with the given solve, once its M-matrix structure proves it definite.
 
     A Z-matrix A (every off-diagonal entry <= 0) is a nonsingular M-matrix
     as soon as some x >= 0 has A x > 0, and a symmetric one is positive
     definite (Berman & Plemmons, Nonnegative Matrices in the Mathematical
     Sciences, ch. 6).  P1 stiffness on a non-obtuse triangulation is a
     symmetric Z-matrix (Ciarlet & Raviart, 1973).  The witness is
-    x = A^-1 1, solved with the kept factor by ``solve_spd``, which checks
-    its residual.  ConvergenceError unless A is exactly symmetric, a
-    Z-matrix and x passes; the factor's pivots are never read.
-
-    A is factored in its own order, which should be fill-reducing: a mesh's
-    free vertices come in nested-dissection order (``dof_partition``).
+    x = A^-1 1, solved with the given solve by ``solve_spd``, which checks
+    its residual against A.  ConvergenceError unless A is exactly
+    symmetric, a Z-matrix and x passes; so the certificate rests on the
+    assembled matrix, whatever the solve.
     """
     csr = sp.csr_matrix(matrix)
     if (csr != csr.T).nnz:
@@ -167,7 +168,7 @@ def certified_stieltjes(matrix) -> FactoredMatrix:
     coo = csr.tocoo()
     if np.any(coo.data[coo.row != coo.col] > 0):
         raise ConvergenceError("matrix has a positive off-diagonal entry: not a Z-matrix")
-    op = FactoredMatrix(csr, factorize(csr))
+    op = FactoredMatrix(csr, solve)
     x = solve_spd(op, np.ones(csr.shape[0]))
     if not (np.all(x >= 0) and np.all(op @ x > 0)):
         raise ConvergenceError(
@@ -177,20 +178,57 @@ def certified_stieltjes(matrix) -> FactoredMatrix:
     return op
 
 
+def fast_diagonalization(mesh: Mesh):
+    """The exact solve with the mesh's K_ff, by fast diagonalization; returns a solve callable.
+
+    The free vertices, in increasing vertex order, are a row-major tensor
+    grid Iy x Ix of grid indices (``dof_partition``), and
+    K_ff = Ky (x) Dx + Dy (x) Kx, with Kx, Dx and Ky, Dy the 1-D matrices
+    K1, D1 of the module docstring restricted to Ix and Iy.  Each 1-D pencil
+    is diagonalized once, V' K V = diag(lambda) and V' D V = I, so a
+    right-hand side R on the grid solves to
+    X = Vy [(Vy' R Vx) / (lambda_y_j + lambda_x_i)] Vx' (Lynch, Rice &
+    Thomas, Numer. Math. 6, 1964; Buzbee, Golub & Nielson, SIAM J. Numer.
+    Anal. 7, 1970).  A clamped side drops an end of one index range, which
+    makes that pencil definite, so every denominator is positive.  The
+    solve takes a vector or an (N, k) block of columns.
+    """
+    n, free = mesh.n, dof_partition(mesh).free_dofs
+    lx, vx = _pencil_1d(n, np.unique(free % (n + 1)))
+    ly, vy = _pencil_1d(n, np.unique(free // (n + 1)))
+    grid = (len(ly), len(lx))
+    denominator = ly[:, None] + lx
+
+    def solve(rhs):
+        r = rhs.T.reshape(rhs.shape[1:] + grid)
+        x = vy @ ((vy.T @ r @ vx) / denominator) @ vx.T
+        return x.reshape(rhs.shape[::-1]).T
+
+    return solve
+
+
+def _pencil_1d(n, index):
+    """(lambda, V) of the 1-D pencil (K1, D1) on n + 1 points, restricted to index."""
+    d1 = np.ones(n + 1)
+    d1[[0, n]] = 0.5
+    k1 = 2.0 * np.diag(d1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)
+    return scipy.linalg.eigh(k1[np.ix_(index, index)], np.diag(d1[index]))
+
+
 class RobinOperator:
-    """K + alpha B1 on one mesh, solved through the clamped-block factor.
+    """K + alpha B1 on one mesh, solved through the clamped-block solve.
 
     The sum is never formed: products apply K and B1 separately, and solves
-    eliminate the free block with the K_ff factor around the mesh's pencil
+    eliminate the free block with the K_ff solve around the mesh's pencil
     (``schur_pencil``).  Of alpha it keeps d = 1 / (lambda + alpha), which
     must be positive, or ConvergenceError is raised.  ``norm_inf`` is
-    |K + alpha B1|_inf, summed from the mesh's split of its rows
-    (``MeshOperators.robin_norm_inf``).
+    |K + alpha B1|_inf (``robin_norm_inf``).  No reference to the mesh is
+    kept.
     """
 
-    def __init__(self, ops: "MeshOperators", pencil, alpha: float):
+    def __init__(self, mesh: Mesh, alpha: float):
         self.alpha = float(alpha)
-        eigenvalues, self._v = pencil
+        eigenvalues, self._v = schur_pencil(mesh)
         shifted = eigenvalues + self.alpha
         if not np.all(shifted > 0):
             raise ConvergenceError(
@@ -198,9 +236,9 @@ class RobinOperator:
                 f"smallest lambda + alpha is {shifted.min():.3e}"
             )
         self._d = 1.0 / shifted
-        self.shape = ops.stiff.shape
-        self.norm_inf = ops.robin_norm_inf(self.alpha)
-        self._ops = ops
+        self._ops = operators(mesh)
+        self.shape = self._ops.stiff.shape
+        self.norm_inf = robin_norm_inf(mesh, self.alpha)
 
     def __matmul__(self, x):
         return self._ops.stiff @ x + self.alpha * (self._ops.b1 @ x)
@@ -222,13 +260,12 @@ class RobinOperator:
 class MeshOperators:
     """The clamped operator K_ff of one mesh and the blocks its Robin operators share.
 
-    K_ff is factored once and certified by ``certified_stieltjes``; the
-    clamped family needs no other factorization.  The pencil of the Schur
-    complement S0 is kept apart (``schur_pencil``), since only Robin
-    operators use it.  The rows of K + alpha B1 are split once, so that the
-    norm that sets a Robin operator's residual floor costs no sparse work
-    per alpha (``robin_norm_inf``).  No reference to the mesh is kept, so
-    the mesh's store holds no cycle.
+    K_ff is solved by ``fast_diagonalization`` and certified by
+    ``certified_stieltjes``: the clamped family makes no sparse
+    factorization.  What only Robin operators use, the pencil of the Schur
+    complement S0 and the row split behind their norms, is built on first
+    use in the mesh's store (``schur_pencil``, ``robin_norm_inf``).  No
+    reference to the mesh is kept, so the mesh's store holds no cycle.
     """
 
     def __init__(self, mesh: Mesh):
@@ -236,21 +273,22 @@ class MeshOperators:
         self.free, self.clamped_dofs = part.free_dofs, part.gamma1_dofs
         self.stiff = assembly.assemble_stiffness(mesh)
         self.b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-        self._robin_rows = _robin_row_split(self.stiff, self.b1)
         stiff_f = self.stiff[self.free]
-        self.clamped = certified_stieltjes(stiff_f[:, self.free])
+        self.clamped = certified_stieltjes(stiff_f[:, self.free], fast_diagonalization(mesh))
         self.k_fc = stiff_f[:, self.clamped_dofs].tocsc()
         self.k_cf = self.k_fc.T.tocsr()
 
-    def robin_norm_inf(self, alpha: float) -> float:
-        """|K + alpha B1|_inf, from the rows that B1 touches and the largest of the rest."""
-        rest, row, stiff, b1 = self._robin_rows
-        sums = np.bincount(row, np.abs(stiff + alpha * b1))
-        return float(np.max(sums, initial=rest))
+
+def robin_norm_inf(mesh: Mesh, alpha: float) -> float:
+    """|K + alpha B1|_inf, from the rows that B1 touches and the largest of the rest."""
+    rest, row, stiff, b1 = _robin_row_split(mesh)
+    sums = np.bincount(row, np.abs(stiff + alpha * b1))
+    return float(np.max(sums, initial=rest))
 
 
-def _robin_row_split(stiff, b1):
-    """The rows of K + alpha B1 split for ``MeshOperators.robin_norm_inf``.
+@cached
+def _robin_row_split(mesh: Mesh):
+    """The rows of K + alpha B1 split for ``robin_norm_inf``, built on first use.
 
     Rows that B1 leaves empty do not depend on alpha: only their largest
     |K| row sum is kept.  In each row that B1 touches, K's entries and
@@ -259,6 +297,8 @@ def _robin_row_split(stiff, b1):
     part.  Returns (largest other row sum, row number, K value, B1 value)
     of each gathered entry.  Neither matrix is changed.
     """
+    stiff = assembly.assemble_stiffness(mesh)
+    b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
     size = stiff.shape[1]
     k, b = stiff.tocoo(), b1.tocoo()
     touched = np.unique(b.row)
@@ -280,15 +320,16 @@ def schur_pencil(mesh: Mesh):
 
     Then (S0 + alpha B1_cc)^-1 = V diag(1 / (lambda + alpha)) V' (Golub &
     Van Loan, Matrix Computations, 4th ed., 8.7).  A throwaway factor of
-    K + B1, free vertices first in nested-dissection order and the clamped
-    ones last, gives S0: its leading pivots are those of K_ff and are
-    checked, and its trailing block factors S0 + B1_cc.
+    K + B1, free vertices first in nested-dissection order
+    (``nested_dissection``) and the clamped ones last, gives S0: its
+    leading pivots are those of K_ff and are checked, and its trailing
+    block factors S0 + B1_cc.
     """
-    part = dof_partition(mesh)
-    clamped = part.gamma1_dofs
+    clamped = dof_partition(mesh).gamma1_dofs
     stiff = assembly.assemble_stiffness(mesh)
     b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-    order = np.concatenate([part.free_dofs, clamped])
+    nd = nested_dissection(mesh)
+    order = np.concatenate([nd[~np.isin(nd, clamped)], clamped])
     b1_cc = b1[clamped][:, clamped].toarray()
     schur0 = _trailing_schur((stiff + b1)[order][:, order], len(clamped)) - b1_cc
     eigenvalues, v = scipy.linalg.eigh(schur0, b1_cc)
@@ -320,10 +361,7 @@ def operators(mesh: Mesh) -> MeshOperators:
 
 def robin_operator(mesh: Mesh, alpha: float) -> RobinOperator:
     """K + alpha B1 on the mesh, built afresh on every call: nothing per alpha is kept."""
-    # S0's throwaway factor comes before the kept one, which then reuses
-    # its freed heap instead of stacking on it
-    pencil = schur_pencil(mesh)
-    return RobinOperator(operators(mesh), pencil, alpha)
+    return RobinOperator(mesh, alpha)
 
 
 def solve_spd(matrix, rhs):
@@ -474,10 +512,7 @@ def estimate_constants(mesh: Mesh) -> DiscreteConstants:
 
     free = ops.free
     v_ff = v_gram[free][:, free].tocsr()
-    # drawn in vertex order, so the estimate does not depend on the order of the free dofs
-    start = np.empty(len(free))
-    start[np.argsort(free)] = rng.standard_normal(len(free))
-    lambda_h = 1.0 / _pencil_largest(v_ff, ops.clamped, start)
+    lambda_h = 1.0 / _pencil_largest(v_ff, ops.clamped, rng.standard_normal(len(free)))
     lambda1_h = 1.0 / _pencil_largest(
         v_gram, robin_operator(mesh, 1.0), rng.standard_normal(v_gram.shape[0])
     )

@@ -39,7 +39,7 @@ class Mesh:
     gamma1_sides : the sides whose edges carry the GAMMA1 tag.
     h : longest triangle side, sqrt(2)/n.
     store : values derived from the mesh alone (partition, areas,
-        matrices, factorizations, constants), filled on first use by
+        matrices, solvers, constants), filled on first use by
         ``cached`` functions and released with the mesh.
     """
 
@@ -157,15 +157,14 @@ def dof_partition(mesh: Mesh) -> DofPartition:
     """Split vertex indices by boundary role.
 
     A vertex incident to any GAMMA1 edge is clamped (corners shared with the
-    flux portion included, so the clamped condition wins there).  The trace
-    and clamped index sets are in increasing vertex order; the free vertices
-    are in nested-dissection order, so the free block of any mesh matrix
-    comes in a fill-reducing order.
+    flux portion included, so the clamped condition wins there).  Every
+    index set is in increasing vertex order.  GAMMA1 is a union of whole
+    sides, so the free vertices are a row-major tensor grid: the vertex
+    grid without the rows and columns of the clamped sides.
     """
     g1 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1])
     g2 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2])
-    nd = nested_dissection(mesh)
-    free = nd[~np.isin(nd, g1)]
+    free = np.setdiff1d(np.arange(len(mesh.vertices)), g1)
     return DofPartition(gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
 
 
@@ -176,7 +175,9 @@ def nested_dissection(mesh: Mesh) -> np.ndarray:
     Each block of the grid is split by its middle grid line, which no mesh
     edge crosses; the two halves come first, the line last.  A sparse
     factorization in this order eliminates the halves independently and
-    fills in like O(N log N).  Read-only, since it is shared.
+    fills in like O(N log N); the throwaway factor of K + B1 that gives a
+    mesh's Schur complement is its one user (``linsolve.schur_pencil``).
+    Read-only, since it is shared.
     """
     order = []
 

@@ -25,7 +25,7 @@ Three routes compute the optimum:
 
 The dense route shares the linear solver with the others, and more than
 that: it takes its base state from ``pde.solve_state``, and its responses
-from two blocks solved once per mesh with the K_ff factor that the state
+from two blocks solved once per mesh with the K_ff solve that the state
 and adjoint solves use and from the Robin operator's Schur solve at the same
 alpha.  Every solve and every response is checked by its residual.  The
 routes stay independent only because the dense one never solves the
@@ -112,15 +112,20 @@ def _zero(x, y):
     return np.zeros_like(x)
 
 
+def _homogeneous(spec: pde.ProblemSpec) -> pde.ProblemSpec:
+    """The homogeneous problem (g = z_d = 0, b = 0): its cost is J's quadratic part.
+
+    One module-level zero callable keeps its load vectors cached per mesh.
+    """
+    return pde.ProblemSpec(g=_zero, z_d=_zero, b=0.0, M=spec.M, alpha=spec.alpha)
+
+
 def hessian_product(mesh: Mesh, spec: pde.ProblemSpec, d: TraceField) -> TraceField:
     """H d: the gradient of the homogeneous problem (g = z_d = 0, b = 0) at d.
 
-    The gradient is affine in the control, and H is its linear part.  One
-    module-level zero callable keeps the homogeneous load vectors cached per
-    mesh.
+    The gradient is affine in the control, and H is its linear part.
     """
-    homogeneous = pde.ProblemSpec(g=_zero, z_d=_zero, b=0.0, M=spec.M, alpha=spec.alpha)
-    return gradient(mesh, homogeneous, d)
+    return gradient(mesh, _homogeneous(spec), d)
 
 
 def _inner(a: TraceField, b: TraceField) -> float:
@@ -132,12 +137,14 @@ def cost_gap(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField, opt: OptimalSolut
 
     The cost is quadratic, so the expansion is exact; unlike the difference
     of the two costs, it does not cancel, and it stays accurate to roundoff
-    relative to the gap itself.  The gradient at q* comes from the state and
-    adjoint that opt holds.
+    relative to the gap itself.  1/2 <e, H e> is the homogeneous problem's
+    cost at e, the quadrature misfit of the state S e plus M |e|^2, halved:
+    one state solve and no adjoint.  The gradient at q* comes from the state
+    and adjoint that opt holds.
     """
     e = q - opt.q_opt
     grad = _gradient_of_adjoint(spec, opt.q_opt, opt.p_opt)
-    return 0.5 * _inner(e, hessian_product(mesh, spec, e)) + _inner(grad, e)
+    return cost(mesh, _homogeneous(spec), e) + _inner(grad, e)
 
 
 def fixed_point_map(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField) -> TraceField:
@@ -354,7 +361,7 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     R' M R_j and R_j' v, so neither R nor M R is ever formed whole.
 
     R is built from two blocks that each mesh solves once with the K_ff
-    factor its Robin operators share: the clamped responses
+    solve its Robin operators share: the clamped responses
     Y = K_ff^-1 (-B2 E)_f, and for the Robin family W = K_ff^-1 K_fc.  At
     any alpha the clamped values X = (S0 + alpha B1_cc)^-1 ((-B2 E)_c - K_cf Y)
     come from the Robin operator's Schur solve, R_f = Y - W X,

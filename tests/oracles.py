@@ -5,9 +5,12 @@ edge; the package assembles every element at once.  evaluate_nodal evaluates
 a piecewise-linear field at arbitrary points of the unit square, and
 interpolate_nodal takes a callable's vertex values; the package itself never
 needs either.  column reads one column of a report's rows.
+kronecker_sum builds a clamped block K_ff from 1-D matrices, where the
+package assembles it from triangles.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from fluxopt.mesh import NodalField, _evaluate_callable
 
@@ -80,3 +83,24 @@ def column(report, name: str) -> np.ndarray:
     if name not in report.columns:
         raise ValueError(f"no column {name!r}; columns: {report.columns}")
     return np.asarray([row[name] for row in report.rows], dtype=float)
+
+
+def kronecker_sum(n, sides):
+    """Free grid indices Ix, Iy and Ky (x) Dx + Dy (x) Kx on them, for the clamped sides.
+
+    K1 = tridiag(-1, 2, -1) with 1 in both corners and D1 = diag(1/2, 1, ...,
+    1, 1/2), both of size n + 1, restricted to Ix (x-matrices) and Iy
+    (y-matrices); a clamped side drops its end of the x or y range.  The
+    matrix is in row-major grid order, y slow and x fast.
+    """
+    ends = {"left": (0, 0), "right": (0, n), "bottom": (1, 0), "top": (1, n)}
+    keep = np.ones((2, n + 1), dtype=bool)
+    for side in sides:
+        keep[ends[side]] = False
+    ix, iy = np.flatnonzero(keep[0]), np.flatnonzero(keep[1])
+    d1 = np.ones(n + 1)
+    d1[[0, n]] = 0.5
+    k1 = 2.0 * np.diag(d1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)
+    kx, ky = k1[np.ix_(ix, ix)], k1[np.ix_(iy, iy)]
+    dx, dy = np.diag(d1[ix]), np.diag(d1[iy])
+    return ix, iy, sp.csr_matrix(sp.kron(ky, dx) + sp.kron(dy, kx))

@@ -367,6 +367,24 @@ def test_quadratic_form_gap_is_the_difference_of_costs(n, alpha, scale):
     assert abs(gap - difference) <= noise
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("alpha", [None, 10.0])
+def test_cost_gap_takes_its_quadratic_term_from_one_state_solve(monkeypatch, n, alpha):
+    # 1/2 <e, H e> is the homogeneous cost at e: no adjoint solve, and the
+    # same value as the form through the full H product
+    mesh = build_structured_mesh(n, ["bottom"])
+    spec = make_spec(alpha)
+    opt = optctl.solve_optimal_fixed_point(mesh, spec)
+    q = opt.q_opt + random_trace(mesh, 21)
+    e = q - opt.q_opt
+    grad = optctl._gradient_of_adjoint(spec, opt.q_opt, opt.p_opt)
+    through_h = 0.5 * optctl._inner(e, optctl.hessian_product(mesh, spec, e)) + optctl._inner(grad, e)
+    counts = count_solves(monkeypatch)
+    gap = optctl.cost_gap(mesh, spec, q, opt)
+    assert counts == {"solve_state": 1, "solve_adjoint": 0}
+    assert abs(gap - through_h) <= 1e-13 * abs(through_h)
+
+
 @pytest.mark.parametrize("M", [1.0, 6.0])
 def test_contracting_iteration_below_the_surrogate_bound_runs_to_the_end(M):
     # both M sit below the pessimistic bound but the map still contracts
