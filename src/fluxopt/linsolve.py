@@ -4,17 +4,11 @@ Every system the package solves is symmetric positive definite, and
 ``solve_spd`` checks the residual of every solution.
 
 Each mesh owns one ``MeshOperators``, which solves the clamped block K_ff
-with no sparse factorization.  The mesh is a uniform grid of the unit
-square and the clamped portion a union of whole sides, so P1 stiffness is
-the Kronecker sum K = K1 (x) D1 + D1 (x) K1 of the 1-D stiffness
-K1 = tridiag(-1, 2, -1) (1 in both corners) and the 1-D lumped mass
-D1 = diag(1/2, 1, ..., 1, 1/2), in vertex order j (n+1) + i.  The free
-vertices form a tensor grid, so K_ff is the Kronecker sum of the 1-D
-matrices restricted to the free x- and y-indices, and one eigendecomposition
-of each 1-D pencil solves it exactly (``fast_diagonalization``).  P1
-stiffness on a mesh of right triangles is a symmetric Z-matrix, so the
-assembled K_ff is certified positive definite by one solve, K_ff^-1 1 >= 0
-(an M-matrix test), and every solve is checked against it.
+exactly with no sparse factorization: on the unit-square grid with whole
+clamped sides, K_ff is a Kronecker sum of 1-D matrices on a tensor grid of
+free vertices (``fast_diagonalization``).  P1 stiffness on a mesh of right
+triangles is a symmetric Z-matrix, so the assembled K_ff is certified
+positive definite by one solve, K_ff^-1 1 >= 0 (an M-matrix test).
 
 The Robin matrix K + alpha B1 differs from the clamped one only on the
 clamped vertices, so a Robin solve at any alpha eliminates the free block
@@ -25,11 +19,8 @@ complement of the free block.  One eigendecomposition of the pencil
 factored per alpha.  S0 is built once per mesh, on the first Robin solve
 only, from a throwaway sparse factor of K + B1 whose pivots are checked.
 As alpha grows the clamped values are pinned ever harder, and the clamped
-family is the limit.
-
-Sparse LU factors in symmetric mode without pivoting, Cholesky factors in
-disguise, are made only for matrices of other structure (``factorize``)
-and are never kept past the call that made them.
+family is the limit.  No sparse factor is kept past the call that made it
+(``factorize``).
 """
 
 from __future__ import annotations
@@ -181,12 +172,13 @@ def certified_stieltjes(matrix, solve) -> FactoredMatrix:
 def fast_diagonalization(mesh: Mesh):
     """The exact solve with the mesh's K_ff, by fast diagonalization; returns a solve callable.
 
-    The free vertices, in increasing vertex order, are a row-major tensor
-    grid Iy x Ix of grid indices (``dof_partition``), and
-    K_ff = Ky (x) Dx + Dy (x) Kx, with Kx, Dx and Ky, Dy the 1-D matrices
-    K1, D1 of the module docstring restricted to Ix and Iy.  Each 1-D pencil
-    is diagonalized once, V' K V = diag(lambda) and V' D V = I, so a
-    right-hand side R on the grid solves to
+    P1 stiffness on the grid is K = K1 (x) D1 + D1 (x) K1 in vertex order
+    j (n+1) + i, with K1 = tridiag(-1, 2, -1) (1 in both corners) and
+    D1 = diag(1/2, 1, ..., 1, 1/2).  The free vertices, in increasing vertex
+    order, are a row-major tensor grid Iy x Ix (``dof_partition``), so
+    K_ff = Ky (x) Dx + Dy (x) Kx with the 1-D matrices restricted to Ix and
+    Iy.  Each 1-D pencil is diagonalized once, V' K V = diag(lambda) and
+    V' D V = I, and a right-hand side R on the grid solves to
     X = Vy [(Vy' R Vx) / (lambda_y_j + lambda_x_i)] Vx' (Lynch, Rice &
     Thomas, Numer. Math. 6, 1964; Buzbee, Golub & Nielson, SIAM J. Numer.
     Anal. 7, 1970).  A clamped side drops an end of one index range, which

@@ -295,8 +295,9 @@ def test_fast_diagonalization_solves_like_a_sparse_factor(sides):
 
 
 def test_a_corrupted_eigenvalue_fails_the_residual_check(monkeypatch):
-    # the smallest eigenvalue of each 1-D pencil doubled: the solve is off in
-    # the smoothest modes, and one refinement step through it cannot mend that
+    # the smallest eigenvalue of each 1-D pencil raised to 2 lambda + 1: the
+    # solve is off in the smoothest modes, and one refinement step through it
+    # cannot mend that
     pencil_1d = linsolve._pencil_1d
 
     def corrupted(n, index):
