@@ -35,8 +35,8 @@ import scipy.sparse.linalg as spla
 from . import assembly
 from .mesh import BoundaryTag, Mesh, cached, dof_partition, nested_dissection
 
-# right-hand side columns per call into a solve: a sparse factor solves
-# wider blocks more slowly per column, and they hold more memory
+# right-hand side columns per call into a solve: wider blocks hold more
+# memory, and a refinement step solves the whole block when one column needs it
 _BLOCK_COLUMNS = 8
 
 # relative residual target of a solve
@@ -240,13 +240,10 @@ class RobinOperator:
         free, clamped = ops.free, ops.clamped_dofs
         y = ops.clamped.solve(rhs[free])
         x = np.empty(rhs.shape)
-        x[clamped] = self.solve_schur(rhs[clamped] - ops.k_cf @ y)
+        # (S0 + alpha B1_cc)^-1 = V diag(d) V' on the clamped vertices
+        x[clamped] = (self._v * self._d) @ (self._v.T @ (rhs[clamped] - ops.k_cf @ y))
         x[free] = y - ops.clamped.solve(ops.k_fc @ x[clamped])
         return x
-
-    def solve_schur(self, rhs_c):
-        """(S0 + alpha B1_cc)^-1 rhs_c = V diag(d) V' rhs_c, for a vector or a column block."""
-        return (self._v * self._d) @ (self._v.T @ rhs_c)
 
 
 class MeshOperators:

@@ -23,14 +23,15 @@ Three routes compute the optimum:
   ``check_with_reduced`` raises when an optimum disagrees with it beyond
   what the two gradients allow.
 
-The dense route shares the linear solver with the others, and more than
-that: it takes its base state from ``pde.solve_state``, and its responses
-from two blocks solved once per mesh with the K_ff solve that the state
-and adjoint solves use and from the Robin operator's Schur solve at the same
-alpha.  Every solve and every response is checked by its residual.  The
-routes stay independent only because the dense one never solves the
-adjoint equation for its optimum, so its agreement with the others tests
-the formulations, not the solver.
+The dense route shares the linear solver with the others: it takes its
+base state from ``pde.solve_state``, and its responses from one
+``solve_columns`` call with the operator that the state solves use, the
+clamped block K_ff or the Robin operator at the same alpha.  Every solve
+is checked by its residual.  The routes stay independent only because the
+dense one never solves the adjoint equation for its optimum, so its
+agreement with the others tests the formulations, not the solver.  It
+forms its responses whole, so it serves as the oracle on coarse meshes
+only: ``_MAX_RESPONSE_BYTES`` bounds them.
 
 No route returns an optimum whose cost, control or gradient is not finite;
 it raises ConvergenceError instead.
@@ -43,25 +44,23 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import assembly, pde
 from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     ConvergenceError,
     factorize,
     operators,
-    refinement,
     robin_operator,
     solve_columns,
 )
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, dof_partition, zero_trace
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition, zero_trace
 
 # the fixed-point iteration stops once a step is at most this relative to |q|
 _STEP_TOL = 1e-10
 # fixed-point steps before the iteration gives up
 _MAX_ITER = 10000
-# trace vertices up to which the dense reduced system is built
-_MAX_TRACE_DOFS = 2000
+# bytes up to which the dense reduced system forms its vertex-by-trace responses
+_MAX_RESPONSE_BYTES = 64 << 20
 # conjugate gradients stop once the residual is this relative to the first
 _CG_TOL = 1e-12
 # conjugate-gradient steps before the iteration gives up
@@ -278,145 +277,48 @@ def _optimum(mesh, spec, q, iterations, ratios) -> OptimalSolution:
     )
 
 
-# bytes of one block of response columns: wide enough for the products with
-# the block to run at matrix-matrix speed, small enough that the block and
-# its products add little to the peak memory
-_BLOCK_BYTES = 4 << 20
-
-
-def _excitation(mesh: Mesh) -> sp.csc_matrix:
-    """-B2 E: the load of each unit trace excitation, one sparse column each."""
-    g2 = dof_partition(mesh).gamma2_trace_dofs
-    return -assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)[:, g2].tocsc()
-
-
-def _frozen(block: np.ndarray) -> np.ndarray:
-    block.setflags(write=False)
-    return block
-
-
-@cached
-def clamped_response(mesh: Mesh) -> np.ndarray:
-    """Y = K_ff^-1 (-B2 E)_f: the clamped responses to the unit trace excitations.
-
-    One column per flux-boundary trace vertex, on the free vertices; the
-    clamped values are zero.  Read-only, since every reduced system of the
-    mesh shares it.
-    """
-    free = dof_partition(mesh).free_dofs
-    return _frozen(solve_columns(operators(mesh).clamped, _excitation(mesh)[free]))
-
-
-@cached
-def clamped_coupling(mesh: Mesh) -> np.ndarray:
-    """W = K_ff^-1 K_fc: the free-vertex responses to unit clamped values, negated.
-
-    Read-only, since every Robin reduced system of the mesh shares it.
-    """
-    ops = operators(mesh)
-    return _frozen(solve_columns(ops.clamped, ops.k_fc))
-
-
-class _Response:
-    """State responses R to the unit trace excitations.
-
-    R = Y - W X on the free vertices and X on the clamped ones; the clamped
-    family has X = 0.  Blocks of columns are formed on demand, so the full
-    vertex-by-trace matrix never exists.
-    """
-
-    def __init__(self, part, y, w=None, x=None):
-        self.free, self.clamped = part.free_dofs, part.gamma1_dofs
-        self.nvert = len(self.free) + len(self.clamped)
-        self.y, self.w, self.x = y, w, x
-
-    def block(self, cols) -> np.ndarray:
-        y = self.y[:, cols]
-        r = np.zeros((self.nvert, y.shape[1]))
-        if self.x is None:
-            r[self.free] = y
-        else:
-            x = self.x[:, cols]
-            r[self.free] = y - self.w @ x
-            r[self.clamped] = x
-        return r
-
-    def t_dot(self, v, rows) -> np.ndarray:
-        """Rows of R' v for an array v of vertex columns."""
-        v_f = v[self.free]
-        out = self.y[:, rows].T @ v_f
-        if self.x is not None:
-            out += self.x[:, rows].T @ (v[self.clamped] - self.w.T @ v_f)
-        return out
-
-
 def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     """Dense normal operator, linear term and constant of the reduced cost.
 
     The cost as a function of the control alone is
-    1/2 q' G q - L' q + c0.  G couples unit trace excitations through the
-    state responses R and adds M times the boundary mass; it is symmetric
-    positive definite, so a factorization failure downstream signals an
-    assembly bug.  G and L are accumulated a block of columns at a time as
-    R' M R_j and R_j' v, so neither R nor M R is ever formed whole.
+    1/2 q' G q - L' q + c0.  The state responses R to the unit trace
+    excitations solve (K + alpha B1) R = -B2 E in one ``solve_columns``
+    call: with the clamped block K_ff on the free vertices for the clamped
+    family, whose clamped rows of R are zero, and with the Robin operator
+    at alpha on every vertex for the Robin family.  Every column is
+    checked by its residual.  With Mass the vertex mass matrix,
+    G = R' Mass R, symmetrized, plus M times the boundary mass on the trace,
+    and L = R' (load(z_d) - Mass u_base), with the base state u_base from
+    ``pde.solve_state`` at the zero control.  G is
+    symmetric positive definite, so a factorization failure downstream
+    signals an assembly bug.  The route shares its linear solves with the
+    others; what keeps it independent is that it never solves the adjoint
+    equation.
 
-    R is built from two blocks that each mesh solves once with the K_ff
-    solve its Robin operators share: the clamped responses
-    Y = K_ff^-1 (-B2 E)_f, and for the Robin family W = K_ff^-1 K_fc.  At
-    any alpha the clamped values X = (S0 + alpha B1_cc)^-1 ((-B2 E)_c - K_cf Y)
-    come from the Robin operator's Schur solve, R_f = Y - W X,
-    and every block of R is checked against (K + alpha B1) R = -B2 E as
-    ``solve_spd`` checks its solves: a column above both the target and its
-    roundoff floor, or above the limit, gets one refinement step through
-    the Robin operator's solve, which G and L use on both sides.  Small
-    alpha needs that step on fine meshes, where roundoff in W X grows with
-    |X| ~ 1/alpha.  This route thus shares its responses with the state
-    solves of the iterative one; what keeps the two independent is that
-    this one never applies the update map.
+    R is a dense vertex-by-trace matrix: a request whose R would exceed
+    64 MiB raises ValueError before any solve.
     """
     part = dof_partition(mesh)
-    m = len(part.gamma2_trace_dofs)
-    if m > _MAX_TRACE_DOFS:
-        raise ValueError(f"reduced system guard: {m} trace vertices exceed the cap {_MAX_TRACE_DOFS}")
-
-    mass = assembly.assemble_mass(mesh)
-    nvert = len(mesh.vertices)
-    y = clamped_response(mesh)
-    base = pde.solve_state(mesh, spec, zero_trace(mesh))
-
-    if spec.alpha is None:
-        response = _Response(part, y)
-    else:
-        robin = robin_operator(mesh, spec.alpha)
-        excitation = _excitation(mesh)
-        clamped = part.gamma1_dofs
-        x = robin.solve_schur(excitation[clamped].toarray() - operators(mesh).k_cf @ y)
-        response = _Response(part, y, clamped_coupling(mesh), x)
-
-    v = assembly.assemble_load(mesh, spec.z_d) - mass @ base.coefficients
-    gmat = np.empty((m, m))
-    lvec = np.empty(m)
-    mass_steps = []  # M times the refinement steps taken so far, with their columns
-    width = max(1, _BLOCK_BYTES // (8 * nvert))
-    for start in range(0, m, width):
-        cols = slice(start, start + width)
-        r = response.block(cols)
-        if spec.alpha is not None:
-            step = refinement(robin, excitation[:, cols].toarray(), r)
-            if step is not None:
-                r += step
-                mass_steps.append((cols, mass @ step))
-        # G is symmetric: only its upper triangle is formed, its rows from
-        # the blocks of R as formed plus their refinement steps
-        upper = slice(0, cols.stop)
-        gmat[upper, cols] = response.t_dot(mass @ r, upper)
-        for rows, mass_step in mass_steps:
-            gmat[rows, cols] += mass_step.T @ r
-        lvec[cols] = r.T @ v
-    gmat = np.triu(gmat) + np.triu(gmat, 1).T
-    b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
     g2 = part.gamma2_trace_dofs
-    gmat += spec.M * b2[g2][:, g2].toarray()
+    nvert, m = len(mesh.vertices), len(g2)
+    if 8 * nvert * m > _MAX_RESPONSE_BYTES:
+        raise ValueError(
+            f"reduced system guard: a {nvert} x {m} response exceeds the cap of "
+            f"{_MAX_RESPONSE_BYTES} bytes"
+        )
+    b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
+    excitation = -b2[:, g2]
+    if spec.alpha is None:
+        free = part.free_dofs
+        response = np.zeros((nvert, m))
+        response[free] = solve_columns(operators(mesh).clamped, excitation[free])
+    else:
+        response = solve_columns(robin_operator(mesh, spec.alpha), excitation)
+    mass = assembly.assemble_mass(mesh)
+    base = pde.solve_state(mesh, spec, zero_trace(mesh))
+    gmat = response.T @ (mass @ response)
+    gmat = 0.5 * (gmat + gmat.T) + spec.M * b2[g2][:, g2].toarray()
+    lvec = response.T @ (assembly.assemble_load(mesh, spec.z_d) - mass @ base.coefficients)
     c0 = 0.5 * assembly.l2_misfit_sq(base, spec.z_d)
     return gmat, lvec, c0
 

