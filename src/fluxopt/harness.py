@@ -240,6 +240,8 @@ class ExperimentConfig:
         sides = set(self.gamma1_sides) if named else set()
         if not sides or sides == set(SIDES) or sides - set(SIDES):
             raise ValueError(f"gamma1_sides must be a nonempty proper subset of {SIDES}")
+        if experiment.oracle:
+            optctl.check_response_size(max(levels), self.gamma1_sides)
         if not 1.0 < self.r <= 2.0:
             raise ValueError(f"regularity exponent r must lie in (1, 2], got {self.r}")
         if self.seed < 0:
@@ -262,8 +264,10 @@ class ExperimentKind:
     """Runner, summary and defaults of one experiment kind.
 
     A kind compares against a fine reference mesh when its default n_ref is
-    set, and needs an alpha ladder when its default alphas are nonempty.
-    Its default tol keys are the only ones a config may set.
+    set, needs an alpha ladder when its default alphas are nonempty, and
+    checks its finest level against the dense route when ``oracle`` is set,
+    so that level must fit ``optctl.check_response_size``.  Its default tol
+    keys are the only ones a config may set.
     """
 
     runner: Callable[[ExperimentConfig], ConvergenceReport]
@@ -274,6 +278,7 @@ class ExperimentKind:
     min_levels: int
     alphas: Tuple[float, ...] = ()
     n_ref: Optional[int] = None
+    oracle: bool = False
 
 
 def _is_pow2(k: int) -> bool:
@@ -863,6 +868,7 @@ EXPERIMENTS = {
         n_ref=128,
         tol={"rate_slack": 0.15, "cost_rate_slack": 0.3, "start_gap": 1e-8},
         min_levels=3,
+        oracle=True,
     ),
     "alpha-sweep": ExperimentKind(
         runner=_run_alpha_sweep,
@@ -882,6 +888,7 @@ EXPERIMENTS = {
         n_ref=64,
         tol={"corner_factor": 5.0},
         min_levels=2,
+        oracle=True,
     ),
     "constants": ExperimentKind(
         runner=_run_constants,

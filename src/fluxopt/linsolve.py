@@ -14,13 +14,13 @@ The Robin matrix K + alpha B1 differs from the clamped one only on the
 clamped vertices, so a Robin solve at any alpha eliminates the free block
 with the K_ff solve and solves the small dense system (S0 + alpha B1_cc)
 on the clamped vertices, where S0 = K_cc - K_cf K_ff^-1 K_fc is the Schur
-complement of the free block.  One eigendecomposition of the pencil
-(S0, B1_cc) per mesh solves that system at every alpha, so nothing is
-factored per alpha.  S0 is built once per mesh, on the first Robin solve
-only, from a throwaway sparse factor of K + B1 whose pivots are checked.
+complement of the free block.  S0 is built once per mesh, on the first
+Robin solve only, from the same 1-D eigenpairs as the K_ff solve
+(``schur_complement``), and one eigendecomposition of the pencil (S0, B1_cc)
+solves that system at every alpha.  So neither family makes a sparse
+factorization: ``factorize`` serves only ``estimate_constants``.
 As alpha grows the clamped values are pinned ever harder, and the clamped
-family is the limit.  No sparse factor is kept past the call that made it
-(``factorize``).
+family is the limit.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .mesh import BoundaryTag, Mesh, cached, dof_partition, nested_dissection
+from .mesh import BoundaryTag, Mesh, cached, dof_partition
 
 # right-hand side columns per call into a solve: wider blocks hold more
 # memory, and a refinement step solves the whole block when one column needs it
 _BLOCK_COLUMNS = 8
+# bytes of one block of the sum that gives a mesh's Schur complement
+_CHUNK_BYTES = 2 << 20
 
 # relative residual target of a solve
 _TOL = 1e-12
@@ -59,27 +61,28 @@ class ConvergenceError(RuntimeError):
         self.ratios = ratios
 
 
-def _splu(matrix, permc_spec="MMD_AT_PLUS_A"):
+def factorize(matrix):
+    """Factor a sparse symmetric matrix in a fill-reducing order; returns a solve callable.
+
+    The pivots of a symmetric factorization without row exchanges are all
+    positive exactly when the matrix is positive definite, and they are
+    checked: ConvergenceError otherwise.  Reading them makes SuperLU keep
+    sparse copies of both triangles, so the factor serves the solves of one
+    call and is not kept.  Neither family's operators make one
+    (``fast_diagonalization``, ``schur_complement``).
+    """
     csc = sp.csc_matrix(matrix)
     if np.any(csc.diagonal() <= 0):
         raise ConvergenceError("matrix has a nonpositive diagonal entry: not positive definite")
     try:
-        return spla.splu(
+        lu = spla.splu(
             csc,
-            permc_spec=permc_spec,
+            permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise ConvergenceError(f"factorization failed: {exc}") from exc
-
-
-def _pivots_checked(lu):
-    """The factor, once its pivots prove the matrix positive definite.
-
-    Reading the pivots makes SuperLU keep sparse copies of both factors for
-    the lifetime of the object, which is why no sparse factor is kept.
-    """
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise ConvergenceError("factorization exchanged rows: pivot signs are not conclusive")
     pivots = lu.U.diagonal()
@@ -87,19 +90,7 @@ def _pivots_checked(lu):
         raise ConvergenceError(
             f"matrix is not positive definite: factor pivot {pivots.min():.3e}"
         )
-    return lu
-
-
-def factorize(matrix):
-    """Factor a sparse symmetric matrix in a fill-reducing order; returns a solve callable.
-
-    The pivots of a symmetric factorization without row exchanges are all
-    positive exactly when the matrix is positive definite, and they are
-    checked: ConvergenceError otherwise.  The factor then holds sparse
-    copies of both triangles, so it serves the solves of one call and is
-    not kept.  A mesh's K_ff is never factored (``fast_diagonalization``).
-    """
-    return _pivots_checked(_splu(matrix)).solve
+    return lu.solve
 
 
 def _norm_inf(matrix) -> float:
@@ -110,7 +101,7 @@ def _norm_inf(matrix) -> float:
     """
     csr = sp.csr_matrix(matrix)
     magnitudes = sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
-    return float(np.max(magnitudes @ np.ones(csr.shape[1])))
+    return float(np.max(magnitudes @ np.ones(csr.shape[1]), initial=0.0))
 
 
 class FactoredMatrix:
@@ -185,11 +176,9 @@ def fast_diagonalization(mesh: Mesh):
     makes that pencil definite, so every denominator is positive.  The
     solve takes a vector or an (N, k) block of columns.
     """
-    n, free = mesh.n, dof_partition(mesh).free_dofs
-    lx, vx = _pencil_1d(n, np.unique(free % (n + 1)))
-    ly, vy = _pencil_1d(n, np.unique(free // (n + 1)))
-    grid = (len(ly), len(lx))
+    ly, vy, lx, vx = _grid_modes(mesh)
     denominator = ly[:, None] + lx
+    grid = denominator.shape
 
     def solve(rhs):
         r = rhs.T.reshape(rhs.shape[1:] + grid)
@@ -197,6 +186,18 @@ def fast_diagonalization(mesh: Mesh):
         return x.reshape(rhs.shape[::-1]).T
 
     return solve
+
+
+@cached
+def _grid_modes(mesh: Mesh):
+    """(lambda_y, V_y, lambda_x, V_x), the 1-D pencils of the mesh's K_ff.
+
+    Free vertex number p sits at row p // len(lambda_x) and column
+    p % len(lambda_x) of the free grid (``fast_diagonalization``).  Both
+    the K_ff solve and the Schur complement read them (``schur_complement``).
+    """
+    n, free = mesh.n, dof_partition(mesh).free_dofs
+    return _pencil_1d(n, np.unique(free // (n + 1))) + _pencil_1d(n, np.unique(free % (n + 1)))
 
 
 def _pencil_1d(n, index):
@@ -212,10 +213,14 @@ class RobinOperator:
 
     The sum is never formed: products apply K and B1 separately, and solves
     eliminate the free block with the K_ff solve around the mesh's pencil
-    (``schur_pencil``).  Of alpha it keeps d = 1 / (lambda + alpha), which
-    must be positive, or ConvergenceError is raised.  ``norm_inf`` is
-    |K + alpha B1|_inf (``robin_norm_inf``).  No reference to the mesh is
-    kept.
+    (``schur_pencil``).  B1 lives on the clamped vertices only, so by
+    Haynsworth's inertia additivity K + alpha B1 is positive definite
+    exactly when K_ff is (its M-matrix certificate, ``operators``) and
+    S0 + alpha B1_cc is, that is, when every lambda + alpha is positive.
+    Of alpha it keeps d = 1 / (lambda + alpha), and ConvergenceError is
+    raised unless d > 0.  ``norm_inf`` is |K + alpha B1|_inf
+    (``robin_norm_inf``), and every solve through ``solve_spd`` is checked
+    against the assembled K and B1.  No reference to the mesh is kept.
     """
 
     def __init__(self, mesh: Mesh, alpha: float):
@@ -250,11 +255,11 @@ class MeshOperators:
     """The clamped operator K_ff of one mesh and the blocks its Robin operators share.
 
     K_ff is solved by ``fast_diagonalization`` and certified by
-    ``certified_stieltjes``: the clamped family makes no sparse
-    factorization.  What only Robin operators use, the pencil of the Schur
-    complement S0 and the row split behind their norms, is built on first
-    use in the mesh's store (``schur_pencil``, ``robin_norm_inf``).  No
-    reference to the mesh is kept, so the mesh's store holds no cycle.
+    ``certified_stieltjes``.  What only Robin operators use, the pencil of
+    the Schur complement S0 and the row split behind their norms, is built
+    on first use in the mesh's store (``schur_pencil``, ``robin_norm_inf``).
+    Neither makes a sparse factorization.  No reference to the mesh is
+    kept, so the mesh's store holds no cycle.
     """
 
     def __init__(self, mesh: Mesh):
@@ -308,38 +313,46 @@ def schur_pencil(mesh: Mesh):
     """(lambda, V) with V' S0 V = diag(lambda) and V' B1_cc V = I, read-only.
 
     Then (S0 + alpha B1_cc)^-1 = V diag(1 / (lambda + alpha)) V' (Golub &
-    Van Loan, Matrix Computations, 4th ed., 8.7).  A throwaway factor of
-    K + B1, free vertices first in nested-dissection order
-    (``nested_dissection``) and the clamped ones last, gives S0: its
-    leading pivots are those of K_ff and are checked, and its trailing
-    block factors S0 + B1_cc.
+    Van Loan, Matrix Computations, 4th ed., 8.7), with S0 from
+    ``schur_complement``.  B1_cc, the mass of the clamped edges, is
+    positive definite, so the pencil is definite and ``eigh`` applies.
     """
-    clamped = dof_partition(mesh).gamma1_dofs
-    stiff = assembly.assemble_stiffness(mesh)
-    b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-    nd = nested_dissection(mesh)
-    order = np.concatenate([nd[~np.isin(nd, clamped)], clamped])
-    b1_cc = b1[clamped][:, clamped].toarray()
-    schur0 = _trailing_schur((stiff + b1)[order][:, order], len(clamped)) - b1_cc
-    eigenvalues, v = scipy.linalg.eigh(schur0, b1_cc)
+    ops = operators(mesh)
+    b1_cc = ops.b1[ops.clamped_dofs][:, ops.clamped_dofs].toarray()
+    eigenvalues, v = scipy.linalg.eigh(schur_complement(mesh), b1_cc)
     eigenvalues.setflags(write=False)
     v.setflags(write=False)
     return eigenvalues, v
 
 
-def _trailing_schur(matrix, size) -> np.ndarray:
-    """Schur complement of the leading block onto the last size rows and columns.
+def schur_complement(mesh: Mesh) -> np.ndarray:
+    """S0 = K_cc - K_cf K_ff^-1 K_fc on the clamped vertices, symmetrized, with no factor.
 
-    The matrix is factored in its given order; SuperLU only postorders the
-    elimination tree, which must keep the trailing block last.
+    K_fc couples the clamped vertices only to the free vertices S next to
+    them, so S0 = K_cc - K_Sc' Z K_Sc needs only Z = K_ff^-1 restricted to
+    S, which the grid modes give entry by entry:
+    Z[s, t] = sum over a, b of Vy[j_s, a] Vy[j_t, a] Vx[i_s, b] Vx[i_t, b]
+    / (lambda_y_a + lambda_x_b), with (j_s, i_s) the grid place of s
+    (``_grid_modes``; the capacitance matrix of Buzbee, Dorr, George &
+    Golub, SIAM J. Numer. Anal. 8, 1971).  Z is summed over blocks of y
+    modes, so at most 2 MiB of the |S| x N_free Khatri-Rao array, or one
+    mode of it, is held at a time.  A mesh with no free vertex has
+    S0 = K_cc.
     """
-    lu = _pivots_checked(_splu(matrix, "NATURAL"))
-    lead = matrix.shape[0] - size
-    pos = lu.perm_c[lead:] - lead
-    if pos.min() < 0:
-        raise ConvergenceError("factorization moved the trailing block: no Schur complement")
-    trailing = (lu.L[lead:, lead:] @ lu.U[lead:, lead:]).toarray()[np.ix_(pos, pos)]
-    return 0.5 * (trailing + trailing.T)
+    ops = operators(mesh)
+    ly, vy, lx, vx = _grid_modes(mesh)
+    support = np.unique(ops.k_fc.indices)
+    rows, cols = np.divmod(support, len(lx))
+    scale = 1.0 / np.sqrt(ly[:, None] + lx)
+    z = np.zeros((len(support), len(support)))
+    step = max(1, _CHUNK_BYTES // max(1, 8 * len(support) * len(lx)))
+    for start in range(0, len(ly), step):
+        modes = slice(start, start + step)
+        block = (vy[rows, modes, None] * vx[cols, None, :] * scale[modes]).reshape(len(support), -1)
+        z += block @ block.T
+    k_sc = ops.k_fc[support].toarray()
+    schur0 = ops.stiff[ops.clamped_dofs][:, ops.clamped_dofs].toarray() - k_sc.T @ z @ k_sc
+    return 0.5 * (schur0 + schur0.T)
 
 
 @cached

@@ -168,38 +168,6 @@ def dof_partition(mesh: Mesh) -> DofPartition:
     return DofPartition(gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
 
 
-@cached
-def nested_dissection(mesh: Mesh) -> np.ndarray:
-    """All vertex indices, ordered by recursive bisection of the vertex grid.
-
-    Each block of the grid is split by its middle grid line, which no mesh
-    edge crosses; the two halves come first, the line last.  A sparse
-    factorization in this order eliminates the halves independently and
-    fills in like O(N log N); the throwaway factor of K + B1 that gives a
-    mesh's Schur complement is its one user (``linsolve.schur_pencil``).
-    Read-only, since it is shared.
-    """
-    order = []
-
-    def split(block):
-        rows, cols = block.shape
-        if rows * cols <= 16:
-            order.append(block.ravel())
-        elif cols >= rows:
-            split(block[:, : cols // 2])
-            split(block[:, cols // 2 + 1 :])
-            order.append(block[:, cols // 2])
-        else:
-            split(block[: rows // 2])
-            split(block[rows // 2 + 1 :])
-            order.append(block[rows // 2])
-
-    split(np.arange(len(mesh.vertices)).reshape(mesh.n + 1, mesh.n + 1))
-    order = np.concatenate(order)
-    order.setflags(write=False)
-    return order
-
-
 @dataclass(frozen=True, eq=False)
 class _Field:
     """Coefficient vector on a mesh, with the vector-space operations."""

@@ -53,7 +53,7 @@ from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     robin_operator,
     solve_columns,
 )
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition, zero_trace
+from .mesh import SIDES, BoundaryTag, Mesh, NodalField, TraceField, dof_partition, zero_trace
 
 # the fixed-point iteration stops once a step is at most this relative to |q|
 _STEP_TOL = 1e-10
@@ -296,16 +296,12 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     equation.
 
     R is a dense vertex-by-trace matrix: a request whose R would exceed
-    64 MiB raises ValueError before any solve.
+    64 MiB raises ValueError before any solve (``check_response_size``).
     """
+    check_response_size(mesh.n, mesh.gamma1_sides)
     part = dof_partition(mesh)
     g2 = part.gamma2_trace_dofs
     nvert, m = len(mesh.vertices), len(g2)
-    if 8 * nvert * m > _MAX_RESPONSE_BYTES:
-        raise ValueError(
-            f"reduced system guard: a {nvert} x {m} response exceeds the cap of "
-            f"{_MAX_RESPONSE_BYTES} bytes"
-        )
     b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
     excitation = -b2[:, g2]
     if spec.alpha is None:
@@ -321,6 +317,21 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     lvec = response.T @ (assembly.assemble_load(mesh, spec.z_d) - mass @ base.coefficients)
     c0 = 0.5 * assembly.l2_misfit_sq(base, spec.z_d)
     return gmat, lvec, c0
+
+
+def check_response_size(n: int, gamma1_sides) -> None:
+    """Raise ValueError if the dense route's responses would exceed the cap; needs no mesh.
+
+    (n + 1)^2 vertices; n + 1 trace vertices per flux side, less the corners they share.
+    """
+    flux = [side not in gamma1_sides for side in SIDES]
+    m = sum(flux) * (n + 1) - sum(a and b for a, b in zip(flux, flux[1:] + flux[:1]))
+    nvert = (n + 1) ** 2
+    if 8 * nvert * m > _MAX_RESPONSE_BYTES:
+        raise ValueError(
+            f"reduced system guard: at n = {n} a {nvert} x {m} response exceeds the cap of "
+            f"{_MAX_RESPONSE_BYTES} bytes"
+        )
 
 
 def solve_optimal_reduced(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:

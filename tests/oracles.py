@@ -6,13 +6,15 @@ a piecewise-linear field at arbitrary points of the unit square, and
 interpolate_nodal takes a callable's vertex values; the package itself never
 needs either.  column reads one column of a report's rows.
 kronecker_sum builds a clamped block K_ff from 1-D matrices, where the
-package assembles it from triangles.
+package assembles it from triangles, and schur_complement eliminates the
+free block densely, where the package sums over the grid modes.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from fluxopt.mesh import NodalField, _evaluate_callable
+from fluxopt.assembly import assemble_stiffness
+from fluxopt.mesh import NodalField, _evaluate_callable, dof_partition
 
 
 def local_stiffness(coords) -> np.ndarray:
@@ -104,3 +106,12 @@ def kronecker_sum(n, sides):
     kx, ky = k1[np.ix_(ix, ix)], k1[np.ix_(iy, iy)]
     dx, dy = np.diag(d1[ix]), np.diag(d1[iy])
     return ix, iy, sp.csr_matrix(sp.kron(ky, dx) + sp.kron(dy, kx))
+
+
+def schur_complement(mesh) -> np.ndarray:
+    """S0 = K_cc - K_cf solve(K_ff, K_fc) by dense elimination of the free vertices."""
+    part = dof_partition(mesh)
+    stiff = assemble_stiffness(mesh).toarray()
+    free, clamped = part.free_dofs, part.gamma1_dofs
+    k_fc = stiff[np.ix_(free, clamped)]
+    return stiff[np.ix_(clamped, clamped)] - k_fc.T @ np.linalg.solve(stiff[np.ix_(free, free)], k_fc)

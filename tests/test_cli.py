@@ -63,16 +63,36 @@ def test_non_finite_field_parameter_is_a_config_error(tmp_path, capsys, kind, pr
     assert not os.path.exists(os.path.join(tmp_path, f"{kind}.csv"))
 
 
-def test_negative_seed_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch):
-    def no_solve(*args, **kwargs):
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Every optimizer route raises: a config error must stop a run before its first solve."""
+
+    def refuse(*args, **kwargs):
         raise AssertionError("a config error must stop the run before its first solve")
 
     for route in ("solve_optimal_cg", "solve_optimal_fixed_point", "solve_optimal_reduced"):
-        monkeypatch.setattr(harness.optctl, route, no_solve)
+        monkeypatch.setattr(harness.optctl, route, refuse)
+
+
+def test_negative_seed_is_a_config_error_before_any_solve(tmp_path, capsys, no_solve):
     code = main(["control-conv", "--out", str(tmp_path), "--seed", "-1"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("kind", ["control-conv", "diagram"])
+def test_a_finest_level_beyond_the_dense_oracle_is_a_config_error(tmp_path, capsys, no_solve, kind):
+    # n = 256 with one clamped side: 66049 x 769 responses, 406 MB, against 64 MiB
+    cfg = os.path.join(tmp_path, "fine.json")
+    with open(cfg, "w") as handle:
+        json.dump({"levels": [64, 128, 256], "n_ref": 512}, handle)
+    out = os.path.join(tmp_path, "reports")
+    code = main([kind, "--config", cfg, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "cap" in err
+    assert not os.path.exists(out)
 
 
 def test_malformed_json_is_a_config_error(tmp_path, capsys):

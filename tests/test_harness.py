@@ -192,6 +192,17 @@ def test_config_rejections(kind, data, fragment):
         config_from_dict(kind, data)
 
 
+@pytest.mark.parametrize("kind", ["control-conv", "diagram"])
+def test_oracle_kinds_accept_only_a_finest_level_the_dense_route_can_form(kind):
+    # one clamped side: n = 128 gives 16641 x 385 responses (51 MB), n = 256
+    # gives 406 MB, against the 64 MiB cap
+    assert config_from_dict(kind, {"levels": [32, 64, 128], "n_ref": 256}).levels[-1] == 128
+    with pytest.raises(ValueError, match="at n = 256 a 66049 x 769 response exceeds the cap"):
+        config_from_dict(kind, {"levels": [64, 128, 256], "n_ref": 512})
+    # kinds without the oracle take any level
+    assert config_from_dict("state-conv", {"levels": [64, 128, 256], "n_ref": 512}).n_ref == 512
+
+
 def test_config_merge_keeps_defaults():
     config = config_from_dict("control-conv", {"levels": [4, 8, 16], "n_ref": 64})
     assert config.levels == (4, 8, 16)

@@ -14,7 +14,6 @@ from fluxopt.mesh import (
     build_structured_mesh,
     dof_partition,
     interpolate_trace,
-    nested_dissection,
     prolongate,
     prolongate_trace,
     refine,
@@ -108,16 +107,6 @@ def test_dof_partition_corners_clamped_but_traced():
     assert set(part.gamma1_dofs) & set(part.gamma2_trace_dofs) == {0, 6}
     assert 0 not in part.free_dofs and 6 not in part.free_dofs
     assert set(part.free_dofs) == set(range(len(m.vertices))) - set(part.gamma1_dofs)
-
-
-@pytest.mark.parametrize("n", [1, 5, 16])
-def test_nested_dissection_is_a_shared_read_only_permutation(n):
-    m = build_structured_mesh(n, ["bottom"])
-    order = nested_dissection(m)
-    assert sorted(order.tolist()) == list(range(len(m.vertices)))
-    assert nested_dissection(m) is order
-    with pytest.raises(ValueError):
-        order[0] = 0
 
 
 def test_interpolation_reproduces_linears():

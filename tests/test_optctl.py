@@ -3,6 +3,7 @@ update map, and agreement between the fixed-point, conjugate-gradient and
 dense solution routes."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from fluxopt.linsolve import (
     schur_pencil,
 )
 from fluxopt.mesh import (
+    SIDES,
     BoundaryTag,
     NodalField,
     TraceField,
@@ -420,6 +422,19 @@ def test_a_response_too_large_for_the_cap_raises_before_any_solve(monkeypatch):
     with pytest.raises(ValueError, match="cap"):
         optctl.reduced_normal_system(build_structured_mesh(256, ["bottom"]), make_spec())
     assert calls == []
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_response_size_counts_the_trace_vertices_of_the_mesh(monkeypatch, count):
+    for sides in itertools.combinations(SIDES, count):
+        for n in (1, 2, 5):
+            mesh = build_structured_mesh(n, sides)
+            size = 8 * len(mesh.vertices) * len(dof_partition(mesh).gamma2_trace_dofs)
+            monkeypatch.setattr(optctl, "_MAX_RESPONSE_BYTES", size)
+            optctl.check_response_size(n, sides)
+            monkeypatch.setattr(optctl, "_MAX_RESPONSE_BYTES", size - 1)
+            with pytest.raises(ValueError, match="cap"):
+                optctl.check_response_size(n, sides)
 
 
 def per_alpha_reduced_system(mesh, spec):
