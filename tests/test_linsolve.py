@@ -380,11 +380,38 @@ def test_clamped_mesh_makes_no_sparse_factorization(factorizations):
     assert factorizations == []
 
 
-def test_clamped_and_robin_solves_make_no_sparse_factorization(factorizations):
+@pytest.fixture
+def schur_builds(monkeypatch):
+    """Number of times the dense Schur complement S0 is built."""
+    calls = []
+    build = linsolve.schur_complement
+
+    def counted(mesh):
+        calls.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(linsolve, "schur_complement", counted)
+    return calls
+
+
+def test_robin_mesh_makes_only_the_schur_factor(factorizations, schur_builds):
+    # the Robin solves share one eigendecomposition of the Schur pencil and
+    # make no sparse factorization
     _, solve = clamped_and_robin_use()
-    for alpha in (2.0, 50.0, None, 2.0, 1e4):
+    for alpha in (2.0, 50.0, None, 1e4):
         solve(alpha)
     assert factorizations == []
+    assert len(schur_builds) == 1
+
+
+def test_robin_after_clamped_adds_the_schur_factor_once(factorizations, schur_builds):
+    _, solve = clamped_and_robin_use()
+    solve(None)
+    assert schur_builds == []
+    for alpha in (2.0, 50.0, 2.0):
+        solve(alpha)
+    assert factorizations == []
+    assert len(schur_builds) == 1
 
 
 def test_clamped_solves_leave_the_robin_row_split_unbuilt():
