@@ -168,7 +168,6 @@ def field_from_config(value) -> Field:
 
 
 _DATA_FIELDS = ("g", "z_d", "q_star", "exact")
-_PROBLEM_KEYS = {"b", "M", *_DATA_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,10 @@ class ExperimentConfig:
     """Declarative description of one experiment run, checked when it is built.
 
     Fields left as None take the kind's defaults from EXPERIMENTS, and
-    ``problem`` and ``tol`` are merged over the kind's own; a config the
-    runners cannot execute faithfully raises ValueError at construction.
+    ``problem`` is merged over the kind's own.  A config sets only what its
+    kind reads, never the thresholds of its checks (ExperimentKind.tol); a
+    config that sets anything else, or that the runners cannot execute
+    faithfully, raises ValueError at construction.
     """
 
     kind: str
@@ -186,14 +187,26 @@ class ExperimentConfig:
     levels: Optional[Tuple[int, ...]] = None
     alphas: Optional[Tuple[float, ...]] = None
     n_ref: Optional[int] = None
-    r: float = 2.0
     seed: int = 0
-    tol: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENTS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; known kinds: {KINDS}")
         experiment = EXPERIMENTS[self.kind]
+        for key in ("levels", "alphas", "gamma1_sides"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {value!r}")
+        if not isinstance(self.problem, dict):
+            raise ValueError(f"problem must be a JSON object, got {self.problem!r}")
+        if self.alphas not in (None, ()) and not experiment.alphas:
+            raise ValueError(f"{self.kind} does not read alphas, got {self.alphas!r}")
+        if self.n_ref is not None and experiment.n_ref is None:
+            raise ValueError(f"{self.kind} does not read n_ref, got {self.n_ref!r}")
+        unknown = set(self.problem) - set(experiment.problem)
+        if unknown:
+            allowed = sorted(experiment.problem)
+            raise ValueError(f"unknown problem keys {sorted(unknown)} for {self.kind}; allowed: {allowed}")
         levels = experiment.levels if self.levels is None else self.levels
         alphas = experiment.alphas if self.alphas is None else self.alphas
         n_ref = experiment.n_ref if self.n_ref is None else _integer(self.n_ref, "n_ref")
@@ -203,9 +216,7 @@ class ExperimentConfig:
             "levels": tuple(_integer(n, "mesh level") for n in levels),
             "alphas": tuple(_number(a, "alpha") for a in alphas),
             "n_ref": n_ref,
-            "r": _number(self.r, "regularity exponent r"),
             "seed": _integer(self.seed, "seed"),
-            "tol": {**experiment.tol, **self.tol},
         }
         for name, value in filled.items():
             object.__setattr__(self, name, value)
@@ -242,21 +253,10 @@ class ExperimentConfig:
             raise ValueError(f"gamma1_sides must be a nonempty proper subset of {SIDES}")
         if experiment.oracle:
             optctl.check_response_size(max(levels), self.gamma1_sides)
-        if not 1.0 < self.r <= 2.0:
-            raise ValueError(f"regularity exponent r must lie in (1, 2], got {self.r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        unknown = set(self.problem) - _PROBLEM_KEYS
-        if unknown:
-            raise ValueError(f"unknown problem keys {sorted(unknown)}; allowed: {sorted(_PROBLEM_KEYS)}")
-        unknown = set(self.tol) - set(experiment.tol)
-        if unknown:
-            raise ValueError(
-                f"unknown tol keys {sorted(unknown)} for {self.kind}; allowed: {sorted(experiment.tol)}"
-            )
-        for key, value in self.tol.items():
-            _number(value, f"tol {key}")
-        prepare(self)
+        if self.problem:
+            prepare(self)
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,8 @@ class ExperimentKind:
     A kind compares against a fine reference mesh when its default n_ref is
     set, needs an alpha ladder when its default alphas are nonempty, and
     checks its finest level against the dense route when ``oracle`` is set,
-    so that level must fit ``optctl.check_response_size``.  Its default tol
-    keys are the only ones a config may set.
+    so that level must fit ``optctl.check_response_size``.  A config sets
+    only its default problem keys and never ``tol``, its checks' thresholds.
     """
 
     runner: Callable[[ExperimentConfig], ConvergenceReport]
@@ -301,7 +301,7 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-_CONFIG_KEYS = {"problem", "levels", "alphas", "n_ref", "tol", "gamma1_sides", "seed", "r"}
+_CONFIG_KEYS = {"problem", "levels", "alphas", "n_ref", "gamma1_sides", "seed"}
 
 
 def config_from_dict(kind: str, data: dict) -> ExperimentConfig:
@@ -311,12 +311,6 @@ def config_from_dict(kind: str, data: dict) -> ExperimentConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}; allowed: {sorted(_CONFIG_KEYS)}")
-    for key in ("levels", "alphas", "gamma1_sides"):
-        if key in data and not isinstance(data[key], (list, tuple)):
-            raise ValueError(f"{key} must be a list, got {data[key]!r}")
-    for key in ("problem", "tol"):
-        if key in data and not isinstance(data[key], dict):
-            raise ValueError(f"{key} must be a JSON object, got {data[key]!r}")
     return ExperimentConfig(kind, **data)
 
 
@@ -326,8 +320,9 @@ def prepare(
     """The data fields and the ProblemSpec of a config's problem.
 
     The returned dict maps each data field name present in the config's
-    problem to its Field.  M = "auto" is 4x the clamped-family contraction
-    threshold on ``mesh``, the coarsest of the run; the factor keeps the
+    problem, which only the constants kind leaves empty, to its Field.
+    M = "auto" is 4x the clamped-family contraction threshold on ``mesh``,
+    the coarsest of the run; the factor keeps the
     default experiments inside the contraction regime for both families
     with margin, since the Robin threshold at unit or larger transfer
     coefficient is below 2.6x the clamped one on these meshes.  Runs that
@@ -348,6 +343,11 @@ def prepare(
 
 # errors at or below this count as solved exactly
 _RATE_FLOOR = 1e-10
+
+# First-order-norm rate of P1 errors in h.  Every supported geometry splits
+# the boundary at right-angled corners, where smooth data give H^2 solutions
+# (Grisvard, Elliptic Problems in Nonsmooth Domains, 1985).
+_EXPECTED_RATE = 1.0
 
 
 @dataclass(frozen=True)
@@ -532,9 +532,8 @@ def _run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
         "state_rate": fit_rate(hs, _column(rows, "state_err")),
         "adjoint_rate": fit_rate(hs, _column(rows, "adjoint_err")),
     }
-    expected = config.r - 1.0
-    slack = config.tol["rate_slack"]
-    checks = {name: _rate_check(fit, expected - slack) for name, fit in rates.items()}
+    threshold = _EXPECTED_RATE - EXPERIMENTS[config.kind].tol["rate_slack"]
+    checks = {name: _rate_check(fit, threshold) for name, fit in rates.items()}
     return ConvergenceReport(
         kind=config.kind,
         column_notes=(
@@ -543,7 +542,7 @@ def _run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
             "adjoint_err: first-order-norm distance of the prolonged adjoint to the reference adjoint"
         ),
         rows=rows,
-        meta={"n_ref": config.n_ref, "expected_rate": expected, "M": spec.M},
+        meta={"n_ref": config.n_ref, "expected_rate": _EXPECTED_RATE, "M": spec.M},
         rates=rates,
         checks=checks,
     )
@@ -604,9 +603,9 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
         "cost_value_rate": fit_rate(hs, _column(rows, "cost_value_gap")),
         "cost_opt_value_rate": fit_rate(hs, _column(rows, "cost_opt_value_gap")),
     }
-    expected = config.r - 1.0
-    first = expected - config.tol["rate_slack"]
-    second = 2.0 * expected - config.tol["cost_rate_slack"]
+    tol = EXPERIMENTS[config.kind].tol
+    first = _EXPECTED_RATE - tol["rate_slack"]
+    second = 2.0 * _EXPECTED_RATE - tol["cost_rate_slack"]
     checks = {
         "control_rate": _rate_check(rates["control_rate"], first),
         "state_rate": _rate_check(rates["state_rate"], first),
@@ -614,7 +613,7 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
         "cost_gap_ref_rate": _rate_check(rates["cost_gap_ref_rate"], second),
         "cost_gap_level_rate": _rate_check(rates["cost_gap_level_rate"], second),
         "cost_value_rate": _rate_check(rates["cost_value_rate"], first),
-        "start_agreement": bool(start_gap <= config.tol["start_gap"]),
+        "start_agreement": bool(start_gap <= tol["start_gap"]),
     }
     return ConvergenceReport(
         kind=config.kind,
@@ -632,7 +631,7 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
         meta={
             "n_ref": config.n_ref,
             "M": spec.M,
-            "expected_rate": expected,
+            "expected_rate": _EXPECTED_RATE,
             "start_gap": start_gap,
             "reference_cost": ref.cost,
             "reference_gradient_norm": ref.gradient_norm,
@@ -680,6 +679,7 @@ def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
             }
         )
 
+    tol = EXPERIMENTS[config.kind].tol
     inv_alphas = [1.0 / a for a in config.alphas]
     rates = {}
     checks = {}
@@ -687,9 +687,9 @@ def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
         seq = _column(rows, name)
         rates[name + "_alpha_rate"] = fit_rate(inv_alphas, seq)
         checks[name + "_decreasing"] = _strictly_decreasing(seq)
-        checks[name + "_small"] = _decay_ok(seq, config.tol["decay_factor"])
+        checks[name + "_small"] = _decay_ok(seq, tol["decay_factor"])
     for name in ("fixed_state_penalty", "state_penalty", "adjoint_penalty"):
-        checks[name + "_bounded"] = _bounded_along_ladder(_column(rows, name), config.tol["penalty_growth"])
+        checks[name + "_bounded"] = _bounded_along_ladder(_column(rows, name), tol["penalty_growth"])
     return ConvergenceReport(
         kind=config.kind,
         column_notes=(
@@ -762,7 +762,7 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     tail_h = pure_h[-1]
     tail_alpha = pure_alpha[-1]
     scale = tail_h + tail_alpha
-    factor = config.tol["corner_factor"]
+    factor = EXPERIMENTS[config.kind].tol["corner_factor"]
     corner = table[-1][-1]
     limit_gaps = [abs(table[-1][j] - pure_alpha[j]) for j in range(len(config.alphas))]
     limit_gaps += [abs(table[i][-1] - pure_h[i]) for i in range(len(config.levels))]
@@ -893,7 +893,7 @@ EXPERIMENTS = {
     "constants": ExperimentKind(
         runner=_run_constants,
         summary="discrete coercivity and trace constants per level",
-        problem={"g": 0.0, "z_d": 0.0, "b": 1.0, "M": 1.0},
+        problem={},
         levels=(2, 4, 8, 16, 32),
         tol={},
         min_levels=1,

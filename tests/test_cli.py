@@ -81,6 +81,31 @@ def test_negative_seed_is_a_config_error_before_any_solve(tmp_path, capsys, no_s
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("data", [{"tol": {"start_gap": 1e300}}, {"r": 1.0001}])
+def test_a_config_that_sets_a_threshold_is_a_config_error_before_any_solve(
+    tmp_path, capsys, no_solve, data
+):
+    cfg = os.path.join(tmp_path, "loose.json")
+    with open(cfg, "w") as handle:
+        json.dump(data, handle)
+    out = os.path.join(tmp_path, "reports")
+    code = main(["control-conv", "--config", cfg, "--out", out])
+    assert code == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_a_state_that_does_not_converge_fails_its_rate_check(tmp_path, capsys):
+    # with no boundary flux the discrete states approach a solution other
+    # than the exact one, so the state error stalls instead of falling at h
+    cfg = os.path.join(tmp_path, "stalled.json")
+    with open(cfg, "w") as handle:
+        json.dump({"problem": {"q_star": 0.0}}, handle)
+    code = main(["state-conv", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 1
+    assert "check state_rate: FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("kind", ["control-conv", "diagram"])
 def test_a_finest_level_beyond_the_dense_oracle_is_a_config_error(tmp_path, capsys, no_solve, kind):
     # n = 256 with one clamped side: 66049 x 769 responses, 406 MB, against 64 MiB

@@ -2,8 +2,10 @@
 and one end-to-end run whose errors sit at the solver floor."""
 
 import dataclasses
+import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -132,15 +134,22 @@ def test_default_config_carries_the_kind_table(kind):
     assert config.alphas == experiment.alphas
     assert config.n_ref == experiment.n_ref
     assert config.problem == experiment.problem
-    assert config.tol == experiment.tol
     assert config_from_dict(kind, {}) == config
 
 
 def test_config_is_checked_when_built():
     with pytest.raises(ValueError, match="power-of-two"):
         ExperimentConfig("state-conv", levels=(4, 12, 24))
-    with pytest.raises(ValueError, match="exponent"):
-        dataclasses.replace(ExperimentConfig("state-conv"), r=3.0)
+    with pytest.raises(ValueError, match="seed"):
+        dataclasses.replace(ExperimentConfig("state-conv"), seed=-1)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("levels", 5), ("alphas", 3.0), ("gamma1_sides", 5), ("problem", [1])]
+)
+def test_a_wrong_typed_config_field_is_a_value_error(key, value):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig("diagram", **{key: value})
 
 
 @pytest.mark.parametrize(
@@ -156,8 +165,8 @@ def test_config_is_checked_when_built():
         ("state-conv", {"gamma1_sides": []}, "proper subset"),
         ("state-conv", {"gamma1_sides": ["bottom", "right", "top", "left"]}, "proper subset"),
         ("state-conv", {"gamma1_sides": ["south"]}, "proper subset"),
-        ("state-conv", {"r": 1.0}, "exponent"),
-        ("state-conv", {"r": 2.5}, "exponent"),
+        ("state-conv", {"r": 2.0}, "unknown config keys"),
+        ("state-conv", {"r": 1.0001}, "unknown config keys"),
         ("state-conv", {"bogus": 1}, "unknown config keys"),
         ("state-conv", {"problem": {"w": 1}}, "unknown problem keys"),
         ("state-conv", {"problem": {"M": -1.0}}, "penalty weight"),
@@ -166,14 +175,14 @@ def test_config_is_checked_when_built():
         ("state-conv", {"problem": {"q_star": {"name": "warp"}}}, "unknown field"),
         ("constants", {"levels": 5}, "levels must be a list"),
         ("constants", {"levels": [2.7, 4]}, "mesh level must be an integer"),
-        ("constants", {"tol": 3}, "tol must be a JSON object"),
+        ("constants", {"tol": 3}, "unknown config keys"),
         ("constants", {"problem": [1]}, "problem must be a JSON object"),
         ("constants", {"seed": None}, "seed must be an integer"),
         ("state-conv", {"n_ref": 128.5}, "n_ref must be an integer"),
-        ("state-conv", {"tol": {"rate_slak": 0.5}}, "unknown tol keys"),
-        ("constants", {"tol": {"rate_slack": 0.5}}, "unknown tol keys"),
-        ("state-conv", {"tol": {"rate_slack": "wide"}}, "tol rate_slack must be a finite number"),
-        ("state-conv", {"tol": {"rate_slack": float("nan")}}, "tol rate_slack must be a finite number"),
+        ("state-conv", {"tol": {"rate_slack": 0.15}}, "unknown config keys"),
+        ("constants", {"tol": {}}, "unknown config keys"),
+        ("state-conv", {"tol": {"rate_slack": 10.0}}, "unknown config keys"),
+        ("state-conv", {"r": 2.0, "tol": {"rate_slack": 0.15}}, "unknown config keys"),
         ("state-conv", {"gamma1_sides": [["bottom"]]}, "proper subset"),
         ("state-conv", {"problem": {"g": {"name": ["warp"]}}}, "unknown field"),
         ("state-conv", {"problem": {"g": {"name": "constant", "value": None}}}, "wrong type"),
@@ -185,11 +194,49 @@ def test_config_is_checked_when_built():
          "coefficients must be finite"),
         ("alpha-sweep", {"problem": {"q_star": {"name": "sin_product", "kx": float("inf")}}}, "kx must be finite"),
         ("control-conv", {"seed": -1}, "seed"),
+        # a key the kind does not read
+        ("state-conv", {"alphas": [1.0, 10.0]}, "state-conv does not read alphas"),
+        ("state-conv", {"alphas": []}, "state-conv does not read alphas"),
+        ("control-conv", {"alphas": [1.0, 10.0]}, "control-conv does not read alphas"),
+        ("constants", {"alphas": [1.0, 10.0]}, "constants does not read alphas"),
+        ("alpha-sweep", {"n_ref": 32}, "alpha-sweep does not read n_ref"),
+        ("constants", {"n_ref": 64}, "constants does not read n_ref"),
+        ("control-conv", {"problem": {"exact": {"name": "mms_solution"}}}, "unknown problem keys"),
+        ("control-conv", {"problem": {"q_star": 0.0}}, "unknown problem keys"),
+        ("diagram", {"problem": {"q_star": 0.0}}, "unknown problem keys"),
+        ("constants", {"problem": {"g": 0.0}}, "unknown problem keys"),
     ],
 )
 def test_config_rejections(kind, data, fragment):
     with pytest.raises(ValueError, match=fragment):
         config_from_dict(kind, data)
+
+
+@pytest.mark.parametrize("kind", harness.KINDS)
+def test_no_config_sets_how_its_kind_is_judged(kind):
+    for data in ({"r": 2.0}, {"tol": {}}):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config_from_dict(kind, data)
+
+
+@pytest.mark.parametrize("kind", harness.KINDS)
+def test_every_kind_accepts_a_seed(kind):
+    # the command line takes --seed for every kind
+    assert config_from_dict(kind, {"seed": 3}).seed == 3
+
+
+README_UNREAD = {"state-conv": "alphas", "control-conv": "alphas", "alpha-sweep": "n_ref", "constants": "alphas"}
+
+
+def test_readme_example_is_a_diagram_config():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as handle:
+        readme = handle.read()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    data = json.loads(example)
+    assert config_from_dict("diagram", data).levels == tuple(data["levels"])
+    for kind, key in README_UNREAD.items():
+        with pytest.raises(ValueError, match=f"{kind} does not read {key}"):
+            config_from_dict(kind, data)
 
 
 @pytest.mark.parametrize("kind", ["control-conv", "diagram"])
@@ -208,7 +255,6 @@ def test_config_merge_keeps_defaults():
     assert config.levels == (4, 8, 16)
     assert config.n_ref == 64
     assert config.problem["M"] == "auto"
-    assert config.tol["rate_slack"] == 0.15
     with pytest.raises(ValueError):
         config_from_dict("control-conv", [1, 2])
 
