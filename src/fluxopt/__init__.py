@@ -33,7 +33,6 @@ from .mesh import (
 from .optctl import (
     OptimalSolution,
     cost,
-    fixed_point_map,
     gradient,
     reduced_normal_system,
     solve_optimal_cg,
@@ -57,7 +56,6 @@ __all__ = [
     "config_from_dict",
     "cost",
     "estimate_constants",
-    "fixed_point_map",
     "gradient",
     "interpolate_trace",
     "norm",

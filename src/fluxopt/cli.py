@@ -3,7 +3,8 @@
 Each subcommand loads an optional JSON config, merges it over the built-in
 defaults, runs the experiment, writes <out>/<kind>.csv and prints one
 verdict line per named check.  Exit status is zero only when every check
-passed.
+passed, 1 when one failed or a solve raised ConvergenceError, and 2 for a
+config error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import sys
 
 from . import harness
+from .linsolve import ConvergenceError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +50,16 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = harness.run(config)
+    try:
+        report = harness.run(config)
+    except ConvergenceError as exc:
+        message = str(exc)
+        if exc.residual is not None:
+            message += f" (residual {exc.residual:.3e})"
+        elif exc.ratios:
+            message += f" (last ratio {exc.ratios[-1]:.3e})"
+        print(f"solver error: {message}", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{config.kind}.csv")
     harness.write_csv(report, out_path)

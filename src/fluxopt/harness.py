@@ -225,6 +225,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.kind} needs at least {experiment.min_levels} mesh levels, got {len(levels)}"
             )
+        if experiment.max_levels is not None and len(levels) > experiment.max_levels:
+            raise ValueError(
+                f"{self.kind} reads at most {experiment.max_levels} mesh level, got {len(levels)}"
+            )
         for n in levels:
             if n < 1:
                 raise ValueError(f"mesh levels must be positive integers, got {n!r}")
@@ -266,8 +270,10 @@ class ExperimentKind:
     A kind compares against a fine reference mesh when its default n_ref is
     set, needs an alpha ladder when its default alphas are nonempty, and
     checks its finest level against the dense route when ``oracle`` is set,
-    so that level must fit ``optctl.check_response_size``.  A config sets
-    only its default problem keys and never ``tol``, its checks' thresholds.
+    so that level must fit ``optctl.check_response_size``.  A config has
+    ``min_levels`` to ``max_levels`` mesh levels (no upper bound if None),
+    sets only its default problem keys and never ``tol``, its checks'
+    thresholds.
     """
 
     runner: Callable[[ExperimentConfig], ConvergenceReport]
@@ -276,6 +282,7 @@ class ExperimentKind:
     levels: Tuple[int, ...]
     tol: Dict[str, float]
     min_levels: int
+    max_levels: Optional[int] = None
     alphas: Tuple[float, ...] = ()
     n_ref: Optional[int] = None
     oracle: bool = False
@@ -877,7 +884,8 @@ EXPERIMENTS = {
         levels=(16,),
         alphas=_LADDER,
         tol={"decay_factor": 1e-2, "penalty_growth": 10.0},
-        min_levels=1,  # runs on the finest level only
+        min_levels=1,
+        max_levels=1,  # runs on one mesh
     ),
     "diagram": ExperimentKind(
         runner=_run_diagram,

@@ -1,7 +1,9 @@
 """Linear solves with checked residuals, and discrete stability constants.
 
 Every system the package solves is symmetric positive definite, and
-``solve_spd`` checks the residual of every solution.
+``solve_spd`` checks the residual of every solution against the target
+1e-12 or, when that is below roundoff, the componentwise roundoff floor of
+forming the residual, from one |A| |x| product (``refinement``).
 
 Each mesh owns one ``MeshOperators``, which solves the clamped block K_ff
 exactly with no sparse factorization: on the unit-square grid with whole
@@ -93,34 +95,35 @@ def factorize(matrix):
     return lu.solve
 
 
-def _norm_inf(matrix) -> float:
-    """|A|_inf, the largest absolute row sum of a sparse matrix.
+def _abs_matmul(matrix, x):
+    """|A| x for a CSR matrix A, from |data| on A's own index arrays.
 
     ``abs(matrix)`` would sort the matrix's column indices in place, which
     reorders the sums of every later product with it.
     """
-    csr = sp.csr_matrix(matrix)
-    magnitudes = sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
-    return float(np.max(magnitudes @ np.ones(csr.shape[1]), initial=0.0))
+    magnitudes = (np.abs(matrix.data), matrix.indices, matrix.indptr)
+    return sp.csr_matrix(magnitudes, shape=matrix.shape) @ x
 
 
 class FactoredMatrix:
     """A sparse symmetric positive definite matrix and an exact solve with it.
 
     The solve is a sparse factor's (``certified``) or, for a mesh's K_ff,
-    a fast diagonalization's (``certified_stieltjes``).  ``norm_inf`` is
-    |A|_inf, which bounds |A|_2 for symmetric A and sets the roundoff floor
-    of a solve's residual (``solve_spd``).
+    a fast diagonalization's (``certified_stieltjes``).  ``abs_matmul``
+    gives |A| x, which sets the roundoff floor of a solve's residual
+    (``refinement``); no copy of |A| is kept.
     """
 
     def __init__(self, matrix, solve):
         self.matrix = sp.csr_matrix(matrix)
         self.shape = self.matrix.shape
         self.solve = solve
-        self.norm_inf = _norm_inf(self.matrix)
 
     def __matmul__(self, x):
         return self.matrix @ x
+
+    def abs_matmul(self, x):
+        return _abs_matmul(self.matrix, x)
 
 
 def certified(matrix) -> FactoredMatrix:
@@ -218,9 +221,10 @@ class RobinOperator:
     exactly when K_ff is (its M-matrix certificate, ``operators``) and
     S0 + alpha B1_cc is, that is, when every lambda + alpha is positive.
     Of alpha it keeps d = 1 / (lambda + alpha), and ConvergenceError is
-    raised unless d > 0.  ``norm_inf`` is |K + alpha B1|_inf
-    (``robin_norm_inf``), and every solve through ``solve_spd`` is checked
-    against the assembled K and B1.  No reference to the mesh is kept.
+    raised unless d > 0.  Every solve through ``solve_spd`` is checked
+    against the assembled K and B1, its residual formed as K x + alpha (B1 x),
+    whose rounding ``abs_matmul`` bounds by |K| |x| + |alpha| B1 |x| (B1 has
+    no negative entry).  No reference to the mesh is kept.
     """
 
     def __init__(self, mesh: Mesh, alpha: float):
@@ -235,10 +239,12 @@ class RobinOperator:
         self._d = 1.0 / shifted
         self._ops = operators(mesh)
         self.shape = self._ops.stiff.shape
-        self.norm_inf = robin_norm_inf(mesh, self.alpha)
 
     def __matmul__(self, x):
         return self._ops.stiff @ x + self.alpha * (self._ops.b1 @ x)
+
+    def abs_matmul(self, x):
+        return _abs_matmul(self._ops.stiff, x) + abs(self.alpha) * (self._ops.b1 @ x)
 
     def solve(self, rhs):
         ops = self._ops
@@ -256,10 +262,10 @@ class MeshOperators:
 
     K_ff is solved by ``fast_diagonalization`` and certified by
     ``certified_stieltjes``.  What only Robin operators use, the pencil of
-    the Schur complement S0 and the row split behind their norms, is built
-    on first use in the mesh's store (``schur_pencil``, ``robin_norm_inf``).
-    Neither makes a sparse factorization.  No reference to the mesh is
-    kept, so the mesh's store holds no cycle.
+    the Schur complement S0, is built on first use in the mesh's store
+    (``schur_pencil``) and makes no sparse factorization.  No copy of |K|
+    is kept (``abs_matmul``).  No reference to the mesh is kept, so the
+    mesh's store holds no cycle.
     """
 
     def __init__(self, mesh: Mesh):
@@ -271,41 +277,6 @@ class MeshOperators:
         self.clamped = certified_stieltjes(stiff_f[:, self.free], fast_diagonalization(mesh))
         self.k_fc = stiff_f[:, self.clamped_dofs].tocsc()
         self.k_cf = self.k_fc.T.tocsr()
-
-
-def robin_norm_inf(mesh: Mesh, alpha: float) -> float:
-    """|K + alpha B1|_inf, from the rows that B1 touches and the largest of the rest."""
-    rest, row, stiff, b1 = _robin_row_split(mesh)
-    sums = np.bincount(row, np.abs(stiff + alpha * b1))
-    return float(np.max(sums, initial=rest))
-
-
-@cached
-def _robin_row_split(mesh: Mesh):
-    """The rows of K + alpha B1 split for ``robin_norm_inf``, built on first use.
-
-    Rows that B1 leaves empty do not depend on alpha: only their largest
-    |K| row sum is kept.  In each row that B1 touches, K's entries and
-    B1's are gathered on their shared pattern: K's off-diagonal
-    entries there are not positive and B1's are, so their sum cancels in
-    part.  Returns (largest other row sum, row number, K value, B1 value)
-    of each gathered entry.  Neither matrix is changed.
-    """
-    stiff = assembly.assemble_stiffness(mesh)
-    b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-    size = stiff.shape[1]
-    k, b = stiff.tocoo(), b1.tocoo()
-    touched = np.unique(b.row)
-    rest = np.bincount(k.row, np.abs(k.data), stiff.shape[0])
-    rest[touched] = 0.0
-    in_touched = np.isin(k.row, touched)
-    keys = np.concatenate([k.row[in_touched] * size + k.col[in_touched], b.row * size + b.col])
-    entries, slot = np.unique(keys, return_inverse=True)
-    split = int(in_touched.sum())
-    k_values = np.bincount(slot[:split], k.data[in_touched], len(entries))
-    b_values = np.bincount(slot[split:], b.data, len(entries))
-    row = np.searchsorted(touched, entries // size)
-    return float(rest.max()), row, k_values, b_values
 
 
 @cached
@@ -418,22 +389,24 @@ def refinement(op, rhs, x):
     vectors or (n, k) arrays.  A column gets one step of iterative
     refinement through op's solve when its relative residual
     |A x - b| / |b| is above both the target 1e-12 and its roundoff floor
-    eps |A|_inf |x| / |b|, or above the acceptance limit 1e-10; the step,
-    zero in the other columns, is returned.  Roundoff in forming A x alone
-    leaves a residual near the floor, so a step cannot push a residual
-    below it and one taken to meet a lower target is wasted (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 12;
-    Rigal & Gaches, J. ACM 14, 1967).  The floor grows like h^-2 with
-    cond(A): it passes the target from n = 128 on.  ConvergenceError is
-    raised, with the residual attached, when x plus the step misses the
-    limit.
+    8 eps | |A| |x| + |b| | / |b|, or above the acceptance limit 1e-10; the
+    step, zero in the other columns, is returned.  Forming b - A x alone
+    perturbs each entry by up to about eps (|A| |x| + |b|) (Oettli &
+    Prager, Numer. Math. 6, 1964; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, 7.1 and ch. 12), so a step cannot
+    push a residual below the floor, and one taken to meet a lower target
+    is wasted.  The floor, one |A| |x| product, is formed only when some
+    column is above the target.  ConvergenceError is raised, with the
+    residual attached, when x plus the step misses the limit.
     """
     bnorm = np.linalg.norm(rhs, axis=0)
     bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
     residual = rhs - op @ x
     relative = np.linalg.norm(residual, axis=0) / bnorm
-    floor = _EPS * op.norm_inf * np.linalg.norm(x, axis=0) / bnorm
-    take = ((relative > _TOL) & (relative > floor)) | (relative > _LIMIT)
+    take = relative > _TOL
+    if np.any(take):
+        floor = 8.0 * _EPS * np.linalg.norm(op.abs_matmul(np.abs(x)) + np.abs(rhs), axis=0) / bnorm
+        take &= (relative > floor) | (relative > _LIMIT)
     step = None
     if np.any(take):
         # a zero column solves to an exact zero step

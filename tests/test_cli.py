@@ -7,6 +7,7 @@ import pytest
 
 from fluxopt import harness
 from fluxopt.cli import main
+from fluxopt.linsolve import ConvergenceError
 
 
 def test_constants_run_writes_report(tmp_path, capsys):
@@ -117,6 +118,26 @@ def test_a_finest_level_beyond_the_dense_oracle_is_a_config_error(tmp_path, caps
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and "cap" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "error, detail",
+    [
+        (ConvergenceError("gradient too large", residual=2.35e-13), "(residual 2.350e-13)"),
+        (ConvergenceError("iteration diverged", ratios=[0.5, 2.25]), "(last ratio 2.250e+00)"),
+    ],
+)
+def test_a_solver_error_exits_1_with_its_diagnostics(tmp_path, capsys, monkeypatch, error, detail):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(harness.optctl, "solve_optimal_cg", fail)
+    out = os.path.join(tmp_path, "reports")
+    code = main(["control-conv", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"solver error: {error} {detail}\n"
     assert not os.path.exists(out)
 
 

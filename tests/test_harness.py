@@ -205,6 +205,7 @@ def test_a_wrong_typed_config_field_is_a_value_error(key, value):
         ("control-conv", {"problem": {"q_star": 0.0}}, "unknown problem keys"),
         ("diagram", {"problem": {"q_star": 0.0}}, "unknown problem keys"),
         ("constants", {"problem": {"g": 0.0}}, "unknown problem keys"),
+        ("alpha-sweep", {"levels": [4, 8, 16]}, "alpha-sweep reads at most 1 mesh level"),
     ],
 )
 def test_config_rejections(kind, data, fragment):
