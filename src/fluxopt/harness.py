@@ -18,6 +18,8 @@ portable and runs bit-reproducible.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import inspect
 import math
 import os
 from dataclasses import dataclass, field
@@ -129,15 +131,16 @@ def _mms_flux():
     return Field("mms_flux", fn)
 
 
+# each field's parameters are its builder's keyword arguments
 _FIELD_BUILDERS = {
-    "constant": (_const_field, {"value"}),
-    "zero": (lambda: _const_field(0.0), set()),
-    "sin_product": (_sin_product, {"scale", "kx", "ky"}),
-    "trig_product": (_trig_product, {"scale", "kx", "ky"}),
-    "polynomial": (_polynomial, {"coefficients"}),
-    "mms_solution": (_mms_solution, {"offset"}),
-    "mms_load": (_mms_load, set()),
-    "mms_flux": (_mms_flux, set()),
+    "constant": _const_field,
+    "zero": lambda: _const_field(0.0),
+    "sin_product": _sin_product,
+    "trig_product": _trig_product,
+    "polynomial": _polynomial,
+    "mms_solution": _mms_solution,
+    "mms_load": _mms_load,
+    "mms_flux": _mms_flux,
 }
 
 
@@ -152,9 +155,9 @@ def field_from_config(value) -> Field:
     name = value["name"]
     if not isinstance(name, str) or name not in _FIELD_BUILDERS:
         raise ValueError(f"unknown field {name!r}; known fields: {sorted(_FIELD_BUILDERS)}")
-    builder, allowed = _FIELD_BUILDERS[name]
+    builder = _FIELD_BUILDERS[name]
     params = {k: v for k, v in value.items() if k != "name"}
-    unknown = set(params) - allowed
+    unknown = set(params) - set(inspect.signature(builder).parameters)
     if unknown:
         raise ValueError(f"field {name!r} does not accept parameters {sorted(unknown)}")
     try:
@@ -308,7 +311,7 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-_CONFIG_KEYS = {"problem", "levels", "alphas", "n_ref", "gamma1_sides", "seed"}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind"}
 
 
 def config_from_dict(kind: str, data: dict) -> ExperimentConfig:

@@ -214,8 +214,9 @@ def _pencil_1d(n, index):
 class RobinOperator:
     """K + alpha B1 on one mesh, solved through the clamped-block solve.
 
-    The sum is never formed: products apply K and B1 separately, and solves
-    eliminate the free block with the K_ff solve around the mesh's pencil
+    Built afresh on every call: nothing per alpha is kept.  The sum is
+    never formed: products apply K and B1 separately, and solves eliminate
+    the free block with the K_ff solve around the mesh's pencil
     (``schur_pencil``).  B1 lives on the clamped vertices only, so by
     Haynsworth's inertia additivity K + alpha B1 is positive definite
     exactly when K_ff is (its M-matrix certificate, ``operators``) and
@@ -332,17 +333,12 @@ def operators(mesh: Mesh) -> MeshOperators:
     return MeshOperators(mesh)
 
 
-def robin_operator(mesh: Mesh, alpha: float) -> RobinOperator:
-    """K + alpha B1 on the mesh, built afresh on every call: nothing per alpha is kept."""
-    return RobinOperator(mesh, alpha)
-
-
 def solve_spd(matrix, rhs):
     """Solve a symmetric positive definite system and check the residual.
 
     Parameters
     ----------
-    matrix : ``operators(mesh).clamped``, a ``robin_operator(mesh, alpha)``,
+    matrix : ``operators(mesh).clamped``, a ``RobinOperator(mesh, alpha)``,
         or any ``FactoredMatrix``, such as ``certified(sparse_matrix)``.
     rhs : right-hand side vector, or an (n, k) array of k right-hand sides,
         solved in blocks of a few columns.
@@ -365,20 +361,6 @@ def solve_spd(matrix, rhs):
         solved = matrix.solve(block)
         step = refinement(matrix, block, solved)
         x[cols] = solved if step is None else solved + step
-    return x
-
-
-def solve_columns(matrix, columns):
-    """``solve_spd`` for the columns of a sparse (n, k) matrix, densified a few at a time.
-
-    Each block of columns is one ``solve_spd`` call with a dense right-hand
-    side, so no dense n-by-k copy of the right-hand side is ever made.
-    """
-    columns = sp.csc_matrix(columns)
-    x = np.empty(columns.shape, order="F")
-    for start in range(0, columns.shape[1], _BLOCK_COLUMNS):
-        cols = slice(start, start + _BLOCK_COLUMNS)
-        x[:, cols] = solve_spd(matrix, columns[:, cols].toarray(order="F"))
     return x
 
 
@@ -489,7 +471,7 @@ def estimate_constants(mesh: Mesh) -> DiscreteConstants:
     v_ff = v_gram[free][:, free].tocsr()
     lambda_h = 1.0 / _pencil_largest(v_ff, ops.clamped, rng.standard_normal(len(free)))
     lambda1_h = 1.0 / _pencil_largest(
-        v_gram, robin_operator(mesh, 1.0), rng.standard_normal(v_gram.shape[0])
+        v_gram, RobinOperator(mesh, 1.0), rng.standard_normal(v_gram.shape[0])
     )
     gamma_sq = _pencil_largest(
         b2, certified(v_gram), rng.standard_normal(v_gram.shape[0])

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import assembly
-from .linsolve import operators, robin_operator, solve_spd
+from .linsolve import RobinOperator, operators, solve_spd
 from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition
 
 
@@ -76,7 +76,7 @@ def solve_state(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalField:
     if spec.alpha is None:
         op = operators(mesh).clamped
     else:
-        op = robin_operator(mesh, spec.alpha)
+        op = RobinOperator(mesh, spec.alpha)
     rhs = assembly.assemble_load(mesh, spec.g) - (
         assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2) @ assembly.trace_extend(q).coefficients
     )
@@ -102,7 +102,7 @@ def solve_adjoint(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalField:
         raise ValueError("state lives on a different mesh")
     rhs = assembly.assemble_mass(mesh) @ u.coefficients - assembly.assemble_load(mesh, spec.z_d)
     if spec.alpha is not None:
-        return NodalField(mesh, solve_spd(robin_operator(mesh, spec.alpha), rhs))
+        return NodalField(mesh, solve_spd(RobinOperator(mesh, spec.alpha), rhs))
     free = dof_partition(mesh).free_dofs
     p = np.zeros(len(mesh.vertices))
     p[free] = solve_spd(operators(mesh).clamped, rhs[free])

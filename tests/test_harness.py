@@ -240,6 +240,17 @@ def test_readme_example_is_a_diagram_config():
             config_from_dict(kind, data)
 
 
+def test_readme_library_example_runs(capsys):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as handle:
+        readme = handle.read()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    names = {}
+    exec(example, names)
+    sol, ref = names["sol"], names["ref"]
+    assert capsys.readouterr().out == f"{sol.cost} {sol.gradient_norm} {sol.iterations}\n"
+    assert sol.cost == pytest.approx(ref.cost, rel=1e-10)
+
+
 @pytest.mark.parametrize("kind", ["control-conv", "diagram"])
 def test_oracle_kinds_accept_only_a_finest_level_the_dense_route_can_form(kind):
     # one clamped side: n = 128 gives 16641 x 385 responses (51 MB), n = 256

@@ -28,10 +28,8 @@ from fluxopt.linsolve import (
     fast_diagonalization,
     operators,
     refinement,
-    robin_operator,
     schur_complement,
     schur_pencil,
-    solve_columns,
     solve_spd,
 )
 from fluxopt.mesh import (
@@ -84,7 +82,7 @@ def test_solver_linearity():
     # both families' operators; the columns must combine linearly
     mesh = build_structured_mesh(6, ["left"])
     rng = np.random.default_rng(11)
-    for op in (operators(mesh).clamped, robin_operator(mesh, 3.0)):
+    for op in (operators(mesh).clamped, RobinOperator(mesh, 3.0)):
         r1 = rng.standard_normal(op.shape[0])
         r2 = rng.standard_normal(op.shape[0])
         block = np.column_stack([r1, r2, r1 + r2, rng.standard_normal((op.shape[0], 8))])
@@ -94,20 +92,9 @@ def test_solver_linearity():
         assert np.allclose(x[:, 10], solve_spd(op, block[:, 10]), rtol=0.0, atol=1e-12)
 
 
-def test_sparse_columns_solve_like_their_dense_copy():
-    # solve_columns densifies a sparse block a few columns at a time; the
-    # blocks reaching the factor are the ones a dense right-hand side makes
-    mesh = build_structured_mesh(8, ["bottom", "left"])
-    for op in (operators(mesh).clamped, robin_operator(mesh, 2.0)):
-        columns = sp.random(op.shape[0], 19, density=0.05, format="csc", random_state=3)
-        x = solve_columns(op, columns)
-        assert x.shape == columns.shape
-        assert np.array_equal(x, solve_spd(op, columns.toarray()))
-
-
 def test_refinement_accepts_repairs_or_rejects_a_given_solution():
     mesh = build_structured_mesh(8, ["bottom"])
-    for op in (operators(mesh).clamped, robin_operator(mesh, 2.0)):
+    for op in (operators(mesh).clamped, RobinOperator(mesh, 2.0)):
         rhs = np.random.default_rng(5).standard_normal((op.shape[0], 3))
         x = solve_spd(op, rhs)
         assert refinement(op, rhs, x) is None
@@ -151,7 +138,7 @@ def test_operator_norms_bound_the_matrix_and_leave_it_alone():
     # the clamped edges leaves above |K + alpha B1| |x|
     x = rng.uniform(size=stiff.shape[0])
     for alpha in (0.1, 10.0, 500.0, 1e4):
-        product = robin_operator(mesh, alpha).abs_matmul(x)
+        product = RobinOperator(mesh, alpha).abs_matmul(x)
         dense = (np.abs(stiff.toarray()) + alpha * b1.toarray()) @ x
         assert np.allclose(product, dense, rtol=1e-14, atol=0.0)
         cancelled = np.abs((stiff + alpha * b1).toarray()) @ x
@@ -630,7 +617,7 @@ def test_fine_adjoint_below_its_roundoff_floor_takes_no_step(fine_robin_case, mo
     if alpha is None:
         op, rhs, x = ops.clamped, rhs[ops.free], adjoint.coefficients[ops.free]
     else:
-        op, x = robin_operator(mesh, alpha), adjoint.coefficients
+        op, x = RobinOperator(mesh, alpha), adjoint.coefficients
         assert robin_residuals(mesh, spec, q, u, adjoint)[1] <= 1e-10
     bnorm = np.linalg.norm(rhs)
     magnitude = op.abs_matmul(np.abs(x)) + np.abs(rhs)
@@ -656,7 +643,7 @@ def test_schur_path_matches_a_one_shot_factorization(alpha):
     matrix = assemble_stiffness(mesh) + alpha * assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
     rhs = np.random.default_rng(5).standard_normal(matrix.shape[0]) + alpha
     x_ref = solve_spd(certified(matrix), rhs)
-    x = solve_spd(robin_operator(mesh, alpha), rhs)
+    x = solve_spd(RobinOperator(mesh, alpha), rhs)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -675,7 +662,7 @@ def test_schur_complement_matches_the_dense_formula():
 def test_robin_operator_below_the_pencil_is_not_positive_definite():
     mesh = build_structured_mesh(8, ("bottom",))
     with pytest.raises(ConvergenceError, match="alpha=-1 is not positive definite"):
-        robin_operator(mesh, -1.0)
+        RobinOperator(mesh, -1.0)
 
 
 def test_many_alphas_keep_no_robin_operator():

@@ -14,9 +14,9 @@ from fluxopt import assembly, harness, linsolve, optctl, pde
 from fluxopt.assembly import assemble_boundary_mass, norm
 from fluxopt.linsolve import (
     ConvergenceError,
+    RobinOperator,
     estimate_constants,
     operators,
-    robin_operator,
     schur_pencil,
 )
 from fluxopt.mesh import (
@@ -418,7 +418,7 @@ def test_a_response_too_large_for_the_cap_raises_before_any_solve(monkeypatch):
     # n = 256 with one clamped side: 66049 x 769 responses, 406 MB, against
     # 64 MiB; n = 128 needs 51 MB and still builds
     calls = []
-    monkeypatch.setattr(optctl, "solve_columns", lambda *args: calls.append(args))
+    monkeypatch.setattr(optctl, "solve_spd", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="cap"):
         optctl.reduced_normal_system(build_structured_mesh(256, ["bottom"]), make_spec())
     assert calls == []
@@ -463,7 +463,7 @@ def per_alpha_reduced_system(mesh, spec):
         response[free, :] = linsolve.solve_spd(clamped, -b2_cols[free, :])
     else:
         b1 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-        robin = robin_operator(mesh, spec.alpha)
+        robin = RobinOperator(mesh, spec.alpha)
         u0 = linsolve.solve_spd(robin, load_g + spec.alpha * spec.b * (b1 @ np.ones(nvert)))
         response = linsolve.solve_spd(robin, -b2_cols)
     trace_mass = np.asarray(b2[g2][:, g2].todense())
@@ -502,12 +502,13 @@ def test_shared_blocks_reproduce_the_per_alpha_reduced_system(n, sides, alphas):
 
 @pytest.mark.parametrize("n, sides", [(8, ("bottom", "right")), (16, ("bottom",))])
 def test_coupling_block_rebuilds_the_schur_complement(n, sides):
-    # K_cc - K_cf W with W = K_ff^-1 K_fc and the certifying factor's
-    # trailing block are two independent constructions of S0
+    # K_cc - K_cf W with W = K_ff^-1 K_fc, from K_ff solves, and the sum
+    # over grid modes in schur_complement are two independent constructions
+    # of S0
     mesh = build_structured_mesh(n, sides)
     ops = operators(mesh)
     clamped = ops.clamped_dofs
-    coupling = linsolve.solve_columns(ops.clamped, ops.k_fc)
+    coupling = linsolve.solve_spd(ops.clamped, ops.k_fc.toarray())
     schur = ops.stiff[clamped][:, clamped].toarray() - ops.k_fc.T @ coupling
     b1_cc = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)[clamped][:, clamped].toarray()
     eigenvalues, v = schur_pencil(mesh)
@@ -521,13 +522,13 @@ def test_each_reduced_system_makes_one_response_solve(monkeypatch, alpha):
     mesh = build_structured_mesh(16, ["bottom"])
     ops = operators(mesh)
     calls = []
-    solve_columns = optctl.solve_columns
+    solve_spd = optctl.solve_spd
 
-    def counted(matrix, columns):
-        calls.append((matrix, columns.shape))
-        return solve_columns(matrix, columns)
+    def counted(matrix, rhs):
+        calls.append((matrix, rhs.shape))
+        return solve_spd(matrix, rhs)
 
-    monkeypatch.setattr(optctl, "solve_columns", counted)
+    monkeypatch.setattr(optctl, "solve_spd", counted)
     optctl.reduced_normal_system(mesh, make_spec(alpha))
     ntrace = len(dof_partition(mesh).gamma2_trace_dofs)
     ((matrix, shape),) = calls
