@@ -17,10 +17,12 @@ clamped vertices, so a Robin solve at any alpha eliminates the free block
 with the K_ff solve and solves the small dense system (S0 + alpha B1_cc)
 on the clamped vertices, where S0 = K_cc - K_cf K_ff^-1 K_fc is the Schur
 complement of the free block.  S0 is built once per mesh, on the first
-Robin solve only, from the same 1-D eigenpairs as the K_ff solve
-(``schur_complement``), and one eigendecomposition of the pencil (S0, B1_cc)
-solves that system at every alpha.  So neither family makes a sparse
-factorization: ``factorize`` serves only ``estimate_constants``.
+Robin solve only, from the same 1-D eigenpairs as the K_ff solve: the free
+vertices next to the clamped sides lie on at most three grid lines, and
+K_ff^-1 between them is summed one pair of lines at a time, in O(n^3) per
+pair (``schur_complement``).  One eigendecomposition of the pencil
+(S0, B1_cc) solves that system at every alpha.  So neither family makes a
+sparse factorization: ``factorize`` serves only ``estimate_constants``.
 As alpha grows the clamped values are pinned ever harder, and the clamped
 family is the limit.
 """
@@ -40,8 +42,6 @@ from .mesh import BoundaryTag, Mesh, cached, dof_partition
 # right-hand side columns per call into a solve: wider blocks hold more
 # memory, and a refinement step solves the whole block when one column needs it
 _BLOCK_COLUMNS = 8
-# bytes of one block of the sum that gives a mesh's Schur complement
-_CHUNK_BYTES = 2 << 20
 
 # relative residual target of a solve
 _TOL = 1e-12
@@ -196,8 +196,10 @@ def _grid_modes(mesh: Mesh):
     """(lambda_y, V_y, lambda_x, V_x), the 1-D pencils of the mesh's K_ff.
 
     Free vertex number p sits at row p // len(lambda_x) and column
-    p % len(lambda_x) of the free grid (``fast_diagonalization``).  Both
-    the K_ff solve and the Schur complement read them (``schur_complement``).
+    p % len(lambda_x) of the free grid (``fast_diagonalization``).  The
+    K_ff solve reads them whole, and the Schur complement reads them on
+    the grid lines next to the clamped sides, one pair of lines at a time
+    (``schur_complement``).
     """
     n, free = mesh.n, dof_partition(mesh).free_dofs
     return _pencil_1d(n, np.unique(free // (n + 1))) + _pencil_1d(n, np.unique(free % (n + 1)))
@@ -306,25 +308,69 @@ def schur_complement(mesh: Mesh) -> np.ndarray:
     Z[s, t] = sum over a, b of Vy[j_s, a] Vy[j_t, a] Vx[i_s, b] Vx[i_t, b]
     / (lambda_y_a + lambda_x_b), with (j_s, i_s) the grid place of s
     (``_grid_modes``; the capacitance matrix of Buzbee, Dorr, George &
-    Golub, SIAM J. Numer. Anal. 8, 1971).  Z is summed over blocks of y
-    modes, so at most 2 MiB of the |S| x N_free Khatri-Rao array, or one
-    mode of it, is held at a time.  A mesh with no free vertex has
-    S0 = K_cc.
+    Golub, SIAM J. Numer. Anal. 8, 1971).  S lies on at most three grid
+    lines (``_clamped_lines``), and on a pair of lines one index of each
+    point is fixed, so the sum over a and b factors:
+    - two rows j, j': c_b = sum over a of Vy[j, a] Vy[j', a]
+      / (lambda_y_a + lambda_x_b), and the block is Vx[i_s] diag(c) Vx[i_t]',
+      and two columns likewise with x and y swapped;
+    - row j and column i': T[a, b] = Vy[j, a] Vx[i', b]
+      / (lambda_y_a + lambda_x_b), and the block is Vx[i_s] T' Vy[j_t]'.
+    Each block costs O(n^3), where the whole sum costs |S| N_free, O(n^4).
+    A mesh with no free vertex has S0 = K_cc.
     """
     ops = operators(mesh)
-    ly, vy, lx, vx = _grid_modes(mesh)
-    support = np.unique(ops.k_fc.indices)
-    rows, cols = np.divmod(support, len(lx))
-    scale = 1.0 / np.sqrt(ly[:, None] + lx)
-    z = np.zeros((len(support), len(support)))
-    step = max(1, _CHUNK_BYTES // max(1, 8 * len(support) * len(lx)))
-    for start in range(0, len(ly), step):
-        modes = slice(start, start + step)
-        block = (vy[rows, modes, None] * vx[cols, None, :] * scale[modes]).reshape(len(support), -1)
-        z += block @ block.T
+    ly, _, lx, _ = _grid_modes(mesh)
+    weights = 1.0 / (ly[:, None] + lx)
+    lines = _clamped_lines(mesh)
+    edges = np.cumsum([0] + [len(points) for *_, points in lines])
+    z = np.empty((edges[-1], edges[-1]))
+    for p, first in enumerate(lines):
+        for q in range(p, len(lines)):
+            block = _line_pair(first, lines[q], weights)
+            z[edges[p]:edges[p + 1], edges[q]:edges[q + 1]] = block
+            z[edges[q]:edges[q + 1], edges[p]:edges[p + 1]] = block.T
+    support = np.concatenate([np.zeros(0, dtype=int)] + [points for *_, points in lines])
     k_sc = ops.k_fc[support].toarray()
     schur0 = ops.stiff[ops.clamped_dofs][:, ops.clamped_dofs].toarray() - k_sc.T @ z @ k_sc
     return 0.5 * (schur0 + schur0.T)
+
+
+def _line_pair(first, second, weights):
+    """The block of Z = K_ff^-1 between the points of two lines (``schur_complement``).
+
+    Lines are (row, fixed, along, points) (``_clamped_lines``), and weights
+    is 1 / (lambda_y_a + lambda_x_b), indexed [a, b].
+    """
+    row1, fixed1, along1, _ = first
+    row2, fixed2, along2, _ = second
+    # weights with the first line's fixed index first
+    w = weights if row1 else weights.T
+    if row1 == row2:
+        return (along1 * ((fixed1 * fixed2) @ w)) @ along2.T
+    return along1 @ (w * np.outer(fixed1, fixed2)).T @ along2.T
+
+
+def _clamped_lines(mesh: Mesh):
+    """The free grid lines next to the clamped sides, as (row, fixed, along, points).
+
+    Every free vertex that K_fc couples to a clamped vertex lies on the
+    first or last free row (bottom, top) or column (left, right) of a
+    clamped side.  Each such point is given to one line only: a row takes
+    its whole row, and a column its points on no clamped row.  A row j has
+    fixed = Vy[j] and along = Vx, a column i has fixed = Vx[i] and
+    along = Vy on its rows, and points are the lines' free vertex numbers.
+    """
+    ly, vy, lx, vx = _grid_modes(mesh)
+    ny, nx = len(ly), len(lx)
+    if ny * nx == 0:
+        return []
+    sides = mesh.gamma1_sides
+    rows = sorted({j for side, j in (("bottom", 0), ("top", ny - 1)) if side in sides})
+    cols = sorted({i for side, i in (("left", 0), ("right", nx - 1)) if side in sides})
+    rest = np.arange(int("bottom" in sides), ny - int("top" in sides))
+    lines = [(True, vy[j], vx, j * nx + np.arange(nx)) for j in rows]
+    return lines + [(False, vx[i], vy[rest], rest * nx + i) for i in cols]
 
 
 @cached

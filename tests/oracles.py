@@ -6,14 +6,16 @@ a piecewise-linear field at arbitrary points of the unit square, and
 interpolate_nodal takes a callable's vertex values; the package itself never
 needs either.  column reads one column of a report's rows.
 kronecker_sum builds a clamped block K_ff from 1-D matrices, where the
-package assembles it from triangles, and schur_complement eliminates the
-free block densely, where the package sums over the grid modes.
+package assembles it from triangles.  schur_complement eliminates the free
+block densely, and schur_complement_by_modes sums over all grid modes at
+every point pair, where the package sums one pair of grid lines at a time.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from fluxopt.assembly import assemble_stiffness
+from fluxopt.linsolve import _grid_modes, operators
 from fluxopt.mesh import NodalField, _evaluate_callable, dof_partition
 
 
@@ -115,3 +117,23 @@ def schur_complement(mesh) -> np.ndarray:
     free, clamped = part.free_dofs, part.gamma1_dofs
     k_fc = stiff[np.ix_(free, clamped)]
     return stiff[np.ix_(clamped, clamped)] - k_fc.T @ np.linalg.solve(stiff[np.ix_(free, free)], k_fc)
+
+
+def schur_complement_by_modes(mesh) -> np.ndarray:
+    """S0 = K_cc - K_Sc' Z K_Sc, symmetrized, with Z = K_ff^-1 on S summed over all grid modes.
+
+    S is the set of free vertices that K_fc couples, and
+    Z[s, t] = sum over a, b of Vy[j_s, a] Vy[j_t, a] Vx[i_s, b] Vx[i_t, b]
+    / (lambda_y_a + lambda_x_b) is formed as B B' from the |S| x N_free
+    Khatri-Rao array B, for |S|^2 N_free multiply-adds.
+    """
+    ops = operators(mesh)
+    ly, vy, lx, vx = _grid_modes(mesh)
+    support = np.unique(ops.k_fc.indices)
+    rows, cols = np.divmod(support, len(lx))
+    scale = 1.0 / np.sqrt(ly[:, None] + lx)
+    modes = (vy[rows, :, None] * vx[cols, None, :] * scale).reshape(len(support), scale.size)
+    k_sc = ops.k_fc[support].toarray()
+    z = modes @ modes.T
+    schur0 = ops.stiff[ops.clamped_dofs][:, ops.clamped_dofs].toarray() - k_sc.T @ z @ k_sc
+    return 0.5 * (schur0 + schur0.T)

@@ -336,6 +336,40 @@ def test_schur_complement_matches_dense_elimination(sides):
             assert np.array_equal(schur0, k_cc)
 
 
+@pytest.mark.parametrize("sides", SIDE_SETS)
+def test_schur_complement_matches_the_sum_over_all_grid_modes(sides):
+    # the blocks between grid lines at sizes dense elimination cannot reach;
+    # measured at most 1.9 eps relative to |S0|_max
+    eps = np.finfo(float).eps
+    for n in (16, 32, 64):
+        mesh = build_structured_mesh(n, sides)
+        schur0, summed = schur_complement(mesh), oracles.schur_complement_by_modes(mesh)
+        assert np.array_equal(schur0, schur0.T)
+        assert np.abs(schur0 - summed).max() <= 8.0 * eps * np.abs(summed).max()
+
+
+def test_zeroed_blocks_between_a_row_and_a_column_fail_the_residual_check(monkeypatch):
+    # K_ff^-1 between the bottom row and the left column dropped from S0: the
+    # Robin solve is off on the clamped vertices, and one refinement step
+    # through it cannot mend that
+    line_pair = linsolve._line_pair
+
+    def corrupted(first, second, weights):
+        block = line_pair(first, second, weights)
+        return block if first[0] == second[0] else np.zeros_like(block)
+
+    monkeypatch.setattr(linsolve, "_line_pair", corrupted)
+    rng = np.random.default_rng(6)
+    for n in (8, 16, 64):
+        mesh = build_structured_mesh(n, ("bottom", "left"))
+        summed = oracles.schur_complement_by_modes(mesh)
+        assert np.abs(schur_complement(mesh) - summed).max() > 1e-2 * np.abs(summed).max()
+        op = RobinOperator(mesh, 1.0)
+        with pytest.raises(ConvergenceError, match="relative residual") as caught:
+            solve_spd(op, rng.standard_normal(op.shape[0]))
+        assert caught.value.residual > 1e-10
+
+
 def test_a_corrupted_eigenvalue_fails_the_residual_check(monkeypatch):
     # the smallest eigenvalue of each 1-D pencil raised to 2 lambda + 1: the
     # solve is off in the smoothest modes, and one refinement step through it

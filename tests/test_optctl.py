@@ -500,11 +500,21 @@ def test_shared_blocks_reproduce_the_per_alpha_reduced_system(n, sides, alphas):
             assert relative_gap(g, w) <= 1e-13, alpha
 
 
-@pytest.mark.parametrize("n, sides", [(8, ("bottom", "right")), (16, ("bottom",))])
+@pytest.mark.parametrize(
+    "n, sides",
+    [
+        (8, ("bottom", "right")),
+        (16, ("bottom",)),
+        (64, ("bottom", "left", "right")),
+        (64, ("left", "top", "right")),
+        (64, ("bottom", "top")),
+    ],
+)
 def test_coupling_block_rebuilds_the_schur_complement(n, sides):
     # K_cc - K_cf W with W = K_ff^-1 K_fc, from K_ff solves, and the sum
-    # over grid modes in schur_complement are two independent constructions
-    # of S0
+    # over pairs of grid lines in schur_complement are two independent
+    # constructions of S0; measured at most 4.5e-15 through the pencil and
+    # 2.7e-16 for S0 itself
     mesh = build_structured_mesh(n, sides)
     ops = operators(mesh)
     clamped = ops.clamped_dofs
@@ -515,6 +525,9 @@ def test_coupling_block_rebuilds_the_schur_complement(n, sides):
     rebuilt = b1_cc @ v @ np.diag(eigenvalues) @ v.T @ b1_cc
     assert relative_gap(rebuilt, schur) <= 1e-12
     assert relative_gap(v.T @ b1_cc @ v, np.eye(len(clamped))) <= 1e-12
+    assert relative_gap(rebuilt, schur) <= 1e-14
+    assert relative_gap(v.T @ b1_cc @ v, np.eye(len(clamped))) <= 1e-14
+    assert relative_gap(linsolve.schur_complement(mesh), schur) <= 8.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5, 1e4])
