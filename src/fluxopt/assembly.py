@@ -46,12 +46,18 @@ def _scatter(cells, blocks, nvert) -> sp.csr_matrix:
 
 @cached
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Gradient-gradient matrix of the piecewise-linear space."""
+    """Gradient-gradient matrix of the piecewise-linear space, with no stored zero.
+
+    The couplings across the diagonal edges cancel to exactly 0.0, 2 n^2 of
+    them; dropping them leaves every product with the matrix unchanged.
+    """
     b, c, area = _triangle_geometry(mesh)
     blocks = b[:, :, None] * b[:, None, :]
     blocks += c[:, :, None] * c[:, None, :]
     blocks /= (4.0 * area)[:, None, None]
-    return _scatter(mesh.triangles, blocks, len(mesh.vertices))
+    stiff = _scatter(mesh.triangles, blocks, len(mesh.vertices))
+    stiff.eliminate_zeros()
+    return stiff
 
 
 @cached

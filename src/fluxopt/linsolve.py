@@ -14,22 +14,25 @@ positive definite by one solve, K_ff^-1 1 >= 0 (an M-matrix test).
 
 The Robin matrix K + alpha B1 differs from the clamped one only on the
 clamped vertices, so a Robin solve at any alpha eliminates the free block
-with the K_ff solve and solves the small dense system (S0 + alpha B1_cc)
-on the clamped vertices, where S0 = K_cc - K_cf K_ff^-1 K_fc is the Schur
-complement of the free block.  S0 is built once per mesh, on the first
-Robin solve only, from the same 1-D eigenpairs as the K_ff solve: the free
-vertices next to the clamped sides lie on at most three grid lines, and
-K_ff^-1 between them is summed one pair of lines at a time, in O(n^3) per
-pair (``schur_complement``).  One eigendecomposition of the pencil
-(S0, B1_cc) solves that system at every alpha.  So neither family makes a
-sparse factorization: ``factorize`` serves only ``estimate_constants``.
-As alpha grows the clamped values are pinned ever harder, and the clamped
-family is the limit.
+and solves the small dense system (S0 + alpha B1_cc) on the clamped
+vertices, where S0 = K_cc - K_cf K_ff^-1 K_fc is the Schur complement of
+the free block.  K_fc couples the clamped vertices only to the free
+vertices on at most three grid lines next to them, so a Robin solve takes
+the same one forward and one back modal transform as a K_ff solve, and
+works between them on those lines only (``RobinOperator``).  S0 is built
+once per mesh, on the first Robin solve only, from the same 1-D
+eigenpairs: K_ff^-1 between the lines is summed one pair of lines at a
+time, in O(n^3) per pair (``schur_complement``).  One eigendecomposition
+of the pencil (S0, B1_cc) solves that system at every alpha.  So neither
+family makes a sparse factorization: ``factorize`` serves only
+``estimate_constants``.  As alpha grows the clamped values are pinned ever
+harder, and the clamped family is the limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -173,36 +176,49 @@ def fast_diagonalization(mesh: Mesh):
     K_ff = Ky (x) Dx + Dy (x) Kx with the 1-D matrices restricted to Ix and
     Iy.  Each 1-D pencil is diagonalized once, V' K V = diag(lambda) and
     V' D V = I, and a right-hand side R on the grid solves to
-    X = Vy [(Vy' R Vx) / (lambda_y_j + lambda_x_i)] Vx' (Lynch, Rice &
-    Thomas, Numer. Math. 6, 1964; Buzbee, Golub & Nielson, SIAM J. Numer.
-    Anal. 7, 1970).  A clamped side drops an end of one index range, which
-    makes that pencil definite, so every denominator is positive.  The
-    solve takes a vector or an (N, k) block of columns.
+    X = Vy [W (.) (Vy' R Vx)] Vx', W = 1 / (lambda_y_a + lambda_x_b)
+    (Lynch, Rice & Thomas, Numer. Math. 6, 1964; Buzbee, Golub & Nielson,
+    SIAM J. Numer. Anal. 7, 1970): one forward and one back modal transform
+    (``_to_modes``, ``_from_modes``).  A clamped side drops an end of one
+    index range, which makes that pencil definite, so every W is finite.
+    The solve takes a vector or an (N, k) block of columns.
     """
-    ly, vy, lx, vx = _grid_modes(mesh)
-    denominator = ly[:, None] + lx
-    grid = denominator.shape
+    _, vy, _, vx, weights = _grid_modes(mesh)
 
     def solve(rhs):
-        r = rhs.T.reshape(rhs.shape[1:] + grid)
-        x = vy @ ((vy.T @ r @ vx) / denominator) @ vx.T
+        r = rhs.T.reshape(rhs.shape[1:] + weights.shape)
+        x = _from_modes(vy, vx, _to_modes(vy, vx, weights, r))
         return x.reshape(rhs.shape[::-1]).T
 
     return solve
 
 
+def _to_modes(vy, vx, weights, grid):
+    """W (.) (Vy' R Vx): the modal coefficients of K_ff^-1 R, for R of shape (..., ny, nx)."""
+    return weights * (vy.T @ grid @ vx)
+
+
+def _from_modes(vy, vx, coefficients):
+    """Vy C Vx': the grid values of modal coefficients C (``_to_modes``)."""
+    return vy @ coefficients @ vx.T
+
+
 @cached
 def _grid_modes(mesh: Mesh):
-    """(lambda_y, V_y, lambda_x, V_x), the 1-D pencils of the mesh's K_ff.
+    """(lambda_y, V_y, lambda_x, V_x, W), the 1-D pencils of the mesh's K_ff, read-only.
 
-    Free vertex number p sits at row p // len(lambda_x) and column
-    p % len(lambda_x) of the free grid (``fast_diagonalization``).  The
-    K_ff solve reads them whole, and the Schur complement reads them on
-    the grid lines next to the clamped sides, one pair of lines at a time
-    (``schur_complement``).
+    W = 1 / (lambda_y_a + lambda_x_b) is indexed [a, b].  Free vertex
+    number p sits at row p // len(lambda_x) and column p % len(lambda_x)
+    of the free grid (``fast_diagonalization``).  The K_ff and Robin solves
+    read them whole, and the Schur complement on the grid lines next to
+    the clamped sides, one pair of lines at a time (``schur_complement``).
     """
     n, free = mesh.n, dof_partition(mesh).free_dofs
-    return _pencil_1d(n, np.unique(free // (n + 1))) + _pencil_1d(n, np.unique(free % (n + 1)))
+    modes = _pencil_1d(n, np.unique(free // (n + 1))) + _pencil_1d(n, np.unique(free % (n + 1)))
+    modes += (1.0 / (modes[0][:, None] + modes[2]),)
+    for array in modes:
+        array.setflags(write=False)
+    return modes
 
 
 def _pencil_1d(n, index):
@@ -214,20 +230,32 @@ def _pencil_1d(n, index):
 
 
 class RobinOperator:
-    """K + alpha B1 on one mesh, solved through the clamped-block solve.
+    """K + alpha B1 on one mesh, solved with one forward and one back modal transform.
 
     Built afresh on every call: nothing per alpha is kept.  The sum is
     never formed: products apply K and B1 separately, and solves eliminate
-    the free block with the K_ff solve around the mesh's pencil
-    (``schur_pencil``).  B1 lives on the clamped vertices only, so by
-    Haynsworth's inertia additivity K + alpha B1 is positive definite
-    exactly when K_ff is (its M-matrix certificate, ``operators``) and
-    S0 + alpha B1_cc is, that is, when every lambda + alpha is positive.
-    Of alpha it keeps d = 1 / (lambda + alpha), and ConvergenceError is
-    raised unless d > 0.  Every solve through ``solve_spd`` is checked
-    against the assembled K and B1, its residual formed as K x + alpha (B1 x),
-    whose rounding ``abs_matmul`` bounds by |K| |x| + |alpha| B1 |x| (B1 has
-    no negative entry).  No reference to the mesh is kept.
+    the free block around the mesh's pencil (``schur_pencil``).  B1 lives
+    on the clamped vertices only, so by Haynsworth's inertia additivity
+    K + alpha B1 is positive definite exactly when K_ff is (its M-matrix
+    certificate, ``operators``) and S0 + alpha B1_cc is, that is, when
+    every lambda + alpha is positive.  Of alpha it keeps d = 1 / (lambda +
+    alpha), and ConvergenceError is raised unless d > 0.  Every solve
+    through ``solve_spd`` is checked against the assembled K and B1, its
+    residual formed as K x + alpha (B1 x), whose rounding ``abs_matmul``
+    bounds by |K| |x| + |alpha| B1 |x| (B1 has no negative entry).  No
+    reference to the mesh is kept.
+
+    A solve of [K_ff K_fc; K_cf K_cc + alpha B1_cc] x = r needs
+    y = K_ff^-1 r_f only on the free vertices S next to the clamped sides,
+    which lie on at most three grid lines (``_clamped_coupling``), and
+    K_fc x_c is zero off them, so its modal image is one outer product per
+    line (the capacitance-matrix method of Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8, 1971):
+    - Y = W (.) (Vy' R_f Vx), the modes of y (``_to_modes``);
+    - y on each line of S, read from Y in O(n^2) (``_line_values``);
+    - x_c = V diag(d) V' (r_c - K_Sc' y_S);
+    - Y minus W (.) the modes of K_Sc x_c, line by line (``_line_modes``);
+    - x_f = Vy Y Vx', the one back transform (``_from_modes``).
     """
 
     def __init__(self, mesh: Mesh, alpha: float):
@@ -241,6 +269,9 @@ class RobinOperator:
             )
         self._d = 1.0 / shifted
         self._ops = operators(mesh)
+        _, self._vy, _, self._vx, self._weights = _grid_modes(mesh)
+        self._window, self._lines, self._k_sc = _clamped_coupling(mesh)
+        self._grid = (mesh.n + 1, mesh.n + 1)
         self.shape = self._ops.stiff.shape
 
     def __matmul__(self, x):
@@ -250,25 +281,51 @@ class RobinOperator:
         return _abs_matmul(self._ops.stiff, x) + abs(self.alpha) * (self._ops.b1 @ x)
 
     def solve(self, rhs):
-        ops = self._ops
-        free, clamped = ops.free, ops.clamped_dofs
-        y = ops.clamped.solve(rhs[free])
-        x = np.empty(rhs.shape)
+        vy, vx, weights, k_sc = self._vy, self._vx, self._weights, self._k_sc
+        clamped = self._ops.clamped_dofs
+        # one column per leading index, as values on the vertex grid, of which
+        # the free grid is a window
+        columns = rhs.T
+        grid = columns.shape[:-1] + self._grid
+        x = np.empty(columns.shape)
+        modes = _to_modes(vy, vx, weights, columns.reshape(grid)[self._window])
+        y_s = np.empty(columns.shape[:-1] + (len(k_sc),))
+        for line in self._lines:
+            y_s[..., line.span] = _line_values(line, modes)
         # (S0 + alpha B1_cc)^-1 = V diag(d) V' on the clamped vertices
-        x[clamped] = (self._v * self._d) @ (self._v.T @ (rhs[clamped] - ops.k_cf @ y))
-        x[free] = y - ops.clamped.solve(ops.k_fc @ x[clamped])
-        return x
+        x_c = ((columns[..., clamped] - y_s @ k_sc) @ self._v * self._d) @ self._v.T
+        x[..., clamped] = x_c
+        source = x_c @ k_sc.T
+        for line in self._lines:
+            modes -= _line_modes(line, source[..., line.span])
+        x.reshape(grid)[self._window] = _from_modes(vy, vx, modes)
+        return x.T
+
+
+def _line_values(line, modes):
+    """Vy C Vx' on one line's points, for modal coefficients C (``_from_modes``)."""
+    return (line.fixed @ modes if line.row else modes @ line.fixed) @ line.along.T
+
+
+def _line_modes(line, values):
+    """W (.) (Vy' G Vx) for G zero off one line and values on its points (``_to_modes``).
+
+    Vy' G Vx is the outer product of the line's fixed modes and values @ along.
+    """
+    image = values @ line.along
+    return line.weighted * (image[..., None, :] if line.row else image[..., None])
 
 
 class MeshOperators:
-    """The clamped operator K_ff of one mesh and the blocks its Robin operators share.
+    """The clamped operator K_ff of one mesh and the matrices its Robin operators share.
 
     K_ff is solved by ``fast_diagonalization`` and certified by
-    ``certified_stieltjes``.  What only Robin operators use, the pencil of
-    the Schur complement S0, is built on first use in the mesh's store
-    (``schur_pencil``) and makes no sparse factorization.  No copy of |K|
-    is kept (``abs_matmul``).  No reference to the mesh is kept, so the
-    mesh's store holds no cycle.
+    ``certified_stieltjes``.  What only Robin operators use, the lines next
+    to the clamped sides with their coupling K_Sc (``_clamped_coupling``)
+    and the pencil of the Schur complement S0 (``schur_pencil``), is built
+    on first use in the mesh's store and makes no sparse factorization.  No
+    copy of |K| is kept (``abs_matmul``).  No reference to the mesh is
+    kept, so the mesh's store holds no cycle.
     """
 
     def __init__(self, mesh: Mesh):
@@ -276,10 +333,8 @@ class MeshOperators:
         self.free, self.clamped_dofs = part.free_dofs, part.gamma1_dofs
         self.stiff = assembly.assemble_stiffness(mesh)
         self.b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-        stiff_f = self.stiff[self.free]
-        self.clamped = certified_stieltjes(stiff_f[:, self.free], fast_diagonalization(mesh))
-        self.k_fc = stiff_f[:, self.clamped_dofs].tocsc()
-        self.k_cf = self.k_fc.T.tocsr()
+        stiff_f = self.stiff[self.free][:, self.free]
+        self.clamped = certified_stieltjes(stiff_f, fast_diagonalization(mesh))
 
 
 @cached
@@ -309,7 +364,7 @@ def schur_complement(mesh: Mesh) -> np.ndarray:
     / (lambda_y_a + lambda_x_b), with (j_s, i_s) the grid place of s
     (``_grid_modes``; the capacitance matrix of Buzbee, Dorr, George &
     Golub, SIAM J. Numer. Anal. 8, 1971).  S lies on at most three grid
-    lines (``_clamped_lines``), and on a pair of lines one index of each
+    lines (``_clamped_coupling``), and on a pair of lines one index of each
     point is fixed, so the sum over a and b factors:
     - two rows j, j': c_b = sum over a of Vy[j, a] Vy[j', a]
       / (lambda_y_a + lambda_x_b), and the block is Vx[i_s] diag(c) Vx[i_t]',
@@ -320,57 +375,77 @@ def schur_complement(mesh: Mesh) -> np.ndarray:
     A mesh with no free vertex has S0 = K_cc.
     """
     ops = operators(mesh)
-    ly, _, lx, _ = _grid_modes(mesh)
-    weights = 1.0 / (ly[:, None] + lx)
-    lines = _clamped_lines(mesh)
-    edges = np.cumsum([0] + [len(points) for *_, points in lines])
-    z = np.empty((edges[-1], edges[-1]))
+    _, lines, k_sc = _clamped_coupling(mesh)
+    z = np.empty((len(k_sc), len(k_sc)))
     for p, first in enumerate(lines):
-        for q in range(p, len(lines)):
-            block = _line_pair(first, lines[q], weights)
-            z[edges[p]:edges[p + 1], edges[q]:edges[q + 1]] = block
-            z[edges[q]:edges[q + 1], edges[p]:edges[p + 1]] = block.T
-    support = np.concatenate([np.zeros(0, dtype=int)] + [points for *_, points in lines])
-    k_sc = ops.k_fc[support].toarray()
+        for second in lines[p:]:
+            block = _line_pair(first, second)
+            z[first.span, second.span] = block
+            z[second.span, first.span] = block.T
     schur0 = ops.stiff[ops.clamped_dofs][:, ops.clamped_dofs].toarray() - k_sc.T @ z @ k_sc
     return 0.5 * (schur0 + schur0.T)
 
 
-def _line_pair(first, second, weights):
-    """The block of Z = K_ff^-1 between the points of two lines (``schur_complement``).
+def _line_pair(first, second):
+    """The block of Z = K_ff^-1 between the points of two ``_Line``s (``schur_complement``).
 
-    Lines are (row, fixed, along, points) (``_clamped_lines``), and weights
-    is 1 / (lambda_y_a + lambda_x_b), indexed [a, b].
+    Of a row and a column, the row comes first, as ``_clamped_coupling`` orders them.
     """
-    row1, fixed1, along1, _ = first
-    row2, fixed2, along2, _ = second
-    # weights with the first line's fixed index first
-    w = weights if row1 else weights.T
-    if row1 == row2:
-        return (along1 * ((fixed1 * fixed2) @ w)) @ along2.T
-    return along1 @ (w * np.outer(fixed1, fixed2)).T @ along2.T
+    if first.row != second.row:
+        return first.along @ (first.weighted * second.fixed).T @ second.along.T
+    c = second.fixed @ first.weighted if first.row else first.weighted @ second.fixed
+    return (first.along * c) @ second.along.T
 
 
-def _clamped_lines(mesh: Mesh):
-    """The free grid lines next to the clamped sides, as (row, fixed, along, points).
+class _Line(NamedTuple):
+    """One free grid line next to a clamped side (``_clamped_coupling``).
 
-    Every free vertex that K_fc couples to a clamped vertex lies on the
-    first or last free row (bottom, top) or column (left, right) of a
-    clamped side.  Each such point is given to one line only: a row takes
-    its whole row, and a column its points on no clamped row.  A row j has
-    fixed = Vy[j] and along = Vx, a column i has fixed = Vx[i] and
-    along = Vy on its rows, and points are the lines' free vertex numbers.
+    A row j has fixed = Vy[j] and along = Vx, a column i has fixed = Vx[i]
+    and along = Vy on its points' rows.  span is the slice of S that holds
+    its points, and weighted[a, b] = W[a, b] Vy[j, a] for a row and
+    W[a, b] Vx[i, b] for a column, with W = 1 / (lambda_y_a + lambda_x_b).
     """
-    ly, vy, lx, vx = _grid_modes(mesh)
+
+    row: bool
+    fixed: np.ndarray
+    along: np.ndarray
+    span: slice
+    weighted: np.ndarray
+
+
+@cached
+def _clamped_coupling(mesh: Mesh):
+    """(window, lines, K_Sc): the free grid, its lines next to the clamped sides, K_fc on them.
+
+    window indexes the free grid in an (..., n + 1, n + 1) array of vertex
+    values.  Every free vertex that K_fc couples to a clamped vertex lies
+    on the first or last free row (bottom, top) or column (left, right) of
+    a clamped side.  These points S are each given to one line only: a row
+    takes its whole row, and a column its points on no clamped row
+    (``_Line``).  K_Sc, dense, holds the rows of K_fc on S in the order of
+    the lines.
+    """
+    ly, vy, lx, vx, weights = _grid_modes(mesh)
     ny, nx = len(ly), len(lx)
-    if ny * nx == 0:
-        return []
-    sides = mesh.gamma1_sides
-    rows = sorted({j for side, j in (("bottom", 0), ("top", ny - 1)) if side in sides})
-    cols = sorted({i for side, i in (("left", 0), ("right", nx - 1)) if side in sides})
-    rest = np.arange(int("bottom" in sides), ny - int("top" in sides))
-    lines = [(True, vy[j], vx, j * nx + np.arange(nx)) for j in rows]
-    return lines + [(False, vx[i], vy[rest], rest * nx + i) for i in cols]
+    ops = operators(mesh)
+    window, lines, points = (Ellipsis, slice(0), slice(0)), [], [np.zeros(0, dtype=int)]
+    if ny * nx > 0:
+        sides = mesh.gamma1_sides
+        bottom, left = int("bottom" in sides), int("left" in sides)
+        window = (Ellipsis, slice(bottom, bottom + ny), slice(left, left + nx))
+        rows = sorted({j for side, j in (("bottom", 0), ("top", ny - 1)) if side in sides})
+        cols = sorted({i for side, i in (("left", 0), ("right", nx - 1)) if side in sides})
+        rest = np.arange(bottom, ny - int("top" in sides))
+        lines = [(True, vy[j], vx, weights * vy[j, :, None]) for j in rows]
+        lines += [(False, vx[i], vy[rest], weights * vx[i]) for i in cols]
+        points += [j * nx + np.arange(nx) for j in rows] + [rest * nx + i for i in cols]
+    edges = np.cumsum([len(p) for p in points])
+    lines = [
+        _Line(row, fixed, along, slice(a, b), weighted)
+        for (row, fixed, along, weighted), a, b in zip(lines, edges, edges[1:])
+    ]
+    support = ops.free[np.concatenate(points)]
+    return window, lines, ops.stiff[support][:, ops.clamped_dofs].toarray()
 
 
 @cached

@@ -9,13 +9,15 @@ kronecker_sum builds a clamped block K_ff from 1-D matrices, where the
 package assembles it from triangles.  schur_complement eliminates the free
 block densely, and schur_complement_by_modes sums over all grid modes at
 every point pair, where the package sums one pair of grid lines at a time.
+robin_solve_by_elimination solves K + alpha B1 with two whole K_ff solves,
+where the package makes one forward and one back modal transform.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from fluxopt.assembly import assemble_stiffness
-from fluxopt.linsolve import _grid_modes, operators
+from fluxopt.linsolve import _grid_modes, operators, schur_pencil
 from fluxopt.mesh import NodalField, _evaluate_callable, dof_partition
 
 
@@ -128,12 +130,37 @@ def schur_complement_by_modes(mesh) -> np.ndarray:
     Khatri-Rao array B, for |S|^2 N_free multiply-adds.
     """
     ops = operators(mesh)
-    ly, vy, lx, vx = _grid_modes(mesh)
-    support = np.unique(ops.k_fc.indices)
+    ly, vy, lx, vx, _ = _grid_modes(mesh)
+    k_fc = coupling_block(mesh)
+    support = np.unique(k_fc.indices)
     rows, cols = np.divmod(support, len(lx))
     scale = 1.0 / np.sqrt(ly[:, None] + lx)
     modes = (vy[rows, :, None] * vx[cols, None, :] * scale).reshape(len(support), scale.size)
-    k_sc = ops.k_fc[support].toarray()
+    k_sc = k_fc[support].toarray()
     z = modes @ modes.T
     schur0 = ops.stiff[ops.clamped_dofs][:, ops.clamped_dofs].toarray() - k_sc.T @ z @ k_sc
     return 0.5 * (schur0 + schur0.T)
+
+
+def coupling_block(mesh) -> sp.csc_matrix:
+    """K_fc, the stiffness between the free (rows) and the clamped vertices (columns)."""
+    ops = operators(mesh)
+    return ops.stiff[ops.free][:, ops.clamped_dofs].tocsc()
+
+
+def robin_solve_by_elimination(mesh, alpha, rhs) -> np.ndarray:
+    """(K + alpha B1)^-1 rhs by block elimination, with two whole K_ff solves.
+
+    y = K_ff^-1 r_f, then x_c = (S0 + alpha B1_cc)^-1 (r_c - K_cf y) through
+    the Schur pencil, then x_f = y - K_ff^-1 K_fc x_c.  rhs is a vector or
+    an (N, k) block; nothing is checked.
+    """
+    ops = operators(mesh)
+    eigenvalues, v = schur_pencil(mesh)
+    k_fc = coupling_block(mesh)
+    free, clamped = ops.free, ops.clamped_dofs
+    y = ops.clamped.solve(rhs[free])
+    x = np.empty(rhs.shape)
+    x[clamped] = (v / (eigenvalues + alpha)) @ (v.T @ (rhs[clamped] - k_fc.T @ y))
+    x[free] = y - ops.clamped.solve(k_fc @ x[clamped])
+    return x

@@ -6,6 +6,7 @@ integration; see scripts/derive_reference_values.py.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -72,6 +73,23 @@ def test_stiffness_annihilates_constants():
     a = assemble_stiffness(m)
     ones = np.ones(len(m.vertices))
     assert np.max(np.abs(a @ ones)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 16, 128])
+def test_stiffness_stores_no_zero_and_multiplies_like_the_unpruned_scatter(n):
+    # the 2 n^2 couplings across the diagonal edges cancel to exactly 0.0;
+    # dropping them changes no product, bit for bit
+    mesh = build_structured_mesh(n, ("bottom",))
+    stiff = assemble_stiffness(mesh)
+    cells = mesh.triangles
+    blocks = np.array([local_stiffness(mesh.vertices[cell]) for cell in cells])
+    rows, cols = np.repeat(cells, 3, axis=1).ravel(), np.tile(cells, (1, 3)).ravel()
+    scattered = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=stiff.shape).tocsr()
+    assert np.all(stiff.data != 0.0)
+    assert scattered.nnz - stiff.nnz == 2 * n * n
+    x = np.random.default_rng(n).standard_normal((stiff.shape[0], 3))
+    assert np.array_equal(stiff @ x, scattered @ x)
+    assert np.array_equal(stiff @ x[:, 0], scattered @ x[:, 0])
 
 
 def test_stiffness_quadratic_form_of_linear():

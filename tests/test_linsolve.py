@@ -354,9 +354,9 @@ def test_zeroed_blocks_between_a_row_and_a_column_fail_the_residual_check(monkey
     # through it cannot mend that
     line_pair = linsolve._line_pair
 
-    def corrupted(first, second, weights):
-        block = line_pair(first, second, weights)
-        return block if first[0] == second[0] else np.zeros_like(block)
+    def corrupted(first, second):
+        block = line_pair(first, second)
+        return block if first.row == second.row else np.zeros_like(block)
 
     monkeypatch.setattr(linsolve, "_line_pair", corrupted)
     rng = np.random.default_rng(6)
@@ -368,6 +368,84 @@ def test_zeroed_blocks_between_a_row_and_a_column_fail_the_residual_check(monkey
         with pytest.raises(ConvergenceError, match="relative residual") as caught:
             solve_spd(op, rng.standard_normal(op.shape[0]))
         assert caught.value.residual > 1e-10
+
+
+@pytest.mark.parametrize("sides", SIDE_SETS)
+def test_robin_solve_matches_the_two_solve_elimination(sides):
+    # one pair of modal transforms against two whole K_ff solves, on vectors
+    # and 8-column blocks; n = 1 with opposite sides clamped has no free
+    # vertex; measured at most 8.0 eps relative per column (alpha 1, n = 64)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 8, 16, 64):
+        mesh = build_structured_mesh(n, sides)
+        for alpha in (1.0, 1e4):
+            op = RobinOperator(mesh, alpha)
+            for rhs in (rng.standard_normal(op.shape[0]), rng.standard_normal((op.shape[0], 8))):
+                rhs = np.asfortranarray(rhs)
+                x, x_ref = op.solve(rhs), oracles.robin_solve_by_elimination(mesh, alpha, rhs)
+                assert x.shape == rhs.shape
+                gap = np.linalg.norm(x - x_ref, axis=0) / np.linalg.norm(x_ref, axis=0)
+                assert np.all(gap <= 16.0 * eps), (n, alpha)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Calls of the forward and the back modal transform, counted by name."""
+    calls = {"_to_modes": 0, "_from_modes": 0}
+    for name in calls:
+
+        def counted(*args, name=name, transform=getattr(linsolve, name)):
+            calls[name] += 1
+            return transform(*args)
+
+        monkeypatch.setattr(linsolve, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+def test_a_robin_block_solve_makes_one_pair_of_modal_transforms(transforms, n):
+    # the K_ff solves the elimination once made (two forward and two back
+    # transforms) fold into one forward and one back transform, and the
+    # checked solve takes no refinement step
+    mesh = build_structured_mesh(n, ("bottom",))
+    op = RobinOperator(mesh, 10.0)
+    transforms.update(_to_modes=0, _from_modes=0)
+    rhs = np.random.default_rng(n).standard_normal((op.shape[0], 8))
+    solve_spd(op, rhs)
+    assert transforms == {"_to_modes": 1, "_from_modes": 1}
+
+
+@pytest.mark.parametrize("sides", [("bottom",), ("bottom", "left"), ("left", "top", "right")])
+def test_a_skipped_line_correction_is_caught_and_repaired_by_one_step(
+    monkeypatch, transforms, sides
+):
+    # K_ff^-1 K_fc x_c left out on the last line next to the clamped sides
+    # puts the free values off: the residual check sees a relative residual
+    # of 0.31 to 4.6.  The error lies in the free block alone, and the
+    # elimination solves such an error exactly even with the line left out
+    # (its clamped part is zero), so the one refinement step repairs it: the
+    # solve is accepted, at the cost of a second pair of transforms
+    line_modes = linsolve._line_modes
+    rng = np.random.default_rng(8)
+    for n in (8, 16, 64):
+        mesh = build_structured_mesh(n, sides)
+        op = RobinOperator(mesh, 1.0)
+        rhs = rng.standard_normal(op.shape[0])
+        x = solve_spd(op, rhs)
+        last = linsolve._clamped_coupling(mesh)[1][-1]
+
+        def skipped(line, values, last=last):
+            image = line_modes(line, values)
+            return np.zeros_like(image) if line is last else image
+
+        monkeypatch.setattr(linsolve, "_line_modes", skipped)
+        wrong = op.solve(rhs)
+        assert np.linalg.norm(rhs - op @ wrong) > 0.1 * np.linalg.norm(rhs)
+        transforms.update(_to_modes=0, _from_modes=0)
+        assert np.linalg.norm(solve_spd(op, rhs) - x) <= 1e-10 * np.linalg.norm(x)
+        assert transforms == {"_to_modes": 2, "_from_modes": 2}
+        monkeypatch.setattr(linsolve, "_line_modes", line_modes)
 
 
 def test_a_corrupted_eigenvalue_fails_the_residual_check(monkeypatch):
@@ -622,29 +700,23 @@ def test_tiny_alpha_is_solved_or_raises_with_its_residual(fine_robin_case):
 
 
 @pytest.mark.parametrize("alpha", [None, 100.0])
-def test_fine_adjoint_below_its_roundoff_floor_takes_no_step(fine_robin_case, monkeypatch, alpha):
+def test_fine_adjoint_below_its_roundoff_floor_takes_no_step(
+    fine_robin_case, monkeypatch, transforms, alpha
+):
     # at n = 128 the adjoint's residual as solved by fast diagonalization is
     # about 2.2e-11, above the 1e-12 target but about 0.23 of its
     # componentwise roundoff floor 8 eps | |A| |x| + |b| | / |b| (9.2e-11
-    # clamped, 9.4e-11 at alpha 100): no refinement step, so one K_ff solve,
-    # or two through the Robin operator, which takes two per solve.  The
-    # margin rests on this build's roundoff;
-    # test_refinement_floor_and_limit_decide_the_step checks the rule itself
-    # exactly
+    # clamped, 9.4e-11 at alpha 100): no refinement step, so one solve, which
+    # in both families makes one forward modal transform.  The margin rests
+    # on this build's roundoff; test_refinement_floor_and_limit_decide_the_step
+    # checks the rule itself exactly
     mesh, spec, q = fine_robin_case
     spec = spec.with_alpha(alpha)
     u = pde.solve_state(mesh, spec, q)
     ops = operators(mesh)
-    factor_solve = ops.clamped.solve
-    solves = [0]
-
-    def counted(rhs):
-        solves[0] += 1
-        return factor_solve(rhs)
-
-    monkeypatch.setattr(ops.clamped, "solve", counted)
+    transforms.update(_to_modes=0, _from_modes=0)
     adjoint = pde.solve_adjoint(mesh, spec, u)
-    assert solves[0] == (1 if alpha is None else 2)
+    assert transforms == {"_to_modes": 1, "_from_modes": 1}
     monkeypatch.undo()
 
     rhs = assemble_mass(mesh) @ u.coefficients - assemble_load(mesh, spec.z_d)

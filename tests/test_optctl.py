@@ -28,7 +28,7 @@ from fluxopt.mesh import (
     dof_partition,
     zero_trace,
 )
-from oracles import evaluate_nodal
+from oracles import coupling_block, evaluate_nodal
 
 
 def make_spec(alpha=None, M=25.0):
@@ -517,9 +517,9 @@ def test_coupling_block_rebuilds_the_schur_complement(n, sides):
     # 2.7e-16 for S0 itself
     mesh = build_structured_mesh(n, sides)
     ops = operators(mesh)
-    clamped = ops.clamped_dofs
-    coupling = linsolve.solve_spd(ops.clamped, ops.k_fc.toarray())
-    schur = ops.stiff[clamped][:, clamped].toarray() - ops.k_fc.T @ coupling
+    clamped, k_fc = ops.clamped_dofs, coupling_block(mesh)
+    coupling = linsolve.solve_spd(ops.clamped, k_fc.toarray())
+    schur = ops.stiff[clamped][:, clamped].toarray() - k_fc.T @ coupling
     b1_cc = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)[clamped][:, clamped].toarray()
     eigenvalues, v = schur_pencil(mesh)
     rebuilt = b1_cc @ v @ np.diag(eigenvalues) @ v.T @ b1_cc
