@@ -4,7 +4,7 @@ Each subcommand loads an optional JSON config, merges it over the built-in
 defaults, runs the experiment, writes <out>/<kind>.csv and prints one
 verdict line per named check.  Exit status is zero only when every check
 passed, 1 when one failed or a solve raised ConvergenceError, and 2 for a
-config error.
+config error, such as an --out that cannot be a directory.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ def _load_config(kind: str, path, seed) -> harness.ExperimentConfig:
     if path is not None:
         with open(path) as handle:
             data = json.load(handle)
-    if seed is not None:
-        data = dict(data)
-        data["seed"] = seed
+    if seed is not None and isinstance(data, dict):
+        data = {**data, "seed": seed}
     return harness.config_from_dict(kind, data)
 
 
@@ -50,9 +49,17 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    made = not os.path.isdir(args.out)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out: {exc}", file=sys.stderr)
+        return 2
     try:
         report = harness.run(config)
     except ConvergenceError as exc:
+        if made:
+            os.rmdir(args.out)
         message = str(exc)
         if exc.residual is not None:
             message += f" (residual {exc.residual:.3e})"
@@ -60,7 +67,6 @@ def main(argv=None) -> int:
             message += f" (last ratio {exc.ratios[-1]:.3e})"
         print(f"solver error: {message}", file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{config.kind}.csv")
     harness.write_csv(report, out_path)
     for name in sorted(report.checks):

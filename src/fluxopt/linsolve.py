@@ -5,12 +5,14 @@ Every system the package solves is symmetric positive definite, and
 1e-12 or, when that is below roundoff, the componentwise roundoff floor of
 forming the residual, from one |A| |x| product (``refinement``).
 
-Each mesh owns one ``MeshOperators``, which solves the clamped block K_ff
-exactly with no sparse factorization: on the unit-square grid with whole
-clamped sides, K_ff is a Kronecker sum of 1-D matrices on a tensor grid of
-free vertices (``fast_diagonalization``).  P1 stiffness on a mesh of right
-triangles is a symmetric Z-matrix, so the assembled K_ff is certified
-positive definite by one solve, K_ff^-1 1 >= 0 (an M-matrix test).
+``solve_family`` alone picks a family's operator: K + alpha B1 on every
+vertex, or for alpha None the clamped block K_ff on the free vertices, kept
+once per mesh (``clamped_operator``) and solved exactly with no sparse
+factorization: on the unit-square grid with whole clamped sides, K_ff is a
+Kronecker sum of 1-D matrices on a tensor grid of free vertices
+(``fast_diagonalization``).  P1 stiffness on a mesh of right triangles is a
+symmetric Z-matrix, so the assembled K_ff is certified positive definite by
+one solve, K_ff^-1 1 >= 0 (an M-matrix test).
 
 The Robin matrix K + alpha B1 differs from the clamped one only on the
 clamped vertices, so a Robin solve at any alpha eliminates the free block
@@ -237,13 +239,13 @@ class RobinOperator:
     the free block around the mesh's pencil (``schur_pencil``).  B1 lives
     on the clamped vertices only, so by Haynsworth's inertia additivity
     K + alpha B1 is positive definite exactly when K_ff is (its M-matrix
-    certificate, ``operators``) and S0 + alpha B1_cc is, that is, when
-    every lambda + alpha is positive.  Of alpha it keeps d = 1 / (lambda +
-    alpha), and ConvergenceError is raised unless d > 0.  Every solve
-    through ``solve_spd`` is checked against the assembled K and B1, its
-    residual formed as K x + alpha (B1 x), whose rounding ``abs_matmul``
-    bounds by |K| |x| + |alpha| B1 |x| (B1 has no negative entry).  No
-    reference to the mesh is kept.
+    certificate, ``clamped_operator``, built first) and S0 + alpha B1_cc
+    is, that is, when every lambda + alpha is positive.  Of alpha it keeps
+    d = 1 / (lambda + alpha), and ConvergenceError is raised unless d > 0.
+    Every solve through ``solve_spd`` is checked against the assembled K
+    and B1 of the mesh's store, its residual formed as K x + alpha (B1 x),
+    whose rounding ``abs_matmul`` bounds by |K| |x| + |alpha| B1 |x| (B1
+    has no negative entry).  No reference to the mesh is kept.
 
     A solve of [K_ff K_fc; K_cf K_cc + alpha B1_cc] x = r needs
     y = K_ff^-1 r_f only on the free vertices S next to the clamped sides,
@@ -260,6 +262,7 @@ class RobinOperator:
 
     def __init__(self, mesh: Mesh, alpha: float):
         self.alpha = float(alpha)
+        clamped_operator(mesh)  # the certificate of K_ff comes first
         eigenvalues, self._v = schur_pencil(mesh)
         shifted = eigenvalues + self.alpha
         if not np.all(shifted > 0):
@@ -268,21 +271,23 @@ class RobinOperator:
                 f"smallest lambda + alpha is {shifted.min():.3e}"
             )
         self._d = 1.0 / shifted
-        self._ops = operators(mesh)
+        self._stiff = assembly.assemble_stiffness(mesh)
+        self._b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+        self._clamped = dof_partition(mesh).gamma1_dofs
         _, self._vy, _, self._vx, self._weights = _grid_modes(mesh)
         self._window, self._lines, self._k_sc = _clamped_coupling(mesh)
         self._grid = (mesh.n + 1, mesh.n + 1)
-        self.shape = self._ops.stiff.shape
+        self.shape = self._stiff.shape
 
     def __matmul__(self, x):
-        return self._ops.stiff @ x + self.alpha * (self._ops.b1 @ x)
+        return self._stiff @ x + self.alpha * (self._b1 @ x)
 
     def abs_matmul(self, x):
-        return _abs_matmul(self._ops.stiff, x) + abs(self.alpha) * (self._ops.b1 @ x)
+        return _abs_matmul(self._stiff, x) + abs(self.alpha) * (self._b1 @ x)
 
     def solve(self, rhs):
         vy, vx, weights, k_sc = self._vy, self._vx, self._weights, self._k_sc
-        clamped = self._ops.clamped_dofs
+        clamped = self._clamped
         # one column per leading index, as values on the vertex grid, of which
         # the free grid is a window
         columns = rhs.T
@@ -316,25 +321,36 @@ def _line_modes(line, values):
     return line.weighted * (image[..., None, :] if line.row else image[..., None])
 
 
-class MeshOperators:
-    """The clamped operator K_ff of one mesh and the matrices its Robin operators share.
+@cached
+def clamped_operator(mesh: Mesh) -> FactoredMatrix:
+    """The mesh's K_ff, solved by ``fast_diagonalization``, certified by ``certified_stieltjes``.
 
-    K_ff is solved by ``fast_diagonalization`` and certified by
-    ``certified_stieltjes``.  What only Robin operators use, the lines next
-    to the clamped sides with their coupling K_Sc (``_clamped_coupling``)
-    and the pencil of the Schur complement S0 (``schur_pencil``), is built
-    on first use in the mesh's store and makes no sparse factorization.  No
-    copy of |K| is kept (``abs_matmul``).  No reference to the mesh is
-    kept, so the mesh's store holds no cycle.
+    Its solve holds the 1-D modes, not the mesh, so the store holds no cycle.
     """
+    free = dof_partition(mesh).free_dofs
+    stiff_f = assembly.assemble_stiffness(mesh)[free][:, free]
+    return certified_stieltjes(stiff_f, fast_diagonalization(mesh))
 
-    def __init__(self, mesh: Mesh):
-        part = dof_partition(mesh)
-        self.free, self.clamped_dofs = part.free_dofs, part.gamma1_dofs
-        self.stiff = assembly.assemble_stiffness(mesh)
-        self.b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-        stiff_f = self.stiff[self.free][:, self.free]
-        self.clamped = certified_stieltjes(stiff_f, fast_diagonalization(mesh))
+
+def solve_family(mesh: Mesh, alpha, rhs) -> np.ndarray:
+    """Solve the family's system for rhs on every vertex; the one place that picks its operator.
+
+    rhs is an (N,) vector or an (N, k) block, dense or sparse.  With a
+    value of alpha it solves K + alpha B1 (``RobinOperator``) on every
+    vertex; with alpha None, K_ff (``clamped_operator``) on the free
+    vertices, and x is zero on the clamped ones.  A sparse rhs is densified
+    only on the rows solved, and ``solve_spd`` checks every column.
+    """
+    if alpha is not None:
+        return solve_spd(RobinOperator(mesh, alpha), _dense(rhs))
+    free = dof_partition(mesh).free_dofs
+    x = np.zeros(rhs.shape)
+    x[free] = solve_spd(clamped_operator(mesh), _dense(rhs[free]))
+    return x
+
+
+def _dense(rhs):
+    return rhs.toarray() if sp.issparse(rhs) else rhs
 
 
 @cached
@@ -346,9 +362,9 @@ def schur_pencil(mesh: Mesh):
     ``schur_complement``.  B1_cc, the mass of the clamped edges, is
     positive definite, so the pencil is definite and ``eigh`` applies.
     """
-    ops = operators(mesh)
-    b1_cc = ops.b1[ops.clamped_dofs][:, ops.clamped_dofs].toarray()
-    eigenvalues, v = scipy.linalg.eigh(schur_complement(mesh), b1_cc)
+    clamped = dof_partition(mesh).gamma1_dofs
+    b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+    eigenvalues, v = scipy.linalg.eigh(schur_complement(mesh), b1[clamped][:, clamped].toarray())
     eigenvalues.setflags(write=False)
     v.setflags(write=False)
     return eigenvalues, v
@@ -374,7 +390,7 @@ def schur_complement(mesh: Mesh) -> np.ndarray:
     Each block costs O(n^3), where the whole sum costs |S| N_free, O(n^4).
     A mesh with no free vertex has S0 = K_cc.
     """
-    ops = operators(mesh)
+    clamped = dof_partition(mesh).gamma1_dofs
     _, lines, k_sc = _clamped_coupling(mesh)
     z = np.empty((len(k_sc), len(k_sc)))
     for p, first in enumerate(lines):
@@ -382,7 +398,8 @@ def schur_complement(mesh: Mesh) -> np.ndarray:
             block = _line_pair(first, second)
             z[first.span, second.span] = block
             z[second.span, first.span] = block.T
-    schur0 = ops.stiff[ops.clamped_dofs][:, ops.clamped_dofs].toarray() - k_sc.T @ z @ k_sc
+    k_cc = assembly.assemble_stiffness(mesh)[clamped][:, clamped].toarray()
+    schur0 = k_cc - k_sc.T @ z @ k_sc
     return 0.5 * (schur0 + schur0.T)
 
 
@@ -427,7 +444,6 @@ def _clamped_coupling(mesh: Mesh):
     """
     ly, vy, lx, vx, weights = _grid_modes(mesh)
     ny, nx = len(ly), len(lx)
-    ops = operators(mesh)
     window, lines, points = (Ellipsis, slice(0), slice(0)), [], [np.zeros(0, dtype=int)]
     if ny * nx > 0:
         sides = mesh.gamma1_sides
@@ -444,14 +460,9 @@ def _clamped_coupling(mesh: Mesh):
         _Line(row, fixed, along, slice(a, b), weighted)
         for (row, fixed, along, weighted), a, b in zip(lines, edges, edges[1:])
     ]
-    support = ops.free[np.concatenate(points)]
-    return window, lines, ops.stiff[support][:, ops.clamped_dofs].toarray()
-
-
-@cached
-def operators(mesh: Mesh) -> MeshOperators:
-    """The mesh's certified clamped operator, built on first use."""
-    return MeshOperators(mesh)
+    part = dof_partition(mesh)
+    support = part.free_dofs[np.concatenate(points)]
+    return window, lines, assembly.assemble_stiffness(mesh)[support][:, part.gamma1_dofs].toarray()
 
 
 def solve_spd(matrix, rhs):
@@ -459,8 +470,9 @@ def solve_spd(matrix, rhs):
 
     Parameters
     ----------
-    matrix : ``operators(mesh).clamped``, a ``RobinOperator(mesh, alpha)``,
-        or any ``FactoredMatrix``, such as ``certified(sparse_matrix)``.
+    matrix : ``clamped_operator(mesh)``, a ``RobinOperator(mesh, alpha)``
+        (both as ``solve_family`` picks them), or any ``FactoredMatrix``,
+        such as ``certified(sparse_matrix)``.
     rhs : right-hand side vector, or an (n, k) array of k right-hand sides,
         solved in blocks of a few columns.
 
@@ -582,15 +594,14 @@ def estimate_constants(mesh: Mesh) -> DiscreteConstants:
     eigenvalues are obtained as reciprocals of the largest ones of the swapped
     pencil, iterated until the estimate changes by at most 1e-10 relative.
     """
-    ops = operators(mesh)
     mass = assembly.assemble_mass(mesh)
     b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
-    v_gram = (ops.stiff + mass).tocsr()
+    v_gram = (assembly.assemble_stiffness(mesh) + mass).tocsr()
     rng = np.random.default_rng(0)
 
-    free = ops.free
+    free = dof_partition(mesh).free_dofs
     v_ff = v_gram[free][:, free].tocsr()
-    lambda_h = 1.0 / _pencil_largest(v_ff, ops.clamped, rng.standard_normal(len(free)))
+    lambda_h = 1.0 / _pencil_largest(v_ff, clamped_operator(mesh), rng.standard_normal(len(free)))
     lambda1_h = 1.0 / _pencil_largest(
         v_gram, RobinOperator(mesh, 1.0), rng.standard_normal(v_gram.shape[0])
     )

@@ -25,13 +25,14 @@ Three routes compute the optimum:
 
 The dense route shares the linear solver with the others: it takes its
 base state from ``pde.solve_state``, and its responses from one
-``solve_spd`` call with the operator that the state solves use, the
-clamped block K_ff or the Robin operator at the same alpha.  Every solve
-is checked by its residual.  The routes stay independent only because the
-dense one never solves the adjoint equation for its optimum, so its
-agreement with the others tests the formulations, not the solver.  It
-forms its responses and their right-hand side whole, so it serves as the
-oracle on coarse meshes only: ``_MAX_RESPONSE_BYTES`` bounds them.
+``linsolve.solve_family`` call, which picks the operator that the state
+solves use, the clamped block K_ff or the Robin operator at the same
+alpha.  Every solve is checked by its residual.  The routes stay
+independent only because the dense one never solves the adjoint equation
+for its optimum, so its agreement with the others tests the formulations,
+not the solver.  It forms its responses and their right-hand side whole,
+so it serves as the oracle on coarse meshes only: ``_MAX_RESPONSE_BYTES``
+bounds them.
 
 No route returns an optimum whose cost, control or gradient is not finite;
 it raises ConvergenceError instead.
@@ -48,10 +49,8 @@ import scipy.linalg
 from . import assembly, pde
 from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     ConvergenceError,
-    RobinOperator,
     factorize,
-    operators,
-    solve_spd,
+    solve_family,
 )
 from .mesh import SIDES, BoundaryTag, Mesh, NodalField, TraceField, dof_partition, zero_trace
 
@@ -282,15 +281,15 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
 
     The cost as a function of the control alone is
     1/2 q' G q - L' q + c0.  The state responses R to the unit trace
-    excitations solve (K + alpha B1) R = -B2 E in one ``solve_spd`` call,
-    on -B2 E densified once: with the clamped block K_ff on the free
-    vertices for the clamped family, whose clamped rows of R are zero, and
-    with the Robin operator at alpha on every vertex for the Robin family.
-    ``solve_spd`` takes the columns a few at a time and checks each by its
-    residual.  With Mass the vertex mass matrix, G = R' Mass R,
-    symmetrized, plus M times the boundary mass on the trace, and
-    L = R' (load(z_d) - Mass u_base), with the base state u_base from
-    ``pde.solve_state`` at the zero control.  G is symmetric positive
+    excitations solve the family's system with right-hand side -B2 E in one
+    ``linsolve.solve_family`` call: K_ff on the free vertices for the
+    clamped family, whose clamped rows of R are zero, and K + alpha B1 on
+    every vertex for the Robin family.  -B2 E is densified once, on the
+    rows solved, and ``solve_spd`` takes the columns a few at a time and
+    checks each by its residual.  With Mass the vertex mass matrix,
+    G = R' Mass R, symmetrized, plus M times the boundary mass on the
+    trace, and L = R' (load(z_d) - Mass u_base), with the base state u_base
+    from ``pde.solve_state`` at the zero control.  G is symmetric positive
     definite, so a factorization failure downstream signals an assembly
     bug.  The route shares its linear solves with the others; what keeps it
     independent is that it never solves the adjoint equation.
@@ -300,17 +299,9 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     (``check_response_size``).
     """
     check_response_size(mesh.n, mesh.gamma1_sides)
-    part = dof_partition(mesh)
-    g2 = part.gamma2_trace_dofs
-    nvert, m = len(mesh.vertices), len(g2)
+    g2 = dof_partition(mesh).gamma2_trace_dofs
     b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
-    excitation = -b2[:, g2]
-    if spec.alpha is None:
-        free = part.free_dofs
-        response = np.zeros((nvert, m))
-        response[free] = solve_spd(operators(mesh).clamped, excitation[free].toarray())
-    else:
-        response = solve_spd(RobinOperator(mesh, spec.alpha), excitation.toarray())
+    response = solve_family(mesh, spec.alpha, -b2[:, g2])
     mass = assembly.assemble_mass(mesh)
     base = pde.solve_state(mesh, spec, zero_trace(mesh))
     gmat = response.T @ (mass @ response)

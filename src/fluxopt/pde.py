@@ -7,9 +7,10 @@ The clamped family imposes the value b directly on the clamped portion; the
 Robin-type family replaces that constraint by a boundary penalty of weight
 alpha pulling the trace toward b.
 
-One solve_state and one solve_adjoint serve both families; each branches
-on spec.alpha (None selects the clamped family) only where the equations
-differ.
+One solve_state and one solve_adjoint serve both families: both solve
+through ``linsolve.solve_family``, which picks the family's operator from
+spec.alpha (None selects the clamped family).  Only the state's data
+differ, the lift of b against the penalty load alpha*b.
 
 Data functions g and z_d always enter through the degree-2 midpoint-rule load
 vector, never through vertex interpolation, so the adjoint right side matches
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import assembly
-from .linsolve import RobinOperator, operators, solve_spd
+from .linsolve import solve_family, solve_spd  # noqa: F401  (solve_spd stays importable from pde)
 from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition
 
 
@@ -70,26 +71,18 @@ def solve_state(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalField:
     """
     if q.mesh is not mesh:
         raise ValueError("control lives on a different mesh")
-    # Build the operator before assembling any load vector.  Assembling g's
-    # load first left glibc's heap larger after a cold n = 128 Robin solve
-    # and raised its peak memory by about 8 %.
-    if spec.alpha is None:
-        op = operators(mesh).clamped
-    else:
-        op = RobinOperator(mesh, spec.alpha)
     rhs = assembly.assemble_load(mesh, spec.g) - (
         assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2) @ assembly.trace_extend(q).coefficients
     )
-    if spec.alpha is not None:
+    if spec.alpha is None:
+        lift = np.zeros(len(mesh.vertices))
+        lift[dof_partition(mesh).gamma1_dofs] = spec.b
+        rhs -= assembly.assemble_stiffness(mesh) @ lift
+    else:
+        lift = 0.0
         b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
         rhs += spec.alpha * spec.b * (b1 @ np.ones(len(mesh.vertices)))
-        return NodalField(mesh, solve_spd(op, rhs))
-    part = dof_partition(mesh)
-    u = np.zeros(len(mesh.vertices))
-    u[part.gamma1_dofs] = spec.b
-    rhs -= assembly.assemble_stiffness(mesh) @ u
-    u[part.free_dofs] = solve_spd(op, rhs[part.free_dofs])
-    return NodalField(mesh, u)
+    return NodalField(mesh, lift + solve_family(mesh, spec.alpha, rhs))
 
 
 def solve_adjoint(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalField:
@@ -101,9 +94,4 @@ def solve_adjoint(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalField:
     if u.mesh is not mesh:
         raise ValueError("state lives on a different mesh")
     rhs = assembly.assemble_mass(mesh) @ u.coefficients - assembly.assemble_load(mesh, spec.z_d)
-    if spec.alpha is not None:
-        return NodalField(mesh, solve_spd(RobinOperator(mesh, spec.alpha), rhs))
-    free = dof_partition(mesh).free_dofs
-    p = np.zeros(len(mesh.vertices))
-    p[free] = solve_spd(operators(mesh).clamped, rhs[free])
-    return NodalField(mesh, p)
+    return NodalField(mesh, solve_family(mesh, spec.alpha, rhs))

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from fluxopt.assembly import assemble_stiffness
-from fluxopt.linsolve import _grid_modes, operators, schur_pencil
+from fluxopt.linsolve import _grid_modes, clamped_operator, schur_pencil
 from fluxopt.mesh import NodalField, _evaluate_callable, dof_partition
 
 
@@ -129,7 +129,6 @@ def schur_complement_by_modes(mesh) -> np.ndarray:
     / (lambda_y_a + lambda_x_b) is formed as B B' from the |S| x N_free
     Khatri-Rao array B, for |S|^2 N_free multiply-adds.
     """
-    ops = operators(mesh)
     ly, vy, lx, vx, _ = _grid_modes(mesh)
     k_fc = coupling_block(mesh)
     support = np.unique(k_fc.indices)
@@ -138,14 +137,15 @@ def schur_complement_by_modes(mesh) -> np.ndarray:
     modes = (vy[rows, :, None] * vx[cols, None, :] * scale).reshape(len(support), scale.size)
     k_sc = k_fc[support].toarray()
     z = modes @ modes.T
-    schur0 = ops.stiff[ops.clamped_dofs][:, ops.clamped_dofs].toarray() - k_sc.T @ z @ k_sc
+    clamped = dof_partition(mesh).gamma1_dofs
+    schur0 = assemble_stiffness(mesh)[clamped][:, clamped].toarray() - k_sc.T @ z @ k_sc
     return 0.5 * (schur0 + schur0.T)
 
 
 def coupling_block(mesh) -> sp.csc_matrix:
     """K_fc, the stiffness between the free (rows) and the clamped vertices (columns)."""
-    ops = operators(mesh)
-    return ops.stiff[ops.free][:, ops.clamped_dofs].tocsc()
+    part = dof_partition(mesh)
+    return assemble_stiffness(mesh)[part.free_dofs][:, part.gamma1_dofs].tocsc()
 
 
 def robin_solve_by_elimination(mesh, alpha, rhs) -> np.ndarray:
@@ -155,12 +155,12 @@ def robin_solve_by_elimination(mesh, alpha, rhs) -> np.ndarray:
     the Schur pencil, then x_f = y - K_ff^-1 K_fc x_c.  rhs is a vector or
     an (N, k) block; nothing is checked.
     """
-    ops = operators(mesh)
+    part, k_ff = dof_partition(mesh), clamped_operator(mesh)
     eigenvalues, v = schur_pencil(mesh)
     k_fc = coupling_block(mesh)
-    free, clamped = ops.free, ops.clamped_dofs
-    y = ops.clamped.solve(rhs[free])
+    free, clamped = part.free_dofs, part.gamma1_dofs
+    y = k_ff.solve(rhs[free])
     x = np.empty(rhs.shape)
     x[clamped] = (v / (eigenvalues + alpha)) @ (v.T @ (rhs[clamped] - k_fc.T @ y))
-    x[free] = y - ops.clamped.solve(k_fc @ x[clamped])
+    x[free] = y - k_ff.solve(k_fc @ x[clamped])
     return x

@@ -82,6 +82,33 @@ def test_negative_seed_is_a_config_error_before_any_solve(tmp_path, capsys, no_s
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("data", [[1, 2], [["levels", [4, 8, 16]]]])
+def test_a_config_that_is_not_an_object_is_a_config_error_with_a_seed(
+    tmp_path, capsys, no_solve, data
+):
+    # the seed is merged only into an object, so a list, even one of
+    # key-value pairs, reaches the object check as it is
+    cfg = os.path.join(tmp_path, "list.json")
+    with open(cfg, "w") as handle:
+        json.dump(data, handle)
+    out = os.path.join(tmp_path, "reports")
+    code = main(["constants", "--config", cfg, "--out", out, "--seed", "1"])
+    assert code == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_an_out_that_names_a_file_is_a_config_error_before_any_solve(tmp_path, capsys, no_solve):
+    out = os.path.join(tmp_path, "taken")
+    with open(out, "w") as handle:
+        handle.write("kept")
+    code = main(["control-conv", "--out", out])
+    assert code == 2
+    assert "config error: --out" in capsys.readouterr().err
+    with open(out) as handle:
+        assert handle.read() == "kept"
+
+
 @pytest.mark.parametrize("data", [{"tol": {"start_gap": 1e300}}, {"r": 1.0001}])
 def test_a_config_that_sets_a_threshold_is_a_config_error_before_any_solve(
     tmp_path, capsys, no_solve, data

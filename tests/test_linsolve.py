@@ -23,13 +23,14 @@ from fluxopt.linsolve import (
     RobinOperator,
     certified,
     certified_stieltjes,
+    clamped_operator,
     estimate_constants,
     factorize,
     fast_diagonalization,
-    operators,
     refinement,
     schur_complement,
     schur_pencil,
+    solve_family,
     solve_spd,
 )
 from fluxopt.mesh import (
@@ -82,7 +83,7 @@ def test_solver_linearity():
     # both families' operators; the columns must combine linearly
     mesh = build_structured_mesh(6, ["left"])
     rng = np.random.default_rng(11)
-    for op in (operators(mesh).clamped, RobinOperator(mesh, 3.0)):
+    for op in (clamped_operator(mesh), RobinOperator(mesh, 3.0)):
         r1 = rng.standard_normal(op.shape[0])
         r2 = rng.standard_normal(op.shape[0])
         block = np.column_stack([r1, r2, r1 + r2, rng.standard_normal((op.shape[0], 8))])
@@ -94,7 +95,7 @@ def test_solver_linearity():
 
 def test_refinement_accepts_repairs_or_rejects_a_given_solution():
     mesh = build_structured_mesh(8, ["bottom"])
-    for op in (operators(mesh).clamped, RobinOperator(mesh, 2.0)):
+    for op in (clamped_operator(mesh), RobinOperator(mesh, 2.0)):
         rhs = np.random.default_rng(5).standard_normal((op.shape[0], 3))
         x = solve_spd(op, rhs)
         assert refinement(op, rhs, x) is None
@@ -125,7 +126,7 @@ def test_operator_norms_bound_the_matrix_and_leave_it_alone():
     assert not block.has_sorted_indices
     indices = block.indices.copy()
     rng = np.random.default_rng(6)
-    cases = ((FactoredMatrix(block, None), block), (operators(mesh).clamped, free_block(mesh)[0]))
+    cases = ((FactoredMatrix(block, None), block), (clamped_operator(mesh), free_block(mesh)[0]))
     for op, matrix in cases:
         x = rng.uniform(size=(matrix.shape[0], 3))
         assert np.allclose(op.abs_matmul(x), np.abs(matrix.toarray()) @ x, rtol=1e-14, atol=0.0)
@@ -389,6 +390,32 @@ def test_robin_solve_matches_the_two_solve_elimination(sides):
                 assert np.all(gap <= 16.0 * eps), (n, alpha)
 
 
+@pytest.mark.parametrize("sides", SIDE_SETS)
+def test_solve_family_is_the_direct_construction_bit_for_bit(sides):
+    # picking a family's operator adds nothing to its solve: K_ff on the free
+    # rows and exact zeros on the clamped rows for alpha None, the Robin
+    # operator on every row for a value of alpha; a sparse block is the same
+    # block; n = 1 with opposite sides clamped has no free vertex
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 8):
+        mesh = build_structured_mesh(n, sides)
+        part = dof_partition(mesh)
+        nvert = len(mesh.vertices)
+        for rhs in (rng.standard_normal(nvert), rng.standard_normal((nvert, 3))):
+            x = solve_family(mesh, None, rhs)
+            assert x.shape == rhs.shape
+            want = solve_spd(clamped_operator(mesh), rhs[part.free_dofs])
+            assert np.array_equal(x[part.free_dofs], want)
+            assert np.array_equal(x[part.gamma1_dofs], np.zeros_like(x[part.gamma1_dofs]))
+            if rhs.ndim == 2:
+                assert np.array_equal(solve_family(mesh, None, sp.csr_matrix(rhs)), x)
+            for alpha in (1.0, 1e4):
+                x = solve_family(mesh, alpha, rhs)
+                assert np.array_equal(x, solve_spd(RobinOperator(mesh, alpha), rhs))
+                if rhs.ndim == 2:
+                    assert np.array_equal(solve_family(mesh, alpha, sp.csr_matrix(rhs)), x)
+
+
 @pytest.fixture
 def transforms(monkeypatch):
     """Calls of the forward and the back modal transform, counted by name."""
@@ -467,8 +494,12 @@ def test_a_corrupted_eigenvalue_fails_the_residual_check(monkeypatch):
     with pytest.raises(ConvergenceError, match="relative residual") as caught:
         refinement(op, rhs, op.solve(rhs))
     assert caught.value.residual > 1e-10
+    # both families' operators rest on the certificate of K_ff, which the
+    # corrupted modes fail
     with pytest.raises(ConvergenceError, match="relative residual"):
-        operators(mesh)
+        clamped_operator(mesh)
+    with pytest.raises(ConvergenceError, match="relative residual"):
+        RobinOperator(mesh, 1.0)
 
 
 @pytest.fixture
@@ -550,7 +581,7 @@ def test_robin_after_clamped_adds_the_schur_factor_once(factorizations, schur_bu
 
 
 def test_deleting_a_mesh_frees_it_without_the_cycle_collector():
-    # a store -> operators -> mesh reference would keep every factor of the
+    # a store -> operator -> mesh reference would keep every factor of the
     # mesh alive until the next collection
     enabled = gc.isenabled()
     gc.disable()
@@ -713,7 +744,7 @@ def test_fine_adjoint_below_its_roundoff_floor_takes_no_step(
     mesh, spec, q = fine_robin_case
     spec = spec.with_alpha(alpha)
     u = pde.solve_state(mesh, spec, q)
-    ops = operators(mesh)
+    free = dof_partition(mesh).free_dofs
     transforms.update(_to_modes=0, _from_modes=0)
     adjoint = pde.solve_adjoint(mesh, spec, u)
     assert transforms == {"_to_modes": 1, "_from_modes": 1}
@@ -721,7 +752,7 @@ def test_fine_adjoint_below_its_roundoff_floor_takes_no_step(
 
     rhs = assemble_mass(mesh) @ u.coefficients - assemble_load(mesh, spec.z_d)
     if alpha is None:
-        op, rhs, x = ops.clamped, rhs[ops.free], adjoint.coefficients[ops.free]
+        op, rhs, x = clamped_operator(mesh), rhs[free], adjoint.coefficients[free]
     else:
         op, x = RobinOperator(mesh, alpha), adjoint.coefficients
         assert robin_residuals(mesh, spec, q, u, adjoint)[1] <= 1e-10

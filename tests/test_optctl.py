@@ -15,8 +15,8 @@ from fluxopt.assembly import assemble_boundary_mass, norm
 from fluxopt.linsolve import (
     ConvergenceError,
     RobinOperator,
+    clamped_operator,
     estimate_constants,
-    operators,
     schur_pencil,
 )
 from fluxopt.mesh import (
@@ -418,7 +418,7 @@ def test_a_response_too_large_for_the_cap_raises_before_any_solve(monkeypatch):
     # n = 256 with one clamped side: 66049 x 769 responses, 406 MB, against
     # 64 MiB; n = 128 needs 51 MB and still builds
     calls = []
-    monkeypatch.setattr(optctl, "solve_spd", lambda *args: calls.append(args))
+    monkeypatch.setattr(linsolve, "solve_spd", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="cap"):
         optctl.reduced_normal_system(build_structured_mesh(256, ["bottom"]), make_spec())
     assert calls == []
@@ -454,7 +454,7 @@ def per_alpha_reduced_system(mesh, spec):
     nvert = len(mesh.vertices)
     if spec.alpha is None:
         free = part.free_dofs
-        clamped = operators(mesh).clamped
+        clamped = clamped_operator(mesh)
         u0 = np.zeros(nvert)
         u0[part.gamma1_dofs] = spec.b
         rhs0 = load_g - stiff @ u0
@@ -516,10 +516,9 @@ def test_coupling_block_rebuilds_the_schur_complement(n, sides):
     # constructions of S0; measured at most 4.5e-15 through the pencil and
     # 2.7e-16 for S0 itself
     mesh = build_structured_mesh(n, sides)
-    ops = operators(mesh)
-    clamped, k_fc = ops.clamped_dofs, coupling_block(mesh)
-    coupling = linsolve.solve_spd(ops.clamped, k_fc.toarray())
-    schur = ops.stiff[clamped][:, clamped].toarray() - k_fc.T @ coupling
+    clamped, k_fc = dof_partition(mesh).gamma1_dofs, coupling_block(mesh)
+    coupling = linsolve.solve_spd(clamped_operator(mesh), k_fc.toarray())
+    schur = assembly.assemble_stiffness(mesh)[clamped][:, clamped].toarray() - k_fc.T @ coupling
     b1_cc = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)[clamped][:, clamped].toarray()
     eigenvalues, v = schur_pencil(mesh)
     rebuilt = b1_cc @ v @ np.diag(eigenvalues) @ v.T @ b1_cc
@@ -532,25 +531,28 @@ def test_coupling_block_rebuilds_the_schur_complement(n, sides):
 
 @pytest.mark.parametrize("alpha", [None, 0.5, 1e4])
 def test_each_reduced_system_makes_one_response_solve(monkeypatch, alpha):
+    # one solve of the whole response block, then one of the base state,
+    # each with the family's operator on the rows it solves
     mesh = build_structured_mesh(16, ["bottom"])
-    ops = operators(mesh)
+    clamped = clamped_operator(mesh)
     calls = []
-    solve_spd = optctl.solve_spd
+    solve_spd = linsolve.solve_spd
 
     def counted(matrix, rhs):
         calls.append((matrix, rhs.shape))
         return solve_spd(matrix, rhs)
 
-    monkeypatch.setattr(optctl, "solve_spd", counted)
+    monkeypatch.setattr(linsolve, "solve_spd", counted)
     optctl.reduced_normal_system(mesh, make_spec(alpha))
     ntrace = len(dof_partition(mesh).gamma2_trace_dofs)
-    ((matrix, shape),) = calls
     if alpha is None:
-        assert matrix is ops.clamped
-        assert shape == (len(ops.free), ntrace)
+        size = len(dof_partition(mesh).free_dofs)
+        assert all(matrix is clamped for matrix, _ in calls)
     else:
-        assert isinstance(matrix, linsolve.RobinOperator) and matrix.alpha == alpha
-        assert shape == (len(mesh.vertices), ntrace)
+        size = len(mesh.vertices)
+        for matrix, _ in calls:
+            assert isinstance(matrix, linsolve.RobinOperator) and matrix.alpha == alpha
+    assert [shape for _, shape in calls] == [(size, ntrace), (size,)]
 
 
 def test_a_wrong_robin_solve_makes_the_reduced_system_raise(monkeypatch):
