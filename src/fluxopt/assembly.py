@@ -4,7 +4,9 @@ Stiffness, interior mass and boundary mass matrices are assembled exactly.
 Data functions enter through a three-edge-midpoint quadrature rule per
 triangle, which integrates quadratics exactly; the same rule backs the
 tracking-term evaluation so cost, adjoint right side and load vectors stay
-mutually consistent.
+mutually consistent.  ``trace_mass`` is the flux-boundary mass on the trace
+vertices, the Q inner product of trace fields; their maps to and from the
+vertex grid belong to ``mesh``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, _evaluate_callable, cached, dof_partition
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, dof_partition, trace_restrict
+from .mesh import _evaluate_callable
 
 
 def _triangle_geometry(mesh: Mesh):
@@ -88,8 +91,8 @@ def assemble_boundary_mass(mesh: Mesh, tag: BoundaryTag) -> sp.csr_matrix:
 
 
 @cached
-def _trace_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Flux-boundary mass matrix restricted to the trace index set."""
+def trace_mass(mesh: Mesh) -> sp.csr_matrix:
+    """Flux-boundary mass matrix restricted to the trace index set: the Q inner product."""
     g2 = dof_partition(mesh).gamma2_trace_dofs
     return assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)[g2][:, g2].tocsr()
 
@@ -159,19 +162,6 @@ def v_error_vs_exact(u: NodalField, f, grad_f) -> float:
     return float(np.sqrt(l2_misfit_sq(u, f) + semi))
 
 
-def trace_restrict(v: NodalField) -> TraceField:
-    """Values of a nodal field at the flux-boundary trace vertices."""
-    g2 = dof_partition(v.mesh).gamma2_trace_dofs
-    return TraceField(v.mesh, v.coefficients[g2])
-
-
-def trace_extend(q: TraceField) -> NodalField:
-    """Extension by zero of a trace function to the full vertex set."""
-    coeff = np.zeros(len(q.mesh.vertices))
-    coeff[dof_partition(q.mesh).gamma2_trace_dofs] = q.coefficients
-    return NodalField(q.mesh, coeff)
-
-
 def norm(field, which: str) -> float:
     """Norm of a field: "H" (domain L2), "V" (first order), "Q" (flux-boundary L2).
 
@@ -183,7 +173,7 @@ def norm(field, which: str) -> float:
             field = trace_restrict(field)
         if not isinstance(field, TraceField):
             raise ValueError("Q norm needs a trace field or a nodal field to restrict")
-        bmat = _trace_mass(field.mesh)
+        bmat = trace_mass(field.mesh)
         val = field.coefficients @ (bmat @ field.coefficients)
         return float(np.sqrt(max(val, 0.0)))
     if not isinstance(field, NodalField):

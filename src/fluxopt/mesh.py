@@ -6,6 +6,10 @@ upper-right corner, so refining by cell halving keeps every coarse vertex a
 fine vertex.  Whole sides of the square are assigned to the clamped boundary
 portion (tag GAMMA1, where the solution value is prescribed); all remaining
 boundary edges carry the controlled-flux tag (GAMMA2).
+
+Trace fields, on the flux vertices, reach the vertex grid only through
+``trace_extend`` and ``trace_restrict``, and both transfers between nested
+meshes go through that grid.
 """
 
 from __future__ import annotations
@@ -230,6 +234,19 @@ def zero_trace(mesh: Mesh) -> TraceField:
     return TraceField(mesh, np.zeros(len(dof_partition(mesh).gamma2_trace_dofs)))
 
 
+def trace_restrict(v: NodalField) -> TraceField:
+    """Values of a nodal field at the flux-boundary trace vertices."""
+    g2 = dof_partition(v.mesh).gamma2_trace_dofs
+    return TraceField(v.mesh, v.coefficients[g2])
+
+
+def trace_extend(q: TraceField) -> NodalField:
+    """Extension by zero of a trace function to the full vertex set."""
+    coeff = np.zeros(len(q.mesh.vertices))
+    coeff[dof_partition(q.mesh).gamma2_trace_dofs] = q.coefficients
+    return NodalField(q.mesh, coeff)
+
+
 def _evaluate_callable(f, x, y, where):
     vals = np.asarray(f(x, y), dtype=float)
     if vals.shape == ():
@@ -288,28 +305,16 @@ def prolongate(coarse: NodalField, coarse_mesh: Mesh, fine_mesh: Mesh) -> NodalF
 
 def prolongate_trace(coarse: TraceField, coarse_mesh: Mesh, fine_mesh: Mesh) -> TraceField:
     """Exact fine-mesh representation of a flux-boundary trace function."""
-    if coarse.mesh is not coarse_mesh:
-        raise ValueError("field does not live on the given coarse mesh")
-    # extend by zero, prolongate, restrict; boundary midpoints only ever
-    # average the two endpoints of their own boundary edge
-    extended = np.zeros(len(coarse_mesh.vertices))
-    extended[dof_partition(coarse_mesh).gamma2_trace_dofs] = coarse.coefficients
-    fine = prolongate(NodalField(coarse_mesh, extended), coarse_mesh, fine_mesh)
-    return TraceField(fine_mesh, fine.coefficients[dof_partition(fine_mesh).gamma2_trace_dofs])
+    # boundary midpoints only ever average the two endpoints of their own
+    # boundary edge, so the fine trace depends on the coarse trace alone
+    return trace_restrict(prolongate(trace_extend(coarse), coarse_mesh, fine_mesh))
 
 
 def restrict_trace(fine: TraceField, fine_mesh: Mesh, coarse_mesh: Mesh) -> TraceField:
     """Pointwise restriction of a fine trace function to the coarse trace vertices."""
     if fine.mesh is not fine_mesh:
         raise ValueError("field does not live on the given fine mesh")
-    _nesting_steps(coarse_mesh, fine_mesh)
-    r = fine_mesh.n // coarse_mesh.n
-    g2c = dof_partition(coarse_mesh).gamma2_trace_dofs
-    ic = g2c % (coarse_mesh.n + 1)
-    jc = g2c // (coarse_mesh.n + 1)
-    fine_dofs = (r * jc) * (fine_mesh.n + 1) + r * ic
-    g2f = dof_partition(fine_mesh).gamma2_trace_dofs
-    pos = np.searchsorted(g2f, fine_dofs)
-    if not np.array_equal(g2f[pos], fine_dofs):
-        raise ValueError("coarse trace vertices missing from the fine trace set")
-    return TraceField(coarse_mesh, fine.coefficients[pos])
+    # nested meshes share their sides, so every coarse flux vertex is a fine one
+    r = 2 ** _nesting_steps(coarse_mesh, fine_mesh)
+    grid = trace_extend(fine).coefficients.reshape(fine_mesh.n + 1, fine_mesh.n + 1)
+    return trace_restrict(NodalField(coarse_mesh, grid[::r, ::r].ravel()))

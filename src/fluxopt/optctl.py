@@ -52,7 +52,7 @@ from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     factorize,
     solve_family,
 )
-from .mesh import SIDES, BoundaryTag, Mesh, NodalField, TraceField, dof_partition, zero_trace
+from .mesh import SIDES, BoundaryTag, Mesh, NodalField, TraceField, dof_partition, trace_restrict, zero_trace
 
 # the fixed-point iteration stops once a step is at most this relative to |q|
 _STEP_TOL = 1e-10
@@ -103,7 +103,7 @@ def gradient(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField) -> TraceField:
 
 
 def _gradient_of_adjoint(spec, q, p) -> TraceField:
-    return TraceField(q.mesh, spec.M * q.coefficients - assembly.trace_restrict(p).coefficients)
+    return TraceField(q.mesh, spec.M * q.coefficients - trace_restrict(p).coefficients)
 
 
 def _zero(x, y):
@@ -127,7 +127,8 @@ def hessian_product(mesh: Mesh, spec: pde.ProblemSpec, d: TraceField) -> TraceFi
 
 
 def _inner(a: TraceField, b: TraceField) -> float:
-    return float(a.coefficients @ (assembly._trace_mass(a.mesh) @ b.coefficients))
+    """Q inner product of two traces on one mesh, through ``assembly.trace_mass``."""
+    return float(a.coefficients @ (assembly.trace_mass(a.mesh) @ b.coefficients))
 
 
 def cost_gap(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField, opt: OptimalSolution) -> float:
@@ -149,7 +150,7 @@ def fixed_point_map(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField) -> TraceFi
     """Control update map: adjoint trace divided by M."""
     u = pde.solve_state(mesh, spec, q)
     p = pde.solve_adjoint(mesh, spec, u)
-    return TraceField(q.mesh, assembly.trace_restrict(p).coefficients / spec.M)
+    return TraceField(q.mesh, trace_restrict(p).coefficients / spec.M)
 
 
 def solve_optimal_fixed_point(
@@ -305,7 +306,7 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     mass = assembly.assemble_mass(mesh)
     base = pde.solve_state(mesh, spec, zero_trace(mesh))
     gmat = response.T @ (mass @ response)
-    gmat = 0.5 * (gmat + gmat.T) + spec.M * b2[g2][:, g2].toarray()
+    gmat = 0.5 * (gmat + gmat.T) + spec.M * assembly.trace_mass(mesh).toarray()
     lvec = response.T @ (assembly.assemble_load(mesh, spec.z_d) - mass @ base.coefficients)
     c0 = 0.5 * assembly.l2_misfit_sq(base, spec.z_d)
     return gmat, lvec, c0

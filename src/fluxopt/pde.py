@@ -26,7 +26,7 @@ import numpy as np
 
 from . import assembly
 from .linsolve import solve_family, solve_spd  # noqa: F401  (solve_spd stays importable from pde)
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition, trace_extend
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def solve_state(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalField:
     if q.mesh is not mesh:
         raise ValueError("control lives on a different mesh")
     rhs = assembly.assemble_load(mesh, spec.g) - (
-        assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2) @ assembly.trace_extend(q).coefficients
+        assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2) @ trace_extend(q).coefficients
     )
     if spec.alpha is None:
         lift = np.zeros(len(mesh.vertices))

@@ -11,6 +11,10 @@ block densely, and schur_complement_by_modes sums over all grid modes at
 every point pair, where the package sums one pair of grid lines at a time.
 robin_solve_by_elimination solves K + alpha B1 with two whole K_ff solves,
 where the package makes one forward and one back modal transform.
+prolongate_trace_inline extends a trace by zero with its own index writes,
+and restrict_trace_by_index finds each coarse flux vertex in the fine trace
+set by index arithmetic and a sorted search; the package routes both
+transfers through its trace maps and the vertex grid.
 """
 
 import numpy as np
@@ -18,7 +22,7 @@ import scipy.sparse as sp
 
 from fluxopt.assembly import assemble_stiffness
 from fluxopt.linsolve import _grid_modes, clamped_operator, schur_pencil
-from fluxopt.mesh import NodalField, _evaluate_callable, dof_partition
+from fluxopt.mesh import NodalField, TraceField, _evaluate_callable, dof_partition, prolongate
 
 
 def local_stiffness(coords) -> np.ndarray:
@@ -164,3 +168,29 @@ def robin_solve_by_elimination(mesh, alpha, rhs) -> np.ndarray:
     x[clamped] = (v / (eigenvalues + alpha)) @ (v.T @ (rhs[clamped] - k_fc.T @ y))
     x[free] = y - k_ff.solve(k_fc @ x[clamped])
     return x
+
+
+def prolongate_trace_inline(coarse, coarse_mesh, fine_mesh) -> TraceField:
+    """Exact fine representation of a trace: extend by zero, prolongate, restrict."""
+    if coarse.mesh is not coarse_mesh:
+        raise ValueError("field does not live on the given coarse mesh")
+    extended = np.zeros(len(coarse_mesh.vertices))
+    extended[dof_partition(coarse_mesh).gamma2_trace_dofs] = coarse.coefficients
+    fine = prolongate(NodalField(coarse_mesh, extended), coarse_mesh, fine_mesh)
+    return TraceField(fine_mesh, fine.coefficients[dof_partition(fine_mesh).gamma2_trace_dofs])
+
+
+def restrict_trace_by_index(fine, fine_mesh, coarse_mesh) -> TraceField:
+    """Pointwise restriction of a fine trace, each coarse vertex looked up by index."""
+    if fine.mesh is not fine_mesh:
+        raise ValueError("field does not live on the given fine mesh")
+    r = fine_mesh.n // coarse_mesh.n
+    g2c = dof_partition(coarse_mesh).gamma2_trace_dofs
+    ic = g2c % (coarse_mesh.n + 1)
+    jc = g2c // (coarse_mesh.n + 1)
+    fine_dofs = (r * jc) * (fine_mesh.n + 1) + r * ic
+    g2f = dof_partition(fine_mesh).gamma2_trace_dofs
+    pos = np.searchsorted(g2f, fine_dofs)
+    if not np.array_equal(g2f[pos], fine_dofs):
+        raise ValueError("coarse trace vertices missing from the fine trace set")
+    return TraceField(coarse_mesh, fine.coefficients[pos])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fluxopt import harness, optctl, pde
-from fluxopt.assembly import assemble_boundary_mass, norm, trace_restrict
+from fluxopt.assembly import assemble_boundary_mass, norm
 from fluxopt.harness import ExperimentConfig
 from fluxopt.linsolve import estimate_constants
 from fluxopt.mesh import (
@@ -21,6 +21,7 @@ from fluxopt.mesh import (
     TraceField,
     build_structured_mesh,
     dof_partition,
+    trace_restrict,
     zero_trace,
 )
 from oracles import column

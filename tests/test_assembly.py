@@ -17,8 +17,6 @@ from fluxopt.assembly import (
     assemble_stiffness,
     l2_misfit_sq,
     norm,
-    trace_extend,
-    trace_restrict,
     v_error_vs_exact,
 )
 from fluxopt.mesh import (
@@ -29,6 +27,8 @@ from fluxopt.mesh import (
     dof_partition,
     interpolate_trace,
     prolongate,
+    trace_extend,
+    trace_restrict,
 )
 from oracles import interpolate_nodal, local_edge_mass, local_mass, local_stiffness
 

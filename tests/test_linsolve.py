@@ -14,8 +14,6 @@ from fluxopt.assembly import (
     assemble_mass,
     assemble_stiffness,
     norm,
-    trace_extend,
-    trace_restrict,
 )
 from fluxopt.linsolve import (
     ConvergenceError,
@@ -40,6 +38,8 @@ from fluxopt.mesh import (
     TraceField,
     build_structured_mesh,
     dof_partition,
+    trace_extend,
+    trace_restrict,
 )
 import oracles
 from oracles import kronecker_sum

@@ -1,5 +1,7 @@
 """Mesh construction, refinement, interpolation and transfer operators."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,7 +22,7 @@ from fluxopt.mesh import (
     restrict_trace,
     zero_trace,
 )
-from oracles import evaluate_nodal, interpolate_nodal
+from oracles import evaluate_nodal, interpolate_nodal, prolongate_trace_inline, restrict_trace_by_index
 
 
 def triangle_areas(mesh):
@@ -238,6 +240,39 @@ def test_trace_prolongation_identity_roundtrip(n):
     q = TraceField(coarse, rng.standard_normal(len(zero_trace(coarse).coefficients)))
     back = restrict_trace(prolongate_trace(q, coarse, fine), fine, coarse)
     assert np.array_equal(back.coefficients, q.coefficients)
+
+
+@pytest.mark.parametrize("coarse_n, fine_n", [(1, 2), (1, 8), (2, 4), (3, 12), (4, 32), (8, 64)])
+@pytest.mark.parametrize(
+    "sides",
+    [sides for count in (1, 2, 3) for sides in itertools.combinations(SIDES, count)],
+    ids="+".join,
+)
+def test_trace_transfers_match_the_index_oracles_bitwise(sides, coarse_n, fine_n):
+    coarse = build_structured_mesh(coarse_n, sides)
+    fine = build_structured_mesh(fine_n, sides)
+    rng = np.random.default_rng(fine_n)
+    qc = TraceField(coarse, rng.standard_normal(len(zero_trace(coarse).coefficients)))
+    qf = TraceField(fine, rng.standard_normal(len(zero_trace(fine).coefficients)))
+    up = prolongate_trace(qc, coarse, fine)
+    assert np.array_equal(up.coefficients, prolongate_trace_inline(qc, coarse, fine).coefficients)
+    down = restrict_trace(qf, fine, coarse)
+    assert np.array_equal(down.coefficients, restrict_trace_by_index(qf, fine, coarse).coefficients)
+
+
+def test_trace_transfers_reject_non_nested_meshes_and_foreign_fields():
+    coarse = build_structured_mesh(2, ["bottom"])
+    fine = build_structured_mesh(8, ["bottom"])
+    qc, qf = zero_trace(coarse), zero_trace(fine)
+    for other in (build_structured_mesh(6, ["bottom"]), build_structured_mesh(8, ["left"])):
+        with pytest.raises(ValueError, match="not nested"):
+            prolongate_trace(qc, coarse, other)
+        with pytest.raises(ValueError, match="not nested"):
+            restrict_trace(zero_trace(other), other, coarse)
+    with pytest.raises(ValueError, match="does not live"):
+        prolongate_trace(qf, coarse, fine)
+    with pytest.raises(ValueError, match="does not live"):
+        restrict_trace(qc, fine, coarse)
 
 
 def test_field_mesh_mismatch_rejected():

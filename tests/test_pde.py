@@ -11,14 +11,14 @@ from fluxopt.assembly import (
     assemble_mass,
     assemble_stiffness,
     norm,
-    trace_extend,
-    trace_restrict,
 )
 from fluxopt.linsolve import estimate_constants
 from fluxopt.mesh import (
     BoundaryTag,
     TraceField,
     build_structured_mesh,
+    trace_extend,
+    trace_restrict,
     zero_trace,
 )
 from oracles import evaluate_nodal
