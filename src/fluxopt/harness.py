@@ -42,12 +42,17 @@ from .mesh import (
 )
 
 class Field:
-    """Scalar field callable with an optional closed-form gradient."""
+    """Scalar field callable with an optional closed-form gradient.
 
-    def __init__(self, name, fn, grad=None):
+    bound, if given, is at least |f|, |df/dx| and |df/dy| on the unit square;
+    an infinite one means the field may overflow there (``field_from_config``).
+    """
+
+    def __init__(self, name, fn, grad=None, bound=None):
         self.name = name
         self._fn = fn
         self._grad = grad
+        self.bound = bound
 
     def __call__(self, x, y):
         return self._fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -76,6 +81,7 @@ def _sin_product(scale=1.0, kx=1, ky=1):
             s * wx * np.cos(wx * x) * np.sin(wy * y),
             s * wy * np.sin(wx * x) * np.cos(wy * y),
         ),
+        abs(s) * max(1.0, abs(wx), abs(wy)),
     )
 
 
@@ -88,6 +94,7 @@ def _trig_product(scale=1.0, kx=1, ky=1):
             -s * wx * np.sin(wx * x) * np.cos(wy * y),
             -s * wy * np.cos(wx * x) * np.sin(wy * y),
         ),
+        abs(s) * max(1.0, abs(wx), abs(wy)),
     )
 
 
@@ -96,12 +103,15 @@ def _polynomial(coefficients=((0.0,),)):
     if c.ndim != 2:
         raise ValueError("polynomial coefficients must be a 2D array, entry [i][j] scaling x^i y^j")
     P = np.polynomial.polynomial
-    cx = P.polyder(c, axis=0) if c.shape[0] > 1 else np.zeros((1, 1))
-    cy = P.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros((1, 1))
+    with np.errstate(over="ignore"):  # an overflowing derivative makes the bound infinite
+        cx = P.polyder(c, axis=0) if c.shape[0] > 1 else np.zeros((1, 1))
+        cy = P.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros((1, 1))
+    # |x|, |y| <= 1 bound p by its sum of |coefficients|, in Python floats (inf on overflow)
     return Field(
         "polynomial",
         lambda x, y: P.polyval2d(x, y, c),
         lambda x, y: (P.polyval2d(x, y, cx), P.polyval2d(x, y, cy)),
+        max(sum(np.abs(a).ravel().tolist()) for a in (c, cx, cy)),
     )
 
 
@@ -167,6 +177,11 @@ def field_from_config(value) -> Field:
     for key, param in params.items():
         if not np.all(np.isfinite(np.asarray(param, dtype=float))):
             raise ValueError(f"field {name!r} parameter {key} must be finite, got {param!r}")
+    if built.bound is not None and not math.isfinite(built.bound):
+        raise ValueError(
+            f"field {name!r} overflows on the unit square: its values or gradient "
+            "can exceed the largest float"
+        )
     return built
 
 

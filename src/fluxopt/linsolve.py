@@ -1,9 +1,10 @@
 """Linear solves with checked residuals, and discrete stability constants.
 
 Every system the package solves is symmetric positive definite, and
-``solve_spd`` checks the residual of every solution against the target
-1e-12 or, when that is below roundoff, the componentwise roundoff floor of
-forming the residual, from one |A| |x| product (``refinement``).
+``solve_spd`` holds every solution to one acceptance limit, a relative
+residual of 1e-10: a column above it takes one step of iterative
+refinement, and one still above it after the step raises ConvergenceError
+(``refinement``).
 
 ``solve_family`` alone picks a family's operator: K + alpha B1 on every
 vertex, or for alpha None the clamped block K_ff on the free vertices, kept
@@ -48,15 +49,11 @@ from .mesh import BoundaryTag, Mesh, cached, dof_partition
 # memory, and a refinement step solves the whole block when one column needs it
 _BLOCK_COLUMNS = 8
 
-# relative residual target of a solve
-_TOL = 1e-12
 # relative residual up to which a solution is accepted
 _LIMIT = 1e-10
 # relative change of the estimate at which a power iteration stops, and its step cap
 _POWER_RTOL = 1e-10
 _POWER_STEPS = 50000
-# unit roundoff, which sets the floor of a computed residual
-_EPS = np.finfo(float).eps
 
 
 class ConvergenceError(RuntimeError):
@@ -100,23 +97,13 @@ def factorize(matrix):
     return lu.solve
 
 
-def _abs_matmul(matrix, x):
-    """|A| x for a CSR matrix A, from |data| on A's own index arrays.
-
-    ``abs(matrix)`` would sort the matrix's column indices in place, which
-    reorders the sums of every later product with it.
-    """
-    magnitudes = (np.abs(matrix.data), matrix.indices, matrix.indptr)
-    return sp.csr_matrix(magnitudes, shape=matrix.shape) @ x
-
-
 class FactoredMatrix:
     """A sparse symmetric positive definite matrix and an exact solve with it.
 
     The solve is a sparse factor's (``certified``) or, for a mesh's K_ff,
-    a fast diagonalization's (``certified_stieltjes``).  ``abs_matmul``
-    gives |A| x, which sets the roundoff floor of a solve's residual
-    (``refinement``); no copy of |A| is kept.
+    a fast diagonalization's (``certified_stieltjes``).  A shape, a product
+    and a solve are all ``refinement`` needs to hold each solution to the
+    acceptance limit 1e-10.
     """
 
     def __init__(self, matrix, solve):
@@ -126,9 +113,6 @@ class FactoredMatrix:
 
     def __matmul__(self, x):
         return self.matrix @ x
-
-    def abs_matmul(self, x):
-        return _abs_matmul(self.matrix, x)
 
 
 def certified(matrix) -> FactoredMatrix:
@@ -243,9 +227,9 @@ class RobinOperator:
     is, that is, when every lambda + alpha is positive.  Of alpha it keeps
     d = 1 / (lambda + alpha), and ConvergenceError is raised unless d > 0.
     Every solve through ``solve_spd`` is checked against the assembled K
-    and B1 of the mesh's store, its residual formed as K x + alpha (B1 x),
-    whose rounding ``abs_matmul`` bounds by |K| |x| + |alpha| B1 |x| (B1
-    has no negative entry).  No reference to the mesh is kept.
+    and B1 of the mesh's store, its residual formed as K x + alpha (B1 x)
+    and held to the acceptance limit 1e-10 (``refinement``).  No reference
+    to the mesh is kept.
 
     A solve of [K_ff K_fc; K_cf K_cc + alpha B1_cc] x = r needs
     y = K_ff^-1 r_f only on the free vertices S next to the clamped sides,
@@ -281,9 +265,6 @@ class RobinOperator:
 
     def __matmul__(self, x):
         return self._stiff @ x + self.alpha * (self._b1 @ x)
-
-    def abs_matmul(self, x):
-        return _abs_matmul(self._stiff, x) + abs(self.alpha) * (self._b1 @ x)
 
     def solve(self, rhs):
         vy, vx, weights, k_sc = self._vy, self._vx, self._weights, self._k_sc
@@ -476,9 +457,10 @@ def solve_spd(matrix, rhs):
     rhs : right-hand side vector, or an (n, k) array of k right-hand sides,
         solved in blocks of a few columns.
 
-    Each solution is checked, and refined if need be, by ``refinement``;
-    ConvergenceError is raised with the residual attached when one misses
-    the acceptance limit.
+    Each solution is checked by ``refinement`` against the one acceptance
+    limit, a relative residual of 1e-10: a column above it takes one
+    refinement step, and ConvergenceError is raised with the residual
+    attached when it is still above.
     """
     rhs = np.asarray(rhs, dtype=float)
     size = matrix.shape[0]
@@ -501,27 +483,22 @@ def refinement(op, rhs, x):
     """The step that makes x an accepted solution of op x = rhs, or None if x is one.
 
     op is a ``FactoredMatrix`` or a ``RobinOperator``; rhs and x are
-    vectors or (n, k) arrays.  A column gets one step of iterative
-    refinement through op's solve when its relative residual
-    |A x - b| / |b| is above both the target 1e-12 and its roundoff floor
-    8 eps | |A| |x| + |b| | / |b|, or above the acceptance limit 1e-10; the
-    step, zero in the other columns, is returned.  Forming b - A x alone
-    perturbs each entry by up to about eps (|A| |x| + |b|) (Oettli &
-    Prager, Numer. Math. 6, 1964; Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, 7.1 and ch. 12), so a step cannot
-    push a residual below the floor, and one taken to meet a lower target
-    is wasted.  The floor, one |A| |x| product, is formed only when some
-    column is above the target.  ConvergenceError is raised, with the
-    residual attached, when x plus the step misses the limit.
+    vectors or (n, k) arrays.  The acceptance limit 1e-10 on the relative
+    residual |A x - b| / |b| is the one rule: a column above it gets one
+    step of iterative refinement through op's solve, and the step, zero in
+    the other columns, is returned.  No lower target is set: every op's
+    solve is direct, so a first solve's residual already sits near the
+    roundoff of forming b - A x, about eps (|A| |x| + |b|) per entry
+    (Oettli & Prager, Numer. Math. 6, 1964; Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002, 7.1 and ch. 12), which no step
+    can lower.  ConvergenceError is raised, with the residual attached,
+    when x plus the step misses the limit.
     """
     bnorm = np.linalg.norm(rhs, axis=0)
     bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
     residual = rhs - op @ x
     relative = np.linalg.norm(residual, axis=0) / bnorm
-    take = relative > _TOL
-    if np.any(take):
-        floor = 8.0 * _EPS * np.linalg.norm(op.abs_matmul(np.abs(x)) + np.abs(rhs), axis=0) / bnorm
-        take &= (relative > floor) | (relative > _LIMIT)
+    take = relative > _LIMIT
     step = None
     if np.any(take):
         # a zero column solves to an exact zero step

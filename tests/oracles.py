@@ -11,6 +11,8 @@ block densely, and schur_complement_by_modes sums over all grid modes at
 every point pair, where the package sums one pair of grid lines at a time.
 robin_solve_by_elimination solves K + alpha B1 with two whole K_ff solves,
 where the package makes one forward and one back modal transform.
+roundoff_floor bounds the rounding of a solve's residual componentwise,
+where the package holds every residual to its acceptance limit alone.
 prolongate_trace_inline extends a trace by zero with its own index writes,
 and restrict_trace_by_index finds each coarse flux vertex in the fine trace
 set by index arithmetic and a sorted search; the package routes both
@@ -20,9 +22,16 @@ transfers through its trace maps and the vertex grid.
 import numpy as np
 import scipy.sparse as sp
 
-from fluxopt.assembly import assemble_stiffness
+from fluxopt.assembly import assemble_boundary_mass, assemble_stiffness
 from fluxopt.linsolve import _grid_modes, clamped_operator, schur_pencil
-from fluxopt.mesh import NodalField, TraceField, _evaluate_callable, dof_partition, prolongate
+from fluxopt.mesh import (
+    BoundaryTag,
+    NodalField,
+    TraceField,
+    _evaluate_callable,
+    dof_partition,
+    prolongate,
+)
 
 
 def local_stiffness(coords) -> np.ndarray:
@@ -168,6 +177,33 @@ def robin_solve_by_elimination(mesh, alpha, rhs) -> np.ndarray:
     x[clamped] = (v / (eigenvalues + alpha)) @ (v.T @ (rhs[clamped] - k_fc.T @ y))
     x[free] = y - k_ff.solve(k_fc @ x[clamped])
     return x
+
+
+def roundoff_floor(mesh, alpha, rhs, x) -> np.ndarray:
+    """8 eps | |A| |x| + |b| | / |b| per column: the componentwise roundoff floor of b - A x.
+
+    Forming the residual perturbs each entry by up to about eps (|A| |x| + |b|)
+    (Oettli & Prager, Numer. Math. 6, 1964), so no solve can be held below
+    this floor.  For alpha None, A is the clamped operator K_ff and rhs and x
+    live on the free vertices; otherwise A is the Robin operator, whose
+    residual is formed as K x + alpha (B1 x), so |A| |x| is
+    |K| |x| + alpha B1 |x| (B1 has no negative entry).  |K| takes |data| on
+    K's own index arrays: abs(csr) would sort the indices in place, which
+    reorders the sums of every later product with the cached matrix.
+    """
+    if alpha is None:
+        magnitude = _abs_product(clamped_operator(mesh).matrix, np.abs(x))
+    else:
+        magnitude = _abs_product(assemble_stiffness(mesh), np.abs(x))
+        magnitude += abs(alpha) * (assemble_boundary_mass(mesh, BoundaryTag.GAMMA1) @ np.abs(x))
+    bnorm = np.linalg.norm(rhs, axis=0)
+    bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
+    return 8.0 * np.finfo(float).eps * np.linalg.norm(magnitude + np.abs(rhs), axis=0) / bnorm
+
+
+def _abs_product(matrix, x) -> np.ndarray:
+    """|A| x for a CSR matrix A, from |data| on A's own index arrays."""
+    return sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape) @ x
 
 
 def prolongate_trace_inline(coarse, coarse_mesh, fine_mesh) -> TraceField:

@@ -52,9 +52,12 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys):
     [
         ("state-conv", {"g": {"name": "constant", "value": float("nan")}}),
         ("control-conv", {"g": {"name": "polynomial", "coefficients": [[1, float("nan")]]}}),
+        # finite parameters whose field or gradient overflows on the unit square
+        ("control-conv", {"g": {"name": "polynomial", "coefficients": [[1e308, 1e308]]}}),
+        ("state-conv", {"exact": {"name": "sin_product", "scale": 1e308, "kx": 3}}),
     ],
 )
-def test_non_finite_field_parameter_is_a_config_error(tmp_path, capsys, kind, problem):
+def test_non_finite_field_parameter_is_a_config_error(tmp_path, capsys, no_solve, kind, problem):
     cfg = os.path.join(tmp_path, "nan.json")
     with open(cfg, "w") as handle:
         json.dump({"levels": [2, 4, 8], "n_ref": 16, "problem": problem}, handle)

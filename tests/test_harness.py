@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,28 @@ def test_field_config_parsing():
         field_from_config({"name": "fourier"})
     with pytest.raises(ValueError, match="parameters"):
         field_from_config({"name": "sin_product", "phase": 0.5})
+
+
+def test_a_field_that_can_overflow_on_the_unit_square_is_rejected():
+    # the bound a field declares covers its values and gradient on the square
+    # and is reached: a positive polynomial and its slopes peak at (1, 1), and
+    # scale sin(k pi x) sin(pi y) has the x-slope scale k pi at (0, 1/2)
+    for cfg in (
+        {"name": "trig_product", "scale": -1e308, "ky": 1},
+        {"name": "sin_product", "scale": 1e308, "kx": 3},
+        {"name": "polynomial", "coefficients": [[1e308, 1e308]]},
+        {"name": "polynomial", "coefficients": [[0.0, 0.0, 1e308]]},  # its y-derivative
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows on the unit square"):
+                field_from_config(cfg)
+    poly = field_from_config({"name": "polynomial", "coefficients": [[1e307, 1e307]] * 4})
+    assert poly(1.0, 1.0) == pytest.approx(8e307, rel=1e-15)
+    assert poly.gradient(1.0, 1.0)[0] == poly.bound == pytest.approx(1.2e308, rel=1e-15)
+    wave = field_from_config({"name": "sin_product", "scale": 1e307, "kx": 3})
+    assert wave.gradient(0.0, 0.5)[0] == pytest.approx(wave.bound, rel=1e-15)
+    assert np.isfinite(wave.bound) and np.isfinite(poly.bound)
 
 
 def test_default_configs_validate(capsys):
