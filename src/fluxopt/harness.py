@@ -385,11 +385,12 @@ class RateFit:
     points: int
 
 
-def fit_rate(hs, errs) -> RateFit:
-    """Fit err ~ C*h^rate in log10 space, ignoring error values at the floor 1e-10.
+def fit_rate(hs, errs, floor=_RATE_FLOOR) -> RateFit:
+    """Fit err ~ C*h^rate in log10 space, ignoring error values at the floor.
 
-    Values at or below the floor are treated as exactly zero (converged to
-    solver precision): if nothing lies above the floor the fit is "exact".
+    Values at or below the floor (default 1e-10, for first-order errors) are
+    treated as exactly zero (converged to solver precision): if nothing lies
+    above the floor the fit is "exact".
     A log-space residual above 0.1 marks the fit "unreliable" and its verdict
     is reported as such instead of pass or fail.
     """
@@ -399,7 +400,7 @@ def fit_rate(hs, errs) -> RateFit:
         raise ValueError("rate fit needs matching 1D arrays of sizes and errors")
     if np.any(errs < 0) or np.any(hs <= 0):
         raise ValueError("rate fit needs positive sizes and nonnegative errors")
-    keep = errs > _RATE_FLOOR
+    keep = errs > floor
     if not np.any(keep):
         return RateFit(rate=math.inf, residual=0.0, status="exact", points=0)
     if np.count_nonzero(keep) < 3:
@@ -623,8 +624,9 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
         "control_rate": fit_rate(hs, _column(rows, "control_err")),
         "state_rate": fit_rate(hs, _column(rows, "state_err")),
         "adjoint_rate": fit_rate(hs, _column(rows, "adjoint_err")),
-        "cost_gap_ref_rate": fit_rate(hs, _column(rows, "cost_gap_ref")),
-        "cost_gap_level_rate": fit_rate(hs, _column(rows, "cost_gap_level")),
+        # the cost gaps are quadratic in the control error: their floor is the floor squared
+        "cost_gap_ref_rate": fit_rate(hs, _column(rows, "cost_gap_ref"), _RATE_FLOOR**2),
+        "cost_gap_level_rate": fit_rate(hs, _column(rows, "cost_gap_level"), _RATE_FLOOR**2),
         "cost_value_rate": fit_rate(hs, _column(rows, "cost_value_gap")),
         "cost_opt_value_rate": fit_rate(hs, _column(rows, "cost_opt_value_gap")),
     }

@@ -9,8 +9,10 @@ alpha pulling the trace toward b.
 
 One solve_state and one solve_adjoint serve both families: both solve
 through ``linsolve.solve_family``, which picks the family's operator from
-spec.alpha (None selects the clamped family).  Only the state's data
-differ, the lift of b against the penalty load alpha*b.
+spec.alpha (None selects the clamped family).  The constant b enters both
+families only through u - b on the clamped portion, and constants lie in
+the kernel of the gradient form, so u - b solves the same problem with
+b = 0 and the state is b plus that solve.
 
 Data functions g and z_d always enter through the degree-2 midpoint-rule load
 vector, never through vertex interpolation, so the adjoint right side matches
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import assembly
 from .linsolve import solve_family, solve_spd  # noqa: F401  (solve_spd stays importable from pde)
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition, trace_extend
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, trace_extend
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,8 @@ class ProblemSpec:
 
     g : interior source, a pure callable of coordinate arrays.
     z_d : tracking target, a pure callable of coordinate arrays.
-    b : clamped boundary value (a constant).
+    b : clamped boundary value (a constant); it enters only through u - b
+        on the clamped portion, so it adds to the state as a constant.
     M : control penalty weight in the cost, positive.
     alpha : Robin penalty weight; None selects the clamped family.
 
@@ -64,25 +67,18 @@ class ProblemSpec:
 def solve_state(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalField:
     """State of the family selected by spec.alpha, with source g and flux q applied.
 
-    The clamped family lifts the value b by b times the indicator of the
-    clamped vertices and solves only the free-vertex block.  The Robin-type
-    family adds the penalty load alpha*b on the clamped portion and solves on
-    every vertex.
+    The stiffness annihilates constants, so w = u - b takes the same source
+    and flux and solves the family's problem with b = 0: w vanishes on the
+    clamped vertices for the clamped family, and the Robin penalty
+    alpha*(u - b) on the clamped portion is alpha*w.  Both families make
+    one ``solve_family`` call and add b.
     """
     if q.mesh is not mesh:
         raise ValueError("control lives on a different mesh")
     rhs = assembly.assemble_load(mesh, spec.g) - (
         assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2) @ trace_extend(q).coefficients
     )
-    if spec.alpha is None:
-        lift = np.zeros(len(mesh.vertices))
-        lift[dof_partition(mesh).gamma1_dofs] = spec.b
-        rhs -= assembly.assemble_stiffness(mesh) @ lift
-    else:
-        lift = 0.0
-        b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-        rhs += spec.alpha * spec.b * (b1 @ np.ones(len(mesh.vertices)))
-    return NodalField(mesh, lift + solve_family(mesh, spec.alpha, rhs))
+    return NodalField(mesh, spec.b + solve_family(mesh, spec.alpha, rhs))
 
 
 def solve_adjoint(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalField:

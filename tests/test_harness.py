@@ -319,6 +319,12 @@ def test_rate_fit_classification():
     assert clean.residual < 1e-12
     noisy = fit_rate([1.0, 0.5, 0.25, 0.125], [1e-1, 1e-3, 1e-2, 1e-4])
     assert noisy.status == "unreliable"
+    # a lower floor counts the values under the default one
+    tiny = [4e-11, 1e-11, 2.5e-12]
+    assert fit_rate(hs, tiny).status == "exact"
+    below = fit_rate(hs, tiny, floor=1e-20)
+    assert below.status == "ok" and below.points == 3
+    assert below.rate == pytest.approx(2.0, abs=1e-12)
 
 
 def test_rate_fit_rejects_bad_input():
@@ -449,3 +455,17 @@ def test_floor_level_run_classifies_exact():
     assert report.checks["adjoint_rate"] is True
     assert report.passed
     assert np.all(column(report, "state_err") <= 1e-10)
+
+
+def test_cost_gap_rates_count_gaps_under_the_first_order_floor():
+    # on bottom, top and left the level cost gaps fall under the first-order
+    # floor 1e-10 from n = 16 on; they are second order, so their fits count
+    # every point above the floor squared
+    config = config_from_dict("control-conv", {"gamma1_sides": ["bottom", "top", "left"]})
+    report = harness.run(config)
+    assert np.min(column(report, "cost_gap_level")) <= 1e-10
+    for name in ("cost_gap_ref_rate", "cost_gap_level_rate"):
+        assert report.rates[name].status == "ok"
+        assert report.rates[name].points == len(config.levels)
+        assert report.checks[name] is True
+    assert report.passed

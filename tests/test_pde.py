@@ -1,6 +1,8 @@
 """Both solver families: constant states, linearity, duality identities,
 Lipschitz stability with the estimated constants, and the large-alpha limit."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from fluxopt.assembly import (
 )
 from fluxopt.linsolve import estimate_constants
 from fluxopt.mesh import (
+    SIDES,
     BoundaryTag,
     TraceField,
     build_structured_mesh,
+    dof_partition,
     trace_extend,
     trace_restrict,
     zero_trace,
@@ -62,6 +66,60 @@ def test_constant_state_for_zero_flux(alpha):
     assert np.allclose(u.coefficients, 1.0, atol=1e-11)
     p = pde.solve_adjoint(mesh, spec, u)
     assert norm(p, "V") < 1e-10
+
+
+SIDE_SETS = [
+    sides for count in (1, 2, 3) for sides in itertools.combinations(SIDES, count)
+]
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("sides", SIDE_SETS, ids="+".join)
+def test_zero_data_give_exactly_b(n, sides):
+    # u - b solves the family's problem with zero data, so the state is b
+    # on every vertex with no rounding; a solve that carries b in its data
+    # leaves the constant to K + alpha B1, whose conditioning at small alpha
+    # costs up to 1.0e-10 here and fails the solve's limit at n = 64, alpha = 1e-3
+    mesh = build_structured_mesh(n, sides)
+    zero = lambda x, y: 0.0 * x
+    for alpha in (None, 1e-3, 1e-2, 0.1, 1.0, 1e4):
+        spec = pde.ProblemSpec(g=zero, z_d=zero, b=1.5, M=1.0, alpha=alpha)
+        u = pde.solve_state(mesh, spec, zero_trace(mesh))
+        assert np.array_equal(u.coefficients, np.full(len(mesh.vertices), 1.5)), alpha
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, 64])
+@pytest.mark.parametrize("sides", SIDE_SETS, ids="+".join)
+def test_state_solves_the_system_with_b_in_its_data(n, sides):
+    # the systems that carry b in their data: the clamped block with the
+    # lift of b moved to the right side, and the Robin matrix with the
+    # penalty load alpha b B1 1; at n = 3, 5 and 12 the assembled K maps
+    # constants to roundoff rather than to exactly zero
+    mesh = build_structured_mesh(n, sides)
+    part = dof_partition(mesh)
+    free, clamped = part.free_dofs, part.gamma1_dofs
+    stiff = assemble_stiffness(mesh)
+    b1 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+    spec = pde.ProblemSpec(
+        g=lambda x, y: 10.0 * np.sin(np.pi * x) * np.sin(2.0 * np.pi * y),
+        z_d=lambda x, y: 0.0 * x,
+        b=-2.5,
+        M=1.0,
+    )
+    q = random_trace(mesh, n)
+    load = assemble_load(mesh, spec.g) - (
+        assemble_boundary_mass(mesh, BoundaryTag.GAMMA2) @ trace_extend(q).coefficients
+    )
+    for alpha in (None, 1.0, 1e4):
+        u = pde.solve_state(mesh, spec.with_alpha(alpha), q).coefficients
+        if alpha is None:
+            assert np.array_equal(u[clamped], np.full(len(clamped), spec.b))
+            rhs = load[free] - stiff[free][:, clamped] @ u[clamped]
+            residual = stiff[free][:, free] @ u[free] - rhs
+        else:
+            rhs = load + alpha * spec.b * (b1 @ np.ones(len(u)))
+            residual = (stiff + alpha * b1) @ u - rhs
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs), alpha
 
 
 @pytest.mark.parametrize("alpha", [None, 2.0])
