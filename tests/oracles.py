@@ -16,13 +16,16 @@ where the package holds every residual to its acceptance limit alone.
 prolongate_trace_inline extends a trace by zero with its own index writes,
 and restrict_trace_by_index finds each coarse flux vertex in the fine trace
 set by index arithmetic and a sorted search; the package routes both
-transfers through its trace maps and the vertex grid.
+transfers through its trace maps and the vertex grid.  dense_constants takes
+the discrete stability constants from dense eigendecompositions of their
+pencils, where the package runs sparse Lanczos with checked solves.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from fluxopt.assembly import assemble_boundary_mass, assemble_stiffness
+from fluxopt.assembly import assemble_boundary_mass, assemble_mass, assemble_stiffness
 from fluxopt.linsolve import _grid_modes, clamped_operator, schur_pencil
 from fluxopt.mesh import (
     BoundaryTag,
@@ -230,3 +233,21 @@ def restrict_trace_by_index(fine, fine_mesh, coarse_mesh) -> TraceField:
     if not np.array_equal(g2f[pos], fine_dofs):
         raise ValueError("coarse trace vertices missing from the fine trace set")
     return TraceField(coarse_mesh, fine.coefficients[pos])
+
+
+def dense_constants(mesh) -> tuple:
+    """(lambda_h, lambda1_h, gamma0_norm_h) from ``scipy.linalg.eigh`` of the dense pencils.
+
+    With V = K + M: the smallest eigenvalues of (K_ff, V_ff) and (K + B1, V),
+    and the square root of the largest of (B2, V).
+    """
+    stiff = assemble_stiffness(mesh).toarray()
+    gram = stiff + assemble_mass(mesh).toarray()
+    b1 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1).toarray()
+    b2 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA2).toarray()
+    free_dofs = dof_partition(mesh).free_dofs
+    free = np.ix_(free_dofs, free_dofs)
+    lambda_h = scipy.linalg.eigh(stiff[free], gram[free], eigvals_only=True)[0]
+    lambda1_h = scipy.linalg.eigh(stiff + b1, gram, eigvals_only=True)[0]
+    gamma_sq = scipy.linalg.eigh(b2, gram, eigvals_only=True)[-1]
+    return float(lambda_h), float(lambda1_h), float(np.sqrt(gamma_sq))

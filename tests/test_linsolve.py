@@ -655,6 +655,45 @@ def test_contraction_bound_formula():
     assert c.contraction_bound(1.0) == pytest.approx(base / c.lambda1_h**2, rel=1e-15)
 
 
+def constants_of(mesh):
+    c = estimate_constants(mesh)
+    return c.lambda_h, c.lambda1_h, c.gamma0_norm_h
+
+
+@pytest.mark.parametrize("sides", SIDE_SETS)
+def test_constants_are_the_dense_pencils_extreme_eigenvalues(sides):
+    # Lanczos runs to machine precision, so the constants are the pencils'
+    # eigenvalues to roundoff, not merely estimates that stopped moving
+    for n in (2, 4, 8, 16):
+        mesh = build_structured_mesh(n, sides)
+        assert constants_of(mesh) == pytest.approx(oracles.dense_constants(mesh), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("sides", SIDE_SETS)
+def test_constants_on_one_cell(sides):
+    # at n = 1 one clamped side leaves two free vertices, the fewest Lanczos
+    # takes; two adjacent sides leave one, whose pencil is its exact ratio;
+    # two opposite sides or three leave none
+    mesh = build_structured_mesh(1, sides)
+    opposite = set(sides) in ({"bottom", "top"}, {"left", "right"})
+    free = {1: 2, 2: 0 if opposite else 1, 3: 0}[len(sides)]
+    assert len(dof_partition(mesh).free_dofs) == free
+    if free == 0:
+        with pytest.raises(ConvergenceError, match="no unknowns"):
+            estimate_constants(mesh)
+    else:
+        assert constants_of(mesh) == pytest.approx(oracles.dense_constants(mesh), rel=1e-12, abs=0)
+
+
+def test_a_lanczos_run_that_fails_raises_convergence_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(linsolve.spla, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError, match="No convergence"):
+        estimate_constants(build_structured_mesh(4, ["bottom"]))
+
+
 def robin_residuals(mesh, spec, q, u, p):
     """Relative residuals of the Robin state and adjoint, from assembled matrices."""
     stiff = assemble_stiffness(mesh)
