@@ -27,9 +27,9 @@ once per mesh, on the first Robin solve only, from the same 1-D
 eigenpairs: K_ff^-1 between the lines is summed one pair of lines at a
 time, in O(n^3) per pair (``schur_complement``).  One eigendecomposition
 of the pencil (S0, B1_cc) solves that system at every alpha.  So neither
-family makes a sparse factorization: ``factorize`` serves only
-``estimate_constants``.  As alpha grows the clamped values are pinned ever
-harder, and the clamped family is the limit.
+family makes a sparse factorization: ``factorize`` serves
+``estimate_constants`` and the oracle's normal system.  As alpha grows,
+clamped values are pinned ever harder: the clamped family is the limit.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class ConvergenceError(RuntimeError):
 
 
 def factorize(matrix):
-    """Factor a sparse symmetric matrix in a fill-reducing order; returns a solve callable.
+    """Factor a symmetric matrix in a fill-reducing order; returns a solve callable.
 
     The pivots of a symmetric factorization without row exchanges are all
     positive exactly when the matrix is positive definite, and they are
@@ -95,7 +95,7 @@ def factorize(matrix):
 
 
 class FactoredMatrix:
-    """A sparse symmetric positive definite matrix and an exact solve with it.
+    """A symmetric positive definite matrix, kept sparse, and an exact solve with it.
 
     The solve is a sparse factor's (``certified``) or, for a mesh's K_ff,
     a fast diagonalization's (``certified_stieltjes``).  A shape, a product
@@ -115,7 +115,7 @@ class FactoredMatrix:
 def certified(matrix) -> FactoredMatrix:
     """The matrix with its one sparse factor, whose pivots prove it definite (``factorize``).
 
-    For sparse input of any structure, solved while one call runs.
+    For any symmetric matrix, dense or sparse, solved while one call runs.
     """
     return FactoredMatrix(matrix, factorize(matrix))
 
@@ -313,22 +313,17 @@ def clamped_operator(mesh: Mesh) -> FactoredMatrix:
 def solve_family(mesh: Mesh, alpha, rhs) -> np.ndarray:
     """Solve the family's system for rhs on every vertex; the one place that picks its operator.
 
-    rhs is an (N,) vector or an (N, k) block, dense or sparse.  With a
-    value of alpha it solves K + alpha B1 (``RobinOperator``) on every
-    vertex; with alpha None, K_ff (``clamped_operator``) on the free
-    vertices, and x is zero on the clamped ones.  A sparse rhs is densified
-    only on the rows solved, and ``solve_spd`` checks every column.
+    rhs is an (N,) vector or an (N, k) block.  With a value of alpha it
+    solves K + alpha B1 (``RobinOperator``) on every vertex; with alpha
+    None, K_ff (``clamped_operator``) on the free vertices, and x is zero
+    on the clamped ones.  ``solve_spd`` checks every column.
     """
     if alpha is not None:
-        return solve_spd(RobinOperator(mesh, alpha), _dense(rhs))
+        return solve_spd(RobinOperator(mesh, alpha), rhs)
     free = dof_partition(mesh).free_dofs
     x = np.zeros(rhs.shape)
-    x[free] = solve_spd(clamped_operator(mesh), _dense(rhs[free]))
+    x[free] = solve_spd(clamped_operator(mesh), rhs[free])
     return x
-
-
-def _dense(rhs):
-    return rhs.toarray() if sp.issparse(rhs) else rhs
 
 
 @cached

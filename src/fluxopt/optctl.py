@@ -24,15 +24,15 @@ Three routes compute the optimum:
   what the two gradients allow.
 
 The dense route shares the linear solver with the others: it takes its
-base state from ``pde.solve_state``, and its responses from one
+base state from ``pde.solve_state``, its responses from one
 ``linsolve.solve_family`` call, which picks the operator that the state
-solves use, the clamped block K_ff or the Robin operator at the same
-alpha.  Every solve is checked by its residual.  The routes stay
-independent only because the dense one never solves the adjoint equation
-for its optimum, so its agreement with the others tests the formulations,
-not the solver.  It forms its responses and their right-hand side whole,
-so it serves as the oracle on coarse meshes only: ``_MAX_RESPONSE_BYTES``
-bounds them.
+solves use (K_ff, or the Robin operator at the same alpha), and its
+optimum from ``solve_spd`` with a factor of G whose pivots certify G.
+Every solve is checked by its residual.  The routes stay independent only
+because the dense one never solves the adjoint equation for its optimum,
+so its agreement with the others tests the formulations, not the solver.
+It forms its responses and their right-hand side whole, so it serves as
+the oracle on coarse meshes only: ``_MAX_RESPONSE_BYTES`` bounds them.
 
 No route returns an optimum whose cost, control or gradient is not finite;
 it raises ConvergenceError instead.
@@ -44,13 +44,14 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import assembly, pde
 from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     ConvergenceError,
+    certified,
     factorize,
     solve_family,
+    solve_spd,
 )
 from .mesh import SIDES, BoundaryTag, Mesh, NodalField, TraceField, dof_partition, trace_restrict, zero_trace
 
@@ -285,14 +286,14 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     excitations solve the family's system with right-hand side -B2 E in one
     ``linsolve.solve_family`` call: K_ff on the free vertices for the
     clamped family, whose clamped rows of R are zero, and K + alpha B1 on
-    every vertex for the Robin family.  -B2 E is densified once, on the
-    rows solved, and ``solve_spd`` takes the columns a few at a time and
-    checks each by its residual.  With Mass the vertex mass matrix,
-    G = R' Mass R, symmetrized, plus M times the boundary mass on the
-    trace, and L = R' (load(z_d) - Mass u_base), with the base state u_base
-    from ``pde.solve_state`` at the zero control.  G is symmetric positive
-    definite, so a factorization failure downstream signals an assembly
-    bug.  The route shares its linear solves with the others; what keeps it
+    every vertex for the Robin family.  -B2 E is densified here, and
+    ``solve_spd`` takes the columns a few at a time and checks each by its
+    residual.  With Mass the vertex mass matrix, G = R' Mass R,
+    symmetrized, plus M times the boundary mass on the trace, and
+    L = R' (load(z_d) - Mass u_base), with the base state u_base from
+    ``pde.solve_state`` at the zero control.  G is symmetric positive
+    definite; ``solve_optimal_reduced`` certifies that by the pivots of its
+    factor.  The route shares its linear solves with the others; what keeps it
     independent is that it never solves the adjoint equation.
 
     R, and -B2 E while it is solved, are dense vertex-by-trace matrices: a
@@ -302,7 +303,7 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     check_response_size(mesh.n, mesh.gamma1_sides)
     g2 = dof_partition(mesh).gamma2_trace_dofs
     b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
-    response = solve_family(mesh, spec.alpha, -b2[:, g2])
+    response = solve_family(mesh, spec.alpha, -b2[:, g2].toarray())
     mass = assembly.assemble_mass(mesh)
     base = pde.solve_state(mesh, spec, zero_trace(mesh))
     gmat = response.T @ (mass @ response)
@@ -328,13 +329,9 @@ def check_response_size(n: int, gamma1_sides) -> None:
 
 
 def solve_optimal_reduced(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
-    """Solve the dense reduced normal system directly; the oracle route."""
+    """Solve G q = L by ``solve_spd`` with G's factor, whose pivots certify G; the oracle route."""
     gmat, lvec, _ = reduced_normal_system(mesh, spec)
-    try:
-        chol = scipy.linalg.cho_factor(gmat)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"reduced operator is not positive definite: {exc}") from exc
-    q = TraceField(mesh, scipy.linalg.cho_solve(chol, lvec))
+    q = TraceField(mesh, solve_spd(certified(gmat), lvec))
     return _optimum(mesh, spec, q, 0, [])
 
 

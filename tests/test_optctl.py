@@ -563,3 +563,32 @@ def test_a_wrong_robin_solve_makes_the_reduced_system_raise(monkeypatch):
     with pytest.raises(ConvergenceError, match="residual") as info:
         optctl.reduced_normal_system(mesh, make_spec(10.0))
     assert info.value.residual > 1e-10
+
+
+@pytest.mark.parametrize("alpha", [None, 10.0])
+def test_the_oracle_checks_its_normal_solve(monkeypatch, alpha):
+    # G q = L is solved and checked like every other system: a factor whose
+    # solve doubles its answer fails the residual check, step included
+    factorize = linsolve.factorize
+
+    def doubled(matrix):
+        solve = factorize(matrix)
+        return lambda rhs: 2.0 * solve(rhs)
+
+    monkeypatch.setattr(linsolve, "factorize", doubled)
+    with pytest.raises(ConvergenceError, match="residual") as info:
+        optctl.solve_optimal_reduced(build_structured_mesh(8, ["bottom"]), make_spec(alpha))
+    assert info.value.residual > 1e-10
+
+
+def test_an_indefinite_normal_operator_raises(monkeypatch):
+    # G is certified positive definite before it is solved, and -G is not
+    system = optctl.reduced_normal_system
+
+    def negated(mesh, spec):
+        gmat, lvec, c0 = system(mesh, spec)
+        return -gmat, lvec, c0
+
+    monkeypatch.setattr(optctl, "reduced_normal_system", negated)
+    with pytest.raises(ConvergenceError, match="not positive definite"):
+        optctl.solve_optimal_reduced(build_structured_mesh(8, ["bottom"]), make_spec())
