@@ -22,6 +22,7 @@ import dataclasses
 import inspect
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -72,29 +73,18 @@ def _const_field(value=0.0):
     )
 
 
-def _sin_product(scale=1.0, kx=1, ky=1):
-    s, wx, wy = float(scale), float(kx) * np.pi, float(ky) * np.pi
-    return Field(
-        "sin_product",
-        lambda x, y: s * np.sin(wx * x) * np.sin(wy * y),
-        lambda x, y: (
-            s * wx * np.cos(wx * x) * np.sin(wy * y),
-            s * wy * np.sin(wx * x) * np.cos(wy * y),
-        ),
-        abs(s) * max(1.0, abs(wx), abs(wy)),
-    )
+_DERIVATIVE = {np.sin: np.cos, np.cos: lambda t: -np.sin(t)}
 
 
-def _trig_product(scale=1.0, kx=1, ky=1):
-    s, wx, wy = float(scale), float(kx) * np.pi, float(ky) * np.pi
+def _separable(name, f, scale=1.0, kx=1, ky=1, offset=0.0):
+    """offset + scale f(kx pi x) f(ky pi y), with f = sin or cos; its gradient goes through f'."""
+    off, s, wx, wy = float(offset), float(scale), float(kx) * np.pi, float(ky) * np.pi
+    df = _DERIVATIVE[f]
     return Field(
-        "trig_product",
-        lambda x, y: s * np.cos(wx * x) * np.cos(wy * y),
-        lambda x, y: (
-            -s * wx * np.sin(wx * x) * np.cos(wy * y),
-            -s * wy * np.cos(wx * x) * np.sin(wy * y),
-        ),
-        abs(s) * max(1.0, abs(wx), abs(wy)),
+        name,
+        lambda x, y: off + s * f(wx * x) * f(wy * y),
+        lambda x, y: (s * wx * df(wx * x) * f(wy * y), s * wy * f(wx * x) * df(wy * y)),
+        abs(off) + abs(s) * max(1.0, abs(wx), abs(wy)),
     )
 
 
@@ -115,20 +105,6 @@ def _polynomial(coefficients=((0.0,),)):
     )
 
 
-# Built-in smooth verification solution offset + sin(pi x) sin(pi y).  It is
-# constant on the whole square boundary and its normal flux vanishes at every
-# corner, so vertex interpolation of the flux carries no corner defect.
-def _mms_solution(offset=0.0):
-    base = _sin_product(1.0)
-    off = float(offset)
-    return Field("mms_solution", lambda x, y: off + base(x, y), base.gradient)
-
-
-def _mms_load():
-    w = np.pi
-    return Field("mms_load", lambda x, y: 2.0 * w * w * np.sin(w * x) * np.sin(w * y))
-
-
 def _mms_flux():
     # Outward flux -du/dn of the verification solution, defined edge by edge:
     # pi sin(pi y) on the vertical sides, pi sin(pi x) on the horizontal ones.
@@ -145,11 +121,15 @@ def _mms_flux():
 _FIELD_BUILDERS = {
     "constant": _const_field,
     "zero": lambda: _const_field(0.0),
-    "sin_product": _sin_product,
-    "trig_product": _trig_product,
+    "sin_product": lambda scale=1.0, kx=1, ky=1: _separable("sin_product", np.sin, scale, kx, ky),
+    "trig_product": lambda scale=1.0, kx=1, ky=1: _separable("trig_product", np.cos, scale, kx, ky),
     "polynomial": _polynomial,
-    "mms_solution": _mms_solution,
-    "mms_load": _mms_load,
+    # Built-in smooth verification solution offset + sin(pi x) sin(pi y) and its
+    # load, the negative Laplacian 2 pi^2 sin(pi x) sin(pi y).  The solution is
+    # constant on the whole square boundary and its normal flux vanishes at
+    # every corner, so vertex interpolation of the flux carries no corner defect.
+    "mms_solution": lambda offset=0.0: _separable("mms_solution", np.sin, offset=offset),
+    "mms_load": lambda: _separable("mms_load", np.sin, 2.0 * np.pi * np.pi),
     "mms_flux": _mms_flux,
 }
 
@@ -172,11 +152,11 @@ def field_from_config(value) -> Field:
         raise ValueError(f"field {name!r} does not accept parameters {sorted(unknown)}")
     try:
         built = builder(**params)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an integer beyond the float range
         raise ValueError(f"field {name!r} has a parameter of the wrong type: {exc}") from None
     for key, param in params.items():
-        if not np.all(np.isfinite(np.asarray(param, dtype=float))):
-            raise ValueError(f"field {name!r} parameter {key} must be finite, got {param!r}")
+        if not _is_finite(param):
+            raise ValueError(f"field {name!r} parameter {key} must be finite numbers, got {param!r}")
     if built.bound is not None and not math.isfinite(built.bound):
         raise ValueError(
             f"field {name!r} overflows on the unit square: its values or gradient "
@@ -314,8 +294,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """Whether value is a number a float holds finitely, or a nested list of them."""
+    if isinstance(value, (list, tuple)):
+        return all(_is_finite(v) for v in value)
+    return _is_number(value) and abs(value) <= sys.float_info.max  # exact, no OverflowError, for any int
+
+
 def _number(value, what: str) -> float:
-    if not _is_number(value) or not math.isfinite(value):
+    if not _is_number(value) or not _is_finite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -359,10 +346,12 @@ def prepare(
     if m_val == "auto":
         M = 1.0 if mesh is None else 4.0 * estimate_constants(mesh).contraction_bound()
     elif _is_number(m_val) and m_val > 0:
-        M = float(m_val)
+        M = _number(m_val, "penalty weight M")
     else:
         raise ValueError(f"penalty weight M must be 'auto' or a positive number, got {m_val!r}")
     fields = {key: field_from_config(problem[key]) for key in _DATA_FIELDS if key in problem}
+    if "exact" in fields and fields["exact"]._grad is None:
+        raise ValueError(f"exact field {fields['exact'].name!r} has no closed-form gradient")
     return fields, pde.ProblemSpec(g=fields["g"], z_d=fields["z_d"], b=b, M=M)
 
 

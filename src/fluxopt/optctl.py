@@ -34,8 +34,9 @@ so its agreement with the others tests the formulations, not the solver.
 It forms its responses and their right-hand side whole, so it serves as
 the oracle on coarse meshes only: ``_MAX_RESPONSE_BYTES`` bounds them.
 
-No route returns an optimum whose cost, control or gradient is not finite;
-it raises ConvergenceError instead.
+No route returns an optimum whose cost, control or gradient is not finite,
+nor an iteration one whose gradient is above what its stop rule allows; it
+raises ConvergenceError instead.
 """
 
 from __future__ import annotations
@@ -168,7 +169,9 @@ def solve_optimal_fixed_point(
     steps of a contraction never grow.  Two consecutive step ratios above 1
     therefore mean divergence and raise ConvergenceError with the step
     ratios so far, as do a step or control norm that is not finite and an
-    exhausted iteration budget.
+    exhausted iteration budget.  The step is -grad J / M, so the returned q
+    must also have a gradient of at most M 1e-10 max(1, |q|); a larger one
+    raises ConvergenceError carrying their ratio as its residual.
     """
     q = q0 if q0 is not None else zero_trace(mesh)
     if q.mesh is not mesh:
@@ -204,7 +207,7 @@ def solve_optimal_fixed_point(
             f"(last step ratio {_last_ratio(ratios)})",
             ratios=ratios,
         )
-    return _optimum(mesh, spec, q, iterations, ratios)
+    return _optimum(mesh, spec, q, iterations, ratios, spec.M * _STEP_TOL * max(1.0, qnorm))
 
 
 def solve_optimal_cg(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
@@ -216,7 +219,8 @@ def solve_optimal_cg(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
     residual is at most 1e-12 of the first gradient in the boundary norm.  A
     nonpositive curvature <d, H d>, an exhausted step budget, or a
     recomputed gradient at the result above the same relative tolerance
-    raise ConvergenceError.
+    raise ConvergenceError; the last carries the gradient's ratio to that
+    limit as its residual.
     """
     q = zero_trace(mesh)
     r = -gradient(mesh, spec, q)
@@ -242,22 +246,19 @@ def solve_optimal_cg(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
             f"conjugate gradients did not converge in {_MAX_CG_ITER} steps "
             f"(residual {np.sqrt(rr / first):.3g} of the first)"
         )
-    sol = _optimum(mesh, spec, q, iterations, [])
-    if sol.gradient_norm > _CG_TOL * np.sqrt(first):
-        raise ConvergenceError(
-            f"conjugate-gradient optimum has gradient norm {sol.gradient_norm:.3e}, above "
-            f"{_CG_TOL:g} of the first {np.sqrt(first):.3e}",
-            residual=sol.gradient_norm / np.sqrt(first),
-        )
-    return sol
+    return _optimum(mesh, spec, q, iterations, [], _CG_TOL * np.sqrt(first))
 
 
 def _last_ratio(ratios) -> str:
     return f"{ratios[-1]:.3g}" if ratios else "n/a"
 
 
-def _optimum(mesh, spec, q, iterations, ratios) -> OptimalSolution:
-    """State, adjoint, cost and gradient at q; raises unless all are finite."""
+def _optimum(mesh, spec, q, iterations, ratios, limit=np.inf) -> OptimalSolution:
+    """State, adjoint, cost and gradient at q.
+
+    Raises ConvergenceError unless all are finite and the gradient norm is at
+    most ``limit``; above it the error carries their ratio as its residual.
+    """
     u = pde.solve_state(mesh, spec, q)
     p = pde.solve_adjoint(mesh, spec, u)
     value = _cost_of_state(spec, u, q)
@@ -265,6 +266,12 @@ def _optimum(mesh, spec, q, iterations, ratios) -> OptimalSolution:
     if not (np.isfinite(value) and np.isfinite(gradient_norm)):
         raise ConvergenceError(
             f"optimum is not finite: cost {value!r}, gradient norm {gradient_norm!r}",
+            ratios=ratios,
+        )
+    if gradient_norm > limit:
+        raise ConvergenceError(
+            f"optimum has gradient norm {gradient_norm:.3e}, above its limit {limit:.3e}",
+            residual=gradient_norm / limit,
             ratios=ratios,
         )
     return OptimalSolution(

@@ -19,6 +19,9 @@ set by index arithmetic and a sorted search; the package routes both
 transfers through its trace maps and the vertex grid.  dense_constants takes
 the discrete stability constants from dense eigendecompositions of their
 pencils, where the package runs sparse Lanczos with checked solves.
+sin_product, trig_product, mms_solution and mms_load write out each
+separable data field and its gradient, where the package builds all four
+from one product of sines or cosines.
 """
 
 import numpy as np
@@ -251,3 +254,46 @@ def dense_constants(mesh) -> tuple:
     lambda1_h = scipy.linalg.eigh(stiff + b1, gram, eigvals_only=True)[0]
     gamma_sq = scipy.linalg.eigh(b2, gram, eigvals_only=True)[-1]
     return float(lambda_h), float(lambda1_h), float(np.sqrt(gamma_sq))
+
+
+def sin_product(scale=1.0, kx=1, ky=1):
+    """scale sin(kx pi x) sin(ky pi y) and its gradient, written out."""
+    s, wx, wy = float(scale), float(kx) * np.pi, float(ky) * np.pi
+    return (
+        lambda x, y: s * np.sin(wx * x) * np.sin(wy * y),
+        lambda x, y: (
+            s * wx * np.cos(wx * x) * np.sin(wy * y),
+            s * wy * np.sin(wx * x) * np.cos(wy * y),
+        ),
+    )
+
+
+def trig_product(scale=1.0, kx=1, ky=1):
+    """scale cos(kx pi x) cos(ky pi y) and its gradient, written out."""
+    s, wx, wy = float(scale), float(kx) * np.pi, float(ky) * np.pi
+    return (
+        lambda x, y: s * np.cos(wx * x) * np.cos(wy * y),
+        lambda x, y: (
+            -s * wx * np.sin(wx * x) * np.cos(wy * y),
+            -s * wy * np.cos(wx * x) * np.sin(wy * y),
+        ),
+    )
+
+
+def mms_solution(offset=0.0):
+    """offset + sin(pi x) sin(pi y) and its gradient."""
+    base, grad = sin_product(1.0)
+    off = float(offset)
+    return lambda x, y: off + base(x, y), grad
+
+
+def mms_load():
+    """2 pi^2 sin(pi x) sin(pi y), minus the Laplacian of mms_solution, and its gradient."""
+    w = np.pi
+    return (
+        lambda x, y: 2.0 * w * w * np.sin(w * x) * np.sin(w * y),
+        lambda x, y: (
+            2.0 * w * w * w * np.cos(w * x) * np.sin(w * y),
+            2.0 * w * w * w * np.sin(w * x) * np.cos(w * y),
+        ),
+    )

@@ -55,6 +55,8 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys):
         # finite parameters whose field or gradient overflows on the unit square
         ("control-conv", {"g": {"name": "polynomial", "coefficients": [[1e308, 1e308]]}}),
         ("state-conv", {"exact": {"name": "sin_product", "scale": 1e308, "kx": 3}}),
+        # an integer beyond the float range
+        ("control-conv", {"g": {"name": "sin_product", "scale": 10**400}}),
     ],
 )
 def test_non_finite_field_parameter_is_a_config_error(tmp_path, capsys, no_solve, kind, problem):
@@ -76,6 +78,22 @@ def no_solve(monkeypatch):
 
     for route in ("solve_optimal_cg", "solve_optimal_fixed_point", "solve_optimal_reduced"):
         monkeypatch.setattr(harness.optctl, route, refuse)
+
+
+def test_exact_field_without_a_gradient_is_a_config_error_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a config error must stop the run before its first solve")
+
+    monkeypatch.setattr(harness.pde, "solve_state", refuse)
+    cfg = os.path.join(tmp_path, "exact.json")
+    with open(cfg, "w") as handle:
+        json.dump({"problem": {"exact": {"name": "mms_flux"}}}, handle)
+    code = main(["state-conv", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert "'mms_flux' has no closed-form gradient" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "state-conv.csv"))
 
 
 def test_negative_seed_is_a_config_error_before_any_solve(tmp_path, capsys, no_solve):

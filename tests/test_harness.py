@@ -26,6 +26,7 @@ from fluxopt.harness import (
 )
 from fluxopt.linsolve import estimate_constants
 from fluxopt.mesh import build_structured_mesh
+import oracles
 from oracles import column
 
 
@@ -46,6 +47,7 @@ SAMPLE_Y = np.array([0.7, 0.45, 0.25, 0.6])
         {"name": "trig_product", "scale": 2.0, "kx": 3},
         {"name": "polynomial", "coefficients": [[1.0, 2.0], [3.0, 4.0]]},
         {"name": "mms_solution", "offset": 1.0},
+        {"name": "mms_load"},
         {"name": "constant", "value": 2.5},
     ],
 )
@@ -92,10 +94,31 @@ def test_verification_flux_is_outward_normal_derivative():
 
 
 def test_fields_without_gradients_say_so():
-    for name in ("mms_load", "mms_flux"):
-        f = field_from_config({"name": name})
-        with pytest.raises(ValueError, match="gradient"):
-            f.gradient(0.5, 0.5)
+    f = field_from_config({"name": "mms_flux"})
+    with pytest.raises(ValueError, match="gradient"):
+        f.gradient(0.5, 0.5)
+
+
+SEPARABLE = [
+    {"name": name, "scale": scale, "kx": kx, "ky": ky}
+    for name in ("sin_product", "trig_product")
+    for scale in (2.5, -3.0)
+    for kx in (1, 2, 3)
+    for ky in (1, 2, 3)
+]
+SEPARABLE += [{"name": "mms_solution", "offset": offset} for offset in (0.0, 1.0, -2.5)]
+SEPARABLE += [{"name": "mms_load"}]
+
+
+@pytest.mark.parametrize("cfg", SEPARABLE)
+def test_separable_fields_are_their_written_out_closed_forms_bit_for_bit(cfg):
+    # a grid through the four sides x = 0, x = 1, y = 0 and y = 1 and inside
+    x, y = np.meshgrid([0.0, 0.15, 0.5, 0.8, 1.0], [0.0, 0.3, 0.45, 0.7, 1.0])
+    value, grad = getattr(oracles, cfg["name"])(**{k: v for k, v in cfg.items() if k != "name"})
+    f = field_from_config(cfg)
+    assert np.array_equal(f(x, y), value(x, y))
+    for got, want in zip(f.gradient(x, y), grad(x, y)):
+        assert np.array_equal(got, want)
 
 
 def test_field_config_parsing():
@@ -229,6 +252,19 @@ def test_a_wrong_typed_config_field_is_a_value_error(key, value):
         ("diagram", {"problem": {"q_star": 0.0}}, "unknown problem keys"),
         ("constants", {"problem": {"g": 0.0}}, "unknown problem keys"),
         ("alpha-sweep", {"levels": [4, 8, 16]}, "alpha-sweep reads at most 1 mesh level"),
+        # a field parameter is a number, not a numeric string or a boolean
+        ("control-conv", {"problem": {"g": {"name": "sin_product", "scale": "10"}}}, "scale must be finite"),
+        ("control-conv", {"problem": {"g": {"name": "sin_product", "kx": True}}}, "kx must be finite"),
+        ("control-conv", {"problem": {"g": {"name": "polynomial", "coefficients": [[1, True]]}}},
+         "coefficients must be finite"),
+        # an integer beyond the float range
+        ("alpha-sweep", {"problem": {"b": 10**400}}, "boundary value b must be a finite number"),
+        ("alpha-sweep", {"alphas": [1.0, 10**400]}, "alpha must be a finite number"),
+        ("alpha-sweep", {"problem": {"z_d": 10**400}}, "field value must be a finite number"),
+        ("alpha-sweep", {"problem": {"g": {"name": "sin_product", "scale": 10**400}}}, "wrong type"),
+        ("alpha-sweep", {"problem": {"M": 10**400}}, "penalty weight M must be a finite number"),
+        # the state error needs the exact solution's gradient
+        ("state-conv", {"problem": {"exact": {"name": "mms_flux"}}}, "'mms_flux' has no closed-form gradient"),
     ],
 )
 def test_config_rejections(kind, data, fragment):

@@ -241,6 +241,22 @@ def test_iteration_budget_exhaustion_raises(monkeypatch):
         optctl.solve_optimal_fixed_point(mesh, spec)
 
 
+@pytest.mark.parametrize("alpha", [None, 10.0])
+def test_fixed_point_checks_the_gradient_of_its_optimum(monkeypatch, alpha):
+    # T q + c contracts like T and its steps meet the stop rule, but its
+    # fixed point q = T q + c has the gradient M (q - T q) = M c
+    mesh = build_structured_mesh(8, ["bottom"])
+    spec = make_spec(alpha)
+    sol = optctl.solve_optimal_fixed_point(mesh, spec)
+    assert sol.gradient_norm <= spec.M * optctl._STEP_TOL * max(1.0, norm(sol.q_opt, "Q"))
+    update = optctl.fixed_point_map
+    shift = TraceField(mesh, np.full(len(sol.q_opt.coefficients), 1e-6))
+    monkeypatch.setattr(optctl, "fixed_point_map", lambda *args: update(*args) + shift)
+    with pytest.raises(ConvergenceError, match="gradient norm") as info:
+        optctl.solve_optimal_fixed_point(mesh, spec)
+    assert info.value.residual > 1.0
+
+
 def divergence_case(M):
     # n = 16, bottom clamped: the surrogate contraction bound is 6.36, while
     # the step ratio is about 0.66 / M, so the iteration contracts for M > 0.66
