@@ -11,9 +11,10 @@ vertex, or for alpha None the clamped block K_ff on the free vertices, kept
 once per mesh (``clamped_operator``) and solved exactly with no sparse
 factorization: on the unit-square grid with whole clamped sides, K_ff is a
 Kronecker sum of 1-D matrices on a tensor grid of free vertices
-(``fast_diagonalization``).  P1 stiffness on a mesh of right triangles is a
-symmetric Z-matrix, so the assembled K_ff is certified positive definite by
-one solve, K_ff^-1 1 >= 0 (an M-matrix test).
+(``fast_diagonalization``), whose 1-D eigenpairs are sines and cosines in
+closed form (``_pencil_1d``).  P1 stiffness on a mesh of right triangles is
+a symmetric Z-matrix, so the assembled K_ff is certified positive definite
+by one solve, K_ff^-1 1 >= 0 (an M-matrix test).
 
 The Robin matrix K + alpha B1 differs from the clamped one only on the
 clamped vertices, so a Robin solve at any alpha eliminates the free block
@@ -26,10 +27,16 @@ works between them on those lines only (``RobinOperator``).  S0 is built
 once per mesh, on the first Robin solve only, from the same 1-D
 eigenpairs: K_ff^-1 between the lines is summed one pair of lines at a
 time, in O(n^3) per pair (``schur_complement``).  One eigendecomposition
-of the pencil (S0, B1_cc) solves that system at every alpha.  So neither
-family makes a sparse factorization: ``factorize`` serves
-``estimate_constants`` and the oracle's normal system.  As alpha grows,
-clamped values are pinned ever harder: the clamped family is the limit.
+of the pencil (S0, B1_cc), by numpy, solves that system at every alpha.
+As alpha grows, clamped values are pinned ever harder: the clamped family
+is the limit.
+
+So neither family makes a sparse factorization, and neither loads
+``scipy.linalg`` or ``scipy.sparse.linalg``.  The one sparse factor,
+SuperLU's (``factorize``), serves the oracle's normal system and
+``estimate_constants``, whose pencils' largest eigenvalues come from this
+module's own Lanczos (``_pencil_largest``); ``factorize`` alone imports
+``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -38,9 +45,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .mesh import BoundaryTag, Mesh, cached, dof_partition
@@ -51,6 +56,11 @@ _BLOCK_COLUMNS = 8
 
 # relative residual up to which a solution is accepted
 _LIMIT = 1e-10
+
+# Lanczos steps, each one solve, before a pencil eigenvalue run gives up
+_LANCZOS_STEPS = 100
+# a Ritz value is accepted once its residual is at most this relative to it
+_RITZ_TOL = 1e-14
 
 
 class ConvergenceError(RuntimeError):
@@ -72,6 +82,9 @@ def factorize(matrix):
     call and is not kept.  Neither family's operators make one
     (``fast_diagonalization``, ``schur_complement``).
     """
+    # SuperLU is the one user of scipy.sparse.linalg, and its import loads scipy.linalg too
+    import scipy.sparse.linalg as spla
+
     csc = sp.csc_matrix(matrix)
     if np.any(csc.diagonal() <= 0):
         raise ConvergenceError("matrix has a nonpositive diagonal entry: not positive definite")
@@ -190,11 +203,13 @@ def _from_modes(vy, vx, coefficients):
 def _grid_modes(mesh: Mesh):
     """(lambda_y, V_y, lambda_x, V_x, W), the 1-D pencils of the mesh's K_ff, read-only.
 
-    W = 1 / (lambda_y_a + lambda_x_b) is indexed [a, b].  Free vertex
-    number p sits at row p // len(lambda_x) and column p % len(lambda_x)
-    of the free grid (``fast_diagonalization``).  The K_ff and Robin solves
-    read them whole, and the Schur complement on the grid lines next to
-    the clamped sides, one pair of lines at a time (``schur_complement``).
+    Each pencil is in closed form (``_pencil_1d``), on the free grid's
+    rows and columns.  W = 1 / (lambda_y_a + lambda_x_b) is indexed [a, b].
+    Free vertex number p sits at row p // len(lambda_x) and column
+    p % len(lambda_x) of the free grid (``fast_diagonalization``).  The
+    K_ff and Robin solves read them whole, and the Schur complement on the
+    grid lines next to the clamped sides, one pair of lines at a time
+    (``schur_complement``).
     """
     n, free = mesh.n, dof_partition(mesh).free_dofs
     modes = _pencil_1d(n, np.unique(free // (n + 1))) + _pencil_1d(n, np.unique(free % (n + 1)))
@@ -205,11 +220,33 @@ def _grid_modes(mesh: Mesh):
 
 
 def _pencil_1d(n, index):
-    """(lambda, V) of the 1-D pencil (K1, D1) on n + 1 points, restricted to index."""
-    d1 = np.ones(n + 1)
-    d1[[0, n]] = 0.5
-    k1 = 2.0 * np.diag(d1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)
-    return scipy.linalg.eigh(k1[np.ix_(index, index)], np.diag(d1[index]))
+    """(lambda, V) of the 1-D pencil (K1, D1) on n + 1 points, restricted to index, in closed form.
+
+    index runs from 0 or 1 to n - 1 or n: an end it keeps is a half-weight
+    Neumann end, and one it drops a Dirichlet end.  The eigenvectors are
+    v_j = cos(j theta) from a kept point 0, or sin(j theta) from a dropped
+    one, with lambda = 2 - 2 cos(theta) = 4 sin^2(theta / 2) from the
+    interior rows.  The far end picks theta = k pi / n for like ends (the
+    DCT-I, k = 0, ..., n, and the DST-I, k = 1, ..., n - 1) and
+    (k + 1/2) pi / n, k = 0, ..., n - 1, for mixed ones (Strang, SIAM
+    Rev. 41, 1999), so lambda ascends.  With theta = m pi / (2n), the angle
+    j theta is reduced in integers, j m mod 4n, before the sine or cosine:
+    taken directly, it costs V its D1-orthogonality at large n.  Each
+    column is scaled to unit D1-norm.
+    """
+    index = np.asarray(index)
+    if len(index) == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    if index[0] > 1 or index[-1] < n - 1 or np.any(np.diff(index) != 1):
+        raise ValueError("1-D modes need the points 0 or 1 to n - 1 or n, in order")
+    neumann = index[0] == 0
+    k = np.arange(len(index))
+    m = 2 * k + 2 * (not neumann) if neumann == (index[-1] == n) else 2 * k + 1
+    angles = (np.outer(index, m) % (4 * n)) * (np.pi / (2 * n))
+    v = np.cos(angles) if neumann else np.sin(angles)
+    d1 = np.where((index == 0) | (index == n), 0.5, 1.0)
+    v /= np.sqrt(d1 @ v**2)
+    return 4.0 * np.sin(m * (np.pi / (4 * n))) ** 2, v
 
 
 class RobinOperator:
@@ -333,11 +370,17 @@ def schur_pencil(mesh: Mesh):
     Then (S0 + alpha B1_cc)^-1 = V diag(1 / (lambda + alpha)) V' (Golub &
     Van Loan, Matrix Computations, 4th ed., 8.7), with S0 from
     ``schur_complement``.  B1_cc, the mass of the clamped edges, is
-    positive definite, so the pencil is definite and ``eigh`` applies.
+    positive definite, so the pencil is definite and reduces to a standard
+    one through B1_cc = L L': with L^-1 S0 L^-T = Y diag(lambda) Y' from
+    ``numpy.linalg.eigh``, V = L^-T Y (Golub & Van Loan, 8.7.2).  B1_cc is
+    a 1-D mass, so L is well conditioned and its explicit inverse costs
+    no accuracy.
     """
     clamped = dof_partition(mesh).gamma1_dofs
     b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-    eigenvalues, v = scipy.linalg.eigh(schur_complement(mesh), b1[clamped][:, clamped].toarray())
+    inverse = np.linalg.inv(np.linalg.cholesky(b1[clamped][:, clamped].toarray()))
+    eigenvalues, y = np.linalg.eigh(inverse @ schur_complement(mesh) @ inverse.T)
+    v = inverse.T @ y
     eigenvalues.setflags(write=False)
     v.setflags(write=False)
     return eigenvalues, v
@@ -540,23 +583,47 @@ class DiscreteConstants:
 def _pencil_largest(num_mat, den, start) -> float:
     """Largest eigenvalue of (num, den), to machine precision, by Lanczos from ``start``.
 
-    eigsh is ARPACK's (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), solving
-    with den through ``solve_spd``; it needs two unknowns, and one is its exact ratio.
+    den^-1 num is self-adjoint in the den inner product <x, y> = x' den y,
+    so Lanczos runs on it in that inner product, one den solve per step
+    through ``solve_spd``, and with full reorthogonalization, done twice
+    (Paige, 1972; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
+    ch. 13).  The largest eigenvalue theta of the tridiagonal T_k, from
+    ``numpy.linalg.eigh``, is accepted once its residual |beta_k s_k|, with
+    s its unit eigenvector, is at most 1e-14 theta.  ConvergenceError if
+    that takes more than 100 steps; a run over as many unknowns ends with
+    beta_k at roundoff.  One unknown is its exact ratio.
     """
     size = len(start)
     if size == 0:
         raise ConvergenceError("pencil has no unknowns")
     if size == 1:
         return float((num_mat @ start)[0] / (den @ start)[0])
-    den_op = spla.LinearOperator((size, size), matvec=lambda x: den @ x, dtype=float)
-    den_inv = spla.LinearOperator((size, size), matvec=lambda x: solve_spd(den, x), dtype=float)
-    try:  # 8 Lanczos vectors, not scipy's 20: fewer solves and less ARPACK work per run
-        (mu,), _ = spla.eigsh(
-            num_mat, k=1, M=den_op, Minv=den_inv, which="LA", v0=start, ncv=min(8, size)
+    steps = min(_LANCZOS_STEPS, size)
+    basis = np.empty((steps, size))
+    diagonal, offdiagonal = [], []
+    q = start / np.sqrt(start @ (den @ start))
+    for k in range(steps):
+        basis[k] = q
+        image = num_mat @ q
+        diagonal.append(q @ image)
+        w = solve_spd(den, image)
+        for _ in range(2):  # against every basis vector, which covers the three-term recurrence
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ (den @ w))
+        beta = np.sqrt(w @ (den @ w))
+        ritz, vectors = np.linalg.eigh(
+            np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
         )
-    except spla.ArpackError as exc:
-        raise ConvergenceError(f"Lanczos for a pencil eigenvalue failed: {exc}") from exc
-    return float(mu)
+        value, miss = ritz[-1], abs(beta * vectors[-1, -1])
+        if miss <= _RITZ_TOL * abs(value):
+            return float(value)
+        offdiagonal.append(beta)
+        q = w / beta
+    relative = miss / abs(value)
+    raise ConvergenceError(
+        f"Lanczos for a pencil eigenvalue did not converge in {steps} steps "
+        f"(Ritz residual {relative:.3e} of the value)",
+        residual=relative,
+    )
 
 
 @cached

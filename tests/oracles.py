@@ -18,7 +18,12 @@ and restrict_trace_by_index finds each coarse flux vertex in the fine trace
 set by index arithmetic and a sorted search; the package routes both
 transfers through its trace maps and the vertex grid.  dense_constants takes
 the discrete stability constants from dense eigendecompositions of their
-pencils, where the package runs sparse Lanczos with checked solves.
+pencils, where the package runs its own Lanczos with checked solves, and
+arpack_largest takes one pencil's largest eigenvalue from ARPACK's Lanczos
+(``eigsh``), which the package ran before.  pencil_1d_dense diagonalizes a
+1-D pencil and schur_pencil_dense the Schur pencil by ``scipy.linalg.eigh``,
+where the package writes the first in closed form and reduces the second
+by a Cholesky factor to ``numpy.linalg.eigh``.
 sin_product, trig_product, mms_solution and mms_load write out each
 separable data field and its gradient, where the package builds all four
 from one product of sines or cosines.
@@ -27,9 +32,11 @@ from one product of sines or cosines.
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from fluxopt import linsolve
 from fluxopt.assembly import assemble_boundary_mass, assemble_mass, assemble_stiffness
-from fluxopt.linsolve import _grid_modes, clamped_operator, schur_pencil
+from fluxopt.linsolve import _grid_modes, clamped_operator, schur_pencil, solve_spd
 from fluxopt.mesh import (
     BoundaryTag,
     NodalField,
@@ -254,6 +261,40 @@ def dense_constants(mesh) -> tuple:
     lambda1_h = scipy.linalg.eigh(stiff + b1, gram, eigvals_only=True)[0]
     gamma_sq = scipy.linalg.eigh(b2, gram, eigvals_only=True)[-1]
     return float(lambda_h), float(lambda1_h), float(np.sqrt(gamma_sq))
+
+
+def arpack_largest(num, den, start):
+    """(mu, den solves) of ARPACK's Lanczos for the largest eigenvalue of (num, den).
+
+    From start, with 8 Lanczos vectors, solving with den by ``solve_spd``.
+    """
+    size, solves = len(start), [0]
+
+    def den_solve(x):
+        solves[0] += 1
+        return solve_spd(den, x)
+
+    den_op = spla.LinearOperator((size, size), matvec=lambda x: den @ x, dtype=float)
+    den_inv = spla.LinearOperator((size, size), matvec=den_solve, dtype=float)
+    (mu,), _ = spla.eigsh(
+        num, k=1, M=den_op, Minv=den_inv, which="LA", v0=start, ncv=min(8, size)
+    )
+    return float(mu), solves[0]
+
+
+def pencil_1d_dense(n, index):
+    """(lambda, V) of (K1, D1) on n + 1 points restricted to index, by dense ``eigh``."""
+    d1 = np.ones(n + 1)
+    d1[[0, n]] = 0.5
+    k1 = 2.0 * np.diag(d1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)
+    return scipy.linalg.eigh(k1[np.ix_(index, index)], np.diag(d1[index]))
+
+
+def schur_pencil_dense(mesh):
+    """(lambda, V) of the pencil (S0, B1_cc) by dense ``eigh``, with S0 from the package."""
+    clamped = dof_partition(mesh).gamma1_dofs
+    b1 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)[clamped][:, clamped].toarray()
+    return scipy.linalg.eigh(linsolve.schur_complement(mesh), b1)
 
 
 def sin_product(scale=1.0, kx=1, ky=1):

@@ -357,6 +357,34 @@ def test_conjugate_gradients_check_the_recomputed_gradient(monkeypatch):
     assert info.value.residual > optctl._CG_TOL
 
 
+@pytest.mark.parametrize("alpha", [None, 10.0])
+def test_every_route_carries_a_distance_bound_that_holds(alpha):
+    # H >= M I, so each optimum lies within |grad J| / M of q*, and any two
+    # within the sum of their bounds of each other
+    mesh = build_structured_mesh(8, ["bottom"])
+    spec = make_spec(alpha)
+    optima = [
+        optctl.solve_optimal_fixed_point(mesh, spec),
+        optctl.solve_optimal_cg(mesh, spec),
+        optctl.solve_optimal_reduced(mesh, spec),
+    ]
+    for sol in optima:
+        assert sol.distance_bound == sol.gradient_norm / spec.M
+    for first, second in itertools.combinations(optima, 2):
+        gap = norm(first.q_opt - second.q_opt, "Q")
+        assert gap <= first.distance_bound + second.distance_bound
+
+
+def test_a_hand_built_solution_has_no_distance_the_cross_check_accepts():
+    mesh = build_structured_mesh(8, ["bottom"])
+    spec = make_spec()
+    sol = optctl.solve_optimal_fixed_point(mesh, spec)
+    fields = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)}
+    del fields["distance_bound"]
+    with pytest.raises(ConvergenceError, match="gradient bound nan"):
+        optctl.check_with_reduced(mesh, spec, optctl.OptimalSolution(**fields))
+
+
 @pytest.mark.parametrize("alpha", [None, 1.0])
 def test_perturbed_optimum_fails_the_dense_cross_check(alpha):
     mesh = build_structured_mesh(8, ["bottom"])
