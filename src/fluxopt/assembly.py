@@ -7,6 +7,12 @@ tracking-term evaluation so cost, adjoint right side and load vectors stay
 mutually consistent.  ``trace_mass`` is the flux-boundary mass on the trace
 vertices, the Q inner product of trace fields; their maps to and from the
 vertex grid belong to ``mesh``.
+
+Each mesh's element geometry is computed once, from the triangle corners
+read off the vertex grid, and shared by the stiffness, the areas and the
+first-order error.  The stiffness and the domain mass sum their element
+blocks into the mesh's ``csr_pattern`` by one ``np.bincount`` over its
+slot map; ``_scatter`` serves only the boundary-edge masses.
 """
 
 from __future__ import annotations
@@ -14,24 +20,37 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, dof_partition, trace_restrict
-from .mesh import _evaluate_callable
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, corner_views, csr_pattern, dof_partition
+from .mesh import _checked_values, _evaluate_callable, trace_restrict
 
 
-def _triangle_geometry(mesh: Mesh):
-    pts = mesh.vertices[mesh.triangles]
-    x = pts[:, :, 0]
-    y = pts[:, :, 1]
-    # b_i, c_i are the gradient components of the barycentric basis scaled by 2*area
-    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
-    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-    if np.any(area <= 0):
-        raise ValueError("degenerate or inverted triangle: nonpositive area")
-    return b, c, area
+def _corner_coordinates(mesh: Mesh):
+    """Pairs of x and y corner views, one per triangle type (``mesh.corner_views``)."""
+    grids = (mesh.vertices[:, axis].reshape(mesh.n + 1, mesh.n + 1) for axis in (0, 1))
+    return zip(*(corner_views(grid) for grid in grids))
 
 
 @cached
+def _triangle_geometry(mesh: Mesh):
+    """b, c (3, T) and area (T,) of every triangle, from its corner coordinates.
+
+    b[k] and c[k] are the gradient components of the barycentric basis of
+    corner k scaled by 2*area; each is one contiguous row, in triangle order.
+    """
+    n = mesh.n
+    b = np.empty((3, n, n, 2))
+    c = np.empty((3, n, n, 2))
+    area = np.empty((n, n, 2))
+    for t, (x, y) in enumerate(_corner_coordinates(mesh)):
+        for k in range(3):
+            np.subtract(y[(k + 1) % 3], y[(k + 2) % 3], out=b[k, :, :, t])
+            np.subtract(x[(k + 2) % 3], x[(k + 1) % 3], out=c[k, :, :, t])
+        area[:, :, t] = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+    if np.any(area <= 0):
+        raise ValueError("degenerate or inverted triangle: nonpositive area")
+    return b.reshape(3, -1), c.reshape(3, -1), area.ravel()
+
+
 def _areas(mesh: Mesh) -> np.ndarray:
     return _triangle_geometry(mesh)[2]
 
@@ -47,6 +66,16 @@ def _scatter(cells, blocks, nvert) -> sp.csr_matrix:
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nvert, nvert)).tocsr()
 
 
+def _assemble(mesh: Mesh, blocks) -> sp.csr_matrix:
+    """Sum the (3, 3, T) element blocks, entry (a, b) of every triangle, into the mesh's CSR pattern."""
+    pattern = csr_pattern(mesh)
+    data = np.bincount(pattern.slots.ravel(), weights=blocks.ravel(), minlength=len(pattern.indices))
+    # csr_matrix keeps the index arrays it is given, and eliminate_zeros
+    # edits them in place, so each matrix owns a copy of the pattern
+    nvert = len(mesh.vertices)
+    return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=(nvert, nvert))
+
+
 @cached
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Gradient-gradient matrix of the piecewise-linear space, with no stored zero.
@@ -55,10 +84,15 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     them; dropping them leaves every product with the matrix unchanged.
     """
     b, c, area = _triangle_geometry(mesh)
-    blocks = b[:, :, None] * b[:, None, :]
-    blocks += c[:, :, None] * c[:, None, :]
-    blocks /= (4.0 * area)[:, None, None]
-    stiff = _scatter(mesh.triangles, blocks, len(mesh.vertices))
+    quad = 4.0 * area
+    blocks = np.empty((3, 3, len(area)))
+    for i in range(3):
+        for j in range(3):
+            entry = blocks[i, j]
+            np.multiply(b[i], b[j], out=entry)
+            entry += c[i] * c[j]
+            entry /= quad
+    stiff = _assemble(mesh, blocks)
     stiff.eliminate_zeros()
     return stiff
 
@@ -66,10 +100,8 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
 @cached
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Domain mass matrix of the piecewise-linear space."""
-    area = _areas(mesh)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    blocks = area[:, None, None] * base[None, :, :]
-    return _scatter(mesh.triangles, blocks, len(mesh.vertices))
+    return _assemble(mesh, base[:, :, None] * _areas(mesh))
 
 
 @cached
@@ -99,10 +131,15 @@ def trace_mass(mesh: Mesh) -> sp.csr_matrix:
 
 @cached
 def _midpoint_data(mesh: Mesh):
-    """Coordinates of the three edge midpoints of every triangle."""
-    pts = mesh.vertices[mesh.triangles]
-    mids = 0.5 * (pts + pts[:, [1, 2, 0], :])
-    return mids[:, :, 0], mids[:, :, 1]
+    """Coordinates of the three edge midpoints of every triangle; midpoint k ends at corners k, k+1."""
+    n = mesh.n
+    mids = np.empty((2, n, n, 2, 3))
+    for t, corners in enumerate(_corner_coordinates(mesh)):
+        for axis, ends in enumerate(corners):
+            for k in range(3):
+                np.add(ends[k], ends[(k + 1) % 3], out=mids[axis, :, :, t, k])
+    mids *= 0.5
+    return mids[0].reshape(-1, 3), mids[1].reshape(-1, 3)
 
 
 def _midpoint_values(mesh: Mesh, f) -> np.ndarray:
@@ -148,16 +185,17 @@ def l2_misfit_sq(u: NodalField, f) -> float:
 def v_error_vs_exact(u: NodalField, f, grad_f) -> float:
     """Full first-order-norm distance between a nodal field and a smooth callable.
 
-    grad_f(x, y) must return the pair of partial derivative arrays.  Both the
-    value and the gradient mismatch are integrated with the edge-midpoint rule.
+    grad_f(x, y) must return the pair of partial derivative arrays; it is
+    called once.  Both the value and the gradient mismatch are integrated
+    with the edge-midpoint rule.
     """
     mesh = u.mesh
     b, c, area = _triangle_geometry(mesh)
     coeff = u.coefficients[mesh.triangles]
-    ugx = np.sum(coeff * b, axis=1) / (2.0 * area)
-    ugy = np.sum(coeff * c, axis=1) / (2.0 * area)
-    gfx = _midpoint_values(mesh, lambda x, y: grad_f(x, y)[0])
-    gfy = _midpoint_values(mesh, lambda x, y: grad_f(x, y)[1])
+    ugx = np.sum(coeff * b.T, axis=1) / (2.0 * area)
+    ugy = np.sum(coeff * c.T, axis=1) / (2.0 * area)
+    mx, my = _midpoint_data(mesh)
+    gfx, gfy = (_checked_values(g, mx.shape, "quadrature point") for g in grad_f(mx, my))
     semi = np.sum((area / 3.0)[:, None] * ((ugx[:, None] - gfx) ** 2 + (ugy[:, None] - gfy) ** 2))
     return float(np.sqrt(l2_misfit_sq(u, f) + semi))
 

@@ -10,6 +10,14 @@ boundary edges carry the controlled-flux tag (GAMMA2).
 Trace fields, on the flux vertices, reach the vertex grid only through
 ``trace_extend`` and ``trace_restrict``, and both transfers between nested
 meshes go through that grid.
+
+The module owns the triangle layout (``_TRIANGLE_CORNERS``): cells are
+row-major, and cell k holds triangle 2k below its diagonal and 2k+1 above.
+Everything that follows the layout is read from 2-D slices of the
+(n+1)-by-(n+1) vertex grid (``corner_views``) with no gather or sort: the
+triangles themselves, the boundary sides and the vertex partition, and
+``csr_pattern``, the sparsity pattern of the vertex-coupling matrices with
+the CSR slot of every element entry.
 """
 
 from __future__ import annotations
@@ -21,6 +29,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SIDES = ("bottom", "right", "top", "left")
+
+# each side's vertex line in the (n+1)-by-(n+1) vertex grid, rows along y
+_SIDE_LINES = {"bottom": np.s_[0, :], "right": np.s_[:, -1], "top": np.s_[-1, :], "left": np.s_[:, 0]}
+
+# (row, column) steps in the vertex grid from a cell's lower-left vertex to
+# the corners of its two triangles, counterclockwise: below the diagonal,
+# then above it
+_TRIANGLE_CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
+
+# the grid steps from a vertex to the vertices it shares a triangle with,
+# itself included, in increasing vertex index
+_COUPLING_STEPS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class BoundaryTag(enum.IntEnum):
@@ -37,7 +57,9 @@ class Mesh:
     n : cells per side; the mesh has (n+1)**2 vertices and 2*n**2 triangles.
     vertices : (N, 2) array of vertex coordinates, index j*(n+1)+i for the
         vertex at (i/n, j/n).
-    triangles : (T, 3) integer array, counterclockwise vertex triples.
+    triangles : (T, 3) integer array, counterclockwise vertex triples;
+        cells row-major, triangles[0::2] below and triangles[1::2] above
+        each cell's lower-left to upper-right diagonal.
     boundary_edges : (E, 2) integer array of boundary vertex pairs.
     boundary_tags : (E,) array of BoundaryTag values, one per boundary edge.
     gamma1_sides : the sides whose edges carry the GAMMA1 tag.
@@ -111,30 +133,18 @@ def build_structured_mesh(n, gamma1_sides) -> Mesh:
     xg, yg = np.meshgrid(coords, coords)
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n))
-    i0 = ii.ravel()
-    j0 = jj.ravel()
-    v00 = j0 * (n + 1) + i0
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    index_grid = np.arange((n + 1) ** 2, dtype=np.int64).reshape(n + 1, n + 1)
+    cells = np.empty((n, n, 2, 3), dtype=np.int64)
+    for t, views in enumerate(corner_views(index_grid)):
+        for k, view in enumerate(views):
+            cells[:, :, t, k] = view
+    triangles = cells.reshape(2 * n * n, 3)
 
-    k = np.arange(n)
-    side_edges = {
-        "bottom": np.column_stack([k, k + 1]),
-        "right": np.column_stack([k * (n + 1) + n, (k + 1) * (n + 1) + n]),
-        "top": np.column_stack([n * (n + 1) + k, n * (n + 1) + k + 1]),
-        "left": np.column_stack([k * (n + 1), (k + 1) * (n + 1)]),
-    }
     edges = []
     tags = []
     for side in SIDES:
-        edges.append(side_edges[side])
+        line = index_grid[_SIDE_LINES[side]]
+        edges.append(np.column_stack([line[:-1], line[1:]]))
         tag = BoundaryTag.GAMMA1 if side in sides else BoundaryTag.GAMMA2
         tags.append(np.full(n, int(tag), dtype=np.int64))
     boundary_edges = np.vstack(edges)
@@ -156,20 +166,81 @@ def refine(mesh: Mesh) -> Mesh:
     return build_structured_mesh(2 * mesh.n, mesh.gamma1_sides)
 
 
+def corner_views(grid: np.ndarray) -> list:
+    """Views of an (n+1, n+1, ...) vertex grid at the triangle corners.
+
+    Entry [t][k] is an (n, n, ...) view holding corner k of the triangles of
+    type t (0 below each cell's diagonal, 1 above it); its element (j, i)
+    belongs to cell j*n + i, that is to triangle 2*(j*n + i) + t.
+    """
+    n = grid.shape[0] - 1
+    return [[grid[dj : dj + n, di : di + n] for dj, di in corners] for corners in _TRIANGLE_CORNERS]
+
+
+@dataclass(frozen=True, eq=False)
+class CsrPattern:
+    """Sparsity pattern of the vertex-coupling matrices, with every element entry's slot.
+
+    ``indptr`` and ``indices`` are 32-bit, as scipy keeps them, and
+    canonical (sorted columns, no duplicate): each vertex couples to itself
+    and to the at most six vertices it shares a triangle with.  ``slots``
+    is (3, 3, T): ``slots[a, b, t]`` is the position in ``indices`` of the
+    coupling of corners a and b of triangle t.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+
+@cached
+def csr_pattern(mesh: Mesh) -> CsrPattern:
+    """The 7-point CSR pattern of the mesh and its element slot map, in O(nnz) with no sort."""
+    n = mesh.n
+    # 32-bit indices as scipy keeps them, unless the couplings outnumber them
+    index = np.int32 if len(_COUPLING_STEPS) * (n + 1) ** 2 <= np.iinfo(np.int32).max else np.int64
+    j = np.arange(n + 1)[:, None]
+    i = np.arange(n + 1)[None, :]
+    present = np.empty((n + 1, n + 1, len(_COUPLING_STEPS)), dtype=bool)
+    for k, (dj, di) in enumerate(_COUPLING_STEPS):
+        present[:, :, k] = (0 <= j + dj) & (j + dj <= n) & (0 <= i + di) & (i + di <= n)
+    # rows are vertices in order and each row's steps increase its column, so
+    # the running count of present couplings is the CSR position of each
+    ends = np.cumsum(present.ravel(), dtype=index).reshape(present.shape)
+    position = ends - 1
+    indptr = np.concatenate([np.zeros(1, dtype=index), ends[:, :, -1].ravel()])
+    offsets = np.array([dj * (n + 1) + di for dj, di in _COUPLING_STEPS], dtype=index)
+    columns = np.arange((n + 1) ** 2, dtype=index).reshape(n + 1, n + 1, 1) + offsets
+    indices = columns[present]
+    slots = np.empty((3, 3, n, n, 2), dtype=index)
+    for t, (corners, views) in enumerate(zip(_TRIANGLE_CORNERS, corner_views(position))):
+        for a, (ja, ia) in enumerate(corners):
+            for b, (jb, ib) in enumerate(corners):
+                slots[a, b, :, :, t] = views[a][:, :, _COUPLING_STEPS.index((jb - ja, ib - ia))]
+    return CsrPattern(indptr=indptr, indices=indices, slots=slots.reshape(3, 3, -1))
+
+
 @cached
 def dof_partition(mesh: Mesh) -> DofPartition:
     """Split vertex indices by boundary role.
 
-    A vertex incident to any GAMMA1 edge is clamped (corners shared with the
-    flux portion included, so the clamped condition wins there).  Every
-    index set is in increasing vertex order.  GAMMA1 is a union of whole
-    sides, so the free vertices are a row-major tensor grid: the vertex
-    grid without the rows and columns of the clamped sides.
+    A vertex on a GAMMA1 side is clamped (corners shared with the flux
+    portion included, so the clamped condition wins there).  Every index
+    set is in increasing vertex order, read from the side lines of the
+    vertex grid.  GAMMA1 is a union of whole sides, so the free vertices are
+    a row-major tensor grid: the vertex grid without the rows and columns of
+    the clamped sides.
     """
-    g1 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1])
-    g2 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2])
-    free = np.setdiff1d(np.arange(len(mesh.vertices)), g1)
-    return DofPartition(gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
+    n = mesh.n
+    clamped = np.zeros((n + 1, n + 1), dtype=bool)
+    flux = np.zeros((n + 1, n + 1), dtype=bool)
+    for side in SIDES:
+        (clamped if side in mesh.gamma1_sides else flux)[_SIDE_LINES[side]] = True
+    return DofPartition(
+        gamma1_dofs=np.flatnonzero(clamped),
+        free_dofs=np.flatnonzero(~clamped),
+        gamma2_trace_dofs=np.flatnonzero(flux),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,11 +319,16 @@ def trace_extend(q: TraceField) -> NodalField:
 
 
 def _evaluate_callable(f, x, y, where):
-    vals = np.asarray(f(x, y), dtype=float)
+    return _checked_values(f(x, y), x.shape, where)
+
+
+def _checked_values(vals, shape, where):
+    """A callable's values as a finite float array of the given shape; scalars broadcast."""
+    vals = np.asarray(vals, dtype=float)
     if vals.shape == ():
-        vals = np.full(x.shape, float(vals))
-    if vals.shape != x.shape:
-        raise ValueError(f"field callable returned shape {vals.shape}, expected {x.shape}")
+        vals = np.full(shape, float(vals))
+    if vals.shape != shape:
+        raise ValueError(f"field callable returned shape {vals.shape}, expected {shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"field callable returned a non-finite value at a {where}")
     return vals

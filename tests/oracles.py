@@ -1,10 +1,16 @@
 """Reference implementations the tests compare the package against.
 
 The element matrices are the loop-free textbook formulas for one triangle or
-edge; the package assembles every element at once.  evaluate_nodal evaluates
-a piecewise-linear field at arbitrary points of the unit square, and
-interpolate_nodal takes a callable's vertex values; the package itself never
-needs either.  column reads one column of a report's rows.
+edge; the package assembles every element at once.  element_blocks applies
+them to every triangle's gathered corner coordinates, and scatter_triangles
+sums the blocks through a coordinate list converted to CSR, which sorts its
+indices, where the package reads the corners from slices of the vertex grid
+and sums into a CSR pattern built from the grid.  dof_partition_by_edges
+takes the vertex partition from the tagged boundary edges by sorted set
+operations, where the package reads it off the side lines of the grid.
+evaluate_nodal evaluates a piecewise-linear field at arbitrary points of
+the unit square, and interpolate_nodal takes a callable's vertex values; the
+package itself never needs either.  column reads one column of a report's rows.
 kronecker_sum builds a clamped block K_ff from 1-D matrices, where the
 package assembles it from triangles.  schur_complement eliminates the free
 block densely, and schur_complement_by_modes sums over all grid modes at
@@ -39,6 +45,7 @@ from fluxopt.assembly import assemble_boundary_mass, assemble_mass, assemble_sti
 from fluxopt.linsolve import _grid_modes, clamped_operator, schur_pencil, solve_spd
 from fluxopt.mesh import (
     BoundaryTag,
+    DofPartition,
     NodalField,
     TraceField,
     _evaluate_callable,
@@ -76,6 +83,37 @@ def local_edge_mass(length) -> np.ndarray:
     if length <= 0:
         raise ValueError("edge length must be positive")
     return length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+
+
+def element_blocks(mesh) -> tuple:
+    """Stiffness and mass blocks, each (T, 3, 3), of every triangle from its (3, 2) corners."""
+    pts = mesh.vertices[mesh.triangles]
+    x = pts[:, :, 0]
+    y = pts[:, :, 1]
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    stiff = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+    stiff /= (4.0 * area)[:, None, None]
+    mass = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    return stiff, mass
+
+
+def scatter_triangles(mesh, blocks) -> sp.csr_matrix:
+    """Sum (T, 3, 3) triangle blocks by a coordinate list converted to CSR."""
+    cells = mesh.triangles.astype(np.int32)
+    rows = np.repeat(cells, 3, axis=1).ravel()
+    cols = np.tile(cells, (1, 3)).ravel()
+    nvert = len(mesh.vertices)
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nvert, nvert)).tocsr()
+
+
+def dof_partition_by_edges(mesh) -> DofPartition:
+    """The vertex partition from the vertices of the tagged boundary edges."""
+    g1 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1])
+    g2 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2])
+    free = np.setdiff1d(np.arange(len(mesh.vertices)), g1)
+    return DofPartition(gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
 
 
 def evaluate_nodal(field: NodalField, x, y) -> np.ndarray:

@@ -4,12 +4,14 @@ Frozen matrix entries and the 4/3 value below come from direct symbolic
 integration; see scripts/derive_reference_values.py.
 """
 
+import sys
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fluxopt import assembly
 from fluxopt.assembly import (
     assemble_boundary_mass,
     assemble_load,
@@ -24,13 +26,21 @@ from fluxopt.mesh import (
     NodalField,
     TraceField,
     build_structured_mesh,
+    csr_pattern,
     dof_partition,
     interpolate_trace,
     prolongate,
     trace_extend,
     trace_restrict,
 )
-from oracles import interpolate_nodal, local_edge_mass, local_mass, local_stiffness
+from oracles import (
+    element_blocks,
+    interpolate_nodal,
+    local_edge_mass,
+    local_mass,
+    local_stiffness,
+    scatter_triangles,
+)
 
 REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -83,13 +93,100 @@ def test_stiffness_stores_no_zero_and_multiplies_like_the_unpruned_scatter(n):
     stiff = assemble_stiffness(mesh)
     cells = mesh.triangles
     blocks = np.array([local_stiffness(mesh.vertices[cell]) for cell in cells])
-    rows, cols = np.repeat(cells, 3, axis=1).ravel(), np.tile(cells, (1, 3)).ravel()
-    scattered = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=stiff.shape).tocsr()
+    scattered = scatter_triangles(mesh, blocks)
     assert np.all(stiff.data != 0.0)
     assert scattered.nnz - stiff.nnz == 2 * n * n
     x = np.random.default_rng(n).standard_normal((stiff.shape[0], 3))
     assert np.array_equal(stiff @ x, scattered @ x)
     assert np.array_equal(stiff @ x[:, 0], scattered @ x[:, 0])
+
+
+def test_element_blocks_are_the_element_matrices_of_each_triangle():
+    mesh = build_structured_mesh(3, ("bottom",))
+    stiff, mass = element_blocks(mesh)
+    for t, cell in enumerate(mesh.triangles):
+        assert np.array_equal(stiff[t], local_stiffness(mesh.vertices[cell]))
+        # area * (base / 12) and (area / 12) * base may part in the last bit
+        assert np.allclose(mass[t], local_mass(mesh.vertices[cell]), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [*range(1, 34), 48, 96, 127, 255, 256])
+def test_stiffness_and_mass_match_the_coordinate_scatter(n):
+    # at a power-of-two n every summand of an entry is exact or equal to the
+    # others, so the order of summation cannot show; elsewhere it moves the
+    # last bit
+    exact = n & (n - 1) == 0
+    for sides in (("bottom",), ("left", "top", "right"), ("bottom", "left")):
+        mesh = build_structured_mesh(n, sides)
+        stiff_blocks, mass_blocks = element_blocks(mesh)
+        expect_stiff = scatter_triangles(mesh, stiff_blocks)
+        expect_stiff.eliminate_zeros()
+        pairs = ((assemble_stiffness(mesh), expect_stiff), (assemble_mass(mesh), scatter_triangles(mesh, mass_blocks)))
+        for got, expect in pairs:
+            assert got.indptr.dtype == got.indices.dtype == np.int32
+            assert got.has_canonical_format
+            assert np.array_equal(got.indptr, expect.indptr)
+            assert np.array_equal(got.indices, expect.indices)
+            if exact:
+                assert np.array_equal(got.data, expect.data)
+            else:
+                assert np.all(np.abs(got.data - expect.data) <= 4e-16 * np.abs(expect.data))
+
+
+def test_assembling_the_stiffness_leaves_the_mass_and_the_pattern_intact():
+    mesh = build_structured_mesh(6, ("bottom",))
+    mass = assemble_mass(mesh)
+    pattern = csr_pattern(mesh)
+    arrays = (mass.indptr, mass.indices, mass.data, pattern.indptr, pattern.indices, pattern.slots)
+    before = [array.copy() for array in arrays]
+    stiff = assemble_stiffness(mesh)
+    # the stiffness dropped its zeros in place, in arrays of its own
+    assert stiff.nnz == mass.nnz - 2 * 6 * 6
+    for array, saved in zip(arrays, before):
+        assert np.array_equal(array, saved)
+    for matrix in (mass, stiff):
+        for name in ("indptr", "indices"):
+            for shared in (pattern.indptr, pattern.indices):
+                assert not np.shares_memory(getattr(matrix, name), shared)
+
+
+def test_element_geometry_is_computed_once_per_mesh():
+    build = assembly._triangle_geometry.__wrapped__.__code__
+    meshes = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is build:
+            meshes.append(frame.f_locals["mesh"])
+
+    m = build_structured_mesh(5, ["bottom"])
+    u = interpolate_nodal(lambda x, y: x * y, m)
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        assemble_stiffness(m)
+        assemble_mass(m)
+        assemble_load(m, lambda x, y: x + y)
+        l2_misfit_sq(u, lambda x, y: x * y)
+        v_error_vs_exact(u, lambda x, y: x * y, lambda x, y: (y, x))
+        norm(u, "V")
+    finally:
+        sys.setprofile(previous)
+    assert meshes == [m]
+
+
+def test_v_error_evaluates_the_gradient_once_per_call():
+    m = build_structured_mesh(4, ["bottom"])
+    u = interpolate_nodal(lambda x, y: x * y, m)
+    calls = []
+
+    def gradient(x, y):
+        calls.append(x.shape)
+        return y, x
+
+    err = v_error_vs_exact(u, lambda x, y: x * y, gradient)
+    assert calls == [(len(m.triangles), 3)]
+    assert err > 0.0
+    assert err == v_error_vs_exact(u, lambda x, y: x * y, lambda x, y: (y, x))
 
 
 def test_stiffness_quadratic_form_of_linear():

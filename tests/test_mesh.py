@@ -14,6 +14,7 @@ from fluxopt.mesh import (
     NodalField,
     TraceField,
     build_structured_mesh,
+    csr_pattern,
     dof_partition,
     interpolate_trace,
     prolongate,
@@ -22,7 +23,13 @@ from fluxopt.mesh import (
     restrict_trace,
     zero_trace,
 )
-from oracles import evaluate_nodal, interpolate_nodal, prolongate_trace_inline, restrict_trace_by_index
+from oracles import (
+    dof_partition_by_edges,
+    evaluate_nodal,
+    interpolate_nodal,
+    prolongate_trace_inline,
+    restrict_trace_by_index,
+)
 
 
 def triangle_areas(mesh):
@@ -100,6 +107,42 @@ def test_dof_partition_two_cells_bottom():
     # trace dofs cover the closure of the flux boundary, corners included
     assert part.gamma2_trace_dofs.tolist() == [0, 2, 3, 5, 6, 7, 8]
     assert part.free_dofs.tolist() == [3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 128])
+def test_dof_partition_matches_the_edge_derived_index_sets(n):
+    for mask in range(1, 15):
+        mesh = build_structured_mesh(n, [s for k, s in enumerate(SIDES) if mask & (1 << k)])
+        part, expect = dof_partition(mesh), dof_partition_by_edges(mesh)
+        for name in ("gamma1_dofs", "free_dofs", "gamma2_trace_dofs"):
+            got, want = getattr(part, name), getattr(expect, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_triangles_follow_the_cell_layout():
+    n = 5
+    m = build_structured_mesh(n, ["bottom"])
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]).ravel()
+    assert m.triangles.dtype == np.int64
+    assert np.array_equal(m.triangles[0::2], np.column_stack([v00, v00 + 1, v00 + n + 2]))
+    assert np.array_equal(m.triangles[1::2], np.column_stack([v00, v00 + n + 2, v00 + n + 1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+def test_csr_pattern_places_every_triangle_entry_in_its_row_and_column(n):
+    m = build_structured_mesh(n, ["left"])
+    pattern = csr_pattern(m)
+    assert pattern.indptr[-1] == len(pattern.indices)
+    rows = np.repeat(np.arange(len(m.vertices)), np.diff(pattern.indptr))
+    # each row's columns strictly increase: canonical, so no slot is shared
+    assert np.all((np.diff(pattern.indices) > 0) | (np.diff(rows) > 0))
+    slots = pattern.slots
+    assert slots.shape == (3, 3, len(m.triangles))
+    assert np.array_equal(rows[slots], np.repeat(m.triangles.T[:, None, :], 3, axis=1))
+    assert np.array_equal(pattern.indices[slots], np.repeat(m.triangles.T[None, :, :], 3, axis=0))
+    # and every coupling is some triangle's entry
+    assert np.array_equal(np.unique(pattern.slots), np.arange(len(pattern.indices)))
 
 
 def test_dof_partition_corners_clamped_but_traced():
