@@ -204,15 +204,20 @@ def _grid_modes(mesh: Mesh):
     """(lambda_y, V_y, lambda_x, V_x, W), the 1-D pencils of the mesh's K_ff, read-only.
 
     Each pencil is in closed form (``_pencil_1d``), on the free grid's
-    rows and columns.  W = 1 / (lambda_y_a + lambda_x_b) is indexed [a, b].
-    Free vertex number p sits at row p // len(lambda_x) and column
+    rows and columns, read off the clamped sides as ``_clamped_coupling``
+    does.  W = 1 / (lambda_y_a + lambda_x_b) is indexed [a, b].  Free
+    vertex number p sits at row p // len(lambda_x) and column
     p % len(lambda_x) of the free grid (``fast_diagonalization``).  The
     K_ff and Robin solves read them whole, and the Schur complement on the
     grid lines next to the clamped sides, one pair of lines at a time
     (``schur_complement``).
     """
-    n, free = mesh.n, dof_partition(mesh).free_dofs
-    modes = _pencil_1d(n, np.unique(free // (n + 1))) + _pencil_1d(n, np.unique(free % (n + 1)))
+    n, sides = mesh.n, mesh.gamma1_sides
+    rows = np.arange(int("bottom" in sides), n + 1 - int("top" in sides))
+    cols = np.arange(int("left" in sides), n + 1 - int("right" in sides))
+    if len(rows) * len(cols) == 0:
+        rows = cols = rows[:0]  # no free vertex: bottom and top clamped at n = 1
+    modes = _pencil_1d(n, rows) + _pencil_1d(n, cols)
     modes += (1.0 / (modes[0][:, None] + modes[2]),)
     for array in modes:
         array.setflags(write=False)

@@ -64,9 +64,12 @@ class Mesh:
     boundary_tags : (E,) array of BoundaryTag values, one per boundary edge.
     gamma1_sides : the sides whose edges carry the GAMMA1 tag.
     h : longest triangle side, sqrt(2)/n.
-    store : values derived from the mesh alone (partition, areas,
-        matrices, solvers, constants), filled on first use by
-        ``cached`` functions and released with the mesh.
+    store : values derived from the mesh alone (partition, element
+        geometry, matrices, loads, solvers, constants), filled on first use
+        by ``cached`` functions and released with the mesh.  Of the
+        element set-up it keeps grid lines, O(n) each, and the triangle
+        areas; set-up data that no solve reads, such as the CSR slot map,
+        is not kept.
     """
 
     n: int
@@ -193,9 +196,12 @@ class CsrPattern:
     slots: np.ndarray
 
 
-@cached
 def csr_pattern(mesh: Mesh) -> CsrPattern:
-    """The 7-point CSR pattern of the mesh and its element slot map, in O(nnz) with no sort."""
+    """The 7-point CSR pattern of the mesh and its element slot map, in O(nnz) with no sort.
+
+    It is not kept in the store: its slot map is as large as the element
+    blocks, and assembly reads it once per mesh.
+    """
     n = mesh.n
     # 32-bit indices as scipy keeps them, unless the couplings outnumber them
     index = np.int32 if len(_COUPLING_STEPS) * (n + 1) ** 2 <= np.iinfo(np.int32).max else np.int64

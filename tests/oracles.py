@@ -8,6 +8,13 @@ indices, where the package reads the corners from slices of the vertex grid
 and sums into a CSR pattern built from the grid.  dof_partition_by_edges
 takes the vertex partition from the tagged boundary edges by sorted set
 operations, where the package reads it off the side lines of the grid.
+bincount_load sums the load vector by np.bincount over the gathered corners
+of every triangle, where the package adds it into the vertex grid by
+slices, and v_error_by_gather takes each triangle's gradient from its
+gathered corners, where the package broadcasts grid lines.
+grid_modes_by_free_vertices finds the free grid rows and columns by
+sorting the free vertices, where the package reads them off the clamped
+sides.
 evaluate_nodal evaluates a piecewise-linear field at arbitrary points of
 the unit square, and interpolate_nodal takes a callable's vertex values; the
 package itself never needs either.  column reads one column of a report's rows.
@@ -106,6 +113,40 @@ def scatter_triangles(mesh, blocks) -> sp.csr_matrix:
     cols = np.tile(cells, (1, 3)).ravel()
     nvert = len(mesh.vertices)
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nvert, nvert)).tocsr()
+
+
+def bincount_load(mesh, f) -> np.ndarray:
+    """Edge-midpoint load vector of f, summed by np.bincount over the gathered triangle corners."""
+    pts = mesh.vertices[mesh.triangles]
+    x = pts[:, :, 0]
+    y = pts[:, :, 1]
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    # midpoint k ends at corners k and k + 1, and feeds both
+    mx, my = ((v + v[:, [1, 2, 0]]) * 0.5 for v in (x, y))
+    w = _evaluate_callable(f, mx, my, "quadrature point") * (area / 6.0)[:, None]
+    vertices = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].T.ravel()
+    weights = w[:, [0, 0, 1, 1, 2, 2]].T.ravel()
+    return np.bincount(vertices, weights=weights, minlength=len(mesh.vertices))
+
+
+def v_error_by_gather(u, f, grad_f) -> float:
+    """First-order-norm distance of u from f, with each triangle's gradient from its gathered corners."""
+    mesh = u.mesh
+    pts = mesh.vertices[mesh.triangles]
+    x = pts[:, :, 0]
+    y = pts[:, :, 1]
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    coeff = u.coefficients[mesh.triangles]
+    ugx = np.sum(coeff * b, axis=1) / (2.0 * area)
+    ugy = np.sum(coeff * c, axis=1) / (2.0 * area)
+    mx, my = ((v + v[:, [1, 2, 0]]) * 0.5 for v in (x, y))
+    gfx, gfy = grad_f(mx, my)
+    umid = 0.5 * (coeff + coeff[:, [1, 2, 0]])
+    misfit = np.sum((area / 3.0)[:, None] * (umid - f(mx, my)) ** 2)
+    semi = np.sum((area / 3.0)[:, None] * ((ugx[:, None] - gfx) ** 2 + (ugy[:, None] - gfy) ** 2))
+    return float(np.sqrt(misfit + semi))
 
 
 def dof_partition_by_edges(mesh) -> DofPartition:
@@ -318,6 +359,14 @@ def arpack_largest(num, den, start):
         num, k=1, M=den_op, Minv=den_inv, which="LA", v0=start, ncv=min(8, size)
     )
     return float(mu), solves[0]
+
+
+def grid_modes_by_free_vertices(mesh):
+    """The 1-D pencils of K_ff and their weights, on the rows and columns the free vertices occupy."""
+    n, free = mesh.n, dof_partition(mesh).free_dofs
+    rows, cols = np.unique(free // (n + 1)), np.unique(free % (n + 1))
+    modes = linsolve._pencil_1d(n, rows) + linsolve._pencil_1d(n, cols)
+    return modes + (1.0 / (modes[0][:, None] + modes[2]),)
 
 
 def pencil_1d_dense(n, index):

@@ -8,10 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fluxopt import assembly
+from fluxopt import assembly, pde
 from fluxopt.assembly import (
     assemble_boundary_mass,
     assemble_load,
@@ -32,14 +33,20 @@ from fluxopt.mesh import (
     prolongate,
     trace_extend,
     trace_restrict,
+    zero_trace,
 )
 from oracles import (
+    bincount_load,
     element_blocks,
     interpolate_nodal,
     local_edge_mass,
     local_mass,
     local_stiffness,
+    mms_load,
     scatter_triangles,
+    sin_product,
+    trig_product,
+    v_error_by_gather,
 )
 
 REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -172,6 +179,93 @@ def test_element_geometry_is_computed_once_per_mesh():
     finally:
         sys.setprofile(previous)
     assert meshes == [m]
+
+
+LOAD_FIELDS = (
+    lambda x, y: 1.5,
+    lambda x, y: 0.3 * x * y + 0.5 * x - y * y,
+    sin_product(7.0, 1, 2)[0],
+    trig_product(5.0, 2, 1)[0],
+    mms_load()[0],
+)
+
+
+@pytest.mark.parametrize("n", [*range(1, 34), 48, 96, 127, 128, 255, 256])
+def test_load_added_by_grid_slices_is_the_bincount_load_bit_for_bit(n):
+    for sides in (("bottom",), ("left", "top", "right"), ("bottom", "left")):
+        mesh = build_structured_mesh(n, sides)
+        for f in LOAD_FIELDS:
+            load, expect = assemble_load(mesh, f), bincount_load(mesh, f)
+            assert load.shape == expect.shape
+            assert load.tobytes() == expect.tobytes()
+
+
+def store_arrays(value, seen=None):
+    """The base arrays a store value holds, through containers, sparse matrices, objects and closures."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        if ("base", id(value)) not in seen:
+            seen.add(("base", id(value)))
+            yield value
+    elif sp.issparse(value):
+        for array in (value.data, value.indices, value.indptr):
+            yield from store_arrays(array, seen)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from store_arrays(item, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from store_arrays(item, seen)
+    else:
+        for cell in getattr(value, "__closure__", None) or ():
+            yield from store_arrays(cell.cell_contents, seen)
+        yield from store_arrays(getattr(value, "__dict__", {}), seen)
+
+
+def robin_state_and_adjoint(n):
+    mesh = build_structured_mesh(n, ("bottom",))
+    spec = pde.ProblemSpec(g=sin_product(7.0)[0], z_d=lambda x, y: 0.0, b=1.0, M=1.0, alpha=100.0)
+    q = TraceField(mesh, np.random.default_rng(n).standard_normal(len(zero_trace(mesh).coefficients)))
+    pde.solve_adjoint(mesh, spec, pde.solve_state(mesh, spec, q))
+    return mesh
+
+
+def test_store_after_a_robin_state_and_adjoint_stays_small():
+    # 5.6 MB at n = 128; the per-triangle geometry, midpoints and slot map
+    # that were kept before made it 10.4 MB
+    mesh = robin_state_and_adjoint(128)
+    assert sum(array.nbytes for array in store_arrays(mesh.store)) <= 6e6
+
+
+def test_the_store_holds_no_per_triangle_array_but_the_areas():
+    mesh = robin_state_and_adjoint(128)
+    u = NodalField(mesh, np.sin(mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1]))
+    v_error_vs_exact(u, lambda x, y: x * y, lambda x, y: (y, x))
+    for which in "HVQ":
+        norm(u, which)
+    clamped = pde.ProblemSpec(g=sin_product()[0], z_d=lambda x, y: 0.0, b=1.0, M=1.0)
+    pde.solve_state(mesh, clamped, zero_trace(mesh))
+    # an array with a value per triangle, (T,) or (3, T) or (3, n, n, 2)
+    # alike, has a size that is a multiple of T
+    areas, count = assembly._areas(mesh), len(mesh.triangles)
+    arrays = list(store_arrays(mesh.store))
+    assert sum(np.shares_memory(array, areas) for array in arrays) == 1
+    for array in arrays:
+        if not np.shares_memory(array, areas):
+            assert array.size < count or array.size % count != 0, array.shape
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 127, 128])
+def test_v_error_is_the_gathered_corner_formula_bit_for_bit(n):
+    mesh = build_structured_mesh(n, ("bottom",))
+    u = interpolate_nodal(lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y) + x, mesh)
+    f, grad_f = sin_product(2.0, 1, 2)
+    assert v_error_vs_exact(u, f, grad_f) == v_error_by_gather(u, f, grad_f)
 
 
 def test_v_error_evaluates_the_gradient_once_per_call():

@@ -257,6 +257,16 @@ SIDE_SETS = [
 
 
 @pytest.mark.parametrize("sides", SIDE_SETS)
+def test_grid_modes_read_off_the_clamped_sides_are_those_of_the_free_vertices(sides):
+    for n in (*range(1, 10), 128):
+        mesh = build_structured_mesh(n, sides)
+        modes = zip(linsolve._grid_modes(mesh), oracles.grid_modes_by_free_vertices(mesh), strict=True)
+        for got, expect in modes:
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("sides", SIDE_SETS)
 def test_clamped_block_is_a_kronecker_sum_on_a_tensor_grid(sides):
     for n in (1, 2, 3, 5, 8, 16):
         mesh = build_structured_mesh(n, sides)
