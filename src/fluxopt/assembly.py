@@ -213,12 +213,21 @@ def l2_misfit_sq(u: NodalField, f) -> float:
     Uses the edge-midpoint rule per triangle, consistent with assemble_load,
     so it is exact whenever the integrand is piecewise quadratic.
     """
-    mesh = u.mesh
-    area = _areas(mesh)
-    fv = _midpoint_values(mesh, f)
-    coeff = u.coefficients[mesh.triangles]
-    umid = 0.5 * (coeff + coeff[:, [1, 2, 0]])
-    return float(np.sum((area / 3.0)[:, None] * (umid - fv) ** 2))
+    return _misfit_sq(u, _midpoint_values(u.mesh, f))
+
+
+def _misfit_sq(u: NodalField, values) -> float:
+    """The edge-midpoint rule for |u - f|^2, given f's (T, 3) values at the midpoints.
+
+    u's midpoint values come from the corner views of its coefficient grid.
+    """
+    n = u.mesh.n
+    umid = np.empty((n, n, 2, 3))
+    for t, corners in enumerate(corner_views(u.coefficients.reshape(n + 1, n + 1))):
+        for k in range(3):
+            np.add(corners[k], corners[(k + 1) % 3], out=umid[:, :, t, k])
+    umid *= 0.5
+    return float(np.sum((_areas(u.mesh) / 3.0)[:, None] * (umid.reshape(-1, 3) - values) ** 2))
 
 
 def v_error_vs_exact(u: NodalField, f, grad_f) -> float:
@@ -239,7 +248,8 @@ def v_error_vs_exact(u: NodalField, f, grad_f) -> float:
     mx, my = _midpoints(mesh)
     gfx, gfy = (_checked_values(g, mx.shape, "quadrature point") for g in grad_f(mx, my))
     semi = np.sum((area / 3.0)[:, None] * ((ugx[:, None] - gfx) ** 2 + (ugy[:, None] - gfy) ** 2))
-    return float(np.sqrt(l2_misfit_sq(u, f) + semi))
+    misfit = _misfit_sq(u, _evaluate_callable(f, mx, my, "quadrature point"))
+    return float(np.sqrt(misfit + semi))
 
 
 def norm(field, which: str) -> float:

@@ -10,6 +10,7 @@ config error, such as an --out that cannot be a directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,7 +19,9 @@ from . import harness
 from .linsolve import ConvergenceError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse keeps no state between parse_args calls."""
     parser = argparse.ArgumentParser(
         prog="fluxopt",
         description="Convergence experiments for flux-controlled boundary problems",

@@ -4,7 +4,8 @@ Every system the package solves is symmetric positive definite, and
 ``solve_spd`` holds every solution to one acceptance limit, a relative
 residual of 1e-10: a column above it takes one step of iterative
 refinement, and one still above it after the step raises ConvergenceError
-(``refinement``).
+(``refinement``).  A check that passes costs one product with the matrix
+and two fused norms; a vector goes to its solve and check with no copy.
 
 ``solve_family`` alone picks a family's operator: K + alpha B1 on every
 vertex, or for alpha None the clamped block K_ff on the free vertices, kept
@@ -35,8 +36,9 @@ So neither family makes a sparse factorization, and neither loads
 ``scipy.linalg`` or ``scipy.sparse.linalg``.  The one sparse factor,
 SuperLU's (``factorize``), serves the oracle's normal system and
 ``estimate_constants``, whose pencils' largest eigenvalues come from this
-module's own Lanczos (``_pencil_largest``); ``factorize`` alone imports
-``scipy.sparse.linalg``.
+module's own Lanczos (``_pencil_largest``), which keeps the images den q of
+its basis, so a step makes one checked den solve and one den product;
+``factorize`` alone imports ``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -258,8 +260,9 @@ class RobinOperator:
     """K + alpha B1 on one mesh, solved with one forward and one back modal transform.
 
     Built afresh on every call: nothing per alpha is kept.  The sum is
-    never formed: products apply K and B1 separately, and solves eliminate
-    the free block around the mesh's pencil (``schur_pencil``).  B1 lives
+    never formed: products apply K, and B1 on its clamped block B1_cc
+    alone (``_clamped_boundary_mass``), and solves eliminate the free
+    block around the mesh's pencil (``schur_pencil``).  B1 lives
     on the clamped vertices only, so by Haynsworth's inertia additivity
     K + alpha B1 is positive definite exactly when K_ff is (its M-matrix
     certificate, ``clamped_operator``, built first) and S0 + alpha B1_cc
@@ -295,7 +298,7 @@ class RobinOperator:
             )
         self._d = 1.0 / shifted
         self._stiff = assembly.assemble_stiffness(mesh)
-        self._b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+        self._b1_cc = _clamped_boundary_mass(mesh)
         self._clamped = dof_partition(mesh).gamma1_dofs
         _, self._vy, _, self._vx, self._weights = _grid_modes(mesh)
         self._window, self._lines, self._k_sc = _clamped_coupling(mesh)
@@ -303,7 +306,10 @@ class RobinOperator:
         self.shape = self._stiff.shape
 
     def __matmul__(self, x):
-        return self._stiff @ x + self.alpha * (self._b1 @ x)
+        # B1's rows off the clamped vertices are empty, so this is K x + alpha (B1 x) bit for bit
+        y = self._stiff @ x
+        y[self._clamped] += self.alpha * (self._b1_cc @ x[self._clamped])
+        return y
 
     def solve(self, rhs):
         vy, vx, weights, k_sc = self._vy, self._vx, self._weights, self._k_sc
@@ -381,14 +387,19 @@ def schur_pencil(mesh: Mesh):
     a 1-D mass, so L is well conditioned and its explicit inverse costs
     no accuracy.
     """
-    clamped = dof_partition(mesh).gamma1_dofs
-    b1 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
-    inverse = np.linalg.inv(np.linalg.cholesky(b1[clamped][:, clamped].toarray()))
+    inverse = np.linalg.inv(np.linalg.cholesky(_clamped_boundary_mass(mesh).toarray()))
     eigenvalues, y = np.linalg.eigh(inverse @ schur_complement(mesh) @ inverse.T)
     v = inverse.T @ y
     eigenvalues.setflags(write=False)
     v.setflags(write=False)
     return eigenvalues, v
+
+
+@cached
+def _clamped_boundary_mass(mesh: Mesh) -> sp.csr_matrix:
+    """B1_cc, the block of B1 on the clamped vertices, which holds all of its nonzeros."""
+    clamped = dof_partition(mesh).gamma1_dofs
+    return assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)[clamped][:, clamped].tocsr()
 
 
 def schur_complement(mesh: Mesh) -> np.ndarray:
@@ -507,16 +518,24 @@ def solve_spd(matrix, rhs):
     if matrix.shape != (size, size) or rhs.ndim not in (1, 2) or rhs.shape[0] != size:
         raise ValueError("matrix and right-hand side dimensions do not match")
     if rhs.ndim == 1:
-        blocks = [Ellipsis]  # the whole vector
-    else:
-        blocks = [np.s_[:, s:s + _BLOCK_COLUMNS] for s in range(0, rhs.shape[1], _BLOCK_COLUMNS)]
+        return _checked_solve(matrix, rhs)
     x = np.empty(rhs.shape)
-    for cols in blocks:
-        block = np.asfortranarray(rhs[cols])
-        solved = matrix.solve(block)
-        step = refinement(matrix, block, solved)
-        x[cols] = solved if step is None else solved + step
+    for s in range(0, rhs.shape[1], _BLOCK_COLUMNS):
+        cols = np.s_[:, s : s + _BLOCK_COLUMNS]
+        x[cols] = _checked_solve(matrix, np.asfortranarray(rhs[cols]))
     return x
+
+
+def _checked_solve(matrix, rhs):
+    """matrix.solve(rhs), plus its refinement step if it needs one (``refinement``)."""
+    x = matrix.solve(rhs)
+    step = refinement(matrix, rhs, x)
+    return x if step is None else x + step
+
+
+def _column_norms(v):
+    """|v| for a vector, and the norm of each column for an (n, k) block, in one fused reduction."""
+    return np.sqrt(v @ v) if v.ndim == 1 else np.sqrt(np.einsum("ij,ij->j", v, v))
 
 
 def refinement(op, rhs, x):
@@ -534,17 +553,16 @@ def refinement(op, rhs, x):
     can lower.  ConvergenceError is raised, with the residual attached,
     when x plus the step misses the limit.
     """
-    bnorm = np.linalg.norm(rhs, axis=0)
+    bnorm = _column_norms(rhs)
     bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
     residual = rhs - op @ x
-    relative = np.linalg.norm(residual, axis=0) / bnorm
-    take = relative > _LIMIT
+    relative = _column_norms(residual) / bnorm
+    worst = float(relative.max())
     step = None
-    if np.any(take):
+    if worst > _LIMIT:
         # a zero column solves to an exact zero step
-        step = op.solve(residual * take)
-        relative = np.linalg.norm(rhs - op @ (x + step), axis=0) / bnorm
-    worst = float(np.max(relative))
+        step = op.solve(residual if rhs.ndim == 1 else residual * (relative > _LIMIT))
+        worst = float((_column_norms(rhs - op @ (x + step)) / bnorm).max())
     if not worst <= _LIMIT:
         raise ConvergenceError(
             f"direct solve missed its tolerance: relative residual {worst:.3e} > {_LIMIT:.0e}",
@@ -592,9 +610,12 @@ def _pencil_largest(num_mat, den, start) -> float:
     so Lanczos runs on it in that inner product, one den solve per step
     through ``solve_spd``, and with full reorthogonalization, done twice
     (Paige, 1972; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
-    ch. 13).  The largest eigenvalue theta of the tridiagonal T_k, from
-    ``numpy.linalg.eigh``, is accepted once its residual |beta_k s_k|, with
-    s its unit eigenvector, is at most 1e-14 theta.  ConvergenceError if
+    ch. 13).  The images den q_k of the basis are kept beside it, so each
+    pass subtracts basis' (images w) with no product, and the one product
+    den w of a step gives beta and the next image.  The largest eigenvalue theta
+    of the tridiagonal T_k, kept in one array, from ``numpy.linalg.eigh``,
+    is accepted once its residual |beta_k s_k|, with s its unit
+    eigenvector, is at most 1e-14 theta.  ConvergenceError if
     that takes more than 100 steps; a run over as many unknowns ends with
     beta_k at roundoff.  One unknown is its exact ratio.
     """
@@ -605,24 +626,27 @@ def _pencil_largest(num_mat, den, start) -> float:
         return float((num_mat @ start)[0] / (den @ start)[0])
     steps = min(_LANCZOS_STEPS, size)
     basis = np.empty((steps, size))
-    diagonal, offdiagonal = [], []
-    q = start / np.sqrt(start @ (den @ start))
+    images = np.empty((steps, size))  # images[k] = den @ basis[k]
+    # T_k is the leading k + 1 rows and columns; eigh reads its lower triangle
+    tridiagonal = np.zeros((steps + 1, steps + 1))
+    image = den @ start
+    scale = np.sqrt(start @ image)
+    q, image = start / scale, image / scale
     for k in range(steps):
-        basis[k] = q
-        image = num_mat @ q
-        diagonal.append(q @ image)
-        w = solve_spd(den, image)
+        basis[k], images[k] = q, image
+        product = num_mat @ q
+        tridiagonal[k, k] = q @ product
+        w = solve_spd(den, product)
         for _ in range(2):  # against every basis vector, which covers the three-term recurrence
-            w -= basis[: k + 1].T @ (basis[: k + 1] @ (den @ w))
-        beta = np.sqrt(w @ (den @ w))
-        ritz, vectors = np.linalg.eigh(
-            np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
-        )
+            w -= basis[: k + 1].T @ (images[: k + 1] @ w)
+        image = den @ w
+        beta = np.sqrt(w @ image)
+        ritz, vectors = np.linalg.eigh(tridiagonal[: k + 1, : k + 1])
         value, miss = ritz[-1], abs(beta * vectors[-1, -1])
         if miss <= _RITZ_TOL * abs(value):
             return float(value)
-        offdiagonal.append(beta)
-        q = w / beta
+        tridiagonal[k + 1, k] = beta
+        q, image = w / beta, image / beta
     relative = miss / abs(value)
     raise ConvergenceError(
         f"Lanczos for a pencil eigenvalue did not converge in {steps} steps "

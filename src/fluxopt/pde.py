@@ -28,7 +28,7 @@ import numpy as np
 
 from . import assembly
 from .linsolve import solve_family, solve_spd  # noqa: F401  (solve_spd stays importable from pde)
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, trace_extend
+from .mesh import Mesh, NodalField, TraceField, dof_partition
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ def solve_state(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalField:
     """
     if q.mesh is not mesh:
         raise ValueError("control lives on a different mesh")
-    rhs = assembly.assemble_load(mesh, spec.g) - (
-        assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2) @ trace_extend(q).coefficients
-    )
+    # B2's nonzeros lie on the trace vertices, so this is load - B2 trace_extend(q) bit for bit
+    rhs = assembly.assemble_load(mesh, spec.g).copy()
+    rhs[dof_partition(mesh).gamma2_trace_dofs] -= assembly.trace_mass(mesh) @ q.coefficients
     return NodalField(mesh, spec.b + solve_family(mesh, spec.alpha, rhs))
 
 

@@ -10,8 +10,9 @@ takes the vertex partition from the tagged boundary edges by sorted set
 operations, where the package reads it off the side lines of the grid.
 bincount_load sums the load vector by np.bincount over the gathered corners
 of every triangle, where the package adds it into the vertex grid by
-slices, and v_error_by_gather takes each triangle's gradient from its
-gathered corners, where the package broadcasts grid lines.
+slices.  v_error_by_gather takes each triangle's gradient, and
+l2_misfit_by_gather its midpoint values, from its gathered corners, where
+the package broadcasts grid lines and reads corner views of the grid.
 grid_modes_by_free_vertices finds the free grid rows and columns by
 sorting the free vertices, where the package reads them off the clamped
 sides.
@@ -129,6 +130,19 @@ def bincount_load(mesh, f) -> np.ndarray:
     return np.bincount(vertices, weights=weights, minlength=len(mesh.vertices))
 
 
+def l2_misfit_by_gather(u, f) -> float:
+    """Squared L2 distance of u from f by the edge-midpoint rule, from each triangle's gathered corners."""
+    mesh = u.mesh
+    pts = mesh.vertices[mesh.triangles]
+    x = pts[:, :, 0]
+    y = pts[:, :, 1]
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    mx, my = ((v + v[:, [1, 2, 0]]) * 0.5 for v in (x, y))
+    coeff = u.coefficients[mesh.triangles]
+    umid = 0.5 * (coeff + coeff[:, [1, 2, 0]])
+    return float(np.sum((area / 3.0)[:, None] * (umid - f(mx, my)) ** 2))
+
+
 def v_error_by_gather(u, f, grad_f) -> float:
     """First-order-norm distance of u from f, with each triangle's gradient from its gathered corners."""
     mesh = u.mesh
@@ -143,10 +157,8 @@ def v_error_by_gather(u, f, grad_f) -> float:
     ugy = np.sum(coeff * c, axis=1) / (2.0 * area)
     mx, my = ((v + v[:, [1, 2, 0]]) * 0.5 for v in (x, y))
     gfx, gfy = grad_f(mx, my)
-    umid = 0.5 * (coeff + coeff[:, [1, 2, 0]])
-    misfit = np.sum((area / 3.0)[:, None] * (umid - f(mx, my)) ** 2)
     semi = np.sum((area / 3.0)[:, None] * ((ugx[:, None] - gfx) ** 2 + (ugy[:, None] - gfy) ** 2))
-    return float(np.sqrt(misfit + semi))
+    return float(np.sqrt(l2_misfit_by_gather(u, f) + semi))
 
 
 def dof_partition_by_edges(mesh) -> DofPartition:

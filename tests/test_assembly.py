@@ -39,6 +39,7 @@ from oracles import (
     bincount_load,
     element_blocks,
     interpolate_nodal,
+    l2_misfit_by_gather,
     local_edge_mass,
     local_mass,
     local_stiffness,
@@ -260,12 +261,35 @@ def test_the_store_holds_no_per_triangle_array_but_the_areas():
             assert array.size < count or array.size % count != 0, array.shape
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 127, 128])
+@pytest.mark.parametrize("n", list(range(1, 34)) + [64, 127, 128])
 def test_v_error_is_the_gathered_corner_formula_bit_for_bit(n):
-    mesh = build_structured_mesh(n, ("bottom",))
-    u = interpolate_nodal(lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y) + x, mesh)
+    # the misfit too, which reads u at the midpoints from corner views of
+    # its coefficient grid, with no gather of mesh.triangles
     f, grad_f = sin_product(2.0, 1, 2)
-    assert v_error_vs_exact(u, f, grad_f) == v_error_by_gather(u, f, grad_f)
+    for sides in (("bottom",), ("bottom", "left"), ("left", "top", "right")):
+        mesh = build_structured_mesh(n, sides)
+        u = interpolate_nodal(lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y) + x, mesh)
+        assert l2_misfit_sq(u, f) == l2_misfit_by_gather(u, f)
+        assert v_error_vs_exact(u, f, grad_f) == v_error_by_gather(u, f, grad_f)
+
+
+def test_v_error_expands_the_midpoints_once_for_the_field_and_its_gradient(monkeypatch):
+    mesh = build_structured_mesh(8, ["left"])
+    u = interpolate_nodal(lambda x, y: x * y, mesh)
+    expansions, values = [], []
+    midpoints = assembly._midpoints
+
+    def counted(mesh):
+        expansions.append(mesh.n)
+        return midpoints(mesh)
+
+    def field(x, y):
+        values.append(x.shape)
+        return x * y
+
+    monkeypatch.setattr(assembly, "_midpoints", counted)
+    v_error_vs_exact(u, field, lambda x, y: (y, x))
+    assert expansions == [8] and values == [(len(mesh.triangles), 3)]
 
 
 def test_v_error_evaluates_the_gradient_once_per_call():

@@ -1,11 +1,13 @@
 """Exit codes, report files and printed verdicts of the command line front end."""
 
+import argparse
 import json
 import os
+import types
 
 import pytest
 
-from fluxopt import harness
+from fluxopt import cli, harness
 from fluxopt.cli import main
 from fluxopt.linsolve import ConvergenceError
 
@@ -201,6 +203,33 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
 def test_unknown_kind_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["spectral"])
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # every parser built, the top one and its subcommands', is recorded by
+    # its prog; two main calls build them once, and the cached parser still
+    # rejects a bad subcommand with argparse's exit status 2
+    built = []
+
+    class Recorded(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=Recorded))
+    cli._build_parser.cache_clear()
+    missing = os.path.join(tmp_path, "nope.json")
+    try:
+        assert main(["constants", "--config", missing]) == 2
+        assert main(["diagram", "--config", missing]) == 2
+        assert built == ["fluxopt"] + [f"fluxopt {kind}" for kind in harness.EXPERIMENTS]
+        with pytest.raises(SystemExit) as caught:
+            main(["spectral"])
+        assert caught.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert len(built) == 1 + len(harness.EXPERIMENTS)
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_seed_override_reaches_the_config(tmp_path):

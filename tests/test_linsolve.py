@@ -257,6 +257,22 @@ SIDE_SETS = [
 
 
 @pytest.mark.parametrize("sides", SIDE_SETS)
+def test_the_robin_product_is_k_plus_alpha_b1_bit_for_bit(sides):
+    # B1 is applied on its clamped block alone, whose rows hold all of its
+    # nonzeros, in the same order
+    rng = np.random.default_rng(len(sides))
+    for n in (1, 4, 16):
+        mesh = build_structured_mesh(n, sides)
+        stiff = assemble_stiffness(mesh)
+        b1 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA1)
+        for alpha in (1e-3, 1.0, 1e4):
+            op = RobinOperator(mesh, alpha)
+            for shape in ((op.shape[0],), (op.shape[0], 8)):
+                for x in (rng.standard_normal(shape), np.asfortranarray(rng.standard_normal(shape))):
+                    assert (op @ x).tobytes() == (stiff @ x + alpha * (b1 @ x)).tobytes()
+
+
+@pytest.mark.parametrize("sides", SIDE_SETS)
 def test_grid_modes_read_off_the_clamped_sides_are_those_of_the_free_vertices(sides):
     for n in (*range(1, 10), 128):
         mesh = build_structured_mesh(n, sides)
@@ -710,6 +726,50 @@ def test_a_lanczos_run_that_fails_raises_convergence_error(monkeypatch):
         estimate_constants(mesh)
     assert caught.value.residual > linsolve._RITZ_TOL
     assert next(calls) == linsolve._LANCZOS_STEPS
+
+
+class CountedProducts:
+    """An operator whose products are counted; its shape and solve are the wrapped one's."""
+
+    def __init__(self, op):
+        self.op, self.shape, self.solve, self.products = op, op.shape, op.solve, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.op @ x
+
+
+@pytest.mark.parametrize("sides", [("bottom",), ("bottom", "left"), ("left", "top", "right")])
+def test_a_lanczos_step_makes_one_den_product_besides_its_checked_solve(monkeypatch, sides):
+    # the kept images den q_k serve both reorthogonalization passes, and one
+    # product den w gives beta and the next image; one more product scales
+    # the start vector.  Each checked solve makes one product, its residual
+    mesh = build_structured_mesh(16, sides)
+    v_gram = (assemble_stiffness(mesh) + assemble_mass(mesh)).tocsr()
+    free = dof_partition(mesh).free_dofs
+    pencils = [
+        (v_gram[free][:, free], clamped_operator(mesh)),
+        (v_gram, RobinOperator(mesh, 1.0)),
+        (assemble_boundary_mass(mesh, BoundaryTag.GAMMA2), certified(v_gram)),
+    ]
+    rng = np.random.default_rng(16)
+    starts = [rng.standard_normal(den.shape[0]) for _, den in pencils]
+    values = [linsolve._pencil_largest(num, den, start) for (num, den), start in zip(pencils, starts)]
+    solve, inside = linsolve.solve_spd, []
+
+    def counted(matrix, rhs):
+        before = matrix.products
+        x = solve(matrix, rhs)
+        inside.append(matrix.products - before)
+        return x
+
+    monkeypatch.setattr(linsolve, "solve_spd", counted)
+    for (num, den), start, value in zip(pencils, starts, values):
+        wrapped = CountedProducts(den)
+        inside.clear()
+        assert linsolve._pencil_largest(num, wrapped, start) == value
+        assert len(inside) > 5 and inside == [1] * len(inside)
+        assert wrapped.products - sum(inside) == len(inside) + 1
 
 
 @pytest.fixture

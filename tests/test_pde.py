@@ -88,6 +88,31 @@ def test_zero_data_give_exactly_b(n, sides):
         assert np.array_equal(u.coefficients, np.full(len(mesh.vertices), 1.5)), alpha
 
 
+@pytest.mark.parametrize("sides", SIDE_SETS, ids="+".join)
+def test_the_state_right_hand_side_is_the_load_minus_the_extended_flux_bit_for_bit(
+    monkeypatch, sides
+):
+    # the flux term comes from the trace mass on the trace rows alone, as
+    # B2's nonzeros lie on the trace vertices
+    solve_family, seen = pde.solve_family, []
+
+    def recorded(mesh, alpha, rhs):
+        seen.append(rhs.copy())
+        return solve_family(mesh, alpha, rhs)
+
+    monkeypatch.setattr(pde, "solve_family", recorded)
+    spec = base_spec()
+    for n in (2, 5, 16):
+        mesh = build_structured_mesh(n, sides)
+        q = random_trace(mesh, n)
+        b2 = assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
+        want = assemble_load(mesh, spec.g) - b2 @ trace_extend(q).coefficients
+        for alpha in (None, 1.0):
+            seen.clear()
+            pde.solve_state(mesh, spec.with_alpha(alpha), q)
+            assert [rhs.tobytes() for rhs in seen] == [want.tobytes()]
+
+
 @pytest.mark.parametrize("n", [3, 5, 12, 64])
 @pytest.mark.parametrize("sides", SIDE_SETS, ids="+".join)
 def test_state_solves_the_system_with_b_in_its_data(n, sides):
