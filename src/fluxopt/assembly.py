@@ -16,8 +16,8 @@ exist only while a field is evaluated.  The stiffness and the domain mass
 are built together, each one ``np.bincount`` of its element blocks over
 the slot map of one ``csr_pattern``, which is dropped once both are built.
 Load vectors are added into the vertex grid by slices, in the order that
-``np.bincount`` over the triangles would sum them.  ``_scatter`` serves
-only the boundary-edge masses.
+``np.bincount`` over the triangles would sum them, and the boundary masses
+along the side lines of the grid.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoundaryTag, Mesh, NodalField, TraceField, cached, corner_views, csr_pattern, dof_partition
-from .mesh import _TRIANGLE_CORNERS, _checked_values, _evaluate_callable, trace_restrict
+from .mesh import SIDES, BoundaryTag, Mesh, NodalField, TraceField, cached, corner_views, csr_pattern
+from .mesh import _COUPLING_STEPS, _SIDE_LINES, _TRIANGLE_CORNERS, _checked_values, _evaluate_callable
+from .mesh import dof_partition, trace_restrict
 
 
 def _corner_lines(mesh: Mesh):
@@ -66,17 +67,6 @@ def _triangle_geometry(mesh: Mesh):
 
 def _areas(mesh: Mesh) -> np.ndarray:
     return _triangle_geometry(mesh)[2]
-
-
-def _scatter(cells, blocks, nvert) -> sp.csr_matrix:
-    """Sum the k-by-k element blocks of (cells, k) vertex lists into a sparse matrix."""
-    # 32-bit indices halve the coordinate-list temporaries, which the heap
-    # otherwise keeps resident after assembly
-    cells = cells.astype(np.int32 if nvert <= np.iinfo(np.int32).max else np.int64)
-    k = cells.shape[1]
-    rows = np.repeat(cells, k, axis=1).ravel()
-    cols = np.tile(cells, (1, k)).ravel()
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nvert, nvert)).tocsr()
 
 
 def _assemble(pattern, blocks) -> sp.csr_matrix:
@@ -126,20 +116,32 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 
 @cached
 def assemble_boundary_mass(mesh: Mesh, tag: BoundaryTag) -> sp.csr_matrix:
-    """Mass matrix of the tagged boundary portion, in full vertex dimension.
+    """Mass matrix of the tagged boundary portion, in full vertex dimension, from the side lines.
 
-    Rows and columns away from vertices of tagged edges are zero.
+    Rows and columns away from vertices of tagged edges are zero.  Each
+    tagged side adds its edges' masses l/6 [[2, 1], [1, 2]] along its line
+    of the vertex grid into the rows of its vertices alone, a column per
+    coupling step of ``csr_pattern``, so the CSR arrays come in O(n).  A
+    vertex sums at most two edges' entries, alike in either order.
     """
-    tag = BoundaryTag(tag)
-    edges = mesh.boundary_edges[mesh.boundary_tags == tag]
-    if len(edges) == 0:
-        raise ValueError(f"no boundary edges carry tag {tag.name}")
-    p0 = mesh.vertices[edges[:, 0]]
-    p1 = mesh.vertices[edges[:, 1]]
-    length = np.sqrt(np.sum((p1 - p0) ** 2, axis=1))
-    base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    blocks = length[:, None, None] * base[None, :, :]
-    return _scatter(edges, blocks, len(mesh.vertices))
+    n, tag, nvert, step = mesh.n, BoundaryTag(tag), len(mesh.vertices), _COUPLING_STEPS.index
+    part = dof_partition(mesh)
+    rows = part.gamma1_dofs if tag == BoundaryTag.GAMMA1 else part.gamma2_trace_dofs
+    length = np.diff(mesh.vertices[: n + 1, 0])
+    values = np.zeros((len(rows), len(_COUPLING_STEPS)))
+    grid = np.arange(nvert).reshape(n + 1, n + 1)
+    for side in SIDES:
+        if (side in mesh.gamma1_sides) == (tag == BoundaryTag.GAMMA1):
+            back, ahead = ((0, -1), (0, 1)) if side in ("bottom", "top") else ((-1, 0), (1, 0))
+            line = np.searchsorted(rows, grid[_SIDE_LINES[side]])
+            values[line[:-1], step((0, 0))] += length * (2.0 / 6.0)
+            values[line[1:], step((0, 0))] += length * (2.0 / 6.0)
+            values[line[:-1], step(ahead)] = values[line[1:], step(back)] = length * (1.0 / 6.0)
+    present = values > 0
+    columns = rows[:, None] + np.array([dj * (n + 1) + di for dj, di in _COUPLING_STEPS])
+    indptr = np.zeros(nvert + 1, dtype=np.int64)
+    indptr[rows + 1] = np.count_nonzero(present, axis=1)
+    return sp.csr_matrix((values[present], columns[present], np.cumsum(indptr)), shape=(nvert, nvert))
 
 
 @cached

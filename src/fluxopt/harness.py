@@ -34,6 +34,7 @@ from .mesh import (
     SIDES,
     BoundaryTag,
     Mesh,
+    NodalField,
     TraceField,
     build_structured_mesh,
     interpolate_trace,
@@ -672,14 +673,15 @@ def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
     u_fix = pde.solve_state(mesh, spec, q_star)
     p_fix = pde.solve_adjoint(mesh, spec, u_fix)
     clamped = optctl.solve_optimal_fixed_point(mesh, spec)
+    # the Robin states and adjoints at the fixed control: one block solve each, a column per alpha
+    alphas = np.array(config.alphas)
+    u_fix_robin = pde.states(mesh, spec, alphas, np.tile(q_star.coefficients[:, None], len(alphas)))
+    p_fix_robin = pde.adjoints(mesh, spec, alphas, u_fix_robin)
 
     b_shift = spec.b * np.ones(len(mesh.vertices))
     rows = []
-    for alpha in config.alphas:
-        spec_a = spec.with_alpha(alpha)
-        u_fix_a = pde.solve_state(mesh, spec_a, q_star)
-        p_fix_a = pde.solve_adjoint(mesh, spec_a, u_fix_a)
-        sol = optctl.solve_optimal_fixed_point(mesh, spec_a)
+    for j, (alpha, sol) in enumerate(zip(config.alphas, optctl.solve_ladder(mesh, spec, config.alphas))):
+        u_fix_a, p_fix_a = NodalField(mesh, u_fix_robin[:, j]), NodalField(mesh, p_fix_robin[:, j])
         weight = alpha - 1.0
         rows.append(
             {
@@ -745,10 +747,8 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
 
     ref_mesh = build_structured_mesh(config.n_ref, config.gamma1_sides)
     ref = optctl.solve_optimal_cg(ref_mesh, spec)
-    pure_alpha = []
-    for alpha in config.alphas:
-        robin_ref = optctl.solve_optimal_cg(ref_mesh, spec.with_alpha(alpha))
-        pure_alpha.append(assembly.norm(robin_ref.q_opt - ref.q_opt, "Q"))
+    robin_refs = optctl.solve_ladder(ref_mesh, spec, config.alphas, cg=True)
+    pure_alpha = [assembly.norm(robin_ref.q_opt - ref.q_opt, "Q") for robin_ref in robin_refs]
 
     rows = []
     table = []
@@ -763,11 +763,9 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
         pure_h.append(tail)
         meta[f"pure_h_n{mesh.n}"] = tail
         row_values = []
-        for alpha in config.alphas:
-            spec_a = spec.with_alpha(alpha)
-            sol = optctl.solve_optimal_fixed_point(mesh, spec_a)
+        for alpha, sol in zip(config.alphas, optctl.solve_ladder(mesh, spec, config.alphas)):
             if finest:
-                optctl.check_with_reduced(mesh, spec_a, sol)
+                optctl.check_with_reduced(mesh, spec.with_alpha(alpha), sol)
             dist = assembly.norm(prolongate_trace(sol.q_opt, mesh, ref_mesh) - ref.q_opt, "Q")
             row_values.append(dist)
             rows.append({"n": mesh.n, "h": mesh.h, "alpha": alpha, "distance": dist})

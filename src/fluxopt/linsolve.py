@@ -28,9 +28,10 @@ works between them on those lines only (``RobinOperator``).  S0 is built
 once per mesh, on the first Robin solve only, from the same 1-D
 eigenpairs: K_ff^-1 between the lines is summed one pair of lines at a
 time, in O(n^3) per pair (``schur_complement``).  One eigendecomposition
-of the pencil (S0, B1_cc), by numpy, solves that system at every alpha.
-As alpha grows, clamped values are pinned ever harder: the clamped family
-is the limit.
+of the pencil (S0, B1_cc), by numpy, solves that system at every alpha,
+so a block of columns can take one alpha each: an alpha ladder is one
+solve.  As alpha grows, clamped values are pinned ever harder: the
+clamped family is the limit.
 
 So neither family makes a sparse factorization, and neither loads
 ``scipy.linalg`` or ``scipy.sparse.linalg``.  The one sparse factor,
@@ -43,6 +44,7 @@ its basis, so a step makes one checked den solve and one den product;
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -259,15 +261,17 @@ def _pencil_1d(n, index):
 class RobinOperator:
     """K + alpha B1 on one mesh, solved with one forward and one back modal transform.
 
-    Built afresh on every call: nothing per alpha is kept.  The sum is
-    never formed: products apply K, and B1 on its clamped block B1_cc
-    alone (``_clamped_boundary_mass``), and solves eliminate the free
+    alpha is a number, or an array of one alpha per column of the blocks
+    it takes.  Built afresh on every call: nothing per alpha is kept.  The
+    sum is never formed: products apply K, and B1 on its clamped block
+    B1_cc alone (``_clamped_boundary_mass``), and solves eliminate the free
     block around the mesh's pencil (``schur_pencil``).  B1 lives
     on the clamped vertices only, so by Haynsworth's inertia additivity
     K + alpha B1 is positive definite exactly when K_ff is (its M-matrix
     certificate, ``clamped_operator``, built first) and S0 + alpha B1_cc
     is, that is, when every lambda + alpha is positive.  Of alpha it keeps
-    d = 1 / (lambda + alpha), and ConvergenceError is raised unless d > 0.
+    d = 1 / (lambda + alpha), a row per alpha, and ConvergenceError names
+    the first alpha whose d is not positive.
     Every solve through ``solve_spd`` is checked against the assembled K
     and B1 of the mesh's store, its residual formed as K x + alpha (B1 x)
     and held to the acceptance limit 1e-10 (``refinement``).  No reference
@@ -286,15 +290,17 @@ class RobinOperator:
     - x_f = Vy Y Vx', the one back transform (``_from_modes``).
     """
 
-    def __init__(self, mesh: Mesh, alpha: float):
-        self.alpha = float(alpha)
+    def __init__(self, mesh: Mesh, alpha):
+        per_column = isinstance(alpha, np.ndarray)
+        self.alpha = alpha.astype(float) if per_column else float(alpha)
         clamped_operator(mesh)  # the certificate of K_ff comes first
         eigenvalues, self._v = schur_pencil(mesh)
-        shifted = eigenvalues + self.alpha
+        shifted = eigenvalues + (self.alpha[:, None] if per_column else self.alpha)
         if not np.all(shifted > 0):
+            first = np.argmin(np.all(np.atleast_2d(shifted) > 0, axis=1))
             raise ConvergenceError(
-                f"Robin operator at alpha={self.alpha:g} is not positive definite: "
-                f"smallest lambda + alpha is {shifted.min():.3e}"
+                f"Robin operator at alpha={np.atleast_1d(self.alpha)[first]:g} is not positive "
+                f"definite: smallest lambda + alpha is {np.atleast_2d(shifted)[first].min():.3e}"
             )
         self._d = 1.0 / shifted
         self._stiff = assembly.assemble_stiffness(mesh)
@@ -361,10 +367,11 @@ def clamped_operator(mesh: Mesh) -> FactoredMatrix:
 def solve_family(mesh: Mesh, alpha, rhs) -> np.ndarray:
     """Solve the family's system for rhs on every vertex; the one place that picks its operator.
 
-    rhs is an (N,) vector or an (N, k) block.  With a value of alpha it
-    solves K + alpha B1 (``RobinOperator``) on every vertex; with alpha
-    None, K_ff (``clamped_operator``) on the free vertices, and x is zero
-    on the clamped ones.  ``solve_spd`` checks every column.
+    rhs is an (N,) vector or an (N, k) block.  With a value of alpha, or
+    for a block one per column, it solves K + alpha B1 (``RobinOperator``)
+    on every vertex; with alpha None, K_ff (``clamped_operator``) on the
+    free vertices, and x is zero on the clamped ones.  ``solve_spd`` checks
+    every column.
     """
     if alpha is not None:
         return solve_spd(RobinOperator(mesh, alpha), rhs)
@@ -506,7 +513,8 @@ def solve_spd(matrix, rhs):
         (both as ``solve_family`` picks them), or any ``FactoredMatrix``,
         such as ``certified(sparse_matrix)``.
     rhs : right-hand side vector, or an (n, k) array of k right-hand sides,
-        solved in blocks of a few columns.
+        solved in blocks of a few columns, each block at its own alphas
+        when the Robin operator takes one per column.
 
     Each solution is checked by ``refinement`` against the one acceptance
     limit, a relative residual of 1e-10: a column above it takes one
@@ -519,10 +527,16 @@ def solve_spd(matrix, rhs):
         raise ValueError("matrix and right-hand side dimensions do not match")
     if rhs.ndim == 1:
         return _checked_solve(matrix, rhs)
+    if rhs.shape[1] <= _BLOCK_COLUMNS:  # one block: no copy into a row-major result
+        return _checked_solve(matrix, np.asfortranarray(rhs))
+    per_column = isinstance(getattr(matrix, "alpha", None), np.ndarray)
     x = np.empty(rhs.shape)
     for s in range(0, rhs.shape[1], _BLOCK_COLUMNS):
-        cols = np.s_[:, s : s + _BLOCK_COLUMNS]
-        x[cols] = _checked_solve(matrix, np.asfortranarray(rhs[cols]))
+        span, op = slice(s, s + _BLOCK_COLUMNS), matrix
+        if per_column:  # the Robin operator at this block's alphas
+            op = copy.copy(matrix)
+            op.alpha, op._d = matrix.alpha[span], matrix._d[span]
+        x[:, span] = _checked_solve(op, np.asfortranarray(rhs[:, span]))
     return x
 
 

@@ -15,9 +15,10 @@ The module owns the triangle layout (``_TRIANGLE_CORNERS``): cells are
 row-major, and cell k holds triangle 2k below its diagonal and 2k+1 above.
 Everything that follows the layout is read from 2-D slices of the
 (n+1)-by-(n+1) vertex grid (``corner_views``) with no gather or sort: the
-triangles themselves, the boundary sides and the vertex partition, and
-``csr_pattern``, the sparsity pattern of the vertex-coupling matrices with
-the CSR slot of every element entry.
+boundary sides and the vertex partition, and ``csr_pattern``, the sparsity
+pattern of the vertex-coupling matrices with the CSR slot of every element
+entry.  A mesh keeps no per-triangle array: no triangle list and no edge
+list.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ class Mesh:
     n : cells per side; the mesh has (n+1)**2 vertices and 2*n**2 triangles.
     vertices : (N, 2) array of vertex coordinates, index j*(n+1)+i for the
         vertex at (i/n, j/n).
-    triangles : (T, 3) integer array, counterclockwise vertex triples;
-        cells row-major, triangles[0::2] below and triangles[1::2] above
-        each cell's lower-left to upper-right diagonal.
-    boundary_edges : (E, 2) integer array of boundary vertex pairs.
-    boundary_tags : (E,) array of BoundaryTag values, one per boundary edge.
     gamma1_sides : the sides whose edges carry the GAMMA1 tag.
     h : longest triangle side, sqrt(2)/n.
     store : values derived from the mesh alone (partition, element
@@ -74,9 +70,6 @@ class Mesh:
 
     n: int
     vertices: np.ndarray
-    triangles: np.ndarray
-    boundary_edges: np.ndarray
-    boundary_tags: np.ndarray
     gamma1_sides: frozenset
     h: float
     store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -135,33 +128,7 @@ def build_structured_mesh(n, gamma1_sides) -> Mesh:
     coords = np.arange(n + 1, dtype=float) / n
     xg, yg = np.meshgrid(coords, coords)
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
-
-    index_grid = np.arange((n + 1) ** 2, dtype=np.int64).reshape(n + 1, n + 1)
-    cells = np.empty((n, n, 2, 3), dtype=np.int64)
-    for t, views in enumerate(corner_views(index_grid)):
-        for k, view in enumerate(views):
-            cells[:, :, t, k] = view
-    triangles = cells.reshape(2 * n * n, 3)
-
-    edges = []
-    tags = []
-    for side in SIDES:
-        line = index_grid[_SIDE_LINES[side]]
-        edges.append(np.column_stack([line[:-1], line[1:]]))
-        tag = BoundaryTag.GAMMA1 if side in sides else BoundaryTag.GAMMA2
-        tags.append(np.full(n, int(tag), dtype=np.int64))
-    boundary_edges = np.vstack(edges)
-    boundary_tags = np.concatenate(tags)
-
-    return Mesh(
-        n=n,
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=boundary_edges,
-        boundary_tags=boundary_tags,
-        gamma1_sides=sides,
-        h=float(np.sqrt(2.0) / n),
-    )
+    return Mesh(n=n, vertices=vertices, gamma1_sides=sides, h=float(np.sqrt(2.0) / n))
 
 
 def refine(mesh: Mesh) -> Mesh:

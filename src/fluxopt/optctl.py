@@ -17,6 +17,9 @@ Three routes compute the optimum:
 * ``solve_optimal_cg`` runs conjugate gradients on H, one state and one
   adjoint solve per step; it converges for every M > 0, and gives the
   harness its fine reference optima.
+* ``solve_ladder`` runs either one for a whole alpha ladder on one mesh
+  in lockstep, a block column per alpha; the two routes above are its
+  ladder of one.
 * ``solve_optimal_reduced`` solves the dense reduced normal system built
   from the state responses to unit trace excitations.  Its optimum comes
   without an adjoint solve, so it is the oracle for the other two:
@@ -41,6 +44,7 @@ raises ConvergenceError instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -105,9 +109,7 @@ def gradient(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField) -> TraceField:
     so the nodal combination below is the exact representer of the derivative
     in the boundary inner product.
     """
-    u = pde.solve_state(mesh, spec, q)
-    p = pde.solve_adjoint(mesh, spec, u)
-    return _gradient_of_adjoint(spec, q, p)
+    return TraceField(mesh, spec.M * q.coefficients - _adjoint_trace(mesh, spec, spec.alpha, q.coefficients))
 
 
 def _gradient_of_adjoint(spec, q, p) -> TraceField:
@@ -126,19 +128,6 @@ def _homogeneous(spec: pde.ProblemSpec) -> pde.ProblemSpec:
     return pde.ProblemSpec(g=_zero, z_d=_zero, b=0.0, M=spec.M, alpha=spec.alpha)
 
 
-def hessian_product(mesh: Mesh, spec: pde.ProblemSpec, d: TraceField) -> TraceField:
-    """H d: the gradient of the homogeneous problem (g = z_d = 0, b = 0) at d.
-
-    The gradient is affine in the control, and H is its linear part.
-    """
-    return gradient(mesh, _homogeneous(spec), d)
-
-
-def _inner(a: TraceField, b: TraceField) -> float:
-    """Q inner product of two traces on one mesh, through ``assembly.trace_mass``."""
-    return float(a.coefficients @ (assembly.trace_mass(a.mesh) @ b.coefficients))
-
-
 def cost_gap(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField, opt: OptimalSolution) -> float:
     """J(q) - J(q*) as the quadratic form 1/2 <e, H e> + <grad J(q*), e>, e = q - q*.
 
@@ -151,14 +140,7 @@ def cost_gap(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField, opt: OptimalSolut
     """
     e = q - opt.q_opt
     grad = _gradient_of_adjoint(spec, opt.q_opt, opt.p_opt)
-    return cost(mesh, _homogeneous(spec), e) + _inner(grad, e)
-
-
-def fixed_point_map(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField) -> TraceField:
-    """Control update map: adjoint trace divided by M."""
-    u = pde.solve_state(mesh, spec, q)
-    p = pde.solve_adjoint(mesh, spec, u)
-    return TraceField(q.mesh, trace_restrict(p).coefficients / spec.M)
+    return cost(mesh, _homogeneous(spec), e) + float(_inners(mesh, grad.coefficients, e.coefficients)[0])
 
 
 def solve_optimal_fixed_point(
@@ -166,7 +148,7 @@ def solve_optimal_fixed_point(
     spec: pde.ProblemSpec,
     q0: Optional[TraceField] = None,
 ) -> OptimalSolution:
-    """Iterate the control update map to its fixed point.
+    """Iterate the control update map to its fixed point: the ladder of one (``solve_ladder``).
 
     Stops when the boundary-norm step drops below 1e-10 * max(1, |q|).
     Whether the map contracts is decided by the measured step ratios, not by
@@ -179,45 +161,13 @@ def solve_optimal_fixed_point(
     must also have a gradient of at most M 1e-10 max(1, |q|); a larger one
     raises ConvergenceError carrying their ratio as its residual.
     """
-    q = q0 if q0 is not None else zero_trace(mesh)
-    if q.mesh is not mesh:
+    if q0 is not None and q0.mesh is not mesh:
         raise ValueError("start control lives on a different mesh")
-    ratios: List[float] = []
-    prev_step = None
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        q_new = fixed_point_map(mesh, spec, q)
-        step = assembly.norm(q_new - q, "Q")
-        if prev_step is not None and prev_step > 1e-300:
-            ratios.append(step / prev_step)
-        q = q_new
-        qnorm = assembly.norm(q, "Q")
-        if not (np.isfinite(step) and np.isfinite(qnorm)):
-            raise ConvergenceError(
-                f"control iteration diverged: non-finite step or control norm after "
-                f"{iterations} steps (last step ratio {_last_ratio(ratios)})",
-                ratios=ratios,
-            )
-        if step <= _STEP_TOL * max(1.0, qnorm):
-            break
-        if len(ratios) >= 2 and min(ratios[-2:]) > 1.0:
-            raise ConvergenceError(
-                f"control iteration diverged: two consecutive steps grew after "
-                f"{iterations} steps (last step ratio {_last_ratio(ratios)})",
-                ratios=ratios,
-            )
-        prev_step = step
-    else:
-        raise ConvergenceError(
-            f"control iteration did not converge in {_MAX_ITER} steps "
-            f"(last step ratio {_last_ratio(ratios)})",
-            ratios=ratios,
-        )
-    return _optimum(mesh, spec, q, iterations, ratios, spec.M * _STEP_TOL * max(1.0, qnorm))
+    return _fixed_points(mesh, [spec], q0)[0]
 
 
 def solve_optimal_cg(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
-    """Conjugate gradients on H q = -grad J(0) in the boundary inner product.
+    """Conjugate gradients on H q = -grad J(0) in the boundary inner product: the ladder of one.
 
     H is self-adjoint and at least M times the identity in that inner
     product, so the iteration converges for every M > 0; each step costs one
@@ -228,68 +178,162 @@ def solve_optimal_cg(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
     raise ConvergenceError; the last carries the gradient's ratio to that
     limit as its residual.
     """
-    q = zero_trace(mesh)
-    r = -gradient(mesh, spec, q)
-    d = r
-    rr = first = _inner(r, r)
-    for iterations in range(1, _MAX_CG_ITER + 1):
-        hd = hessian_product(mesh, spec, d)
-        curvature = _inner(d, hd)
-        if not curvature > 0.0:
-            raise ConvergenceError(
-                f"conjugate gradients met the nonpositive curvature {curvature!r} "
-                f"at step {iterations}"
-            )
-        step = rr / curvature
-        q = q + d * step
-        r = r - hd * step
-        rr, rr_prev = _inner(r, r), rr
-        if rr <= _CG_TOL**2 * first:
-            break
-        d = r + d * (rr / rr_prev)
-    else:
-        raise ConvergenceError(
-            f"conjugate gradients did not converge in {_MAX_CG_ITER} steps "
-            f"(residual {np.sqrt(rr / first):.3g} of the first)"
-        )
-    return _optimum(mesh, spec, q, iterations, [], _CG_TOL * np.sqrt(first))
+    return _conjugate_gradients(mesh, [spec])[0]
 
 
-def _last_ratio(ratios) -> str:
-    return f"{ratios[-1]:.3g}" if ratios else "n/a"
+def solve_ladder(mesh: Mesh, spec: pde.ProblemSpec, alphas, cg: bool = False) -> List[OptimalSolution]:
+    """The Robin optimum at each alpha of a ladder, all in lockstep, by fixed point or by ``cg``.
 
-
-def _optimum(mesh, spec, q, iterations, ratios, limit=np.inf) -> OptimalSolution:
-    """State, adjoint, cost, gradient and distance bound at q.
-
-    Raises ConvergenceError unless all are finite and the gradient norm is at
-    most ``limit``; above it the error carries their ratio as its residual.
+    spec gives all but alpha.  The alphas are the columns of one block: a
+    step makes one state and one adjoint solve for the block, each one
+    ``solve_family`` call whose Robin operator takes one alpha per column.
+    Each column keeps its route's stop and divergence rules and final
+    gradient check (``solve_optimal_fixed_point``, ``solve_optimal_cg``),
+    applied to it alone, and one that stops takes no further step.  An
+    error names its alpha.
     """
-    u = pde.solve_state(mesh, spec, q)
-    p = pde.solve_adjoint(mesh, spec, u)
-    value = _cost_of_state(spec, u, q)
-    gradient_norm = assembly.norm(_gradient_of_adjoint(spec, q, p), "Q")
-    if not (np.isfinite(value) and np.isfinite(gradient_norm)):
-        raise ConvergenceError(
-            f"optimum is not finite: cost {value!r}, gradient norm {gradient_norm!r}",
-            ratios=ratios,
-        )
-    if gradient_norm > limit:
-        raise ConvergenceError(
-            f"optimum has gradient norm {gradient_norm:.3e}, above its limit {limit:.3e}",
-            residual=gradient_norm / limit,
-            ratios=ratios,
-        )
-    return OptimalSolution(
-        q_opt=q,
-        u_opt=u,
-        p_opt=p,
-        cost=value,
-        gradient_norm=gradient_norm,
-        iterations=iterations,
-        contraction_ratios=ratios,
-        distance_bound=gradient_norm / spec.M,
+    specs = [spec.with_alpha(a) for a in alphas]
+    return (_conjugate_gradients if cg else _fixed_points)(mesh, specs) if specs else []
+
+
+def _columns(rows, cols):
+    # rows of a (k, m) array as an (m, len(cols)) block; one row stays a vector, bit for bit
+    return rows[cols].T if len(cols) > 1 else rows[cols[0]]
+
+
+def _alpha(specs, cols):
+    return np.array([specs[j].alpha for j in cols]) if len(cols) > 1 else specs[cols[0]].alpha
+
+
+def _inners(mesh, a, b):
+    """<a, b>_Q, the boundary inner product, of two trace vectors, or column by column of two blocks."""
+    tb = assembly.trace_mass(mesh) @ b
+    return np.atleast_1d(a @ tb if a.ndim == 1 else np.einsum("ij,ij->j", a, tb))
+
+
+def _norms(mesh, q):
+    """|q|_Q of each column, as ``assembly.norm`` forms it, as a list."""
+    return np.sqrt(np.maximum(_inners(mesh, q, q), 0.0)).tolist()
+
+
+def _adjoint_trace(mesh, spec, alpha, q):
+    """The adjoint's trace at the controls q, a vector or a block with one alpha per column."""
+    u = pde.states(mesh, spec, alpha, q)
+    return pde.adjoints(mesh, spec, alpha, u)[dof_partition(mesh).gamma2_trace_dofs]
+
+
+def _hessian(mesh, spec, alpha, d):
+    """H d, the gradient of the homogeneous problem at d, for a vector or a block."""
+    return spec.M * d - _adjoint_trace(mesh, _homogeneous(spec), alpha, d)
+
+
+def _at(spec) -> str:
+    return "" if spec.alpha is None else f" at alpha={spec.alpha:g}"
+
+
+def _iteration_error(spec, why, ratios) -> ConvergenceError:
+    last = f"{ratios[-1]:.3g}" if ratios else "n/a"
+    return ConvergenceError(f"control iteration{_at(spec)} {why} (last step ratio {last})", ratios=ratios)
+
+
+def _fixed_points(mesh, specs, q0=None) -> List[OptimalSolution]:
+    """The fixed-point iteration of every spec's column in lockstep (``solve_ladder``)."""
+    k, active, size = len(specs), list(range(len(specs))), len(dof_partition(mesh).gamma2_trace_dofs)
+    rows = np.zeros((k, size)) if q0 is None else np.tile(q0.coefficients, (k, 1))
+    ratios, prev, iterations, limits = [[] for _ in specs], [0.0] * k, [0] * k, [0.0] * k
+    for iteration in range(1, _MAX_ITER + 1):
+        q = _columns(rows, active)
+        q_new = _adjoint_trace(mesh, specs[0], _alpha(specs, active), q) / specs[0].M
+        steps, qnorms = _norms(mesh, q_new - q), _norms(mesh, q_new)
+        rows[active] = q_new.T
+        for j, step, qnorm in zip(list(active), steps, qnorms):
+            if prev[j] > 1e-300:
+                ratios[j].append(step / prev[j])
+            prev[j] = step
+            if not (math.isfinite(step) and math.isfinite(qnorm)):
+                raise _iteration_error(
+                    specs[j], f"diverged: non-finite step or control norm after {iteration} steps", ratios[j]
+                )
+            if step <= _STEP_TOL * max(1.0, qnorm):
+                iterations[j], limits[j] = iteration, specs[j].M * _STEP_TOL * max(1.0, qnorm)
+                active.remove(j)
+            elif len(ratios[j]) >= 2 and min(ratios[j][-2:]) > 1.0:
+                raise _iteration_error(
+                    specs[j], f"diverged: two consecutive steps grew after {iteration} steps", ratios[j]
+                )
+        if not active:
+            return _optima(mesh, specs, rows, iterations, ratios, limits)
+    raise _iteration_error(specs[active[0]], f"did not converge in {_MAX_ITER} steps", ratios[active[0]])
+
+
+def _conjugate_gradients(mesh, specs) -> List[OptimalSolution]:
+    """Conjugate gradients for every spec's column in lockstep (``solve_ladder``)."""
+    k, active = len(specs), list(range(len(specs)))
+    controls, residuals = np.zeros((2, k, len(dof_partition(mesh).gamma2_trace_dofs)))
+    # -grad J(0) is the adjoint trace at the zero control
+    residuals[active] = _adjoint_trace(mesh, specs[0], _alpha(specs, active), _columns(controls, active)).T
+    first = _inners(mesh, _columns(residuals, active), _columns(residuals, active))
+    rr, directions, iterations = first.copy(), residuals.copy(), [0] * k
+    for iteration in range(1, _MAX_CG_ITER + 1):
+        d = _columns(directions, active)
+        hd = _hessian(mesh, specs[0], _alpha(specs, active), d)
+        curvature = _inners(mesh, d, hd)
+        for j, c in zip(active, curvature.tolist()):
+            if not c > 0.0:
+                raise ConvergenceError(
+                    f"conjugate gradients{_at(specs[j])} met the nonpositive curvature {c!r} "
+                    f"at step {iteration}"
+                )
+        step = rr[active] / curvature
+        controls[active] = (_columns(controls, active) + d * step).T
+        r = _columns(residuals, active) - hd * step
+        rr_new = _inners(mesh, r, r)
+        directions[active], residuals[active] = (r + d * (rr_new / rr[active])).T, r.T
+        rr[active] = rr_new
+        for j in [j for j in active if rr[j] <= _CG_TOL**2 * first[j]]:
+            iterations[j] = iteration
+            active.remove(j)
+        if not active:
+            limits = (_CG_TOL * np.sqrt(first)).tolist()
+            return _optima(mesh, specs, controls, iterations, [[] for _ in specs], limits)
+    j = active[0]
+    raise ConvergenceError(
+        f"conjugate gradients{_at(specs[j])} did not converge in {_MAX_CG_ITER} steps "
+        f"(residual {np.sqrt(rr[j] / first[j]):.3g} of the first)"
     )
+
+
+def _optima(mesh, specs, rows, iterations, ratios, limits) -> List[OptimalSolution]:
+    """State, adjoint, cost, gradient and distance bound at each row of controls, one block solve each.
+
+    Raises ConvergenceError, naming the alpha, unless all are finite and
+    each gradient norm is at most its limit; above it the error carries
+    their ratio as its residual.
+    """
+    cols = list(range(len(specs)))
+    alpha, q = _alpha(specs, cols), _columns(rows, cols)
+    u = pde.states(mesh, specs[0], alpha, q)
+    p = pde.adjoints(mesh, specs[0], alpha, u)
+    gradient_norms = _norms(mesh, specs[0].M * q - p[dof_partition(mesh).gamma2_trace_dofs])
+    us, ps = np.atleast_2d(u.T), np.atleast_2d(p.T)
+    optima = []
+    for j, (spec, gradient_norm) in enumerate(zip(specs, gradient_norms)):
+        q_j, u_j, p_j = TraceField(mesh, rows[j]), NodalField(mesh, us[j]), NodalField(mesh, ps[j])
+        value = _cost_of_state(spec, u_j, q_j)
+        if not (np.isfinite(value) and np.isfinite(gradient_norm)):
+            raise ConvergenceError(
+                f"optimum{_at(spec)} is not finite: cost {value!r}, gradient norm {gradient_norm!r}",
+                ratios=ratios[j],
+            )
+        if gradient_norm > limits[j]:
+            raise ConvergenceError(
+                f"optimum{_at(spec)} has gradient norm {gradient_norm:.3e}, above its limit {limits[j]:.3e}",
+                residual=gradient_norm / limits[j],
+                ratios=ratios[j],
+            )
+        bound = gradient_norm / spec.M
+        optima.append(OptimalSolution(q_j, u_j, p_j, value, gradient_norm, iterations[j], ratios[j], bound))
+    return optima
 
 
 def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
@@ -346,7 +390,7 @@ def solve_optimal_reduced(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
     """Solve G q = L by ``solve_spd`` with G's factor, whose pivots certify G; the oracle route."""
     gmat, lvec, _ = reduced_normal_system(mesh, spec)
     q = TraceField(mesh, solve_spd(certified(gmat), lvec))
-    return _optimum(mesh, spec, q, 0, [])
+    return _optima(mesh, [spec], q.coefficients[None, :], [0], [[]], [np.inf])[0]
 
 
 class OracleMismatch(ConvergenceError):

@@ -12,7 +12,9 @@ through ``linsolve.solve_family``, which picks the family's operator from
 spec.alpha (None selects the clamped family).  The constant b enters both
 families only through u - b on the clamped portion, and constants lie in
 the kernel of the gradient form, so u - b solves the same problem with
-b = 0 and the state is b plus that solve.
+b = 0 and the state is b plus that solve.  Both go through ``states`` and
+``adjoints``, which also take an (., k) block, one alpha per column, and
+solve it with one right-hand side and one ``solve_family`` call.
 
 Data functions g and z_d always enter through the degree-2 midpoint-rule load
 vector, never through vertex interpolation, so the adjoint right side matches
@@ -70,24 +72,37 @@ def solve_state(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalField:
     The stiffness annihilates constants, so w = u - b takes the same source
     and flux and solves the family's problem with b = 0: w vanishes on the
     clamped vertices for the clamped family, and the Robin penalty
-    alpha*(u - b) on the clamped portion is alpha*w.  Both families make
-    one ``solve_family`` call and add b.
+    alpha*(u - b) on the clamped portion is alpha*w (``states``).
     """
     if q.mesh is not mesh:
         raise ValueError("control lives on a different mesh")
-    # B2's nonzeros lie on the trace vertices, so this is load - B2 trace_extend(q) bit for bit
-    rhs = assembly.assemble_load(mesh, spec.g).copy()
-    rhs[dof_partition(mesh).gamma2_trace_dofs] -= assembly.trace_mass(mesh) @ q.coefficients
-    return NodalField(mesh, spec.b + solve_family(mesh, spec.alpha, rhs))
+    return NodalField(mesh, states(mesh, spec, spec.alpha, q.coefficients))
 
 
 def solve_adjoint(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalField:
     """Adjoint of the family selected by spec.alpha, tracking u - z_d.
 
     It is zero on the clamped portion for the clamped family and carries a
-    homogeneous penalty term there for the Robin-type family.
+    homogeneous penalty term there for the Robin-type family (``adjoints``).
     """
     if u.mesh is not mesh:
         raise ValueError("state lives on a different mesh")
-    rhs = assembly.assemble_mass(mesh) @ u.coefficients - assembly.assemble_load(mesh, spec.z_d)
-    return NodalField(mesh, solve_family(mesh, spec.alpha, rhs))
+    return NodalField(mesh, adjoints(mesh, spec, spec.alpha, u.coefficients))
+
+
+def states(mesh: Mesh, spec: ProblemSpec, alpha, q) -> np.ndarray:
+    """State coefficients at trace coefficients q, an (m,) vector or an (m, k) block.
+
+    alpha stands for spec.alpha: None, a number, or for a block one per column.
+    """
+    rhs = np.empty(q.shape[1:] + (len(mesh.vertices),))
+    rhs[...] = assembly.assemble_load(mesh, spec.g)
+    # B2's nonzeros lie on the trace vertices, so this is load - B2 trace_extend(q) bit for bit
+    rhs[..., dof_partition(mesh).gamma2_trace_dofs] -= (assembly.trace_mass(mesh) @ q).T
+    return spec.b + solve_family(mesh, alpha, rhs.T)
+
+
+def adjoints(mesh: Mesh, spec: ProblemSpec, alpha, u) -> np.ndarray:
+    """Adjoint coefficients at state coefficients u, an (N,) vector or an (N, k) block (``states``)."""
+    tracking = (assembly.assemble_mass(mesh) @ u).T - assembly.assemble_load(mesh, spec.z_d)
+    return solve_family(mesh, alpha, tracking.T)

@@ -1,13 +1,21 @@
 """Reference implementations the tests compare the package against.
 
 The element matrices are the loop-free textbook formulas for one triangle or
-edge; the package assembles every element at once.  element_blocks applies
-them to every triangle's gathered corner coordinates, and scatter_triangles
-sums the blocks through a coordinate list converted to CSR, which sorts its
-indices, where the package reads the corners from slices of the vertex grid
-and sums into a CSR pattern built from the grid.  dof_partition_by_edges
-takes the vertex partition from the tagged boundary edges by sorted set
-operations, where the package reads it off the side lines of the grid.
+edge; the package assembles every element at once.  triangles and
+boundary_edges build the triangle and boundary edge lists that a mesh does
+not keep.  element_blocks applies the formulas to every triangle's gathered
+corner coordinates, and scatter_triangles and boundary_mass_by_edges sum
+the triangle and edge blocks through a coordinate list converted to CSR
+(scatter), which sorts its indices, where the package reads the corners
+from slices of the vertex grid and sums into a CSR pattern built from the
+grid, and adds the boundary masses along its side lines.
+dof_partition_by_edges takes the vertex partition from the tagged boundary
+edges by sorted set operations, where the package reads it off the side
+lines of the grid.  fixed_point_map, gradient_by_solves and hessian_product
+take one control through pde.solve_state and pde.solve_adjoint, and
+fixed_point_by_steps and cg_by_steps iterate them one control at a time,
+where the package iterates a block of controls, one column per alpha;
+q_inner is the boundary inner product of two trace fields.
 bincount_load sums the load vector by np.bincount over the gathered corners
 of every triangle, where the package adds it into the vertex grid by
 slices.  v_error_by_gather takes each triangle's gradient, and
@@ -43,20 +51,24 @@ separable data field and its gradient, where the package builds all four
 from one product of sines or cosines.
 """
 
+import itertools
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fluxopt import linsolve
-from fluxopt.assembly import assemble_boundary_mass, assemble_mass, assemble_stiffness
+from fluxopt import linsolve, optctl, pde
+from fluxopt.assembly import assemble_boundary_mass, assemble_mass, assemble_stiffness, norm, trace_mass
 from fluxopt.linsolve import _grid_modes, clamped_operator, schur_pencil, solve_spd
 from fluxopt.mesh import (
+    SIDES,
     BoundaryTag,
     DofPartition,
     NodalField,
     TraceField,
     _evaluate_callable,
+    corner_views,
     dof_partition,
     prolongate,
 )
@@ -93,9 +105,52 @@ def local_edge_mass(length) -> np.ndarray:
     return length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
+def triangles(mesh) -> np.ndarray:
+    """(T, 3) counterclockwise vertex triples, cells row-major, read off ``corner_views``.
+
+    triangles[0::2] lie below and triangles[1::2] above each cell's
+    lower-left to upper-right diagonal.
+    """
+    n = mesh.n
+    cells = np.empty((n, n, 2, 3), dtype=np.int64)
+    for t, views in enumerate(corner_views(np.arange((n + 1) ** 2).reshape(n + 1, n + 1))):
+        for k, view in enumerate(views):
+            cells[:, :, t, k] = view
+    return cells.reshape(2 * n * n, 3)
+
+
+def boundary_edges(mesh) -> tuple:
+    """(edges, tags): the (4n, 2) boundary vertex pairs, side by side in SIDES order, and their tags."""
+    n = mesh.n
+    grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    lines = {"bottom": grid[0, :], "right": grid[:, -1], "top": grid[-1, :], "left": grid[:, 0]}
+    edges = np.vstack([np.column_stack([lines[side][:-1], lines[side][1:]]) for side in SIDES])
+    tags = [BoundaryTag.GAMMA1 if side in mesh.gamma1_sides else BoundaryTag.GAMMA2 for side in SIDES]
+    return edges, np.repeat(np.array(tags, dtype=np.int64), n)
+
+
+def scatter(cells, blocks, nvert) -> sp.csr_matrix:
+    """Sum the k-by-k blocks of (cells, k) vertex lists by a coordinate list converted to CSR."""
+    cells = cells.astype(np.int32)
+    k = cells.shape[1]
+    rows = np.repeat(cells, k, axis=1).ravel()
+    cols = np.tile(cells, (1, k)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nvert, nvert)).tocsr()
+
+
+def boundary_mass_by_edges(mesh, tag) -> sp.csr_matrix:
+    """The mass of the tagged boundary edges, each l/6 [[2, 1], [1, 2]] from its corners, by ``scatter``."""
+    edges, tags = boundary_edges(mesh)
+    edges = edges[tags == tag]
+    p0, p1 = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    length = np.sqrt(np.sum((p1 - p0) ** 2, axis=1))
+    base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    return scatter(edges, length[:, None, None] * base[None, :, :], len(mesh.vertices))
+
+
 def element_blocks(mesh) -> tuple:
     """Stiffness and mass blocks, each (T, 3, 3), of every triangle from its (3, 2) corners."""
-    pts = mesh.vertices[mesh.triangles]
+    pts = mesh.vertices[triangles(mesh)]
     x = pts[:, :, 0]
     y = pts[:, :, 1]
     b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
@@ -108,24 +163,20 @@ def element_blocks(mesh) -> tuple:
 
 
 def scatter_triangles(mesh, blocks) -> sp.csr_matrix:
-    """Sum (T, 3, 3) triangle blocks by a coordinate list converted to CSR."""
-    cells = mesh.triangles.astype(np.int32)
-    rows = np.repeat(cells, 3, axis=1).ravel()
-    cols = np.tile(cells, (1, 3)).ravel()
-    nvert = len(mesh.vertices)
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nvert, nvert)).tocsr()
+    """Sum (T, 3, 3) triangle blocks by a coordinate list converted to CSR (``scatter``)."""
+    return scatter(triangles(mesh), blocks, len(mesh.vertices))
 
 
 def bincount_load(mesh, f) -> np.ndarray:
     """Edge-midpoint load vector of f, summed by np.bincount over the gathered triangle corners."""
-    pts = mesh.vertices[mesh.triangles]
+    pts = mesh.vertices[triangles(mesh)]
     x = pts[:, :, 0]
     y = pts[:, :, 1]
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
     # midpoint k ends at corners k and k + 1, and feeds both
     mx, my = ((v + v[:, [1, 2, 0]]) * 0.5 for v in (x, y))
     w = _evaluate_callable(f, mx, my, "quadrature point") * (area / 6.0)[:, None]
-    vertices = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].T.ravel()
+    vertices = triangles(mesh)[:, [0, 1, 1, 2, 2, 0]].T.ravel()
     weights = w[:, [0, 0, 1, 1, 2, 2]].T.ravel()
     return np.bincount(vertices, weights=weights, minlength=len(mesh.vertices))
 
@@ -133,12 +184,12 @@ def bincount_load(mesh, f) -> np.ndarray:
 def l2_misfit_by_gather(u, f) -> float:
     """Squared L2 distance of u from f by the edge-midpoint rule, from each triangle's gathered corners."""
     mesh = u.mesh
-    pts = mesh.vertices[mesh.triangles]
+    pts = mesh.vertices[triangles(mesh)]
     x = pts[:, :, 0]
     y = pts[:, :, 1]
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
     mx, my = ((v + v[:, [1, 2, 0]]) * 0.5 for v in (x, y))
-    coeff = u.coefficients[mesh.triangles]
+    coeff = u.coefficients[triangles(mesh)]
     umid = 0.5 * (coeff + coeff[:, [1, 2, 0]])
     return float(np.sum((area / 3.0)[:, None] * (umid - f(mx, my)) ** 2))
 
@@ -146,13 +197,13 @@ def l2_misfit_by_gather(u, f) -> float:
 def v_error_by_gather(u, f, grad_f) -> float:
     """First-order-norm distance of u from f, with each triangle's gradient from its gathered corners."""
     mesh = u.mesh
-    pts = mesh.vertices[mesh.triangles]
+    pts = mesh.vertices[triangles(mesh)]
     x = pts[:, :, 0]
     y = pts[:, :, 1]
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
     b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
     c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-    coeff = u.coefficients[mesh.triangles]
+    coeff = u.coefficients[triangles(mesh)]
     ugx = np.sum(coeff * b, axis=1) / (2.0 * area)
     ugy = np.sum(coeff * c, axis=1) / (2.0 * area)
     mx, my = ((v + v[:, [1, 2, 0]]) * 0.5 for v in (x, y))
@@ -163,10 +214,70 @@ def v_error_by_gather(u, f, grad_f) -> float:
 
 def dof_partition_by_edges(mesh) -> DofPartition:
     """The vertex partition from the vertices of the tagged boundary edges."""
-    g1 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA1])
-    g2 = np.unique(mesh.boundary_edges[mesh.boundary_tags == BoundaryTag.GAMMA2])
+    edges, tags = boundary_edges(mesh)
+    g1 = np.unique(edges[tags == BoundaryTag.GAMMA1])
+    g2 = np.unique(edges[tags == BoundaryTag.GAMMA2])
     free = np.setdiff1d(np.arange(len(mesh.vertices)), g1)
     return DofPartition(gamma1_dofs=g1, free_dofs=free, gamma2_trace_dofs=g2)
+
+
+def _adjoint_trace(mesh, spec, q) -> np.ndarray:
+    p = pde.solve_adjoint(mesh, spec, pde.solve_state(mesh, spec, q))
+    return p.coefficients[dof_partition(mesh).gamma2_trace_dofs]
+
+
+def fixed_point_map(mesh, spec, q) -> TraceField:
+    """The control update map: the adjoint trace over M, through ``pde.solve_state`` and ``solve_adjoint``."""
+    return TraceField(mesh, _adjoint_trace(mesh, spec, q) / spec.M)
+
+
+def gradient_by_solves(mesh, spec, q) -> TraceField:
+    """M q - (adjoint trace), through ``pde.solve_state`` and ``pde.solve_adjoint``."""
+    return TraceField(mesh, spec.M * q.coefficients - _adjoint_trace(mesh, spec, q))
+
+
+def hessian_product(mesh, spec, d) -> TraceField:
+    """H d: the gradient of the homogeneous problem (g = z_d = 0, b = 0) at d."""
+    return gradient_by_solves(mesh, optctl._homogeneous(spec), d)
+
+
+def q_inner(a, b) -> float:
+    """<a, b>_Q of two trace fields, through ``assembly.trace_mass``."""
+    return float(a.coefficients @ (trace_mass(a.mesh) @ b.coefficients))
+
+
+def fixed_point_by_steps(mesh, spec):
+    """(q, iterations) of the fixed-point iteration run one control at a time.
+
+    One ``fixed_point_map`` per step, stopped by the package's rule (a step
+    of at most 1e-10 max(1, |q|)); it has no divergence check or budget.
+    """
+    q = TraceField(mesh, np.zeros(len(dof_partition(mesh).gamma2_trace_dofs)))
+    for iterations in itertools.count(1):
+        q_new = fixed_point_map(mesh, spec, q)
+        step, q = norm(q_new - q, "Q"), q_new
+        if step <= 1e-10 * max(1.0, norm(q, "Q")):
+            return q, iterations
+
+
+def cg_by_steps(mesh, spec):
+    """(q, iterations) of conjugate gradients on H q = -grad J(0), one control at a time.
+
+    One ``hessian_product`` per step, stopped once the residual is at most
+    1e-12 of the first, as the package stops; no curvature check or budget.
+    """
+    q = TraceField(mesh, np.zeros(len(dof_partition(mesh).gamma2_trace_dofs)))
+    r = -gradient_by_solves(mesh, spec, q)
+    d, rr = r, q_inner(r, r)
+    first = rr
+    for iterations in itertools.count(1):
+        hd = hessian_product(mesh, spec, d)
+        step = rr / q_inner(d, hd)
+        q, r = q + d * step, r - hd * step
+        rr, rr_prev = q_inner(r, r), rr
+        if rr <= 1e-24 * first:
+            return q, iterations
+        d = r + d * (rr / rr_prev)
 
 
 def evaluate_nodal(field: NodalField, x, y) -> np.ndarray:

@@ -4,6 +4,7 @@ Frozen matrix entries and the 4/3 value below come from direct symbolic
 integration; see scripts/derive_reference_values.py.
 """
 
+import itertools
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from fluxopt.assembly import (
     v_error_vs_exact,
 )
 from fluxopt.mesh import (
+    SIDES,
     BoundaryTag,
     NodalField,
     TraceField,
@@ -36,6 +38,7 @@ from fluxopt.mesh import (
     zero_trace,
 )
 from oracles import (
+    boundary_mass_by_edges,
     bincount_load,
     element_blocks,
     interpolate_nodal,
@@ -46,6 +49,7 @@ from oracles import (
     mms_load,
     scatter_triangles,
     sin_product,
+    triangles,
     trig_product,
     v_error_by_gather,
 )
@@ -99,7 +103,7 @@ def test_stiffness_stores_no_zero_and_multiplies_like_the_unpruned_scatter(n):
     # dropping them changes no product, bit for bit
     mesh = build_structured_mesh(n, ("bottom",))
     stiff = assemble_stiffness(mesh)
-    cells = mesh.triangles
+    cells = triangles(mesh)
     blocks = np.array([local_stiffness(mesh.vertices[cell]) for cell in cells])
     scattered = scatter_triangles(mesh, blocks)
     assert np.all(stiff.data != 0.0)
@@ -112,7 +116,7 @@ def test_stiffness_stores_no_zero_and_multiplies_like_the_unpruned_scatter(n):
 def test_element_blocks_are_the_element_matrices_of_each_triangle():
     mesh = build_structured_mesh(3, ("bottom",))
     stiff, mass = element_blocks(mesh)
-    for t, cell in enumerate(mesh.triangles):
+    for t, cell in enumerate(triangles(mesh)):
         assert np.array_equal(stiff[t], local_stiffness(mesh.vertices[cell]))
         # area * (base / 12) and (area / 12) * base may part in the last bit
         assert np.allclose(mass[t], local_mass(mesh.vertices[cell]), rtol=1e-15, atol=0.0)
@@ -253,7 +257,7 @@ def test_the_store_holds_no_per_triangle_array_but_the_areas():
     pde.solve_state(mesh, clamped, zero_trace(mesh))
     # an array with a value per triangle, (T,) or (3, T) or (3, n, n, 2)
     # alike, has a size that is a multiple of T
-    areas, count = assembly._areas(mesh), len(mesh.triangles)
+    areas, count = assembly._areas(mesh), len(triangles(mesh))
     arrays = list(store_arrays(mesh.store))
     assert sum(np.shares_memory(array, areas) for array in arrays) == 1
     for array in arrays:
@@ -264,7 +268,7 @@ def test_the_store_holds_no_per_triangle_array_but_the_areas():
 @pytest.mark.parametrize("n", list(range(1, 34)) + [64, 127, 128])
 def test_v_error_is_the_gathered_corner_formula_bit_for_bit(n):
     # the misfit too, which reads u at the midpoints from corner views of
-    # its coefficient grid, with no gather of mesh.triangles
+    # its coefficient grid, with no gather of a triangle list
     f, grad_f = sin_product(2.0, 1, 2)
     for sides in (("bottom",), ("bottom", "left"), ("left", "top", "right")):
         mesh = build_structured_mesh(n, sides)
@@ -289,7 +293,7 @@ def test_v_error_expands_the_midpoints_once_for_the_field_and_its_gradient(monke
 
     monkeypatch.setattr(assembly, "_midpoints", counted)
     v_error_vs_exact(u, field, lambda x, y: (y, x))
-    assert expansions == [8] and values == [(len(mesh.triangles), 3)]
+    assert expansions == [8] and values == [(len(triangles(mesh)), 3)]
 
 
 def test_v_error_evaluates_the_gradient_once_per_call():
@@ -302,7 +306,7 @@ def test_v_error_evaluates_the_gradient_once_per_call():
         return y, x
 
     err = v_error_vs_exact(u, lambda x, y: x * y, gradient)
-    assert calls == [(len(m.triangles), 3)]
+    assert calls == [(len(triangles(m)), 3)]
     assert err > 0.0
     assert err == v_error_vs_exact(u, lambda x, y: x * y, lambda x, y: (y, x))
 
@@ -338,6 +342,24 @@ def test_boundary_mass_total_is_portion_length():
     b2 = assemble_boundary_mass(m, BoundaryTag.GAMMA2)
     assert ones @ (b1 @ ones) == pytest.approx(2.0, rel=1e-14)
     assert ones @ (b2 @ ones) == pytest.approx(2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 128])
+def test_boundary_masses_from_the_side_lines_equal_the_edge_scatter_bit_for_bit(n):
+    # every nonempty proper subset of the sides, both tags, and the Q inner product
+    side_sets = [s for r in (1, 2, 3) for s in itertools.combinations(SIDES, r)]
+    assert len(side_sets) == 14
+    for sides in side_sets:
+        mesh = build_structured_mesh(n, sides)
+        g2 = dof_partition(mesh).gamma2_trace_dofs
+        pairs = [(assemble_boundary_mass(mesh, tag), boundary_mass_by_edges(mesh, tag)) for tag in BoundaryTag]
+        b2_by_edges = boundary_mass_by_edges(mesh, BoundaryTag.GAMMA2)
+        pairs.append((assembly.trace_mass(mesh), b2_by_edges[g2][:, g2].tocsr()))
+        for got, want in pairs:
+            assert got.has_canonical_format
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (sides, name)
 
 
 def test_first_order_norm_of_vertical_coordinate():

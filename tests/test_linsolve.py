@@ -1040,3 +1040,31 @@ def test_many_alphas_keep_no_robin_operator():
     gc.collect()
     assert set(mesh.store) == keys
     assert not any(isinstance(obj, RobinOperator) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize(
+    "sides", [("bottom",), ("bottom", "left"), ("left", "top", "right"), ("bottom", "top")]
+)
+def test_one_alpha_per_column_solves_and_multiplies_each_column_at_its_alpha(sides):
+    # 19 columns span three 8-column solve blocks, each solved at its own alphas
+    mesh = build_structured_mesh(8, sides)
+    alphas = np.geomspace(1e-2, 1e6, 19)
+    rng = np.random.default_rng(4)
+    rhs, x = rng.standard_normal((2, len(mesh.vertices), len(alphas)))
+    solved = solve_spd(RobinOperator(mesh, alphas), rhs)
+    product = RobinOperator(mesh, alphas) @ x
+    for j, alpha in enumerate(alphas):
+        single = RobinOperator(mesh, alpha)
+        want = solve_spd(single, rhs[:, j].copy())
+        assert np.linalg.norm(solved[:, j] - want) <= 1e-14 * np.linalg.norm(want)
+        assert np.array_equal(product[:, j], single @ x[:, j].copy())
+    assert np.array_equal(solve_family(mesh, alphas, rhs), solved)
+
+
+def test_a_robin_operator_names_the_alpha_it_is_not_positive_definite_at():
+    mesh = build_structured_mesh(8, ("bottom",))
+    smallest = schur_pencil(mesh)[0].min()
+    bad = -smallest - 1.0
+    with pytest.raises(ConvergenceError, match=f"alpha={bad:g} is not positive definite"):
+        RobinOperator(mesh, np.array([1.0, bad, 2.0 * bad]))
+    assert np.array_equal(RobinOperator(mesh, np.array([1.0, 10.0])).alpha, [1.0, 10.0])

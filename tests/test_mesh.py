@@ -24,16 +24,18 @@ from fluxopt.mesh import (
     zero_trace,
 )
 from oracles import (
+    boundary_edges,
     dof_partition_by_edges,
     evaluate_nodal,
     interpolate_nodal,
     prolongate_trace_inline,
     restrict_trace_by_index,
+    triangles,
 )
 
 
 def triangle_areas(mesh):
-    p = mesh.vertices[mesh.triangles]
+    p = mesh.vertices[triangles(mesh)]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -42,22 +44,22 @@ def triangle_areas(mesh):
 def test_smallest_mesh_counts():
     m = build_structured_mesh(1, ["bottom"])
     assert len(m.vertices) == 4
-    assert len(m.triangles) == 2
-    assert np.count_nonzero(m.boundary_tags == BoundaryTag.GAMMA1) == 1
-    assert np.count_nonzero(m.boundary_tags == BoundaryTag.GAMMA2) == 3
+    assert len(triangles(m)) == 2
+    assert np.count_nonzero(boundary_edges(m)[1] == BoundaryTag.GAMMA1) == 1
+    assert np.count_nonzero(boundary_edges(m)[1] == BoundaryTag.GAMMA2) == 3
 
 
 def test_two_cell_mesh_counts():
     m = build_structured_mesh(2, ["bottom"])
     assert len(m.vertices) == 9
-    assert len(m.triangles) == 8
+    assert len(triangles(m)) == 8
     assert m.h == pytest.approx(np.sqrt(2.0) / 2.0, abs=0.0)
 
 
 def test_two_sided_clamped_portion():
     m = build_structured_mesh(4, ["bottom", "left"])
-    assert len(m.boundary_edges) == 16
-    assert np.count_nonzero(m.boundary_tags == BoundaryTag.GAMMA1) == 8
+    assert len(boundary_edges(m)[0]) == 16
+    assert np.count_nonzero(boundary_edges(m)[1] == BoundaryTag.GAMMA1) == 8
 
 
 def test_areas_positive_and_sum_to_one():
@@ -84,12 +86,12 @@ def test_refine_halves_h_and_doubles_boundary_edges():
     f = refine(m)
     assert f.n == 4
     assert f.h == pytest.approx(m.h / 2.0, rel=1e-15)
-    assert np.count_nonzero(f.boundary_tags == BoundaryTag.GAMMA1) == 2 * np.count_nonzero(
-        m.boundary_tags == BoundaryTag.GAMMA1
+    assert np.count_nonzero(boundary_edges(f)[1] == BoundaryTag.GAMMA1) == 2 * np.count_nonzero(
+        boundary_edges(m)[1] == BoundaryTag.GAMMA1
     )
     ff = refine(f)
     assert ff.n == 8
-    assert len(ff.triangles) == 128
+    assert len(triangles(ff)) == 128
 
 
 def test_refined_mesh_contains_coarse_vertices_bitwise():
@@ -120,13 +122,21 @@ def test_dof_partition_matches_the_edge_derived_index_sets(n):
             assert np.array_equal(got, want)
 
 
+def test_a_mesh_keeps_no_triangle_or_edge_list():
+    # the layout is read from slices of the vertex grid: nothing in the
+    # package gathers through a per-triangle or per-edge index array
+    m = build_structured_mesh(4, ["bottom"])
+    for name in ("triangles", "boundary_edges", "boundary_tags"):
+        assert not hasattr(m, name)
+
+
 def test_triangles_follow_the_cell_layout():
     n = 5
     m = build_structured_mesh(n, ["bottom"])
     v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)[None, :]).ravel()
-    assert m.triangles.dtype == np.int64
-    assert np.array_equal(m.triangles[0::2], np.column_stack([v00, v00 + 1, v00 + n + 2]))
-    assert np.array_equal(m.triangles[1::2], np.column_stack([v00, v00 + n + 2, v00 + n + 1]))
+    assert triangles(m).dtype == np.int64
+    assert np.array_equal(triangles(m)[0::2], np.column_stack([v00, v00 + 1, v00 + n + 2]))
+    assert np.array_equal(triangles(m)[1::2], np.column_stack([v00, v00 + n + 2, v00 + n + 1]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
@@ -138,9 +148,9 @@ def test_csr_pattern_places_every_triangle_entry_in_its_row_and_column(n):
     # each row's columns strictly increase: canonical, so no slot is shared
     assert np.all((np.diff(pattern.indices) > 0) | (np.diff(rows) > 0))
     slots = pattern.slots
-    assert slots.shape == (3, 3, len(m.triangles))
-    assert np.array_equal(rows[slots], np.repeat(m.triangles.T[:, None, :], 3, axis=1))
-    assert np.array_equal(pattern.indices[slots], np.repeat(m.triangles.T[None, :, :], 3, axis=0))
+    assert slots.shape == (3, 3, len(triangles(m)))
+    assert np.array_equal(rows[slots], np.repeat(triangles(m).T[:, None, :], 3, axis=1))
+    assert np.array_equal(pattern.indices[slots], np.repeat(triangles(m).T[None, :, :], 3, axis=0))
     # and every coupling is some triangle's entry
     assert np.array_equal(np.unique(pattern.slots), np.arange(len(pattern.indices)))
 
@@ -262,14 +272,15 @@ def test_structural_invariants(n, mask):
     sides = [s for k, s in enumerate(SIDES) if mask & (1 << k)]
     m = build_structured_mesh(n, sides)
     assert len(m.vertices) == (n + 1) ** 2
-    assert len(m.triangles) == 2 * n * n
-    assert len(m.boundary_edges) == 4 * n
-    assert np.count_nonzero(m.boundary_tags == BoundaryTag.GAMMA1) == n * len(sides)
+    assert len(triangles(m)) == 2 * n * n
+    assert len(boundary_edges(m)[0]) == 4 * n
+    assert np.count_nonzero(boundary_edges(m)[1] == BoundaryTag.GAMMA1) == n * len(sides)
     assert m.gamma1_sides == frozenset(sides)
     assert np.all(triangle_areas(m) > 0)
     part = dof_partition(m)
     assert len(part.gamma1_dofs) + len(part.free_dofs) == len(m.vertices)
-    flux_edges = m.boundary_edges[m.boundary_tags == BoundaryTag.GAMMA2]
+    edges, tags = boundary_edges(m)
+    flux_edges = edges[tags == BoundaryTag.GAMMA2]
     assert set(part.gamma2_trace_dofs) == set(flux_edges.ravel())
     g2 = part.gamma2_trace_dofs
     assert np.all(np.diff(g2) > 0)

@@ -28,7 +28,15 @@ from fluxopt.mesh import (
     dof_partition,
     zero_trace,
 )
-from oracles import coupling_block, evaluate_nodal
+from oracles import (
+    cg_by_steps,
+    coupling_block,
+    evaluate_nodal,
+    fixed_point_by_steps,
+    fixed_point_map,
+    hessian_product,
+    q_inner,
+)
 
 
 def make_spec(alpha=None, M=25.0):
@@ -143,7 +151,7 @@ def test_update_map_is_scaled_gradient_step():
     mesh = build_structured_mesh(8, ["bottom"])
     spec = make_spec()
     q = random_trace(mesh, 13)
-    step = optctl.fixed_point_map(mesh, spec, q) - q
+    step = fixed_point_map(mesh, spec, q) - q
     grad = optctl.gradient(mesh, spec, q)
     assert np.allclose(
         step.coefficients, -grad.coefficients / spec.M, rtol=0, atol=1e-12
@@ -159,8 +167,8 @@ def test_update_map_contracts_within_the_bound(alpha):
     for seed in range(4):
         q1 = random_trace(mesh, 300 + seed)
         q2 = random_trace(mesh, 400 + seed)
-        w1 = optctl.fixed_point_map(mesh, spec, q1)
-        w2 = optctl.fixed_point_map(mesh, spec, q2)
+        w1 = fixed_point_map(mesh, spec, q1)
+        w2 = fixed_point_map(mesh, spec, q2)
         assert norm(w2 - w1, "Q") <= factor * norm(q2 - q1, "Q") * (1.0 + 1e-6)
 
 
@@ -170,7 +178,7 @@ def test_iteration_reaches_a_fixed_point(alpha):
     spec = make_spec(alpha)
     constants = estimate_constants(mesh)
     sol = optctl.solve_optimal_fixed_point(mesh, spec)
-    residual = norm(optctl.fixed_point_map(mesh, spec, sol.q_opt) - sol.q_opt, "Q")
+    residual = norm(fixed_point_map(mesh, spec, sol.q_opt) - sol.q_opt, "Q")
     assert residual <= 1e-8
     assert sol.gradient_norm <= 1e-8
     bound_factor = constants.contraction_bound(alpha) / spec.M
@@ -227,7 +235,7 @@ def test_cost_decreases_along_the_iteration():
     q = zero_trace(mesh)
     values = [optctl.cost(mesh, spec, q)]
     for _ in range(6):
-        q = optctl.fixed_point_map(mesh, spec, q)
+        q = fixed_point_map(mesh, spec, q)
         values.append(optctl.cost(mesh, spec, q))
     assert values[1] < values[0]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
@@ -249,9 +257,9 @@ def test_fixed_point_checks_the_gradient_of_its_optimum(monkeypatch, alpha):
     spec = make_spec(alpha)
     sol = optctl.solve_optimal_fixed_point(mesh, spec)
     assert sol.gradient_norm <= spec.M * optctl._STEP_TOL * max(1.0, norm(sol.q_opt, "Q"))
-    update = optctl.fixed_point_map
-    shift = TraceField(mesh, np.full(len(sol.q_opt.coefficients), 1e-6))
-    monkeypatch.setattr(optctl, "fixed_point_map", lambda *args: update(*args) + shift)
+    # the iteration takes the adjoint trace, M times the update map, from its block form
+    trace = optctl._adjoint_trace
+    monkeypatch.setattr(optctl, "_adjoint_trace", lambda *args: trace(*args) + spec.M * 1e-6)
     with pytest.raises(ConvergenceError, match="gradient norm") as info:
         optctl.solve_optimal_fixed_point(mesh, spec)
     assert info.value.residual > 1.0
@@ -300,7 +308,8 @@ def test_conjugate_gradients_agree_with_the_dense_route(M, alpha):
 
 
 def count_solves(monkeypatch):
-    counts = {"solve_state": 0, "solve_adjoint": 0}
+    # every state and adjoint solve goes through pde.states and pde.adjoints
+    counts = {"states": 0, "adjoints": 0}
     for name in counts:
 
         def counted(*args, _solve=getattr(pde, name), _name=name):
@@ -324,17 +333,18 @@ def test_conjugate_gradients_take_no_more_solves_than_the_fixed_point_iteration(
     counts = count_solves(monkeypatch)
     fp = optctl.solve_optimal_fixed_point(mesh, spec)
     fp_counts = dict(counts)
-    counts.update(solve_state=0, solve_adjoint=0)
+    counts.update(states=0, adjoints=0)
     cg = optctl.solve_optimal_cg(mesh, spec)
-    assert counts["solve_state"] == counts["solve_adjoint"] == cg.iterations + 2
+    assert counts["states"] == counts["adjoints"] == cg.iterations + 2
     assert all(counts[name] <= fp_counts[name] for name in counts)
     assert norm(cg.q_opt - fp.q_opt, "Q") <= 1e-8
 
 
 def test_nonpositive_curvature_raises(monkeypatch):
     mesh = build_structured_mesh(8, ["bottom"])
-    hessian_product = optctl.hessian_product
-    monkeypatch.setattr(optctl, "hessian_product", lambda *args: -hessian_product(*args))
+    # the iteration takes H d from its block form
+    hessian = optctl._hessian
+    monkeypatch.setattr(optctl, "_hessian", lambda *args: -hessian(*args))
     with pytest.raises(ConvergenceError, match="nonpositive curvature"):
         optctl.solve_optimal_cg(mesh, make_spec())
 
@@ -350,8 +360,8 @@ def test_conjugate_gradients_check_the_recomputed_gradient(monkeypatch):
     # with H doubled the recursion converges, to half the optimum, and only
     # the recomputed gradient at the result shows it
     mesh = build_structured_mesh(8, ["bottom"])
-    hessian_product = optctl.hessian_product
-    monkeypatch.setattr(optctl, "hessian_product", lambda *args: hessian_product(*args) * 2.0)
+    hessian = optctl._hessian
+    monkeypatch.setattr(optctl, "_hessian", lambda *args: hessian(*args) * 2.0)
     with pytest.raises(ConvergenceError, match="gradient norm") as info:
         optctl.solve_optimal_cg(mesh, make_spec())
     assert info.value.residual > optctl._CG_TOL
@@ -424,10 +434,10 @@ def test_cost_gap_takes_its_quadratic_term_from_one_state_solve(monkeypatch, n, 
     q = opt.q_opt + random_trace(mesh, 21)
     e = q - opt.q_opt
     grad = optctl._gradient_of_adjoint(spec, opt.q_opt, opt.p_opt)
-    through_h = 0.5 * optctl._inner(e, optctl.hessian_product(mesh, spec, e)) + optctl._inner(grad, e)
+    through_h = 0.5 * q_inner(e, hessian_product(mesh, spec, e)) + q_inner(grad, e)
     counts = count_solves(monkeypatch)
     gap = optctl.cost_gap(mesh, spec, q, opt)
-    assert counts == {"solve_state": 1, "solve_adjoint": 0}
+    assert counts == {"states": 1, "adjoints": 0}
     assert abs(gap - through_h) <= 1e-13 * abs(through_h)
 
 
@@ -636,3 +646,93 @@ def test_an_indefinite_normal_operator_raises(monkeypatch):
     monkeypatch.setattr(optctl, "reduced_normal_system", negated)
     with pytest.raises(ConvergenceError, match="not positive definite"):
         optctl.solve_optimal_reduced(build_structured_mesh(8, ["bottom"]), make_spec())
+
+
+LADDER = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+
+
+def ladder_spec(sides):
+    # the optimizing experiments' default problem: M is 4x the clamped
+    # contraction bound of the coarsest mesh (n = 4)
+    config = harness.ExperimentConfig("diagram", gamma1_sides=sides)
+    return harness.prepare(config, build_structured_mesh(4, sides))[1]
+
+
+def assert_matches_the_ladders_of_one(mesh, spec, alphas, cg):
+    ladder = optctl.solve_ladder(mesh, spec, alphas, cg=cg)
+    assert len(ladder) == len(alphas)
+    for alpha, sol in zip(alphas, ladder):
+        (one,) = optctl.solve_ladder(mesh, spec, [alpha], cg=cg)
+        assert sol.iterations == one.iterations
+        assert norm(sol.q_opt - one.q_opt, "Q") <= 1e-14 * norm(one.q_opt, "Q")
+        assert norm(sol.u_opt - one.u_opt, "V") <= 1e-14 * norm(one.u_opt, "V")
+        assert sol.cost == pytest.approx(one.cost, rel=1e-14)
+
+
+@pytest.mark.parametrize("cg", [False, True])
+@pytest.mark.parametrize("sides", [("bottom",), ("bottom", "left")])
+def test_a_ladder_solves_each_alpha_as_its_ladder_of_one(sides, cg):
+    # a block that mixed its columns, or paired a column with another's
+    # alpha, would move the controls far beyond 1e-14 or change a count
+    assert_matches_the_ladders_of_one(build_structured_mesh(8, sides), ladder_spec(sides), LADDER, cg)
+
+
+@pytest.mark.parametrize("cg", [False, True])
+def test_a_ladder_longer_than_one_solve_block_solves_each_alpha_alone(cg):
+    alphas = tuple(np.geomspace(1.0, 1e5, 2 * linsolve._BLOCK_COLUMNS + 3))
+    mesh = build_structured_mesh(4, ("bottom",))
+    assert_matches_the_ladders_of_one(mesh, ladder_spec(("bottom",)), alphas, cg)
+
+
+@pytest.mark.parametrize("alpha", [None, 1.0, 1e4])
+@pytest.mark.parametrize("sides", [("bottom",), ("left", "top", "right")])
+@pytest.mark.parametrize("n", [4, 16])
+def test_a_ladder_of_one_is_the_single_route_bit_for_bit(n, sides, alpha):
+    # the single routes iterate one control through pde.solve_state and
+    # pde.solve_adjoint, as the routes did before they became ladders
+    mesh, spec = build_structured_mesh(n, sides), ladder_spec(sides).with_alpha(alpha)
+    routes = ((optctl.solve_optimal_fixed_point, fixed_point_by_steps), (optctl.solve_optimal_cg, cg_by_steps))
+    for route, by_steps in routes:
+        sol = route(mesh, spec)
+        q, iterations = by_steps(mesh, spec)
+        assert sol.iterations == iterations
+        assert np.array_equal(sol.q_opt.coefficients, q.coefficients)
+        if alpha is not None:
+            (rung,) = optctl.solve_ladder(mesh, spec, [alpha], cg=route is optctl.solve_optimal_cg)
+            assert np.array_equal(rung.q_opt.coefficients, q.coefficients)
+            assert np.array_equal(rung.u_opt.coefficients, sol.u_opt.coefficients)
+
+
+def test_one_diverging_alpha_stops_the_ladder_and_is_named():
+    # M = 2 at n = 16: the step ratio is about 6.0 / M at alpha = 1, so
+    # that column diverges, and at most 0.92 / M at alpha >= 10, which contract
+    mesh, spec = divergence_case(2.0)
+    alphas = (10.0, 1.0, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="alpha=1 diverged: two consecutive steps grew") as info:
+            optctl.solve_ladder(mesh, spec, alphas)
+    ratios = info.value.ratios
+    assert len(ratios) == 2 and all(r > 1.0 for r in ratios)
+    for alpha in (10.0, 100.0):
+        sol = optctl.solve_optimal_fixed_point(mesh, spec.with_alpha(alpha))
+        assert max(sol.contraction_ratios) < 1.0
+
+
+def test_a_ladder_checks_each_gradient_and_names_the_alpha(monkeypatch):
+    # shifting the update map moves the fixed point off the optimum: the
+    # final gradient check of the first column raises and names its alpha
+    mesh, spec = build_structured_mesh(8, ("bottom",)), ladder_spec(("bottom",))
+    trace = optctl._adjoint_trace
+    monkeypatch.setattr(optctl, "_adjoint_trace", lambda *args: trace(*args) + spec.M * 1e-6)
+    with pytest.raises(ConvergenceError, match="optimum at alpha=1 has gradient norm") as info:
+        optctl.solve_ladder(mesh, spec, LADDER)
+    assert info.value.residual > 1.0
+
+
+def test_a_ladder_rejects_a_nonpositive_alpha_and_an_empty_one_has_no_optima():
+    mesh = build_structured_mesh(4, ("bottom",))
+    with pytest.raises(ValueError, match="Robin weight alpha"):
+        optctl.solve_ladder(mesh, make_spec(), (1.0, 0.0))
+    assert optctl.solve_ladder(mesh, make_spec(), []) == []
+    assert optctl.solve_ladder(mesh, make_spec(), [], cg=True) == []
