@@ -674,14 +674,15 @@ def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
     p_fix = pde.solve_adjoint(mesh, spec, u_fix)
     clamped = optctl.solve_optimal_fixed_point(mesh, spec)
     # the Robin states and adjoints at the fixed control: one block solve each, a column per alpha
-    alphas = np.array(config.alphas)
-    u_fix_robin = pde.states(mesh, spec, alphas, np.tile(q_star.coefficients[:, None], len(alphas)))
-    p_fix_robin = pde.adjoints(mesh, spec, alphas, u_fix_robin)
+    ladder = spec.with_alpha(tuple(config.alphas))
+    q_fix = TraceField(mesh, np.tile(q_star.coefficients[:, None], len(config.alphas)))
+    u_fix_robin = pde.solve_state(mesh, ladder, q_fix)
+    p_fix_robin = pde.solve_adjoint(mesh, ladder, u_fix_robin)
 
     b_shift = spec.b * np.ones(len(mesh.vertices))
     rows = []
     for j, (alpha, sol) in enumerate(zip(config.alphas, optctl.solve_ladder(mesh, spec, config.alphas))):
-        u_fix_a, p_fix_a = NodalField(mesh, u_fix_robin[:, j]), NodalField(mesh, p_fix_robin[:, j])
+        u_fix_a, p_fix_a = (NodalField(mesh, f.coefficients[:, j]) for f in (u_fix_robin, p_fix_robin))
         weight = alpha - 1.0
         rows.append(
             {

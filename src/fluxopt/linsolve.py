@@ -29,9 +29,8 @@ once per mesh, on the first Robin solve only, from the same 1-D
 eigenpairs: K_ff^-1 between the lines is summed one pair of lines at a
 time, in O(n^3) per pair (``schur_complement``).  One eigendecomposition
 of the pencil (S0, B1_cc), by numpy, solves that system at every alpha,
-so a block of columns can take one alpha each: an alpha ladder is one
-solve.  As alpha grows, clamped values are pinned ever harder: the
-clamped family is the limit.
+one per column of a block if need be.  As alpha grows, clamped values are
+pinned ever harder: the clamped family is the limit.
 
 So neither family makes a sparse factorization, and neither loads
 ``scipy.linalg`` or ``scipy.sparse.linalg``.  The one sparse factor,
@@ -127,6 +126,9 @@ class FactoredMatrix:
 
     def __matmul__(self, x):
         return self.matrix @ x
+
+    def columns(self, span):  # the matrix for every span of a block's columns (``RobinOperator.columns``)
+        return self
 
 
 def certified(matrix) -> FactoredMatrix:
@@ -261,21 +263,21 @@ def _pencil_1d(n, index):
 class RobinOperator:
     """K + alpha B1 on one mesh, solved with one forward and one back modal transform.
 
-    alpha is a number, or an array of one alpha per column of the blocks
-    it takes.  Built afresh on every call: nothing per alpha is kept.  The
-    sum is never formed: products apply K, and B1 on its clamped block
-    B1_cc alone (``_clamped_boundary_mass``), and solves eliminate the free
-    block around the mesh's pencil (``schur_pencil``).  B1 lives
-    on the clamped vertices only, so by Haynsworth's inertia additivity
-    K + alpha B1 is positive definite exactly when K_ff is (its M-matrix
-    certificate, ``clamped_operator``, built first) and S0 + alpha B1_cc
-    is, that is, when every lambda + alpha is positive.  Of alpha it keeps
-    d = 1 / (lambda + alpha), a row per alpha, and ConvergenceError names
-    the first alpha whose d is not positive.
-    Every solve through ``solve_spd`` is checked against the assembled K
-    and B1 of the mesh's store, its residual formed as K x + alpha (B1 x)
-    and held to the acceptance limit 1e-10 (``refinement``).  No reference
-    to the mesh is kept.
+    alpha is a number, or a tuple or array of one alpha per column of the blocks
+    it takes (``columns``).  Built afresh on every call: nothing per alpha
+    is kept.  The sum is never formed: products apply K, and B1 on its
+    clamped block B1_cc alone (``_clamped_boundary_mass``), and solves
+    eliminate the free block around the mesh's pencil (``schur_pencil``).
+    B1 lives on the clamped vertices only, so by Haynsworth's inertia
+    additivity K + alpha B1 is positive definite exactly when K_ff is (its
+    M-matrix certificate, ``clamped_operator``, built first) and
+    S0 + alpha B1_cc is, that is, when every lambda + alpha is positive.
+    Of alpha it keeps d = 1 / (lambda + alpha), a row per alpha, and
+    ConvergenceError names the first alpha whose d is not positive.  Every
+    solve through ``solve_spd`` is checked against the assembled K and B1
+    of the mesh's store, its residual formed as K x + alpha (B1 x) and held
+    to the acceptance limit 1e-10 (``refinement``).  No reference to the
+    mesh is kept.
 
     A solve of [K_ff K_fc; K_cf K_cc + alpha B1_cc] x = r needs
     y = K_ff^-1 r_f only on the free vertices S next to the clamped sides,
@@ -291,8 +293,8 @@ class RobinOperator:
     """
 
     def __init__(self, mesh: Mesh, alpha):
-        per_column = isinstance(alpha, np.ndarray)
-        self.alpha = alpha.astype(float) if per_column else float(alpha)
+        per_column = isinstance(alpha, (tuple, np.ndarray))
+        self.alpha = np.asarray(alpha, dtype=float) if per_column else float(alpha)
         clamped_operator(mesh)  # the certificate of K_ff comes first
         eigenvalues, self._v = schur_pencil(mesh)
         shifted = eigenvalues + (self.alpha[:, None] if per_column else self.alpha)
@@ -310,6 +312,13 @@ class RobinOperator:
         self._window, self._lines, self._k_sc = _clamped_coupling(mesh)
         self._grid = (mesh.n + 1, mesh.n + 1)
         self.shape = self._stiff.shape
+
+    def columns(self, span):
+        """The operator at the alphas of a span of a block's columns; with one alpha, a copy."""
+        part = copy.copy(self)
+        if isinstance(self.alpha, np.ndarray):
+            part.alpha, part._d = self.alpha[span], self._d[span]
+        return part
 
     def __matmul__(self, x):
         # B1's rows off the clamped vertices are empty, so this is K x + alpha (B1 x) bit for bit
@@ -513,8 +522,9 @@ def solve_spd(matrix, rhs):
         (both as ``solve_family`` picks them), or any ``FactoredMatrix``,
         such as ``certified(sparse_matrix)``.
     rhs : right-hand side vector, or an (n, k) array of k right-hand sides,
-        solved in blocks of a few columns, each block at its own alphas
-        when the Robin operator takes one per column.
+        solved in blocks of a few columns, each with ``matrix.columns`` of
+        its span: a Robin operator with one alpha per column at that
+        span's alphas.
 
     Each solution is checked by ``refinement`` against the one acceptance
     limit, a relative residual of 1e-10: a column above it takes one
@@ -529,14 +539,10 @@ def solve_spd(matrix, rhs):
         return _checked_solve(matrix, rhs)
     if rhs.shape[1] <= _BLOCK_COLUMNS:  # one block: no copy into a row-major result
         return _checked_solve(matrix, np.asfortranarray(rhs))
-    per_column = isinstance(getattr(matrix, "alpha", None), np.ndarray)
     x = np.empty(rhs.shape)
     for s in range(0, rhs.shape[1], _BLOCK_COLUMNS):
-        span, op = slice(s, s + _BLOCK_COLUMNS), matrix
-        if per_column:  # the Robin operator at this block's alphas
-            op = copy.copy(matrix)
-            op.alpha, op._d = matrix.alpha[span], matrix._d[span]
-        x[:, span] = _checked_solve(op, np.asfortranarray(rhs[:, span]))
+        span = slice(s, s + _BLOCK_COLUMNS)
+        x[:, span] = _checked_solve(matrix.columns(span), np.asfortranarray(rhs[:, span]))
     return x
 
 

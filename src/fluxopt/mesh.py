@@ -218,7 +218,7 @@ def dof_partition(mesh: Mesh) -> DofPartition:
 
 @dataclass(frozen=True, eq=False)
 class _Field:
-    """Coefficient vector on a mesh, with the vector-space operations."""
+    """Coefficients on a mesh, a vector or a block of one per column, with the vector-space operations."""
 
     mesh: Mesh
     coefficients: np.ndarray
@@ -227,9 +227,9 @@ class _Field:
         coeff = np.asarray(self.coefficients, dtype=float)
         object.__setattr__(self, "coefficients", coeff)
         size = self._size()
-        if coeff.shape != (size,):
-            raise ValueError(f"expected {size} {self._label} coefficients, got shape {coeff.shape}")
-        if not np.all(np.isfinite(coeff)):
+        if coeff.shape[:1] != (size,) or coeff.ndim > 2:
+            raise ValueError(f"expected {size} {self._label} coefficients per column, got {coeff.shape}")
+        if not np.isfinite(coeff).all():
             raise ValueError(f"{self._label} coefficients must be finite")
 
     def _check_same_mesh(self, other):

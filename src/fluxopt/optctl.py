@@ -44,7 +44,6 @@ raises ConvergenceError instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -109,7 +108,7 @@ def gradient(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField) -> TraceField:
     so the nodal combination below is the exact representer of the derivative
     in the boundary inner product.
     """
-    return TraceField(mesh, spec.M * q.coefficients - _adjoint_trace(mesh, spec, spec.alpha, q.coefficients))
+    return TraceField(mesh, spec.M * q.coefficients - _adjoint_trace(mesh, spec, q))
 
 
 def _gradient_of_adjoint(spec, q, p) -> TraceField:
@@ -163,7 +162,7 @@ def solve_optimal_fixed_point(
     """
     if q0 is not None and q0.mesh is not mesh:
         raise ValueError("start control lives on a different mesh")
-    return _fixed_points(mesh, [spec], q0)[0]
+    return _fixed_points(mesh, spec, q0)[0]
 
 
 def solve_optimal_cg(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
@@ -178,31 +177,35 @@ def solve_optimal_cg(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
     raise ConvergenceError; the last carries the gradient's ratio to that
     limit as its residual.
     """
-    return _conjugate_gradients(mesh, [spec])[0]
+    return _conjugate_gradients(mesh, spec)[0]
 
 
 def solve_ladder(mesh: Mesh, spec: pde.ProblemSpec, alphas, cg: bool = False) -> List[OptimalSolution]:
     """The Robin optimum at each alpha of a ladder, all in lockstep, by fixed point or by ``cg``.
 
-    spec gives all but alpha.  The alphas are the columns of one block: a
-    step makes one state and one adjoint solve for the block, each one
-    ``solve_family`` call whose Robin operator takes one alpha per column.
-    Each column keeps its route's stop and divergence rules and final
-    gradient check (``solve_optimal_fixed_point``, ``solve_optimal_cg``),
-    applied to it alone, and one that stops takes no further step.  An
-    error names its alpha.
+    spec gives all but alpha.  A step makes one ``pde.solve_state`` and one
+    ``pde.solve_adjoint`` call, at the ladder spec of the alphas still
+    stepping, a block column each.  Each column keeps its route's stop and
+    divergence rules and final gradient check, applied to it alone, and one
+    that stops takes no further step.  An error names its alpha.
     """
-    specs = [spec.with_alpha(a) for a in alphas]
-    return (_conjugate_gradients if cg else _fixed_points)(mesh, specs) if specs else []
+    ladder = spec.with_alpha(tuple(map(float, alphas)))
+    return (_conjugate_gradients if cg else _fixed_points)(mesh, ladder) if ladder.alpha else []
 
 
-def _columns(rows, cols):
+def _alphas(spec):
+    # the alpha of each column: a ladder spec's, or the one alpha (None for the clamped family)
+    return list(spec.alpha) if isinstance(spec.alpha, tuple) else [spec.alpha]
+
+
+def _rungs(spec, alphas, cols):
+    # spec at the alphas of cols: a ladder spec, or for one column its alpha alone
+    return spec.with_alpha(tuple(alphas[j] for j in cols) if len(cols) > 1 else alphas[cols[0]])
+
+
+def _block(rows, cols):
     # rows of a (k, m) array as an (m, len(cols)) block; one row stays a vector, bit for bit
     return rows[cols].T if len(cols) > 1 else rows[cols[0]]
-
-
-def _alpha(specs, cols):
-    return np.array([specs[j].alpha for j in cols]) if len(cols) > 1 else specs[cols[0]].alpha
 
 
 def _inners(mesh, a, b):
@@ -216,77 +219,78 @@ def _norms(mesh, q):
     return np.sqrt(np.maximum(_inners(mesh, q, q), 0.0)).tolist()
 
 
-def _adjoint_trace(mesh, spec, alpha, q):
-    """The adjoint's trace at the controls q, a vector or a block with one alpha per column."""
-    u = pde.states(mesh, spec, alpha, q)
-    return pde.adjoints(mesh, spec, alpha, u)[dof_partition(mesh).gamma2_trace_dofs]
+def _adjoint_trace(mesh, spec, q):
+    """The adjoint's trace at the control q, a trace field, or for a ladder spec a block of them."""
+    u = pde.solve_state(mesh, spec, q)
+    return pde.solve_adjoint(mesh, spec, u).coefficients[dof_partition(mesh).gamma2_trace_dofs]
 
 
-def _hessian(mesh, spec, alpha, d):
+def _hessian(mesh, spec, d):
     """H d, the gradient of the homogeneous problem at d, for a vector or a block."""
-    return spec.M * d - _adjoint_trace(mesh, _homogeneous(spec), alpha, d)
+    return spec.M * d - _adjoint_trace(mesh, _homogeneous(spec), TraceField(mesh, d))
 
 
-def _at(spec) -> str:
-    return "" if spec.alpha is None else f" at alpha={spec.alpha:g}"
+def _at(alpha) -> str:
+    return "" if alpha is None else f" at alpha={alpha:g}"
 
 
-def _iteration_error(spec, why, ratios) -> ConvergenceError:
+def _iteration_error(alpha, why, ratios) -> ConvergenceError:
     last = f"{ratios[-1]:.3g}" if ratios else "n/a"
-    return ConvergenceError(f"control iteration{_at(spec)} {why} (last step ratio {last})", ratios=ratios)
+    return ConvergenceError(f"control iteration{_at(alpha)} {why} (last step ratio {last})", ratios=ratios)
 
 
-def _fixed_points(mesh, specs, q0=None) -> List[OptimalSolution]:
-    """The fixed-point iteration of every spec's column in lockstep (``solve_ladder``)."""
-    k, active, size = len(specs), list(range(len(specs))), len(dof_partition(mesh).gamma2_trace_dofs)
+def _fixed_points(mesh, spec, q0=None) -> List[OptimalSolution]:
+    """The fixed-point iteration of each column of spec in lockstep (``solve_ladder``)."""
+    alphas = _alphas(spec)
+    k, active, size = len(alphas), list(range(len(alphas))), len(dof_partition(mesh).gamma2_trace_dofs)
     rows = np.zeros((k, size)) if q0 is None else np.tile(q0.coefficients, (k, 1))
-    ratios, prev, iterations, limits = [[] for _ in specs], [0.0] * k, [0] * k, [0.0] * k
+    ratios, prev, iterations, limits = [[] for _ in alphas], [0.0] * k, [0] * k, [0.0] * k
     for iteration in range(1, _MAX_ITER + 1):
-        q = _columns(rows, active)
-        q_new = _adjoint_trace(mesh, specs[0], _alpha(specs, active), q) / specs[0].M
+        q = _block(rows, active)
+        q_new = _adjoint_trace(mesh, _rungs(spec, alphas, active), TraceField(mesh, q)) / spec.M
         steps, qnorms = _norms(mesh, q_new - q), _norms(mesh, q_new)
         rows[active] = q_new.T
         for j, step, qnorm in zip(list(active), steps, qnorms):
             if prev[j] > 1e-300:
                 ratios[j].append(step / prev[j])
             prev[j] = step
-            if not (math.isfinite(step) and math.isfinite(qnorm)):
+            if not (np.isfinite(step) and np.isfinite(qnorm)):
                 raise _iteration_error(
-                    specs[j], f"diverged: non-finite step or control norm after {iteration} steps", ratios[j]
+                    alphas[j], f"diverged: non-finite step or control norm after {iteration} steps", ratios[j]
                 )
             if step <= _STEP_TOL * max(1.0, qnorm):
-                iterations[j], limits[j] = iteration, specs[j].M * _STEP_TOL * max(1.0, qnorm)
+                iterations[j], limits[j] = iteration, spec.M * _STEP_TOL * max(1.0, qnorm)
                 active.remove(j)
             elif len(ratios[j]) >= 2 and min(ratios[j][-2:]) > 1.0:
                 raise _iteration_error(
-                    specs[j], f"diverged: two consecutive steps grew after {iteration} steps", ratios[j]
+                    alphas[j], f"diverged: two consecutive steps grew after {iteration} steps", ratios[j]
                 )
         if not active:
-            return _optima(mesh, specs, rows, iterations, ratios, limits)
-    raise _iteration_error(specs[active[0]], f"did not converge in {_MAX_ITER} steps", ratios[active[0]])
+            return _optima(mesh, spec, rows, iterations, ratios, limits)
+    raise _iteration_error(alphas[active[0]], f"did not converge in {_MAX_ITER} steps", ratios[active[0]])
 
 
-def _conjugate_gradients(mesh, specs) -> List[OptimalSolution]:
-    """Conjugate gradients for every spec's column in lockstep (``solve_ladder``)."""
-    k, active = len(specs), list(range(len(specs)))
+def _conjugate_gradients(mesh, spec) -> List[OptimalSolution]:
+    """Conjugate gradients for each column of spec in lockstep (``solve_ladder``)."""
+    alphas = _alphas(spec)
+    k, active = len(alphas), list(range(len(alphas)))
     controls, residuals = np.zeros((2, k, len(dof_partition(mesh).gamma2_trace_dofs)))
     # -grad J(0) is the adjoint trace at the zero control
-    residuals[active] = _adjoint_trace(mesh, specs[0], _alpha(specs, active), _columns(controls, active)).T
-    first = _inners(mesh, _columns(residuals, active), _columns(residuals, active))
+    zero = TraceField(mesh, _block(controls, active))
+    residuals[active] = _adjoint_trace(mesh, _rungs(spec, alphas, active), zero).T
+    first = _inners(mesh, _block(residuals, active), _block(residuals, active))
     rr, directions, iterations = first.copy(), residuals.copy(), [0] * k
     for iteration in range(1, _MAX_CG_ITER + 1):
-        d = _columns(directions, active)
-        hd = _hessian(mesh, specs[0], _alpha(specs, active), d)
+        d = _block(directions, active)
+        hd = _hessian(mesh, _rungs(spec, alphas, active), d)
         curvature = _inners(mesh, d, hd)
         for j, c in zip(active, curvature.tolist()):
             if not c > 0.0:
-                raise ConvergenceError(
-                    f"conjugate gradients{_at(specs[j])} met the nonpositive curvature {c!r} "
-                    f"at step {iteration}"
-                )
+                why = f"met the nonpositive curvature {c!r} at step {iteration}"
+                raise ConvergenceError(f"conjugate gradients{_at(alphas[j])} {why}")
         step = rr[active] / curvature
-        controls[active] = (_columns(controls, active) + d * step).T
-        r = _columns(residuals, active) - hd * step
+        controls[active] = (_block(controls, active) + d * step).T
+        r = _block(residuals, active) - hd * step
         rr_new = _inners(mesh, r, r)
         directions[active], residuals[active] = (r + d * (rr_new / rr[active])).T, r.T
         rr[active] = rr_new
@@ -295,39 +299,39 @@ def _conjugate_gradients(mesh, specs) -> List[OptimalSolution]:
             active.remove(j)
         if not active:
             limits = (_CG_TOL * np.sqrt(first)).tolist()
-            return _optima(mesh, specs, controls, iterations, [[] for _ in specs], limits)
+            return _optima(mesh, spec, controls, iterations, [[] for _ in alphas], limits)
     j = active[0]
     raise ConvergenceError(
-        f"conjugate gradients{_at(specs[j])} did not converge in {_MAX_CG_ITER} steps "
+        f"conjugate gradients{_at(alphas[j])} did not converge in {_MAX_CG_ITER} steps "
         f"(residual {np.sqrt(rr[j] / first[j]):.3g} of the first)"
     )
 
 
-def _optima(mesh, specs, rows, iterations, ratios, limits) -> List[OptimalSolution]:
+def _optima(mesh, spec, rows, iterations, ratios, limits) -> List[OptimalSolution]:
     """State, adjoint, cost, gradient and distance bound at each row of controls, one block solve each.
 
     Raises ConvergenceError, naming the alpha, unless all are finite and
     each gradient norm is at most its limit; above it the error carries
     their ratio as its residual.
     """
-    cols = list(range(len(specs)))
-    alpha, q = _alpha(specs, cols), _columns(rows, cols)
-    u = pde.states(mesh, specs[0], alpha, q)
-    p = pde.adjoints(mesh, specs[0], alpha, u)
-    gradient_norms = _norms(mesh, specs[0].M * q - p[dof_partition(mesh).gamma2_trace_dofs])
-    us, ps = np.atleast_2d(u.T), np.atleast_2d(p.T)
+    alphas, cols = _alphas(spec), list(range(len(rows)))
+    q, block_spec = _block(rows, cols), _rungs(spec, alphas, cols)
+    u = pde.solve_state(mesh, block_spec, TraceField(mesh, q))
+    p = pde.solve_adjoint(mesh, block_spec, u)
+    gradient_norms = _norms(mesh, spec.M * q - p.coefficients[dof_partition(mesh).gamma2_trace_dofs])
+    us, ps = np.atleast_2d(u.coefficients.T), np.atleast_2d(p.coefficients.T)
     optima = []
-    for j, (spec, gradient_norm) in enumerate(zip(specs, gradient_norms)):
+    for j, (alpha, gradient_norm) in enumerate(zip(alphas, gradient_norms)):
         q_j, u_j, p_j = TraceField(mesh, rows[j]), NodalField(mesh, us[j]), NodalField(mesh, ps[j])
         value = _cost_of_state(spec, u_j, q_j)
         if not (np.isfinite(value) and np.isfinite(gradient_norm)):
             raise ConvergenceError(
-                f"optimum{_at(spec)} is not finite: cost {value!r}, gradient norm {gradient_norm!r}",
+                f"optimum{_at(alpha)} is not finite: cost {value!r}, gradient norm {gradient_norm!r}",
                 ratios=ratios[j],
             )
         if gradient_norm > limits[j]:
             raise ConvergenceError(
-                f"optimum{_at(spec)} has gradient norm {gradient_norm:.3e}, above its limit {limits[j]:.3e}",
+                f"optimum{_at(alpha)} has gradient norm {gradient_norm:.3e}, above its limit {limits[j]:.3e}",
                 residual=gradient_norm / limits[j],
                 ratios=ratios[j],
             )
@@ -390,7 +394,7 @@ def solve_optimal_reduced(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
     """Solve G q = L by ``solve_spd`` with G's factor, whose pivots certify G; the oracle route."""
     gmat, lvec, _ = reduced_normal_system(mesh, spec)
     q = TraceField(mesh, solve_spd(certified(gmat), lvec))
-    return _optima(mesh, [spec], q.coefficients[None, :], [0], [[]], [np.inf])[0]
+    return _optima(mesh, spec, q.coefficients[None, :], [0], [[]], [np.inf])[0]
 
 
 class OracleMismatch(ConvergenceError):

@@ -12,9 +12,8 @@ through ``linsolve.solve_family``, which picks the family's operator from
 spec.alpha (None selects the clamped family).  The constant b enters both
 families only through u - b on the clamped portion, and constants lie in
 the kernel of the gradient form, so u - b solves the same problem with
-b = 0 and the state is b plus that solve.  Both go through ``states`` and
-``adjoints``, which also take an (., k) block, one alpha per column, and
-solve it with one right-hand side and one ``solve_family`` call.
+b = 0 and the state is b plus that solve.  For a ladder spec both take
+and return a block of fields, one per alpha, in one ``solve_family`` call.
 
 Data functions g and z_d always enter through the degree-2 midpoint-rule load
 vector, never through vertex interpolation, so the adjoint right side matches
@@ -23,7 +22,7 @@ the derivative of the quadrature-evaluated tracking term exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,7 +41,9 @@ class ProblemSpec:
     b : clamped boundary value (a constant); it enters only through u - b
         on the clamped portion, so it adds to the state as a constant.
     M : control penalty weight in the cost, positive.
-    alpha : Robin penalty weight; None selects the clamped family.
+    alpha : Robin penalty weight; None selects the clamped family.  A tuple
+        of weights is a ladder: the Robin problems at each, one per column
+        of the field blocks its solves take and return.
 
     The load vectors of g and z_d are kept per mesh, keyed by the callable
     object, so a callable must return the same values on every call.
@@ -59,11 +60,11 @@ class ProblemSpec:
             raise ValueError("boundary value b must be finite")
         if not (np.isfinite(self.M) and self.M > 0):
             raise ValueError("penalty weight M must be positive and finite")
-        if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0):
+        if self.alpha is not None and not all(0 < a < np.inf for a in np.ravel(self.alpha)):
             raise ValueError("Robin weight alpha must be positive and finite")
 
     def with_alpha(self, alpha) -> "ProblemSpec":
-        return replace(self, alpha=alpha)
+        return ProblemSpec(self.g, self.z_d, self.b, self.M, alpha)
 
 
 def solve_state(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalField:
@@ -72,37 +73,25 @@ def solve_state(mesh: Mesh, spec: ProblemSpec, q: TraceField) -> NodalField:
     The stiffness annihilates constants, so w = u - b takes the same source
     and flux and solves the family's problem with b = 0: w vanishes on the
     clamped vertices for the clamped family, and the Robin penalty
-    alpha*(u - b) on the clamped portion is alpha*w (``states``).
+    alpha*(u - b) on the clamped portion is alpha*w.  Both families make
+    one ``solve_family`` call and add b, for a ladder's block as well.
     """
     if q.mesh is not mesh:
         raise ValueError("control lives on a different mesh")
-    return NodalField(mesh, states(mesh, spec, spec.alpha, q.coefficients))
+    rhs = np.empty(q.coefficients.shape[1:] + (len(mesh.vertices),))
+    rhs[...] = assembly.assemble_load(mesh, spec.g)
+    # B2's nonzeros lie on the trace vertices, so this is load - B2 trace_extend(q) bit for bit
+    rhs[..., dof_partition(mesh).gamma2_trace_dofs] -= (assembly.trace_mass(mesh) @ q.coefficients).T
+    return NodalField(mesh, spec.b + solve_family(mesh, spec.alpha, rhs.T))
 
 
 def solve_adjoint(mesh: Mesh, spec: ProblemSpec, u: NodalField) -> NodalField:
     """Adjoint of the family selected by spec.alpha, tracking u - z_d.
 
     It is zero on the clamped portion for the clamped family and carries a
-    homogeneous penalty term there for the Robin-type family (``adjoints``).
+    homogeneous penalty term there for the Robin-type family.
     """
     if u.mesh is not mesh:
         raise ValueError("state lives on a different mesh")
-    return NodalField(mesh, adjoints(mesh, spec, spec.alpha, u.coefficients))
-
-
-def states(mesh: Mesh, spec: ProblemSpec, alpha, q) -> np.ndarray:
-    """State coefficients at trace coefficients q, an (m,) vector or an (m, k) block.
-
-    alpha stands for spec.alpha: None, a number, or for a block one per column.
-    """
-    rhs = np.empty(q.shape[1:] + (len(mesh.vertices),))
-    rhs[...] = assembly.assemble_load(mesh, spec.g)
-    # B2's nonzeros lie on the trace vertices, so this is load - B2 trace_extend(q) bit for bit
-    rhs[..., dof_partition(mesh).gamma2_trace_dofs] -= (assembly.trace_mass(mesh) @ q).T
-    return spec.b + solve_family(mesh, alpha, rhs.T)
-
-
-def adjoints(mesh: Mesh, spec: ProblemSpec, alpha, u) -> np.ndarray:
-    """Adjoint coefficients at state coefficients u, an (N,) vector or an (N, k) block (``states``)."""
-    tracking = (assembly.assemble_mass(mesh) @ u).T - assembly.assemble_load(mesh, spec.z_d)
-    return solve_family(mesh, alpha, tracking.T)
+    tracking = (assembly.assemble_mass(mesh) @ u.coefficients).T - assembly.assemble_load(mesh, spec.z_d)
+    return NodalField(mesh, solve_family(mesh, spec.alpha, tracking.T))

@@ -308,8 +308,7 @@ def test_conjugate_gradients_agree_with_the_dense_route(M, alpha):
 
 
 def count_solves(monkeypatch):
-    # every state and adjoint solve goes through pde.states and pde.adjoints
-    counts = {"states": 0, "adjoints": 0}
+    counts = {"solve_state": 0, "solve_adjoint": 0}
     for name in counts:
 
         def counted(*args, _solve=getattr(pde, name), _name=name):
@@ -333,9 +332,9 @@ def test_conjugate_gradients_take_no_more_solves_than_the_fixed_point_iteration(
     counts = count_solves(monkeypatch)
     fp = optctl.solve_optimal_fixed_point(mesh, spec)
     fp_counts = dict(counts)
-    counts.update(states=0, adjoints=0)
+    counts.update(solve_state=0, solve_adjoint=0)
     cg = optctl.solve_optimal_cg(mesh, spec)
-    assert counts["states"] == counts["adjoints"] == cg.iterations + 2
+    assert counts["solve_state"] == counts["solve_adjoint"] == cg.iterations + 2
     assert all(counts[name] <= fp_counts[name] for name in counts)
     assert norm(cg.q_opt - fp.q_opt, "Q") <= 1e-8
 
@@ -437,7 +436,7 @@ def test_cost_gap_takes_its_quadratic_term_from_one_state_solve(monkeypatch, n, 
     through_h = 0.5 * q_inner(e, hessian_product(mesh, spec, e)) + q_inner(grad, e)
     counts = count_solves(monkeypatch)
     gap = optctl.cost_gap(mesh, spec, q, opt)
-    assert counts == {"states": 1, "adjoints": 0}
+    assert counts == {"solve_state": 1, "solve_adjoint": 0}
     assert abs(gap - through_h) <= 1e-13 * abs(through_h)
 
 
@@ -701,6 +700,22 @@ def test_a_ladder_of_one_is_the_single_route_bit_for_bit(n, sides, alpha):
             (rung,) = optctl.solve_ladder(mesh, spec, [alpha], cg=route is optctl.solve_optimal_cg)
             assert np.array_equal(rung.q_opt.coefficients, q.coefficients)
             assert np.array_equal(rung.u_opt.coefficients, sol.u_opt.coefficients)
+
+
+@pytest.mark.parametrize("cg", [False, True])
+def test_a_ladder_solves_only_through_one_state_and_one_adjoint_call_per_step(monkeypatch, cg):
+    # every solve of the block goes through pde.solve_state and pde.solve_adjoint,
+    # one call each per step, plus the start residual (cg) and the final check
+    mesh, spec = build_structured_mesh(8, ("bottom",)), ladder_spec(("bottom",))
+    counts = count_solves(monkeypatch)
+    family = pde.solve_family
+    families = []
+    monkeypatch.setattr(pde, "solve_family", lambda *args: families.append(args[1]) or family(*args))
+    ladder = optctl.solve_ladder(mesh, spec, LADDER, cg=cg)
+    calls = max(sol.iterations for sol in ladder) + (2 if cg else 1)
+    assert counts == {"solve_state": calls, "solve_adjoint": calls}
+    assert len(families) == 2 * calls
+    assert families[:2] == [LADDER, LADDER]
 
 
 def test_one_diverging_alpha_stops_the_ladder_and_is_named():
