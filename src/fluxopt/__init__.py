@@ -27,14 +27,12 @@ from .mesh import (
     interpolate_trace,
     prolongate,
     prolongate_trace,
-    refine,
     restrict_trace,
 )
 from .optctl import (
     OptimalSolution,
     cost,
     gradient,
-    reduced_normal_system,
     solve_optimal_cg,
     solve_optimal_fixed_point,
     solve_optimal_reduced,
@@ -61,8 +59,6 @@ __all__ = [
     "norm",
     "prolongate",
     "prolongate_trace",
-    "reduced_normal_system",
-    "refine",
     "restrict_trace",
     "run",
     "solve_adjoint",

@@ -12,12 +12,12 @@ The mesh's store keeps no per-triangle set-up data but the areas.  The
 vertex grid is a tensor grid, so the element geometry, computed once per
 mesh, keeps b on one grid column and c on one grid row, and the edge
 midpoints are kept on grid lines the same way; full per-triangle arrays
-exist only while a field is evaluated.  The stiffness and the domain mass
-are built together, each one ``np.bincount`` of its element blocks over
-the slot map of one ``csr_pattern``, which is dropped once both are built.
-Load vectors are added into the vertex grid by slices, in the order that
-``np.bincount`` over the triangles would sum them, and the boundary masses
-along the side lines of the grid.
+exist only while a field is evaluated.  Load vectors are added into the
+vertex grid by slices, and the stiffness and the domain mass into one band
+of the grid per coupling step, each in the order that ``np.bincount`` over
+the triangles would sum them; the boundary masses are added along the side
+lines of the grid.  One function, ``_couplings``, reads the bands of the
+vertex rows they hold into CSR for all four matrices.
 """
 
 from __future__ import annotations
@@ -25,9 +25,18 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import SIDES, BoundaryTag, Mesh, NodalField, TraceField, cached, corner_views, csr_pattern
-from .mesh import _COUPLING_STEPS, _SIDE_LINES, _TRIANGLE_CORNERS, _checked_values, _evaluate_callable
-from .mesh import dof_partition, trace_restrict
+from .mesh import SIDES, BoundaryTag, Mesh, NodalField, TraceField, cached, corner_views, dof_partition
+from .mesh import _SIDE_LINES, _TRIANGLE_CORNERS, _checked_values, _evaluate_callable, trace_restrict
+
+# the grid steps from a vertex to the vertices it shares a triangle with,
+# itself included, in increasing vertex index
+_COUPLING_STEPS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+
+# per corner k, the types of the two triangles having a vertex as corner k,
+# lower triangle index first: the type-t one lies (dj, di) =
+# _TRIANGLE_CORNERS[t][k] cells back, so its index is t - 2 (dj n + di) past
+# one offset for both types, in the same order for every n
+_INDEX_ORDER = ((0, 1), (1, 0), (0, 1))
 
 
 def _corner_lines(mesh: Mesh):
@@ -69,49 +78,64 @@ def _areas(mesh: Mesh) -> np.ndarray:
     return _triangle_geometry(mesh)[2]
 
 
-def _assemble(pattern, blocks) -> sp.csr_matrix:
-    """Sum the (3, 3, ...) element blocks, entry (a, b) of every triangle, into the CSR pattern."""
-    data = np.bincount(pattern.slots.ravel(), weights=blocks.ravel(), minlength=len(pattern.indices))
-    # csr_matrix keeps the index arrays it is given, and eliminate_zeros
-    # edits them in place, so each matrix owns a copy of the pattern
-    nvert = len(pattern.indptr) - 1
-    return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=(nvert, nvert))
+def _couplings(mesh: Mesh, rows, bands) -> sp.csr_matrix:
+    """The CSR matrix coupling vertex rows[r] to the vertex ``_COUPLING_STEPS[k]`` away by bands[k, r].
+
+    ``rows`` increase, and the other rows are empty.  An exact zero, such
+    as a step off the grid, is not stored.  The index arrays are 32-bit, as
+    scipy keeps them, unless the couplings outnumber them.
+    """
+    n, nvert = mesh.n, len(mesh.vertices)
+    index = np.int32 if len(_COUPLING_STEPS) * nvert <= np.iinfo(np.int32).max else np.int64
+    present = bands.T != 0
+    offsets = np.array([dj * (n + 1) + di for dj, di in _COUPLING_STEPS], dtype=index)
+    # each row's steps increase its column, so the arrays are canonical
+    columns = (rows.astype(index)[:, None] + offsets)[present]
+    indptr = np.zeros(nvert + 1, dtype=index)
+    indptr[rows + 1] = np.count_nonzero(present, axis=1)
+    return sp.csr_matrix((bands.T[present], columns, np.cumsum(indptr, out=indptr)), shape=(nvert, nvert))
+
+
+def _sum_blocks(mesh: Mesh, entry) -> sp.csr_matrix:
+    """The sum of the triangles' (3, 3) blocks; entry(a, b, t) is entry (a, b) of the type-t ones, (n, n).
+
+    Each entry is added through ``corner_views`` into the band of its
+    coupling step, so every coupling sums its terms in the order of
+    ``np.bincount`` over the blocks' entries: by a, then by b, and the lower
+    triangle index first.
+    """
+    n = mesh.n
+    bands = np.zeros((len(_COUPLING_STEPS), n + 1, n + 1))
+    views = [corner_views(band) for band in bands]
+    for a in range(3):
+        for b in range(3):
+            for t in _INDEX_ORDER[a]:
+                (ja, ia), (jb, ib) = _TRIANGLE_CORNERS[t][a], _TRIANGLE_CORNERS[t][b]
+                views[_COUPLING_STEPS.index((jb - ja, ib - ia))][t][a] += entry(a, b, t)
+    return _couplings(mesh, np.arange((n + 1) ** 2), bands.reshape(len(_COUPLING_STEPS), -1))
 
 
 @cached
-def _domain_matrices(mesh: Mesh):
-    """(K, M), summed into one ``csr_pattern``, whose slot map is dropped once both are built."""
-    b, c, area = _triangle_geometry(mesh)
-    pattern = csr_pattern(mesh)
-    quad = 4.0 * area.reshape(mesh.n, mesh.n, 2)
-    blocks = np.empty((3, 3) + quad.shape)
-    for i in range(3):
-        for j in range(3):
-            entry, bb, cc = blocks[i, j], b[i] * b[j], c[i] * c[j]
-            # one triangle type at a time, so the row line broadcasts along
-            # whole grid rows, not along pairs of types
-            for t in range(2):
-                np.add(bb[:, :, t], cc[:, :, t], out=entry[:, :, t])
-            entry /= quad
-    stiff = _assemble(pattern, blocks)
-    stiff.eliminate_zeros()
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    np.multiply(base[:, :, None, None, None], area.reshape(quad.shape), out=blocks)
-    return stiff, _assemble(pattern, blocks)
-
-
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Gradient-gradient matrix of the piecewise-linear space, with no stored zero.
 
     The couplings across the diagonal edges cancel to exactly 0.0, 2 n^2 of
     them; dropping them leaves every product with the matrix unchanged.
     """
-    return _domain_matrices(mesh)[0]
+    b, c, area = _triangle_geometry(mesh)
+    quad = 4.0 * area.reshape(mesh.n, mesh.n, 2)
+    # one triangle type at a time, so the row line broadcasts along whole
+    # grid rows, not along pairs of types
+    return _sum_blocks(
+        mesh, lambda i, j, t: (b[i, ..., t] * b[j, ..., t] + c[i, ..., t] * c[j, ..., t]) / quad[..., t]
+    )
 
 
+@cached
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Domain mass matrix of the piecewise-linear space."""
-    return _domain_matrices(mesh)[1]
+    area = _areas(mesh).reshape(mesh.n, mesh.n, 2)
+    return _sum_blocks(mesh, lambda i, j, t: (1.0 + (i == j)) / 12.0 * area[..., t])
 
 
 @cached
@@ -120,28 +144,24 @@ def assemble_boundary_mass(mesh: Mesh, tag: BoundaryTag) -> sp.csr_matrix:
 
     Rows and columns away from vertices of tagged edges are zero.  Each
     tagged side adds its edges' masses l/6 [[2, 1], [1, 2]] along its line
-    of the vertex grid into the rows of its vertices alone, a column per
-    coupling step of ``csr_pattern``, so the CSR arrays come in O(n).  A
-    vertex sums at most two edges' entries, alike in either order.
+    of the vertex grid into the bands of its vertices' rows alone, so the
+    CSR arrays come in O(n).  A vertex sums at most two edges' entries,
+    alike in either order.
     """
-    n, tag, nvert, step = mesh.n, BoundaryTag(tag), len(mesh.vertices), _COUPLING_STEPS.index
+    n, tag, step = mesh.n, BoundaryTag(tag), _COUPLING_STEPS.index
     part = dof_partition(mesh)
     rows = part.gamma1_dofs if tag == BoundaryTag.GAMMA1 else part.gamma2_trace_dofs
     length = np.diff(mesh.vertices[: n + 1, 0])
-    values = np.zeros((len(rows), len(_COUPLING_STEPS)))
-    grid = np.arange(nvert).reshape(n + 1, n + 1)
+    bands = np.zeros((len(_COUPLING_STEPS), len(rows)))
+    grid = np.arange(len(mesh.vertices)).reshape(n + 1, n + 1)
     for side in SIDES:
         if (side in mesh.gamma1_sides) == (tag == BoundaryTag.GAMMA1):
             back, ahead = ((0, -1), (0, 1)) if side in ("bottom", "top") else ((-1, 0), (1, 0))
             line = np.searchsorted(rows, grid[_SIDE_LINES[side]])
-            values[line[:-1], step((0, 0))] += length * (2.0 / 6.0)
-            values[line[1:], step((0, 0))] += length * (2.0 / 6.0)
-            values[line[:-1], step(ahead)] = values[line[1:], step(back)] = length * (1.0 / 6.0)
-    present = values > 0
-    columns = rows[:, None] + np.array([dj * (n + 1) + di for dj, di in _COUPLING_STEPS])
-    indptr = np.zeros(nvert + 1, dtype=np.int64)
-    indptr[rows + 1] = np.count_nonzero(present, axis=1)
-    return sp.csr_matrix((values[present], columns[present], np.cumsum(indptr)), shape=(nvert, nvert))
+            bands[step((0, 0)), line[:-1]] += length * (2.0 / 6.0)
+            bands[step((0, 0)), line[1:]] += length * (2.0 / 6.0)
+            bands[step(ahead), line[:-1]] = bands[step(back), line[1:]] = length * (1.0 / 6.0)
+    return _couplings(mesh, rows, bands)
 
 
 @cached
@@ -198,11 +218,9 @@ def assemble_load(mesh: Mesh, f) -> np.ndarray:
     # midpoint m feeds corners m and m + 1.  Each vertex sums its weights in
     # the order of np.bincount over the triangles' corner lists: six passes,
     # corners 0, 1, 1, 2, 2, 0 fed by midpoints 0, 0, 1, 1, 2, 2, and in a
-    # pass the lower triangle index first.  The type-t triangle with the
-    # vertex as corner k lies (dj, di) = _TRIANGLE_CORNERS[t][k] cells back,
-    # so its index is t - 2 (dj n + di) past one offset for both types.
+    # pass the lower triangle index first.
     for k, m in zip((0, 1, 1, 2, 2, 0), (0, 0, 1, 1, 2, 2)):
-        for t in sorted((0, 1), key=lambda t: t - 2 * np.dot(_TRIANGLE_CORNERS[t][k], (n, 1))):
+        for t in _INDEX_ORDER[k]:
             views[t][k] += w[:, :, t, m]
     load = load.ravel()
     load.setflags(write=False)

@@ -15,10 +15,9 @@ The module owns the triangle layout (``_TRIANGLE_CORNERS``): cells are
 row-major, and cell k holds triangle 2k below its diagonal and 2k+1 above.
 Everything that follows the layout is read from 2-D slices of the
 (n+1)-by-(n+1) vertex grid (``corner_views``) with no gather or sort: the
-boundary sides and the vertex partition, and ``csr_pattern``, the sparsity
-pattern of the vertex-coupling matrices with the CSR slot of every element
-entry.  A mesh keeps no per-triangle array: no triangle list and no edge
-list.
+boundary sides and the vertex partition here, the matrices and loads in
+``assembly``.  A mesh keeps no per-triangle array: no triangle list and no
+edge list.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ _SIDE_LINES = {"bottom": np.s_[0, :], "right": np.s_[:, -1], "top": np.s_[-1, :]
 # the corners of its two triangles, counterclockwise: below the diagonal,
 # then above it
 _TRIANGLE_CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
-
-# the grid steps from a vertex to the vertices it shares a triangle with,
-# itself included, in increasing vertex index
-_COUPLING_STEPS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class BoundaryTag(enum.IntEnum):
@@ -64,8 +59,8 @@ class Mesh:
         geometry, matrices, loads, solvers, constants), filled on first use
         by ``cached`` functions and released with the mesh.  Of the
         element set-up it keeps grid lines, O(n) each, and the triangle
-        areas; set-up data that no solve reads, such as the CSR slot map,
-        is not kept.
+        areas; set-up data that no solve reads, such as the coupling bands
+        the matrices are summed in, is not kept.
     """
 
     n: int
@@ -145,52 +140,6 @@ def corner_views(grid: np.ndarray) -> list:
     """
     n = grid.shape[0] - 1
     return [[grid[dj : dj + n, di : di + n] for dj, di in corners] for corners in _TRIANGLE_CORNERS]
-
-
-@dataclass(frozen=True, eq=False)
-class CsrPattern:
-    """Sparsity pattern of the vertex-coupling matrices, with every element entry's slot.
-
-    ``indptr`` and ``indices`` are 32-bit, as scipy keeps them, and
-    canonical (sorted columns, no duplicate): each vertex couples to itself
-    and to the at most six vertices it shares a triangle with.  ``slots``
-    is (3, 3, T): ``slots[a, b, t]`` is the position in ``indices`` of the
-    coupling of corners a and b of triangle t.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray
-
-
-def csr_pattern(mesh: Mesh) -> CsrPattern:
-    """The 7-point CSR pattern of the mesh and its element slot map, in O(nnz) with no sort.
-
-    It is not kept in the store: its slot map is as large as the element
-    blocks, and assembly reads it once per mesh.
-    """
-    n = mesh.n
-    # 32-bit indices as scipy keeps them, unless the couplings outnumber them
-    index = np.int32 if len(_COUPLING_STEPS) * (n + 1) ** 2 <= np.iinfo(np.int32).max else np.int64
-    j = np.arange(n + 1)[:, None]
-    i = np.arange(n + 1)[None, :]
-    present = np.empty((n + 1, n + 1, len(_COUPLING_STEPS)), dtype=bool)
-    for k, (dj, di) in enumerate(_COUPLING_STEPS):
-        present[:, :, k] = (0 <= j + dj) & (j + dj <= n) & (0 <= i + di) & (i + di <= n)
-    # rows are vertices in order and each row's steps increase its column, so
-    # the running count of present couplings is the CSR position of each
-    ends = np.cumsum(present.ravel(), dtype=index).reshape(present.shape)
-    position = ends - 1
-    indptr = np.concatenate([np.zeros(1, dtype=index), ends[:, :, -1].ravel()])
-    offsets = np.array([dj * (n + 1) + di for dj, di in _COUPLING_STEPS], dtype=index)
-    columns = np.arange((n + 1) ** 2, dtype=index).reshape(n + 1, n + 1, 1) + offsets
-    indices = columns[present]
-    slots = np.empty((3, 3, n, n, 2), dtype=index)
-    for t, (corners, views) in enumerate(zip(_TRIANGLE_CORNERS, corner_views(position))):
-        for a, (ja, ia) in enumerate(corners):
-            for b, (jb, ib) in enumerate(corners):
-                slots[a, b, :, :, t] = views[a][:, :, _COUPLING_STEPS.index((jb - ja, ib - ia))]
-    return CsrPattern(indptr=indptr, indices=indices, slots=slots.reshape(3, 3, -1))
 
 
 @cached

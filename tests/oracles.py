@@ -167,6 +167,22 @@ def scatter_triangles(mesh, blocks) -> sp.csr_matrix:
     return scatter(triangles(mesh), blocks, len(mesh.vertices))
 
 
+def bincount_matrix(mesh, blocks) -> sp.csr_matrix:
+    """Sum (T, 3, 3) triangle blocks by np.bincount over each entry's CSR position: by a, then b, then triangle.
+
+    The positions are looked up in the pattern of ``scatter_triangles``;
+    exact zeros are dropped.
+    """
+    cells, nvert = triangles(mesh), len(mesh.vertices)
+    pattern = scatter_triangles(mesh, np.ones_like(blocks))
+    rows = np.repeat(np.arange(nvert), np.diff(pattern.indptr))
+    slots = np.searchsorted(rows * nvert + pattern.indices, cells[:, :, None] * nvert + cells[:, None, :])
+    data = np.bincount(slots.transpose(1, 2, 0).ravel(), weights=blocks.transpose(1, 2, 0).ravel())
+    matrix = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(nvert, nvert))
+    matrix.eliminate_zeros()
+    return matrix
+
+
 def bincount_load(mesh, f) -> np.ndarray:
     """Edge-midpoint load vector of f, summed by np.bincount over the gathered triangle corners."""
     pts = mesh.vertices[triangles(mesh)]

@@ -29,7 +29,6 @@ from fluxopt.mesh import (
     NodalField,
     TraceField,
     build_structured_mesh,
-    csr_pattern,
     dof_partition,
     interpolate_trace,
     prolongate,
@@ -40,6 +39,7 @@ from fluxopt.mesh import (
 from oracles import (
     boundary_mass_by_edges,
     bincount_load,
+    bincount_matrix,
     element_blocks,
     interpolate_nodal,
     l2_misfit_by_gather,
@@ -145,21 +145,40 @@ def test_stiffness_and_mass_match_the_coordinate_scatter(n):
                 assert np.all(np.abs(got.data - expect.data) <= 4e-16 * np.abs(expect.data))
 
 
-def test_assembling_the_stiffness_leaves_the_mass_and_the_pattern_intact():
-    mesh = build_structured_mesh(6, ("bottom",))
-    mass = assemble_mass(mesh)
-    pattern = csr_pattern(mesh)
-    arrays = (mass.indptr, mass.indices, mass.data, pattern.indptr, pattern.indices, pattern.slots)
-    before = [array.copy() for array in arrays]
-    stiff = assemble_stiffness(mesh)
-    # the stiffness dropped its zeros in place, in arrays of its own
+@pytest.mark.parametrize("n", [*range(1, 34), 48, 96, 127, 255])
+def test_stiffness_and_mass_are_the_bincount_sum_of_the_element_blocks_bit_for_bit(n):
+    mesh = build_structured_mesh(n, ("bottom",))
+    stiff_blocks, mass_blocks = element_blocks(mesh)
+    pairs = ((assemble_stiffness(mesh), stiff_blocks), (assemble_mass(mesh), mass_blocks))
+    for got, blocks in pairs:
+        expect = bincount_matrix(mesh, blocks)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(expect, name)), name
+
+
+MATRIX_BUILDS = (
+    assemble_stiffness,
+    assemble_mass,
+    lambda mesh: assemble_boundary_mass(mesh, BoundaryTag.GAMMA1),
+    lambda mesh: assemble_boundary_mass(mesh, BoundaryTag.GAMMA2),
+)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)])
+def test_building_one_matrix_leaves_the_others_intact_and_none_shares_index_arrays(order):
+    mesh = build_structured_mesh(6, ("bottom", "left"))
+    built = []
+    for k in order:
+        before = [[array.copy() for array in (m.data, m.indices, m.indptr)] for m in built]
+        built.append(MATRIX_BUILDS[k](mesh))
+        for matrix, saved in zip(built, before):
+            for array, copy in zip((matrix.data, matrix.indices, matrix.indptr), saved):
+                assert np.array_equal(array, copy)
+    stiff, mass = (built[order.index(k)] for k in (0, 1))
     assert stiff.nnz == mass.nnz - 2 * 6 * 6
-    for array, saved in zip(arrays, before):
-        assert np.array_equal(array, saved)
-    for matrix in (mass, stiff):
-        for name in ("indptr", "indices"):
-            for shared in (pattern.indptr, pattern.indices):
-                assert not np.shares_memory(getattr(matrix, name), shared)
+    indexes = [array for matrix in built for array in (matrix.indptr, matrix.indices)]
+    for first, second in itertools.combinations(indexes, 2):
+        assert not np.shares_memory(first, second)
 
 
 def test_element_geometry_is_computed_once_per_mesh():

@@ -14,7 +14,6 @@ from fluxopt.mesh import (
     NodalField,
     TraceField,
     build_structured_mesh,
-    csr_pattern,
     dof_partition,
     interpolate_trace,
     prolongate,
@@ -137,22 +136,6 @@ def test_triangles_follow_the_cell_layout():
     assert triangles(m).dtype == np.int64
     assert np.array_equal(triangles(m)[0::2], np.column_stack([v00, v00 + 1, v00 + n + 2]))
     assert np.array_equal(triangles(m)[1::2], np.column_stack([v00, v00 + n + 2, v00 + n + 1]))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
-def test_csr_pattern_places_every_triangle_entry_in_its_row_and_column(n):
-    m = build_structured_mesh(n, ["left"])
-    pattern = csr_pattern(m)
-    assert pattern.indptr[-1] == len(pattern.indices)
-    rows = np.repeat(np.arange(len(m.vertices)), np.diff(pattern.indptr))
-    # each row's columns strictly increase: canonical, so no slot is shared
-    assert np.all((np.diff(pattern.indices) > 0) | (np.diff(rows) > 0))
-    slots = pattern.slots
-    assert slots.shape == (3, 3, len(triangles(m)))
-    assert np.array_equal(rows[slots], np.repeat(triangles(m).T[:, None, :], 3, axis=1))
-    assert np.array_equal(pattern.indices[slots], np.repeat(triangles(m).T[None, :, :], 3, axis=0))
-    # and every coupling is some triangle's entry
-    assert np.array_equal(np.unique(pattern.slots), np.arange(len(pattern.indices)))
 
 
 def test_dof_partition_corners_clamped_but_traced():
