@@ -17,49 +17,24 @@ from .harness import (
     run,
     write_csv,
 )
-from .linsolve import ConvergenceError, DiscreteConstants, estimate_constants, solve_spd
-from .mesh import (
-    BoundaryTag,
-    Mesh,
-    NodalField,
-    TraceField,
-    build_structured_mesh,
-    interpolate_trace,
-    prolongate,
-    prolongate_trace,
-    restrict_trace,
-)
-from .optctl import (
-    OptimalSolution,
-    cost,
-    gradient,
-    solve_optimal_cg,
-    solve_optimal_fixed_point,
-    solve_optimal_reduced,
-)
+from .linsolve import ConvergenceError, estimate_constants, solve_spd
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, build_structured_mesh
+from .optctl import solve_optimal_cg, solve_optimal_fixed_point, solve_optimal_reduced
 from .pde import ProblemSpec, solve_adjoint, solve_state
 
 __all__ = [
     "BoundaryTag",
     "ConvergenceError",
     "ConvergenceReport",
-    "DiscreteConstants",
     "ExperimentConfig",
     "Mesh",
     "NodalField",
-    "OptimalSolution",
     "ProblemSpec",
     "TraceField",
     "build_structured_mesh",
     "config_from_dict",
-    "cost",
     "estimate_constants",
-    "gradient",
-    "interpolate_trace",
     "norm",
-    "prolongate",
-    "prolongate_trace",
-    "restrict_trace",
     "run",
     "solve_adjoint",
     "solve_optimal_cg",

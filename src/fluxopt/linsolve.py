@@ -43,7 +43,6 @@ its basis, so a step makes one checked den solve and one den product;
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,10 +51,6 @@ import scipy.sparse as sp
 
 from . import assembly
 from .mesh import BoundaryTag, Mesh, cached, dof_partition
-
-# right-hand side columns per call into a solve: wider blocks hold more
-# memory, and a refinement step solves the whole block when one column needs it
-_BLOCK_COLUMNS = 8
 
 # relative residual up to which a solution is accepted
 _LIMIT = 1e-10
@@ -114,9 +109,9 @@ class FactoredMatrix:
     """A symmetric positive definite matrix, kept sparse, and an exact solve with it.
 
     The solve is a sparse factor's (``certified``) or, for a mesh's K_ff,
-    a fast diagonalization's (``certified_stieltjes``).  A shape, a product
-    and a solve are all ``refinement`` needs to hold each solution to the
-    acceptance limit 1e-10.
+    a fast diagonalization's (``certified_stieltjes``), and takes a vector
+    or a block of any width.  A shape, a product and a solve are all
+    ``refinement`` needs to hold each solution to the acceptance limit 1e-10.
     """
 
     def __init__(self, matrix, solve):
@@ -126,9 +121,6 @@ class FactoredMatrix:
 
     def __matmul__(self, x):
         return self.matrix @ x
-
-    def columns(self, span):  # the matrix for every span of a block's columns (``RobinOperator.columns``)
-        return self
 
 
 def certified(matrix) -> FactoredMatrix:
@@ -263,9 +255,9 @@ def _pencil_1d(n, index):
 class RobinOperator:
     """K + alpha B1 on one mesh, solved with one forward and one back modal transform.
 
-    alpha is a number, or a tuple or array of one alpha per column of the blocks
-    it takes (``columns``).  Built afresh on every call: nothing per alpha
-    is kept.  The sum is never formed: products apply K, and B1 on its
+    alpha is a number, or a tuple or array of one alpha per column of the
+    blocks it takes.  Built afresh on every call: nothing per alpha is
+    kept.  The sum is never formed: products apply K, and B1 on its
     clamped block B1_cc alone (``_clamped_boundary_mass``), and solves
     eliminate the free block around the mesh's pencil (``schur_pencil``).
     B1 lives on the clamped vertices only, so by Haynsworth's inertia
@@ -312,13 +304,6 @@ class RobinOperator:
         self._window, self._lines, self._k_sc = _clamped_coupling(mesh)
         self._grid = (mesh.n + 1, mesh.n + 1)
         self.shape = self._stiff.shape
-
-    def columns(self, span):
-        """The operator at the alphas of a span of a block's columns; with one alpha, a copy."""
-        part = copy.copy(self)
-        if isinstance(self.alpha, np.ndarray):
-            part.alpha, part._d = self.alpha[span], self._d[span]
-        return part
 
     def __matmul__(self, x):
         # B1's rows off the clamped vertices are empty, so this is K x + alpha (B1 x) bit for bit
@@ -522,9 +507,9 @@ def solve_spd(matrix, rhs):
         (both as ``solve_family`` picks them), or any ``FactoredMatrix``,
         such as ``certified(sparse_matrix)``.
     rhs : right-hand side vector, or an (n, k) array of k right-hand sides,
-        solved in blocks of a few columns, each with ``matrix.columns`` of
-        its span: a Robin operator with one alpha per column at that
-        span's alphas.
+        solved as one block (a Robin operator with one alpha per column
+        takes k alphas); ``optctl.reduced_normal_system`` passes its wide
+        response block a few columns at a time.
 
     Each solution is checked by ``refinement`` against the one acceptance
     limit, a relative residual of 1e-10: a column above it takes one
@@ -535,19 +520,8 @@ def solve_spd(matrix, rhs):
     size = matrix.shape[0]
     if matrix.shape != (size, size) or rhs.ndim not in (1, 2) or rhs.shape[0] != size:
         raise ValueError("matrix and right-hand side dimensions do not match")
-    if rhs.ndim == 1:
-        return _checked_solve(matrix, rhs)
-    if rhs.shape[1] <= _BLOCK_COLUMNS:  # one block: no copy into a row-major result
-        return _checked_solve(matrix, np.asfortranarray(rhs))
-    x = np.empty(rhs.shape)
-    for s in range(0, rhs.shape[1], _BLOCK_COLUMNS):
-        span = slice(s, s + _BLOCK_COLUMNS)
-        x[:, span] = _checked_solve(matrix.columns(span), np.asfortranarray(rhs[:, span]))
-    return x
-
-
-def _checked_solve(matrix, rhs):
-    """matrix.solve(rhs), plus its refinement step if it needs one (``refinement``)."""
+    if rhs.ndim == 2:
+        rhs = np.asfortranarray(rhs)
     x = matrix.solve(rhs)
     step = refinement(matrix, rhs, x)
     return x if step is None else x + step

@@ -17,25 +17,27 @@ Three routes compute the optimum:
 * ``solve_optimal_cg`` runs conjugate gradients on H, one state and one
   adjoint solve per step; it converges for every M > 0, and gives the
   harness its fine reference optima.
-* ``solve_ladder`` runs either one for a whole alpha ladder on one mesh
-  in lockstep, a block column per alpha; the two routes above are its
-  ladder of one.
 * ``solve_optimal_reduced`` solves the dense reduced normal system built
   from the state responses to unit trace excitations.  Its optimum comes
   without an adjoint solve, so it is the oracle for the other two:
   ``check_with_reduced`` raises when an optimum disagrees with it beyond
   what the two gradients allow.
 
+``solve_ladder`` runs either of the first two for a whole alpha ladder on
+one mesh in lockstep, a block column per alpha; each is its ladder of one.
+
 The dense route shares the linear solver with the others: it takes its
-base state from ``pde.solve_state``, its responses from one
-``linsolve.solve_family`` call, which picks the operator that the state
-solves use (K_ff, or the Robin operator at the same alpha), and its
-optimum from ``solve_spd`` with a factor of G whose pivots certify G.
+base state from ``pde.solve_state``, its responses from
+``linsolve.solve_family``, which picks the operator that the state solves
+use (K_ff, or the Robin operator at the same alpha), and its optimum from
+``solve_spd`` with a factor of G whose pivots certify G.
 Every solve is checked by its residual.  The routes stay independent only
 because the dense one never solves the adjoint equation for its optimum,
 so its agreement with the others tests the formulations, not the solver.
-It forms its responses and their right-hand side whole, so it serves as
-the oracle on coarse meshes only: ``_MAX_RESPONSE_BYTES`` bounds them.
+It forms its responses whole, though it densifies and solves their
+right-hand side only 8 trace columns at a time (``_RESPONSE_COLUMNS``), so
+it serves as the oracle on coarse meshes only: ``_MAX_RESPONSE_BYTES``
+bounds them.
 
 No route returns an optimum whose cost, control or gradient is not finite,
 nor an iteration one whose gradient is above what its stop rule allows; it
@@ -65,6 +67,8 @@ _STEP_TOL = 1e-10
 _MAX_ITER = 10000
 # bytes up to which the dense reduced system forms its vertex-by-trace responses
 _MAX_RESPONSE_BYTES = 64 << 20
+# trace columns of -B2 E that the dense reduced system densifies and solves at a time
+_RESPONSE_COLUMNS = 8
 # conjugate gradients stop once the residual is this relative to the first
 _CG_TOL = 1e-12
 # conjugate-gradient steps before the iteration gives up
@@ -345,27 +349,30 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
 
     The cost as a function of the control alone is
     1/2 q' G q - L' q + c0.  The state responses R to the unit trace
-    excitations solve the family's system with right-hand side -B2 E in one
-    ``linsolve.solve_family`` call: K_ff on the free vertices for the
-    clamped family, whose clamped rows of R are zero, and K + alpha B1 on
-    every vertex for the Robin family.  -B2 E is densified here, and
-    ``solve_spd`` takes the columns a few at a time and checks each by its
-    residual.  With Mass the vertex mass matrix, G = R' Mass R,
-    symmetrized, plus M times the boundary mass on the trace, and
-    L = R' (load(z_d) - Mass u_base), with the base state u_base from
-    ``pde.solve_state`` at the zero control.  G is symmetric positive
-    definite; ``solve_optimal_reduced`` certifies that by the pivots of its
-    factor.  The route shares its linear solves with the others; what keeps it
-    independent is that it never solves the adjoint equation.
+    excitations solve the family's system with right-hand side -B2 E
+    (``linsolve.solve_family``): K_ff on the free vertices for the clamped
+    family, whose clamped rows of R are zero, and K + alpha B1 on every
+    vertex for the Robin family.  -B2 E is sliced to the trace columns
+    while sparse, then densified and solved 8 columns at a time, each
+    checked by its residual, into one array R.  With Mass the vertex mass
+    matrix, G = R' Mass R, symmetrized, plus M times the boundary mass on
+    the trace, and L = R' (load(z_d) - Mass u_base), with the base state
+    u_base from ``pde.solve_state`` at the zero control.  G is symmetric
+    positive definite; ``solve_optimal_reduced`` certifies that by the
+    pivots of its factor.  The route shares its linear solves with the
+    others; what keeps it independent is that it never solves the adjoint
+    equation.
 
-    R, and -B2 E while it is solved, are dense vertex-by-trace matrices: a
-    request whose R would exceed 64 MiB raises ValueError before any solve
-    (``check_response_size``).
+    R is a dense vertex-by-trace matrix: a request whose R would exceed
+    64 MiB raises ValueError before any solve (``check_response_size``).
     """
     check_response_size(mesh.n, mesh.gamma1_sides)
     g2 = dof_partition(mesh).gamma2_trace_dofs
-    b2 = assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)
-    response = solve_family(mesh, spec.alpha, -b2[:, g2].toarray())
+    excitations = -assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)[:, g2].tocsc()
+    response = np.empty(excitations.shape)
+    for s in range(0, len(g2), _RESPONSE_COLUMNS):
+        span = slice(s, s + _RESPONSE_COLUMNS)
+        response[:, span] = solve_family(mesh, spec.alpha, excitations[:, span].toarray())
     mass = assembly.assemble_mass(mesh)
     base = pde.solve_state(mesh, spec, zero_trace(mesh))
     gmat = response.T @ (mass @ response)

@@ -1046,7 +1046,7 @@ def test_many_alphas_keep_no_robin_operator():
     "sides", [("bottom",), ("bottom", "left"), ("left", "top", "right"), ("bottom", "top")]
 )
 def test_one_alpha_per_column_solves_and_multiplies_each_column_at_its_alpha(sides):
-    # 19 columns span three 8-column solve blocks, each solved at its own alphas
+    # 19 columns, one block solve, each column at its own alpha
     mesh = build_structured_mesh(8, sides)
     alphas = np.geomspace(1e-2, 1e6, 19)
     rng = np.random.default_rng(4)

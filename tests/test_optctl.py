@@ -494,7 +494,9 @@ def per_alpha_reduced_system(mesh, spec):
     """The reduced system from dense right-hand sides and its own base state.
 
     Every call solves the full responses to all unit trace excitations with
-    the family's operator, and the base state without ``pde``, as b plus
+    the family's operator, 8 columns at a time as the oracle does (one wide
+    block moves them by roundoff that grows like 1/alpha: 5e-11 in G at
+    n = 64, alpha = 1e-3), and the base state without ``pde``, as b plus
     the solve of the source load with b = 0 (the stiffness annihilates
     constants); the oracle for ``optctl.reduced_normal_system``.
     """
@@ -505,17 +507,20 @@ def per_alpha_reduced_system(mesh, spec):
     b2_cols = np.asarray(b2[:, g2].todense())
     load_g = assembly.assemble_load(mesh, spec.g)
     nvert = len(mesh.vertices)
+    response = np.zeros((nvert, len(g2)))
+    spans = [slice(s, s + 8) for s in range(0, len(g2), 8)]
     if spec.alpha is None:
         free = part.free_dofs
         clamped = clamped_operator(mesh)
         u0 = np.full(nvert, spec.b)
         u0[free] += linsolve.solve_spd(clamped, load_g[free])
-        response = np.zeros((nvert, len(g2)))
-        response[free, :] = linsolve.solve_spd(clamped, -b2_cols[free, :])
+        for span in spans:
+            response[free, span] = linsolve.solve_spd(clamped, -b2_cols[free, span])
     else:
         robin = RobinOperator(mesh, spec.alpha)
         u0 = spec.b + linsolve.solve_spd(robin, load_g)
-        response = linsolve.solve_spd(robin, -b2_cols)
+        for span in spans:
+            response[:, span] = linsolve.solve_spd(robin, -b2_cols[:, span])
     trace_mass = np.asarray(b2[g2][:, g2].todense())
     gmat = response.T @ (mass @ response) + spec.M * trace_mass
     gmat = 0.5 * (gmat + gmat.T)
@@ -581,29 +586,35 @@ def test_coupling_block_rebuilds_the_schur_complement(n, sides):
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5, 1e4])
-def test_each_reduced_system_makes_one_response_solve(monkeypatch, alpha):
-    # one solve of the whole response block, then one of the base state,
-    # each with the family's operator on the rows it solves
+def test_each_reduced_system_solves_its_responses_8_trace_columns_at_a_time(monkeypatch, alpha):
+    # the response solves take at most 8 columns each and cover the trace
+    # columns in order, then one solve of the base state follows, each with
+    # the family's operator on the rows it solves
     mesh = build_structured_mesh(16, ["bottom"])
     clamped = clamped_operator(mesh)
     calls = []
     solve_spd = linsolve.solve_spd
 
     def counted(matrix, rhs):
-        calls.append((matrix, rhs.shape))
+        calls.append((matrix, rhs.copy()))
         return solve_spd(matrix, rhs)
 
     monkeypatch.setattr(linsolve, "solve_spd", counted)
     optctl.reduced_normal_system(mesh, make_spec(alpha))
-    ntrace = len(dof_partition(mesh).gamma2_trace_dofs)
+    part = dof_partition(mesh)
+    excitations = -assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)[:, part.gamma2_trace_dofs].toarray()
     if alpha is None:
-        size = len(dof_partition(mesh).free_dofs)
+        size, rows = len(part.free_dofs), part.free_dofs
         assert all(matrix is clamped for matrix, _ in calls)
     else:
-        size = len(mesh.vertices)
+        size, rows = len(mesh.vertices), slice(None)
         for matrix, _ in calls:
             assert isinstance(matrix, linsolve.RobinOperator) and matrix.alpha == alpha
-    assert [shape for _, shape in calls] == [(size, ntrace), (size,)]
+    *responses, (_, base) = calls
+    assert base.shape == (size,)
+    # 49 trace columns: six chunks of 8 and one of 1
+    assert [rhs.shape for _, rhs in responses] == [(size, 8)] * 6 + [(size, 1)]
+    assert np.array_equal(np.hstack([rhs for _, rhs in responses]), excitations[rows])
 
 
 def test_a_wrong_robin_solve_makes_the_reduced_system_raise(monkeypatch):
@@ -677,8 +688,8 @@ def test_a_ladder_solves_each_alpha_as_its_ladder_of_one(sides, cg):
 
 
 @pytest.mark.parametrize("cg", [False, True])
-def test_a_ladder_longer_than_one_solve_block_solves_each_alpha_alone(cg):
-    alphas = tuple(np.geomspace(1.0, 1e5, 2 * linsolve._BLOCK_COLUMNS + 3))
+def test_a_ladder_of_19_alphas_solves_each_alpha_alone(cg):
+    alphas = tuple(np.geomspace(1.0, 1e5, 19))
     mesh = build_structured_mesh(4, ("bottom",))
     assert_matches_the_ladders_of_one(mesh, ladder_spec(("bottom",)), alphas, cg)
 
