@@ -3,7 +3,10 @@
 
 Each kind runs through the command line front end (``fluxopt.cli``), which
 writes one CSV per kind into the output directory (default: ./reports) and
-prints the kind's checks.  Exit status is the worst of the kinds'.
+prints the kind's checks.  Exit status is the worst of the kinds'.  The
+kinds run in this one process, so each mesh the harness keeps (within its
+vertex budget) is set up once, by the first kind that reads it, and its
+matrices, solvers, constants and loads serve the kinds after it.
 Individual kinds can be selected by name on the command line:
 
     python3 scripts/run_experiments.py diagram alpha-sweep --out /tmp/r

@@ -206,8 +206,8 @@ def _midpoint_values(mesh: Mesh, f) -> np.ndarray:
 def assemble_load(mesh: Mesh, f) -> np.ndarray:
     """Load vector of the callable f via the edge-midpoint rule (degree-2 exact).
 
-    The vector is kept in the mesh's store, keyed by the callable object,
-    and returned read-only.  Data callables must therefore be pure: f is
+    The vector is kept in the mesh's store, keyed by the callable (a field
+    built from a config entry by that entry), and returned read-only.  Data callables must therefore be pure: f is
     evaluated once per mesh, and a later change in what it returns is not
     seen.
     """

@@ -12,7 +12,14 @@ error enters the reported numbers.
 
 Problem data fields (forcing, target, fixed control, exact solution) are
 named built-in expressions rather than arbitrary code, which keeps configs
-portable and runs bit-reproducible.
+portable and runs bit-reproducible.  Fields built from equal config entries
+are equal, so a mesh's store keeps one load vector per entry.
+
+The runners take their meshes from one registry per process
+(``_kept_mesh``), keyed by cells per side and clamped sides.  A kept mesh's
+store (matrices, modes, solvers, constants and loads) serves every later run
+of the process, of any kind, within a budget of ``_KEPT_VERTICES`` vertices;
+a process that runs one kind once gains nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import assembly, optctl, pde
-from .linsolve import estimate_constants
+from .linsolve import ConvergenceError, estimate_constants
 from .mesh import (
     SIDES,
     BoundaryTag,
@@ -48,6 +55,9 @@ class Field:
 
     bound, if given, is at least |f|, |df/dx| and |df/dy| on the unit square;
     an infinite one means the field may overflow there (``field_from_config``).
+    key, set by ``field_from_config``, is the field's config entry: fields
+    with equal keys are equal and hash alike, and a field without one equals
+    only itself.
     """
 
     def __init__(self, name, fn, grad=None, bound=None):
@@ -55,6 +65,15 @@ class Field:
         self._fn = fn
         self._grad = grad
         self.bound = bound
+        self.key = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Field):
+            return NotImplemented
+        return self is other or (self.key is not None and self.key == other.key)
+
+    def __hash__(self):
+        return object.__hash__(self) if self.key is None else hash(self.key)
 
     def __call__(self, x, y):
         return self._fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -138,7 +157,7 @@ _FIELD_BUILDERS = {
 def field_from_config(value) -> Field:
     """Build a named field from a config entry: a number or {"name": ..., params}."""
     if _is_number(value):
-        return _const_field(_number(value, "field value"))
+        value = {"name": "constant", "value": _number(value, "field value")}
     if isinstance(value, Field):
         return value
     if not isinstance(value, dict) or "name" not in value:
@@ -163,10 +182,42 @@ def field_from_config(value) -> Field:
             f"field {name!r} overflows on the unit square: its values or gradient "
             "can exceed the largest float"
         )
+    built.key = (name,) + tuple((k, _exact(v)) for k, v in sorted(params.items()))
     return built
 
 
+def _exact(value):
+    """A finite parameter, or nested list of them, as a hashable key of the float bits it is read as."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_exact(v) for v in value)
+    return float(value).hex()
+
+
 _DATA_FIELDS = ("g", "z_d", "q_star", "exact")
+
+# the vertices the kept meshes hold at most: the default kinds' 7 meshes hold
+# 22,359, and a mesh of n >= 256 is never kept
+_KEPT_VERTICES = 2**16
+# (n, gamma1_sides) -> kept mesh, least recently used first
+_KEPT: Dict[tuple, Mesh] = {}
+
+
+def _kept_mesh(n, gamma1_sides) -> Mesh:
+    """The process's mesh of n cells per side clamped on gamma1_sides, kept with its store.
+
+    The mesh is built on every call, which checks n and the sides and gives
+    the key; a kept mesh of that key is returned in its place.  The least
+    recently used meshes go first once the kept ones hold more than
+    ``_KEPT_VERTICES`` vertices, and a larger mesh is returned but not kept.
+    """
+    built = build_structured_mesh(n, gamma1_sides)
+    key = (built.n, built.gamma1_sides)
+    mesh = _KEPT.pop(key, built)
+    if len(mesh.vertices) <= _KEPT_VERTICES:
+        _KEPT[key] = mesh
+        while sum(len(kept.vertices) for kept in _KEPT.values()) > _KEPT_VERTICES:
+            del _KEPT[next(iter(_KEPT))]
+    return mesh
 
 
 @dataclass(frozen=True)
@@ -525,13 +576,13 @@ def _run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
     fields, spec = prepare(config)
     q_star, exact = fields["q_star"], fields["exact"]
 
-    ref_mesh = build_structured_mesh(config.n_ref, config.gamma1_sides)
+    ref_mesh = _kept_mesh(config.n_ref, config.gamma1_sides)
     u_ref = pde.solve_state(ref_mesh, spec, interpolate_trace(q_star, ref_mesh))
     p_ref = pde.solve_adjoint(ref_mesh, spec, u_ref)
 
     rows = []
     for n in config.levels:
-        mesh = build_structured_mesh(n, config.gamma1_sides)
+        mesh = _kept_mesh(n, config.gamma1_sides)
         u = pde.solve_state(mesh, spec, interpolate_trace(q_star, mesh))
         p = pde.solve_adjoint(mesh, spec, u)
         rows.append(
@@ -575,10 +626,10 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
     gaps, each as its quadratic form about the optimum, and the two
     cost-consistency distances.
     """
-    level_meshes = [build_structured_mesh(n, config.gamma1_sides) for n in config.levels]
+    level_meshes = [_kept_mesh(n, config.gamma1_sides) for n in config.levels]
     _, spec = prepare(config, level_meshes[0])
 
-    ref_mesh = build_structured_mesh(config.n_ref, config.gamma1_sides)
+    ref_mesh = _kept_mesh(config.n_ref, config.gamma1_sides)
     ref = optctl.solve_optimal_cg(ref_mesh, spec)
 
     rows = []
@@ -597,6 +648,12 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
             "cost_gap_ref": optctl.cost_gap(ref_mesh, spec, q_up, ref),
             "cost_gap_level": optctl.cost_gap(mesh, spec, q_down, sol),
         }
+        for name in ("cost_gap_ref", "cost_gap_level"):
+            if row[name] < 0.0:
+                raise ConvergenceError(
+                    f"{name} at level n = {mesh.n} rounds below zero ({row[name]:.3e}): "
+                    "the gap is under the roundoff of forming it"
+                )
         row["cost_value_gap"] = abs(sol.cost + row["cost_gap_level"] - ref.cost)
         row["cost_opt_value_gap"] = abs(sol.cost - ref.cost)
         rows.append(row)
@@ -665,7 +722,7 @@ def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
     to the clamped-family solution, the three optimal-solution distances, and
     the weighted boundary penalties whose boundedness encodes the limit.
     """
-    mesh = build_structured_mesh(config.levels[-1], config.gamma1_sides)
+    mesh = _kept_mesh(config.levels[-1], config.gamma1_sides)
     fields, spec = prepare(config, mesh)
     constants = estimate_constants(mesh)
 
@@ -743,10 +800,10 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     on the reduced Hessian, and every optimum at the finest level must agree
     with the dense reduced solve within its gradient bound.
     """
-    level_meshes = [build_structured_mesh(n, config.gamma1_sides) for n in config.levels]
+    level_meshes = [_kept_mesh(n, config.gamma1_sides) for n in config.levels]
     _, spec = prepare(config, level_meshes[0])
 
-    ref_mesh = build_structured_mesh(config.n_ref, config.gamma1_sides)
+    ref_mesh = _kept_mesh(config.n_ref, config.gamma1_sides)
     ref = optctl.solve_optimal_cg(ref_mesh, spec)
     robin_refs = optctl.solve_ladder(ref_mesh, spec, config.alphas, cg=True)
     pure_alpha = [assembly.norm(robin_ref.q_opt - ref.q_opt, "Q") for robin_ref in robin_refs]
@@ -815,7 +872,7 @@ def _run_constants(config: ExperimentConfig) -> ConvergenceReport:
     """Surrogate coercivity and trace constants across mesh levels."""
     rows = []
     for n in config.levels:
-        mesh = build_structured_mesh(n, config.gamma1_sides)
+        mesh = _kept_mesh(n, config.gamma1_sides)
         c = estimate_constants(mesh)
         rows.append(
             {

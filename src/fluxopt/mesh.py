@@ -57,10 +57,11 @@ class Mesh:
     h : longest triangle side, sqrt(2)/n.
     store : values derived from the mesh alone (partition, element
         geometry, matrices, loads, solvers, constants), filled on first use
-        by ``cached`` functions and released with the mesh.  Of the
-        element set-up it keeps grid lines, O(n) each, and the triangle
-        areas; set-up data that no solve reads, such as the coupling bands
-        the matrices are summed in, is not kept.
+        by ``cached`` functions and released with the mesh: a mesh the
+        harness keeps keeps its store for the later runs of the process.
+        Of the element set-up it keeps grid lines, O(n) each, and the
+        triangle areas; set-up data that no solve reads, such as the
+        coupling bands the matrices are summed in, is not kept.
     """
 
     n: int

@@ -46,7 +46,8 @@ class ProblemSpec:
         of the field blocks its solves take and return.
 
     The load vectors of g and z_d are kept per mesh, keyed by the callable
-    object, so a callable must return the same values on every call.
+    (a field built from a config entry by that entry), so a callable must
+    return the same values on every call.
     """
 
     g: Callable

@@ -3,6 +3,8 @@ import pathlib
 import hypothesis
 import pytest
 
+from fluxopt import harness
+
 hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=25, derandomize=True
 )
@@ -24,3 +26,12 @@ def pytest_collection_modifyitems(items):
         if _HERE in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings("error"))
             item.add_marker(pytest.mark.filterwarnings(_HYPOTHESIS_REPORT_WARNING))
+
+
+@pytest.fixture(autouse=True)
+def no_kept_meshes():
+    # the harness keeps meshes with their stores for the whole process; each
+    # test starts without them, so no cached set-up passes between tests
+    harness._KEPT.clear()
+    yield
+    harness._KEPT.clear()

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import types
 
 import pytest
@@ -188,6 +189,19 @@ def test_a_solver_error_exits_1_with_its_diagnostics(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"solver error: {error} {detail}\n"
+    assert not os.path.exists(out)
+
+
+def test_a_cost_gap_that_rounds_below_zero_exits_1_naming_its_level(tmp_path, capsys):
+    # with M = 1e250 the level cost gap at n = 16 is formed as -1.4e-272
+    cfg = os.path.join(tmp_path, "huge_penalty.json")
+    with open(cfg, "w") as handle:
+        json.dump({"problem": {"M": 1e250}}, handle)
+    out = os.path.join(tmp_path, "reports")
+    code = main(["control-conv", "--config", cfg, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(r"solver error: cost_gap_\w+ at level n = \d+ rounds below zero \(-\S+\): .*\n", err)
     assert not os.path.exists(out)
 
 

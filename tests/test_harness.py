@@ -2,18 +2,20 @@
 and one end-to-end run whose errors sit at the solver floor."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fluxopt import cli, harness
+from fluxopt import cli, harness, pde
 from fluxopt.harness import (
     ConvergenceReport,
     ExperimentConfig,
@@ -25,7 +27,7 @@ from fluxopt.harness import (
     write_csv,
 )
 from fluxopt.linsolve import estimate_constants
-from fluxopt.mesh import build_structured_mesh
+from fluxopt.mesh import build_structured_mesh, zero_trace
 import oracles
 from oracles import column
 
@@ -505,3 +507,81 @@ def test_cost_gap_rates_count_gaps_under_the_first_order_floor():
         assert report.rates[name].points == len(config.levels)
         assert report.checks[name] is True
     assert report.passed
+
+
+def test_fields_from_equal_config_entries_are_equal():
+    same = [
+        field_from_config({"name": "sin_product", "scale": 10.0, "ky": 2}),
+        field_from_config({"ky": 2.0, "name": "sin_product", "scale": 10}),
+    ]
+    assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+    assert field_from_config(2.5) == field_from_config({"name": "constant", "value": 2.5})
+    poly = {"name": "polynomial", "coefficients": [[1.0, 2.0], [3.0, 4.0]]}
+    assert field_from_config(poly) == field_from_config(poly)
+    # fields that may differ in a value, or in the sign of a zero, differ
+    assert field_from_config({"name": "sin_product", "scale": 10.0}) != same[0]
+    assert field_from_config(0.0) != field_from_config(-0.0)
+    assert field_from_config({"name": "trig_product", "scale": 10.0, "ky": 2}) != same[0]
+    # a hand-built field equals only itself
+    hand = harness.Field("sin_product", same[0]._fn)
+    assert hand != same[0] and hand == hand
+    assert len({hand, harness.Field("sin_product", same[0]._fn)}) == 2
+
+
+def test_kept_meshes_serve_later_runs_of_every_kind_with_the_same_reports(tmp_path):
+    def run_pass(number, kinds):
+        for kind in kinds:
+            write_csv(harness.run(ExperimentConfig(kind)), str(tmp_path / f"{number}-{kind}.csv"))
+        return {key: set(mesh.store) for key, mesh in harness._KEPT.items()}
+
+    run_pass(1, harness.KINDS)
+    kept = run_pass(2, ("diagram", "constants", "state-conv", "alpha-sweep", "control-conv"))
+    # the default kinds read 7 meshes, n = 2 to 128 on the bottom side
+    assert sorted(n for n, _ in kept) == [2, 4, 8, 16, 32, 64, 128]
+    # a later pass adds nothing to a kept store: loads are keyed by their config entry
+    assert run_pass(3, harness.KINDS) == kept
+    for kind in harness.KINDS:
+        first = (tmp_path / f"1-{kind}.csv").read_bytes()
+        for number in (2, 3):
+            assert (tmp_path / f"{number}-{kind}.csv").read_bytes() == first, (kind, number)
+
+
+def test_kept_meshes_are_keyed_by_their_side_set_and_bounded_by_their_vertices():
+    mesh = harness._kept_mesh(4, ("left", "bottom"))
+    assert harness._kept_mesh(4, ["bottom", "left"]) is mesh
+    assert harness._kept_mesh(4, ("bottom",)) is not mesh
+    assert harness._kept_mesh(np.int64(4), ("left", "bottom", "left")) is mesh
+    # n = 256 has 66049 vertices, more than the budget: returned, not kept
+    fine = harness._kept_mesh(256, ("bottom",))
+    assert len(fine.vertices) > harness._KEPT_VERTICES
+    assert harness._kept_mesh(256, ("bottom",)) is not fine
+    assert [key[0] for key in harness._KEPT] == [4, 4]
+    with pytest.raises(ValueError, match="positive integer"):
+        harness._kept_mesh(0, ("bottom",))
+
+
+def test_the_least_recently_used_mesh_is_evicted_and_freed_without_the_cycle_collector(monkeypatch):
+    # n = 4 has 25 vertices: the budget holds two such meshes
+    monkeypatch.setattr(harness, "_KEPT_VERTICES", 50)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mesh = harness._kept_mesh(4, ("bottom",))
+        fields = {"g": {"name": "mms_load"}, "z_d": 0.0}
+        spec = pde.ProblemSpec(**{k: field_from_config(v) for k, v in fields.items()}, b=1.0, M=1.0)
+        for alpha in (None, 2.0):
+            s = spec.with_alpha(alpha)
+            pde.solve_adjoint(mesh, s, pde.solve_state(mesh, s, zero_trace(mesh)))
+        estimate_constants(mesh)
+        ref = weakref.ref(mesh)
+        other = harness._kept_mesh(4, ("top",))
+        assert harness._kept_mesh(4, ("bottom",)) is mesh  # now the most recently used
+        harness._kept_mesh(4, ("left",))
+        assert harness._kept_mesh(4, ("bottom",)) is mesh
+        assert harness._kept_mesh(4, ("top",)) is not other
+        del mesh, other
+        harness._kept_mesh(4, ("right",))
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
