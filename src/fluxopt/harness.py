@@ -158,8 +158,6 @@ def field_from_config(value) -> Field:
     """Build a named field from a config entry: a number or {"name": ..., params}."""
     if _is_number(value):
         value = {"name": "constant", "value": _number(value, "field value")}
-    if isinstance(value, Field):
-        return value
     if not isinstance(value, dict) or "name" not in value:
         raise ValueError(f"field config must be a number or a dict with a 'name' key, got {value!r}")
     name = value["name"]
@@ -590,7 +588,7 @@ def _run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
                 "n": n,
                 "h": mesh.h,
                 "state_err": assembly.v_error_vs_exact(u, exact, exact.gradient),
-                "adjoint_err": assembly.norm(prolongate(p, mesh, ref_mesh) - p_ref, "V"),
+                "adjoint_err": assembly.norm(prolongate(p, ref_mesh) - p_ref, "V"),
             }
         )
 
@@ -637,14 +635,14 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
     for mesh in level_meshes:
         sol = optctl.solve_optimal_fixed_point(mesh, spec)
         solutions.append(sol)
-        q_up = prolongate_trace(sol.q_opt, mesh, ref_mesh)
-        q_down = restrict_trace(ref.q_opt, ref_mesh, mesh)
+        q_up = prolongate_trace(sol.q_opt, ref_mesh)
+        q_down = restrict_trace(ref.q_opt, mesh)
         row = {
             "n": mesh.n,
             "h": mesh.h,
             "control_err": assembly.norm(q_up - ref.q_opt, "Q"),
-            "state_err": assembly.norm(prolongate(sol.u_opt, mesh, ref_mesh) - ref.u_opt, "V"),
-            "adjoint_err": assembly.norm(prolongate(sol.p_opt, mesh, ref_mesh) - ref.p_opt, "V"),
+            "state_err": assembly.norm(prolongate(sol.u_opt, ref_mesh) - ref.u_opt, "V"),
+            "adjoint_err": assembly.norm(prolongate(sol.p_opt, ref_mesh) - ref.p_opt, "V"),
             "cost_gap_ref": optctl.cost_gap(ref_mesh, spec, q_up, ref),
             "cost_gap_level": optctl.cost_gap(mesh, spec, q_down, sol),
         }
@@ -817,14 +815,14 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
         clamped = optctl.solve_optimal_fixed_point(mesh, spec)
         if finest:
             optctl.check_with_reduced(mesh, spec, clamped)
-        tail = assembly.norm(prolongate_trace(clamped.q_opt, mesh, ref_mesh) - ref.q_opt, "Q")
+        tail = assembly.norm(prolongate_trace(clamped.q_opt, ref_mesh) - ref.q_opt, "Q")
         pure_h.append(tail)
         meta[f"pure_h_n{mesh.n}"] = tail
         row_values = []
         for alpha, sol in zip(config.alphas, optctl.solve_ladder(mesh, spec, config.alphas)):
             if finest:
                 optctl.check_with_reduced(mesh, spec.with_alpha(alpha), sol)
-            dist = assembly.norm(prolongate_trace(sol.q_opt, mesh, ref_mesh) - ref.q_opt, "Q")
+            dist = assembly.norm(prolongate_trace(sol.q_opt, ref_mesh) - ref.q_opt, "Q")
             row_values.append(dist)
             rows.append({"n": mesh.n, "h": mesh.h, "alpha": alpha, "distance": dist})
         table.append(row_values)

@@ -9,7 +9,8 @@ boundary edges carry the controlled-flux tag (GAMMA2).
 
 Trace fields, on the flux vertices, reach the vertex grid only through
 ``trace_extend`` and ``trace_restrict``, and both transfers between nested
-meshes go through that grid.
+meshes go through that grid.  A transfer takes the field and the mesh it
+goes to, and reads the mesh it comes from off the field.
 
 The module owns the triangle layout (``_TRIANGLE_CORNERS``): cells are
 row-major, and cell k holds triangle 2k below its diagonal and 2k+1 above.
@@ -267,16 +268,12 @@ def interpolate_trace(f, mesh: Mesh) -> TraceField:
 def _nesting_steps(coarse_mesh: Mesh, fine_mesh: Mesh) -> int:
     if coarse_mesh.gamma1_sides != fine_mesh.gamma1_sides:
         raise ValueError("meshes are not nested: boundary tagging differs")
-    ratio, k = fine_mesh.n, 0
-    cn = coarse_mesh.n
-    while ratio > cn and ratio % 2 == 0:
-        ratio //= 2
-        k += 1
-    if ratio != cn or k < 1:
+    ratio, rest = divmod(fine_mesh.n, coarse_mesh.n)
+    if rest or ratio < 2 or ratio & (ratio - 1):
         raise ValueError(
-            f"meshes are not nested: fine n={fine_mesh.n} is not coarse n={cn} refined"
+            f"meshes are not nested: fine n={fine_mesh.n} is not coarse n={coarse_mesh.n} refined"
         )
-    return k
+    return ratio.bit_length() - 1
 
 
 def _prolong_grid(grid: np.ndarray) -> np.ndarray:
@@ -291,29 +288,26 @@ def _prolong_grid(grid: np.ndarray) -> np.ndarray:
     return fine
 
 
-def prolongate(coarse: NodalField, coarse_mesh: Mesh, fine_mesh: Mesh) -> NodalField:
+def prolongate(coarse: NodalField, fine_mesh: Mesh) -> NodalField:
     """Represent a coarse piecewise-linear function exactly on a nested fine mesh."""
-    if coarse.mesh is not coarse_mesh:
-        raise ValueError("field does not live on the given coarse mesh")
-    steps = _nesting_steps(coarse_mesh, fine_mesh)
-    grid = coarse.coefficients.reshape(coarse_mesh.n + 1, coarse_mesh.n + 1)
-    for _ in range(steps):
+    n = coarse.mesh.n
+    grid = coarse.coefficients.reshape(n + 1, n + 1)
+    for _ in range(_nesting_steps(coarse.mesh, fine_mesh)):
         grid = _prolong_grid(grid)
     return NodalField(fine_mesh, grid.ravel())
 
 
-def prolongate_trace(coarse: TraceField, coarse_mesh: Mesh, fine_mesh: Mesh) -> TraceField:
+def prolongate_trace(coarse: TraceField, fine_mesh: Mesh) -> TraceField:
     """Exact fine-mesh representation of a flux-boundary trace function."""
     # boundary midpoints only ever average the two endpoints of their own
     # boundary edge, so the fine trace depends on the coarse trace alone
-    return trace_restrict(prolongate(trace_extend(coarse), coarse_mesh, fine_mesh))
+    return trace_restrict(prolongate(trace_extend(coarse), fine_mesh))
 
 
-def restrict_trace(fine: TraceField, fine_mesh: Mesh, coarse_mesh: Mesh) -> TraceField:
+def restrict_trace(fine: TraceField, coarse_mesh: Mesh) -> TraceField:
     """Pointwise restriction of a fine trace function to the coarse trace vertices."""
-    if fine.mesh is not fine_mesh:
-        raise ValueError("field does not live on the given fine mesh")
     # nested meshes share their sides, so every coarse flux vertex is a fine one
-    r = 2 ** _nesting_steps(coarse_mesh, fine_mesh)
-    grid = trace_extend(fine).coefficients.reshape(fine_mesh.n + 1, fine_mesh.n + 1)
+    r = 2 ** _nesting_steps(coarse_mesh, fine.mesh)
+    n = fine.mesh.n
+    grid = trace_extend(fine).coefficients.reshape(n + 1, n + 1)
     return trace_restrict(NodalField(coarse_mesh, grid[::r, ::r].ravel()))

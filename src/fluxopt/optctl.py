@@ -20,8 +20,9 @@ Three routes compute the optimum:
 * ``solve_optimal_reduced`` solves the dense reduced normal system built
   from the state responses to unit trace excitations.  Its optimum comes
   without an adjoint solve, so it is the oracle for the other two:
-  ``check_with_reduced`` raises when an optimum disagrees with it beyond
-  what the two gradients allow.
+  ``check_with_reduced`` raises ConvergenceError, carrying the ratio of
+  the distance to its bound as its residual, when an optimum disagrees
+  with it beyond what the two gradients allow.
 
 ``solve_ladder`` runs either of the first two for a whole alpha ladder on
 one mesh in lockstep, a block column per alpha; each is its ladder of one.
@@ -345,23 +346,22 @@ def _optima(mesh, spec, rows, iterations, ratios, limits) -> List[OptimalSolutio
 
 
 def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
-    """Dense normal operator, linear term and constant of the reduced cost.
+    """Dense normal operator and linear term of the reduced cost.
 
-    The cost as a function of the control alone is
-    1/2 q' G q - L' q + c0.  The state responses R to the unit trace
+    The cost as a function of the control alone is 1/2 q' G q - L' q plus a
+    constant that no optimum reads.  The state responses R to the unit trace
     excitations solve the family's system with right-hand side -B2 E
     (``linsolve.solve_family``): K_ff on the free vertices for the clamped
     family, whose clamped rows of R are zero, and K + alpha B1 on every
-    vertex for the Robin family.  -B2 E is sliced to the trace columns
-    while sparse, then densified and solved 8 columns at a time, each
-    checked by its residual, into one array R.  With Mass the vertex mass
-    matrix, G = R' Mass R, symmetrized, plus M times the boundary mass on
-    the trace, and L = R' (load(z_d) - Mass u_base), with the base state
-    u_base from ``pde.solve_state`` at the zero control.  G is symmetric
-    positive definite; ``solve_optimal_reduced`` certifies that by the
-    pivots of its factor.  The route shares its linear solves with the
-    others; what keeps it independent is that it never solves the adjoint
-    equation.
+    vertex for the Robin family.  -B2 E is sliced to the trace columns while
+    sparse, then densified and solved 8 columns at a time, each checked by
+    its residual, into one array R.  With Mass the vertex mass matrix,
+    G = R' Mass R, symmetrized, plus M times the boundary mass on the
+    trace, and L = R' (load(z_d) - Mass u_base), with the base state u_base
+    from ``pde.solve_state`` at the zero control.  G is symmetric positive
+    definite; ``solve_optimal_reduced`` certifies that by the pivots of its
+    factor.  The route shares its linear solves with the others; what keeps
+    it independent is that it never solves the adjoint equation.
 
     R is a dense vertex-by-trace matrix: a request whose R would exceed
     64 MiB raises ValueError before any solve (``check_response_size``).
@@ -378,8 +378,7 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     gmat = response.T @ (mass @ response)
     gmat = 0.5 * (gmat + gmat.T) + spec.M * assembly.trace_mass(mesh).toarray()
     lvec = response.T @ (assembly.assemble_load(mesh, spec.z_d) - mass @ base.coefficients)
-    c0 = 0.5 * assembly.l2_misfit_sq(base, spec.z_d)
-    return gmat, lvec, c0
+    return gmat, lvec
 
 
 def check_response_size(n: int, gamma1_sides) -> None:
@@ -399,20 +398,9 @@ def check_response_size(n: int, gamma1_sides) -> None:
 
 def solve_optimal_reduced(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
     """Solve G q = L by ``solve_spd`` with G's factor, whose pivots certify G; the oracle route."""
-    gmat, lvec, _ = reduced_normal_system(mesh, spec)
+    gmat, lvec = reduced_normal_system(mesh, spec)
     q = TraceField(mesh, solve_spd(certified(gmat), lvec))
     return _optima(mesh, spec, q.coefficients[None, :], [0], [[]], [np.inf])[0]
-
-
-class OracleMismatch(ConvergenceError):
-    """An optimum and the dense route's lie further apart than their gradients allow."""
-
-    def __init__(self, gap: float, bound: float):
-        super().__init__(
-            f"optimum is {gap:.3e} from the dense route's, above the gradient bound {bound:.3e}"
-        )
-        self.gap = gap
-        self.bound = bound
 
 
 def check_with_reduced(mesh: Mesh, spec: pde.ProblemSpec, sol: OptimalSolution) -> None:
@@ -421,10 +409,14 @@ def check_with_reduced(mesh: Mesh, spec: pde.ProblemSpec, sol: OptimalSolution) 
     H is at least M times the identity in the boundary inner product, so
     each optimum lies within its ``distance_bound`` |grad J| / M of q*, and
     the two within the sum of their bounds of each other.  A larger
-    distance raises ConvergenceError carrying the distance and the bound.
+    distance raises ConvergenceError carrying their ratio as its residual
+    (inf for a zero bound), as ``_optima`` carries a gradient's.
     """
     dense = solve_optimal_reduced(mesh, spec)
     gap = assembly.norm(sol.q_opt - dense.q_opt, "Q")
     bound = sol.distance_bound + dense.distance_bound
     if not gap <= bound:
-        raise OracleMismatch(gap, bound)
+        raise ConvergenceError(
+            f"optimum is {gap:.3e} from the dense route's, above the gradient bound {bound:.3e}",
+            residual=gap / bound if bound else np.inf,
+        )

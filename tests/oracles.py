@@ -16,6 +16,8 @@ take one control through pde.solve_state and pde.solve_adjoint, and
 fixed_point_by_steps and cg_by_steps iterate them one control at a time,
 where the package iterates a block of controls, one column per alpha;
 q_inner is the boundary inner product of two trace fields.
+reduced_cost_constant is 0.5 |S(0) - z_d|^2, the constant that
+``optctl.reduced_normal_system`` leaves out of the reduced cost.
 bincount_load sums the load vector by np.bincount over the gathered corners
 of every triangle, where the package adds it into the vertex grid by
 slices.  v_error_by_gather takes each triangle's gradient, and
@@ -59,7 +61,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fluxopt import linsolve, optctl, pde
-from fluxopt.assembly import assemble_boundary_mass, assemble_mass, assemble_stiffness, norm, trace_mass
+from fluxopt.assembly import (
+    assemble_boundary_mass,
+    assemble_mass,
+    assemble_stiffness,
+    l2_misfit_sq,
+    norm,
+    trace_mass,
+)
 from fluxopt.linsolve import _grid_modes, clamped_operator, schur_pencil, solve_spd
 from fluxopt.mesh import (
     SIDES,
@@ -262,6 +271,12 @@ def q_inner(a, b) -> float:
     return float(a.coefficients @ (trace_mass(a.mesh) @ b.coefficients))
 
 
+def reduced_cost_constant(mesh, spec) -> float:
+    """0.5 |S(0) - z_d|^2: the cost at the zero control, which 1/2 q' G q - L' q leaves out."""
+    zero = TraceField(mesh, np.zeros(len(dof_partition(mesh).gamma2_trace_dofs)))
+    return 0.5 * l2_misfit_sq(pde.solve_state(mesh, spec, zero), spec.z_d)
+
+
 def fixed_point_by_steps(mesh, spec):
     """(q, iterations) of the fixed-point iteration run one control at a time.
 
@@ -437,20 +452,18 @@ def _abs_product(matrix, x) -> np.ndarray:
     return sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape) @ x
 
 
-def prolongate_trace_inline(coarse, coarse_mesh, fine_mesh) -> TraceField:
+def prolongate_trace_inline(coarse, fine_mesh) -> TraceField:
     """Exact fine representation of a trace: extend by zero, prolongate, restrict."""
-    if coarse.mesh is not coarse_mesh:
-        raise ValueError("field does not live on the given coarse mesh")
+    coarse_mesh = coarse.mesh
     extended = np.zeros(len(coarse_mesh.vertices))
     extended[dof_partition(coarse_mesh).gamma2_trace_dofs] = coarse.coefficients
-    fine = prolongate(NodalField(coarse_mesh, extended), coarse_mesh, fine_mesh)
+    fine = prolongate(NodalField(coarse_mesh, extended), fine_mesh)
     return TraceField(fine_mesh, fine.coefficients[dof_partition(fine_mesh).gamma2_trace_dofs])
 
 
-def restrict_trace_by_index(fine, fine_mesh, coarse_mesh) -> TraceField:
+def restrict_trace_by_index(fine, coarse_mesh) -> TraceField:
     """Pointwise restriction of a fine trace, each coarse vertex looked up by index."""
-    if fine.mesh is not fine_mesh:
-        raise ValueError("field does not live on the given fine mesh")
+    fine_mesh = fine.mesh
     r = fine_mesh.n // coarse_mesh.n
     g2c = dof_partition(coarse_mesh).gamma2_trace_dofs
     ic = g2c % (coarse_mesh.n + 1)

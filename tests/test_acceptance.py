@@ -24,7 +24,7 @@ from fluxopt.mesh import (
     trace_restrict,
     zero_trace,
 )
-from oracles import column
+from oracles import column, reduced_cost_constant
 
 
 @contextlib.contextmanager
@@ -71,7 +71,8 @@ def test_criterion_1_exact_identity_suite():
             pair_q = lambda a, b: float(a.coefficients @ (gram @ b.coefficients))
             for alpha in (None, 2.0):
                 spec = make_spec(alpha)
-                gmat, lvec, c0 = optctl.reduced_normal_system(mesh, spec)
+                gmat, lvec = optctl.reduced_normal_system(mesh, spec)
+                c0 = reduced_cost_constant(mesh, spec)
                 for q1, q2 in random_pairs(mesh, 20, seed=n):
                     u1 = pde.solve_state(mesh, spec, q1)
                     u2 = pde.solve_state(mesh, spec, q2)

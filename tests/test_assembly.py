@@ -528,7 +528,7 @@ def test_norms_stable_under_prolongation():
     coarse = build_structured_mesh(2, ["bottom"])
     fine = build_structured_mesh(8, ["bottom"])
     u = interpolate_nodal(lambda x, y: x * x - 0.5 * y, coarse)
-    up = prolongate(u, coarse, fine)
+    up = prolongate(u, fine)
     assert norm(up, "H") == pytest.approx(norm(u, "H"), rel=1e-12)
     assert norm(up, "V") == pytest.approx(norm(u, "V"), rel=1e-12)
     assert norm(up, "Q") == pytest.approx(norm(u, "Q"), rel=1e-12)

@@ -1,6 +1,7 @@
 """Exit codes, report files and printed verdicts of the command line front end."""
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -8,9 +9,10 @@ import types
 
 import pytest
 
-from fluxopt import cli, harness
+from fluxopt import cli, harness, optctl
 from fluxopt.cli import main
 from fluxopt.linsolve import ConvergenceError
+from fluxopt.mesh import TraceField
 
 
 def test_constants_run_writes_report(tmp_path, capsys):
@@ -189,6 +191,26 @@ def test_a_solver_error_exits_1_with_its_diagnostics(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"solver error: {error} {detail}\n"
+    assert not os.path.exists(out)
+
+
+def test_an_oracle_mismatch_exits_1_with_its_distance_over_its_bound(tmp_path, capsys, monkeypatch):
+    # the dense optimum moved while it keeps its distance bound; a perturbed
+    # G or L would not do, since the dense route bounds its distance to q*
+    # by the gradient that the state and adjoint solves give at its own optimum
+    solve = optctl.solve_optimal_reduced
+
+    def moved(mesh, spec):
+        dense = solve(mesh, spec)
+        return dataclasses.replace(dense, q_opt=TraceField(mesh, dense.q_opt.coefficients + 1e-6))
+
+    monkeypatch.setattr(optctl, "solve_optimal_reduced", moved)
+    out = os.path.join(tmp_path, "reports")
+    code = main(["control-conv", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    match = re.fullmatch(r"solver error: optimum is .* above the gradient bound .* \(residual (\S+)\)\n", err)
+    assert match and float(match.group(1)) > 1.0
     assert not os.path.exists(out)
 
 

@@ -127,8 +127,8 @@ def test_field_config_parsing():
     assert field_from_config(3.5)(0.2, 0.9) == 3.5
     f = field_from_config({"name": "zero"})
     assert np.all(f(SAMPLE_X, SAMPLE_Y) == 0.0)
-    passthrough = field_from_config(f)
-    assert passthrough is f
+    with pytest.raises(ValueError, match="number or a dict"):
+        field_from_config(f)  # a built field is no config entry
     with pytest.raises(ValueError):
         field_from_config(True)
     with pytest.raises(ValueError):

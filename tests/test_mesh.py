@@ -183,7 +183,7 @@ def test_prolongation_is_exact_for_member_functions():
     coarse = build_structured_mesh(4, ["bottom"])
     fine = build_structured_mesh(8, ["bottom"])
     u = interpolate_nodal(lambda x, y: 2.0 * x - 3.0 * y + 1.0, coarse)
-    up = prolongate(u, coarse, fine)
+    up = prolongate(u, fine)
     expect = interpolate_nodal(lambda x, y: 2.0 * x - 3.0 * y + 1.0, fine)
     assert np.allclose(up.coefficients, expect.coefficients, atol=1e-14)
 
@@ -192,11 +192,11 @@ def test_prolongation_preserves_norms():
     coarse = build_structured_mesh(4, ["bottom", "left"])
     fine = build_structured_mesh(16, ["bottom", "left"])
     u = interpolate_nodal(lambda x, y: np.sin(x) * np.cosh(y), coarse)
-    up = prolongate(u, coarse, fine)
+    up = prolongate(u, fine)
     for which in ("H", "V"):
         assert norm(up, which) == pytest.approx(norm(u, which), rel=1e-12)
     q = interpolate_trace(lambda x, y: x * x - y, coarse)
-    qp = prolongate_trace(q, coarse, fine)
+    qp = prolongate_trace(q, fine)
     assert norm(qp, "Q") == pytest.approx(norm(q, "Q"), rel=1e-12)
 
 
@@ -204,7 +204,7 @@ def test_restrict_after_prolong_is_identity():
     coarse = build_structured_mesh(4, ["top"])
     fine = build_structured_mesh(16, ["top"])
     q = interpolate_trace(lambda x, y: np.cos(3.0 * x) + y, coarse)
-    back = restrict_trace(prolongate_trace(q, coarse, fine), fine, coarse)
+    back = restrict_trace(prolongate_trace(q, fine), coarse)
     assert np.array_equal(back.coefficients, q.coefficients)
 
 
@@ -212,11 +212,11 @@ def test_prolongation_rejects_non_nested_meshes():
     a = build_structured_mesh(4, ["bottom"])
     b = build_structured_mesh(6, ["bottom"])
     u = NodalField(a, np.zeros(len(a.vertices)))
-    with pytest.raises(ValueError):
-        prolongate(u, a, b)
-    c = build_structured_mesh(4, ["left"])
-    with pytest.raises(ValueError):
-        prolongate(u, a, c)  # same size but different clamped portion
+    c = build_structured_mesh(4, ["left"])  # same size but different clamped portion
+    # the field's own mesh (ratio 1) and a coarser one are no targets either
+    for target in (b, c, a, build_structured_mesh(2, ["bottom"])):
+        with pytest.raises(ValueError, match="not nested"):
+            prolongate(u, target)
 
 
 def test_evaluate_nodal_matches_vertex_values():
@@ -275,7 +275,7 @@ def test_trace_prolongation_identity_roundtrip(n):
     fine = build_structured_mesh(4 * n, ["bottom"])
     rng = np.random.default_rng(n)
     q = TraceField(coarse, rng.standard_normal(len(zero_trace(coarse).coefficients)))
-    back = restrict_trace(prolongate_trace(q, coarse, fine), fine, coarse)
+    back = restrict_trace(prolongate_trace(q, fine), coarse)
     assert np.array_equal(back.coefficients, q.coefficients)
 
 
@@ -291,10 +291,10 @@ def test_trace_transfers_match_the_index_oracles_bitwise(sides, coarse_n, fine_n
     rng = np.random.default_rng(fine_n)
     qc = TraceField(coarse, rng.standard_normal(len(zero_trace(coarse).coefficients)))
     qf = TraceField(fine, rng.standard_normal(len(zero_trace(fine).coefficients)))
-    up = prolongate_trace(qc, coarse, fine)
-    assert np.array_equal(up.coefficients, prolongate_trace_inline(qc, coarse, fine).coefficients)
-    down = restrict_trace(qf, fine, coarse)
-    assert np.array_equal(down.coefficients, restrict_trace_by_index(qf, fine, coarse).coefficients)
+    up = prolongate_trace(qc, fine)
+    assert np.array_equal(up.coefficients, prolongate_trace_inline(qc, fine).coefficients)
+    down = restrict_trace(qf, coarse)
+    assert np.array_equal(down.coefficients, restrict_trace_by_index(qf, coarse).coefficients)
 
 
 def test_trace_transfers_reject_non_nested_meshes_and_foreign_fields():
@@ -303,13 +303,17 @@ def test_trace_transfers_reject_non_nested_meshes_and_foreign_fields():
     qc, qf = zero_trace(coarse), zero_trace(fine)
     for other in (build_structured_mesh(6, ["bottom"]), build_structured_mesh(8, ["left"])):
         with pytest.raises(ValueError, match="not nested"):
-            prolongate_trace(qc, coarse, other)
+            prolongate_trace(qc, other)
         with pytest.raises(ValueError, match="not nested"):
-            restrict_trace(zero_trace(other), other, coarse)
-    with pytest.raises(ValueError, match="does not live"):
-        prolongate_trace(qf, coarse, fine)
-    with pytest.raises(ValueError, match="does not live"):
-        restrict_trace(qc, fine, coarse)
+            restrict_trace(zero_trace(other), coarse)
+    # a transfer reads its source mesh off the field, so a target that is
+    # the field's own mesh (ratio 1) or lies the wrong way is not nested
+    for target in (fine, coarse):
+        with pytest.raises(ValueError, match="not nested"):
+            prolongate_trace(qf, target)
+    for target in (coarse, fine):
+        with pytest.raises(ValueError, match="not nested"):
+            restrict_trace(qc, target)
 
 
 def test_field_mesh_mismatch_rejected():
