@@ -5,8 +5,8 @@ Data functions enter through a three-edge-midpoint quadrature rule per
 triangle, which integrates quadratics exactly; the same rule backs the
 tracking-term evaluation so cost, adjoint right side and load vectors stay
 mutually consistent.  ``trace_mass`` is the flux-boundary mass on the trace
-vertices, the Q inner product of trace fields; their maps to and from the
-vertex grid belong to ``mesh``.
+vertices, the Q inner product of trace fields, which ``trace_inners`` alone
+forms; their maps to and from the vertex grid belong to ``mesh``.
 
 The mesh's store keeps no per-triangle set-up data but the areas.  The
 vertex grid is a tensor grid, so the element geometry, computed once per
@@ -171,6 +171,12 @@ def trace_mass(mesh: Mesh) -> sp.csr_matrix:
     return assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)[g2][:, g2].tocsr()
 
 
+def trace_inners(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b>_Q, the boundary inner product, of two trace vectors, or column by column of two blocks."""
+    tb = trace_mass(mesh) @ b
+    return np.atleast_1d(a @ tb if a.ndim == 1 else np.einsum("ij,ij->j", a, tb))
+
+
 @cached
 def _midpoint_lines(mesh: Mesh):
     """x (1, n, 2, 3) and y (n, 1, 2, 3) of the three edge midpoints of every triangle.
@@ -283,8 +289,7 @@ def norm(field, which: str) -> float:
             field = trace_restrict(field)
         if not isinstance(field, TraceField):
             raise ValueError("Q norm needs a trace field or a nodal field to restrict")
-        bmat = trace_mass(field.mesh)
-        val = field.coefficients @ (bmat @ field.coefficients)
+        val = trace_inners(field.mesh, field.coefficients, field.coefficients)[0]
         return float(np.sqrt(max(val, 0.0)))
     if not isinstance(field, NodalField):
         raise ValueError(f"{which!r} norm needs a nodal field")

@@ -38,12 +38,13 @@ import numpy as np
 from . import assembly, optctl, pde
 from .linsolve import ConvergenceError, estimate_constants
 from .mesh import (
-    SIDES,
     BoundaryTag,
     Mesh,
     NodalField,
     TraceField,
     build_structured_mesh,
+    check_grid,
+    check_nesting,
     interpolate_trace,
     prolongate,
     prolongate_trace,
@@ -226,7 +227,8 @@ class ExperimentConfig:
     ``problem`` is merged over the kind's own.  A config sets only what its
     kind reads, never the thresholds of its checks (ExperimentKind.tol); a
     config that sets anything else, or that the runners cannot execute
-    faithfully, raises ValueError at construction.
+    faithfully, raises ValueError at construction.  ``mesh.check_grid`` and
+    ``mesh.check_nesting`` check its levels and n_ref, with their messages.
     """
 
     kind: str
@@ -277,21 +279,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.kind} reads at most {experiment.max_levels} mesh level, got {len(levels)}"
             )
-        for n in levels:
-            if n < 1:
-                raise ValueError(f"mesh levels must be positive integers, got {n!r}")
-        for a, b in zip(levels, levels[1:]):
-            # nesting requires each step to be a whole number of halvings
-            if b <= a or b % a != 0 or not _is_pow2(b // a):
-                raise ValueError(f"levels must increase by power-of-two factors, got {a} -> {b}")
-        if experiment.n_ref is not None:
-            if n_ref <= max(levels):
-                raise ValueError(f"n_ref must exceed the finest level {max(levels)}, got {n_ref!r}")
-            for n in levels:
-                if n_ref % n != 0 or not _is_pow2(n_ref // n):
-                    raise ValueError(
-                        f"n_ref = {n_ref} must be a power-of-two multiple of every level (level {n})"
-                    )
+        ladder = levels if n_ref is None else levels + (n_ref,)
+        for n in ladder:
+            check_grid(n, self.gamma1_sides)
+        for coarse, fine in zip(ladder, ladder[1:]):
+            check_nesting(coarse, fine)
         if experiment.alphas and len(self.alphas) < 2:
             raise ValueError(f"{self.kind} needs an alpha ladder with at least 2 entries")
         for a, b in zip(self.alphas, self.alphas[1:]):
@@ -299,12 +291,8 @@ class ExperimentConfig:
                 raise ValueError(f"alphas must be strictly increasing, got {a} -> {b}")
         if any(a <= 0 for a in self.alphas):
             raise ValueError("alphas must be positive")
-        named = all(isinstance(side, str) for side in self.gamma1_sides)
-        sides = set(self.gamma1_sides) if named else set()
-        if not sides or sides == set(SIDES) or sides - set(SIDES):
-            raise ValueError(f"gamma1_sides must be a nonempty proper subset of {SIDES}")
         if experiment.oracle:
-            optctl.check_response_size(max(levels), self.gamma1_sides)
+            optctl.check_response_size(build_structured_mesh(levels[-1], self.gamma1_sides))
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.problem:
@@ -334,10 +322,6 @@ class ExperimentKind:
     alphas: Tuple[float, ...] = ()
     n_ref: Optional[int] = None
     oracle: bool = False
-
-
-def _is_pow2(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
 
 
 def _is_number(value) -> bool:

@@ -213,8 +213,6 @@ def _grid_modes(mesh: Mesh):
     n, sides = mesh.n, mesh.gamma1_sides
     rows = np.arange(int("bottom" in sides), n + 1 - int("top" in sides))
     cols = np.arange(int("left" in sides), n + 1 - int("right" in sides))
-    if len(rows) * len(cols) == 0:
-        rows = cols = rows[:0]  # no free vertex: bottom and top clamped at n = 1
     modes = _pencil_1d(n, rows) + _pencil_1d(n, cols)
     modes += (1.0 / (modes[0][:, None] + modes[2]),)
     for array in modes:
@@ -238,8 +236,6 @@ def _pencil_1d(n, index):
     column is scaled to unit D1-norm.
     """
     index = np.asarray(index)
-    if len(index) == 0:
-        return np.zeros(0), np.zeros((0, 0))
     if index[0] > 1 or index[-1] < n - 1 or np.any(np.diff(index) != 1):
         raise ValueError("1-D modes need the points 0 or 1 to n - 1 or n, in order")
     neumann = index[0] == 0
@@ -421,7 +417,6 @@ def schur_complement(mesh: Mesh) -> np.ndarray:
     - row j and column i': T[a, b] = Vy[j, a] Vx[i', b]
       / (lambda_y_a + lambda_x_b), and the block is Vx[i_s] T' Vy[j_t]'.
     Each block costs O(n^3), where the whole sum costs |S| N_free, O(n^4).
-    A mesh with no free vertex has S0 = K_cc.
     """
     clamped = dof_partition(mesh).gamma1_dofs
     _, lines, k_sc = _clamped_coupling(mesh)
@@ -476,19 +471,16 @@ def _clamped_coupling(mesh: Mesh):
     the lines.
     """
     ly, vy, lx, vx, weights = _grid_modes(mesh)
-    ny, nx = len(ly), len(lx)
-    window, lines, points = (Ellipsis, slice(0), slice(0)), [], [np.zeros(0, dtype=int)]
-    if ny * nx > 0:
-        sides = mesh.gamma1_sides
-        bottom, left = int("bottom" in sides), int("left" in sides)
-        window = (Ellipsis, slice(bottom, bottom + ny), slice(left, left + nx))
-        rows = sorted({j for side, j in (("bottom", 0), ("top", ny - 1)) if side in sides})
-        cols = sorted({i for side, i in (("left", 0), ("right", nx - 1)) if side in sides})
-        rest = np.arange(bottom, ny - int("top" in sides))
-        lines = [(True, vy[j], vx, weights * vy[j, :, None]) for j in rows]
-        lines += [(False, vx[i], vy[rest], weights * vx[i]) for i in cols]
-        points += [j * nx + np.arange(nx) for j in rows] + [rest * nx + i for i in cols]
-    edges = np.cumsum([len(p) for p in points])
+    ny, nx, sides = len(ly), len(lx), mesh.gamma1_sides
+    bottom, left = int("bottom" in sides), int("left" in sides)
+    window = (Ellipsis, slice(bottom, bottom + ny), slice(left, left + nx))
+    rows = sorted({j for side, j in (("bottom", 0), ("top", ny - 1)) if side in sides})
+    cols = sorted({i for side, i in (("left", 0), ("right", nx - 1)) if side in sides})
+    rest = np.arange(bottom, ny - int("top" in sides))
+    lines = [(True, vy[j], vx, weights * vy[j, :, None]) for j in rows]
+    lines += [(False, vx[i], vy[rest], weights * vx[i]) for i in cols]
+    points = [j * nx + np.arange(nx) for j in rows] + [rest * nx + i for i in cols]
+    edges = np.cumsum([0] + [len(p) for p in points])
     lines = [
         _Line(row, fixed, along, slice(a, b), weighted)
         for (row, fixed, along, weighted), a, b in zip(lines, edges, edges[1:])
@@ -611,11 +603,10 @@ def _pencil_largest(num_mat, den, start) -> float:
     is accepted once its residual |beta_k s_k|, with s its unit
     eigenvector, is at most 1e-14 theta.  ConvergenceError if
     that takes more than 100 steps; a run over as many unknowns ends with
-    beta_k at roundoff.  One unknown is its exact ratio.
+    beta_k at roundoff.  start has at least one unknown, since every mesh
+    keeps a free vertex (``mesh.check_grid``), and one is its exact ratio.
     """
     size = len(start)
-    if size == 0:
-        raise ConvergenceError("pencil has no unknowns")
     if size == 1:
         return float((num_mat @ start)[0] / (den @ start)[0])
     steps = min(_LANCZOS_STEPS, size)

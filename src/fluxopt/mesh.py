@@ -5,7 +5,8 @@ right triangles along each cell diagonal running from the lower-left to the
 upper-right corner, so refining by cell halving keeps every coarse vertex a
 fine vertex.  Whole sides of the square are assigned to the clamped boundary
 portion (tag GAMMA1, where the solution value is prescribed); all remaining
-boundary edges carry the controlled-flux tag (GAMMA2).
+boundary edges carry the controlled-flux tag (GAMMA2).  Which grids exist
+(``check_grid``) and which nest (``check_nesting``) is decided here alone.
 
 Trace fields, on the flux vertices, reach the vertex grid only through
 ``trace_extend`` and ``trace_restrict``, and both transfers between nested
@@ -97,30 +98,40 @@ class DofPartition:
     gamma2_trace_dofs: np.ndarray
 
 
-def build_structured_mesh(n, gamma1_sides) -> Mesh:
-    """Triangulate the unit square with n cells per side.
+def check_grid(n, gamma1_sides):
+    """(n, sides) of a valid grid of n cells per side clamped on gamma1_sides; ValueError otherwise.
 
-    Parameters
-    ----------
-    n : int
-        Number of cells along each side, at least 1.
-    gamma1_sides : iterable of str
-        Sides ("bottom", "right", "top", "left") forming the clamped boundary
-        portion.  Must be a nonempty proper subset of the four sides, so both
-        boundary portions have positive length.
+    n is a positive integer, and the sides ("bottom", "right", "top",
+    "left") a nonempty proper subset of the four, so both boundary portions
+    have positive length.  The grid must keep a free vertex: at n = 1 two
+    opposite clamped sides, or three, clamp all four vertices.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    sides = frozenset(gamma1_sides)
-    unknown = sides - set(SIDES)
+    unknown = [side for side in gamma1_sides if side not in SIDES]
     if unknown:
-        raise ValueError(f"unknown sides {sorted(unknown)}; valid sides are {SIDES}")
+        raise ValueError(f"unknown sides {unknown}; valid sides are {SIDES}")
+    sides = frozenset(gamma1_sides)
     if not sides:
         raise ValueError("gamma1_sides must not be empty: the clamped portion needs positive length")
     if sides == set(SIDES):
         raise ValueError("gamma1_sides must not cover all four sides: the flux portion needs positive length")
+    if n == 1 and ({"bottom", "top"} <= sides or {"left", "right"} <= sides):
+        raise ValueError(f"n = 1 clamped on {sorted(sides)} leaves no free vertex")
+    return int(n), sides
 
-    n = int(n)
+
+def check_nesting(coarse_n, fine_n) -> int:
+    """The halvings that take n = coarse_n cells per side to fine_n; ValueError unless at least one."""
+    ratio, rest = divmod(fine_n, coarse_n)
+    if rest or ratio < 2 or ratio & (ratio - 1):
+        raise ValueError(f"meshes are not nested: fine n={fine_n} is not coarse n={coarse_n} refined")
+    return ratio.bit_length() - 1
+
+
+def build_structured_mesh(n, gamma1_sides) -> Mesh:
+    """Triangulate the unit square with n cells per side, clamped on the gamma1_sides (``check_grid``)."""
+    n, sides = check_grid(n, gamma1_sides)
     # arange/n keeps coarse and refined vertex coordinates bitwise identical
     coords = np.arange(n + 1, dtype=float) / n
     xg, yg = np.meshgrid(coords, coords)
@@ -268,12 +279,7 @@ def interpolate_trace(f, mesh: Mesh) -> TraceField:
 def _nesting_steps(coarse_mesh: Mesh, fine_mesh: Mesh) -> int:
     if coarse_mesh.gamma1_sides != fine_mesh.gamma1_sides:
         raise ValueError("meshes are not nested: boundary tagging differs")
-    ratio, rest = divmod(fine_mesh.n, coarse_mesh.n)
-    if rest or ratio < 2 or ratio & (ratio - 1):
-        raise ValueError(
-            f"meshes are not nested: fine n={fine_mesh.n} is not coarse n={coarse_mesh.n} refined"
-        )
-    return ratio.bit_length() - 1
+    return check_nesting(coarse_mesh.n, fine_mesh.n)
 
 
 def _prolong_grid(grid: np.ndarray) -> np.ndarray:

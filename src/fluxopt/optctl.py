@@ -41,8 +41,8 @@ it serves as the oracle on coarse meshes only: ``_MAX_RESPONSE_BYTES``
 bounds them.
 
 No route returns an optimum whose cost, control or gradient is not finite,
-nor an iteration one whose gradient is above what its stop rule allows; it
-raises ConvergenceError instead.
+nor one whose gradient is above its limit, its stop rule's or, for the dense
+route, the fixed-point route's; it raises ConvergenceError instead.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .linsolve import (  # noqa: F401  (factorize stays importable from optctl)
     solve_family,
     solve_spd,
 )
-from .mesh import SIDES, BoundaryTag, Mesh, NodalField, TraceField, dof_partition, trace_restrict, zero_trace
+from .mesh import BoundaryTag, Mesh, NodalField, TraceField, dof_partition, trace_restrict, zero_trace
 
 # the fixed-point iteration stops once a step is at most this relative to |q|
 _STEP_TOL = 1e-10
@@ -143,8 +143,8 @@ def cost_gap(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField, opt: OptimalSolut
     and adjoint that opt holds.
     """
     e = q - opt.q_opt
-    grad = _gradient_of_adjoint(spec, opt.q_opt, opt.p_opt)
-    return cost(mesh, _homogeneous(spec), e) + float(_inners(mesh, grad.coefficients, e.coefficients)[0])
+    grad = _gradient_of_adjoint(spec, opt.q_opt, opt.p_opt).coefficients
+    return cost(mesh, _homogeneous(spec), e) + float(assembly.trace_inners(mesh, grad, e.coefficients)[0])
 
 
 def solve_optimal_fixed_point(
@@ -213,15 +213,9 @@ def _block(rows, cols):
     return rows[cols].T if len(cols) > 1 else rows[cols[0]]
 
 
-def _inners(mesh, a, b):
-    """<a, b>_Q, the boundary inner product, of two trace vectors, or column by column of two blocks."""
-    tb = assembly.trace_mass(mesh) @ b
-    return np.atleast_1d(a @ tb if a.ndim == 1 else np.einsum("ij,ij->j", a, tb))
-
-
 def _norms(mesh, q):
     """|q|_Q of each column, as ``assembly.norm`` forms it, as a list."""
-    return np.sqrt(np.maximum(_inners(mesh, q, q), 0.0)).tolist()
+    return np.sqrt(np.maximum(assembly.trace_inners(mesh, q, q), 0.0)).tolist()
 
 
 def _adjoint_trace(mesh, spec, q):
@@ -283,12 +277,12 @@ def _conjugate_gradients(mesh, spec) -> List[OptimalSolution]:
     # -grad J(0) is the adjoint trace at the zero control
     zero = TraceField(mesh, _block(controls, active))
     residuals[active] = _adjoint_trace(mesh, _rungs(spec, alphas, active), zero).T
-    first = _inners(mesh, _block(residuals, active), _block(residuals, active))
+    first = assembly.trace_inners(mesh, _block(residuals, active), _block(residuals, active))
     rr, directions, iterations = first.copy(), residuals.copy(), [0] * k
     for iteration in range(1, _MAX_CG_ITER + 1):
         d = _block(directions, active)
         hd = _hessian(mesh, _rungs(spec, alphas, active), d)
-        curvature = _inners(mesh, d, hd)
+        curvature = assembly.trace_inners(mesh, d, hd)
         for j, c in zip(active, curvature.tolist()):
             if not c > 0.0:
                 why = f"met the nonpositive curvature {c!r} at step {iteration}"
@@ -296,7 +290,7 @@ def _conjugate_gradients(mesh, spec) -> List[OptimalSolution]:
         step = rr[active] / curvature
         controls[active] = (_block(controls, active) + d * step).T
         r = _block(residuals, active) - hd * step
-        rr_new = _inners(mesh, r, r)
+        rr_new = assembly.trace_inners(mesh, r, r)
         directions[active], residuals[active] = (r + d * (rr_new / rr[active])).T, r.T
         rr[active] = rr_new
         for j in [j for j in active if rr[j] <= _CG_TOL**2 * first[j]]:
@@ -366,7 +360,7 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     R is a dense vertex-by-trace matrix: a request whose R would exceed
     64 MiB raises ValueError before any solve (``check_response_size``).
     """
-    check_response_size(mesh.n, mesh.gamma1_sides)
+    check_response_size(mesh)
     g2 = dof_partition(mesh).gamma2_trace_dofs
     excitations = -assembly.assemble_boundary_mass(mesh, BoundaryTag.GAMMA2)[:, g2].tocsc()
     response = np.empty(excitations.shape)
@@ -381,26 +375,28 @@ def reduced_normal_system(mesh: Mesh, spec: pde.ProblemSpec):
     return gmat, lvec
 
 
-def check_response_size(n: int, gamma1_sides) -> None:
-    """Raise ValueError if the dense route's responses would exceed the cap; needs no mesh.
+def check_response_size(mesh: Mesh) -> None:
+    """Raise ValueError if the dense route's responses on mesh would exceed the cap, before any solve.
 
-    (n + 1)^2 vertices; n + 1 trace vertices per flux side, less the corners they share.
+    They hold a row per vertex and a column per trace vertex (``dof_partition``).
     """
-    flux = [side not in gamma1_sides for side in SIDES]
-    m = sum(flux) * (n + 1) - sum(a and b for a, b in zip(flux, flux[1:] + flux[:1]))
-    nvert = (n + 1) ** 2
+    nvert, m = len(mesh.vertices), len(dof_partition(mesh).gamma2_trace_dofs)
     if 8 * nvert * m > _MAX_RESPONSE_BYTES:
         raise ValueError(
-            f"reduced system guard: at n = {n} a {nvert} x {m} response exceeds the cap of "
+            f"reduced system guard: at n = {mesh.n} a {nvert} x {m} response exceeds the cap of "
             f"{_MAX_RESPONSE_BYTES} bytes"
         )
 
 
 def solve_optimal_reduced(mesh: Mesh, spec: pde.ProblemSpec) -> OptimalSolution:
-    """Solve G q = L by ``solve_spd`` with G's factor, whose pivots certify G; the oracle route."""
+    """Solve G q = L by ``solve_spd`` with G's factor, whose pivots certify G; the oracle route.
+
+    Its gradient is held to the fixed-point route's limit, M 1e-10 max(1, |q|_Q): a wrong G or L fails it.
+    """
     gmat, lvec = reduced_normal_system(mesh, spec)
     q = TraceField(mesh, solve_spd(certified(gmat), lvec))
-    return _optima(mesh, spec, q.coefficients[None, :], [0], [[]], [np.inf])[0]
+    limit = spec.M * _STEP_TOL * max(1.0, assembly.norm(q, "Q"))
+    return _optima(mesh, spec, q.coefficients[None, :], [0], [[]], [limit])[0]
 
 
 def check_with_reduced(mesh: Mesh, spec: pde.ProblemSpec, sol: OptimalSolution) -> None:

@@ -48,6 +48,8 @@ arpack_largest takes one pencil's largest eigenvalue from ARPACK's Lanczos
 1-D pencil and schur_pencil_dense the Schur pencil by ``scipy.linalg.eigh``,
 where the package writes the first in closed form and reduces the second
 by a Cholesky factor to ``numpy.linalg.eigh``.
+has_free_vertex counts the grid rows and columns that no clamped side
+takes, where the package names the side sets that leave none at n = 1.
 sin_product, trig_product, mms_solution and mms_load write out each
 separable data field and its gradient, where the package builds all four
 from one product of sines or cosines.
@@ -81,6 +83,13 @@ from fluxopt.mesh import (
     dof_partition,
     prolongate,
 )
+
+
+def has_free_vertex(n, sides) -> bool:
+    """Whether a grid of n cells per side clamped on sides keeps a vertex on no clamped side."""
+    rows = n + 1 - len({"bottom", "top"} & set(sides))
+    cols = n + 1 - len({"left", "right"} & set(sides))
+    return rows * cols > 0
 
 
 def local_stiffness(coords) -> np.ndarray:

@@ -41,6 +41,7 @@ from oracles import (
     bincount_load,
     bincount_matrix,
     element_blocks,
+    has_free_vertex,
     interpolate_nodal,
     l2_misfit_by_gather,
     local_edge_mass,
@@ -129,6 +130,8 @@ def test_stiffness_and_mass_match_the_coordinate_scatter(n):
     # last bit
     exact = n & (n - 1) == 0
     for sides in (("bottom",), ("left", "top", "right"), ("bottom", "left")):
+        if not has_free_vertex(n, sides):
+            continue
         mesh = build_structured_mesh(n, sides)
         stiff_blocks, mass_blocks = element_blocks(mesh)
         expect_stiff = scatter_triangles(mesh, stiff_blocks)
@@ -217,6 +220,8 @@ LOAD_FIELDS = (
 @pytest.mark.parametrize("n", [*range(1, 34), 48, 96, 127, 128, 255, 256])
 def test_load_added_by_grid_slices_is_the_bincount_load_bit_for_bit(n):
     for sides in (("bottom",), ("left", "top", "right"), ("bottom", "left")):
+        if not has_free_vertex(n, sides):
+            continue
         mesh = build_structured_mesh(n, sides)
         for f in LOAD_FIELDS:
             load, expect = assemble_load(mesh, f), bincount_load(mesh, f)
@@ -290,6 +295,8 @@ def test_v_error_is_the_gathered_corner_formula_bit_for_bit(n):
     # its coefficient grid, with no gather of a triangle list
     f, grad_f = sin_product(2.0, 1, 2)
     for sides in (("bottom",), ("bottom", "left"), ("left", "top", "right")):
+        if not has_free_vertex(n, sides):
+            continue
         mesh = build_structured_mesh(n, sides)
         u = interpolate_nodal(lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y) + x, mesh)
         assert l2_misfit_sq(u, f) == l2_misfit_by_gather(u, f)
@@ -368,7 +375,7 @@ def test_boundary_masses_from_the_side_lines_equal_the_edge_scatter_bit_for_bit(
     # every nonempty proper subset of the sides, both tags, and the Q inner product
     side_sets = [s for r in (1, 2, 3) for s in itertools.combinations(SIDES, r)]
     assert len(side_sets) == 14
-    for sides in side_sets:
+    for sides in [sides for sides in side_sets if has_free_vertex(n, sides)]:
         mesh = build_structured_mesh(n, sides)
         g2 = dof_partition(mesh).gamma2_trace_dofs
         pairs = [(assemble_boundary_mass(mesh, tag), boundary_mass_by_edges(mesh, tag)) for tag in BoundaryTag]

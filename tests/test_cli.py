@@ -40,7 +40,7 @@ def test_invalid_config_value_is_a_config_error(tmp_path, capsys):
         json.dump({"levels": [4, 12]}, handle)
     code = main(["constants", "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
-    assert "power-of-two" in capsys.readouterr().err
+    assert "meshes are not nested: fine n=12 is not coarse n=4 refined" in capsys.readouterr().err
 
 
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys):
@@ -196,8 +196,7 @@ def test_a_solver_error_exits_1_with_its_diagnostics(tmp_path, capsys, monkeypat
 
 def test_an_oracle_mismatch_exits_1_with_its_distance_over_its_bound(tmp_path, capsys, monkeypatch):
     # the dense optimum moved while it keeps its distance bound; a perturbed
-    # G or L would not do, since the dense route bounds its distance to q*
-    # by the gradient that the state and adjoint solves give at its own optimum
+    # G or L fails the dense optimum's own gradient limit first (below)
     solve = optctl.solve_optimal_reduced
 
     def moved(mesh, spec):
@@ -211,6 +210,38 @@ def test_an_oracle_mismatch_exits_1_with_its_distance_over_its_bound(tmp_path, c
     assert code == 1
     match = re.fullmatch(r"solver error: optimum is .* above the gradient bound .* \(residual (\S+)\)\n", err)
     assert match and float(match.group(1)) > 1.0
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("scale, code", [(1 + 1e-6, 1), (1 + 1e-9, 0)])
+def test_a_wrong_reduced_linear_term_fails_the_dense_gradient_limit(tmp_path, capsys, monkeypatch, scale, code):
+    # the dense optimum is held to the fixed-point route's gradient limit, so
+    # L x (1 + 1e-6) fails it at n = 32 (84.8 of the limit), while
+    # L x (1 + 1e-9) reads 0.085 of it and passes
+    system = optctl.reduced_normal_system
+
+    def scaled(mesh, spec):
+        gmat, lvec = system(mesh, spec)
+        return gmat, lvec * scale
+
+    monkeypatch.setattr(optctl, "reduced_normal_system", scaled)
+    assert main(["control-conv", "--out", str(tmp_path)]) == code
+    if code:
+        match = re.search(r"\(residual (\S+)\)\n\Z", capsys.readouterr().err)
+        assert match and float(match.group(1)) > 1.0
+
+
+@pytest.mark.parametrize("kind", ["constants", "state-conv"])
+def test_levels_through_a_grid_with_no_free_vertex_are_a_config_error(tmp_path, capsys, kind):
+    # n = 1 clamped on bottom and top clamps all four vertices
+    cfg = os.path.join(tmp_path, "opposite.json")
+    with open(cfg, "w") as handle:
+        json.dump({"levels": [1, 2, 4], "gamma1_sides": ["bottom", "top"]}, handle)
+    out = os.path.join(tmp_path, "reports")
+    code = main([kind, "--config", cfg, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "leaves no free vertex" in err
     assert not os.path.exists(out)
 
 

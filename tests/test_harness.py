@@ -27,7 +27,7 @@ from fluxopt.harness import (
     write_csv,
 )
 from fluxopt.linsolve import estimate_constants
-from fluxopt.mesh import build_structured_mesh, zero_trace
+from fluxopt.mesh import SIDES, NodalField, build_structured_mesh, prolongate, zero_trace
 import oracles
 from oracles import column
 
@@ -186,7 +186,7 @@ def test_default_config_carries_the_kind_table(kind):
 
 
 def test_config_is_checked_when_built():
-    with pytest.raises(ValueError, match="power-of-two"):
+    with pytest.raises(ValueError, match="fine n=12 is not coarse n=4 refined"):
         ExperimentConfig("state-conv", levels=(4, 12, 24))
     with pytest.raises(ValueError, match="seed"):
         dataclasses.replace(ExperimentConfig("state-conv"), seed=-1)
@@ -203,16 +203,16 @@ def test_a_wrong_typed_config_field_is_a_value_error(key, value):
 @pytest.mark.parametrize(
     "kind,data,fragment",
     [
-        ("state-conv", {"levels": [4, 12, 24]}, "power-of-two"),
+        ("state-conv", {"levels": [4, 12, 24]}, "fine n=12 is not coarse n=4 refined"),
         ("state-conv", {"levels": [8, 16]}, "at least 3"),
-        ("state-conv", {"levels": [8, 16, 32], "n_ref": 32}, "exceed"),
-        ("state-conv", {"levels": [8, 16, 32], "n_ref": 96}, "multiple"),
+        ("state-conv", {"levels": [8, 16, 32], "n_ref": 32}, "fine n=32 is not coarse n=32 refined"),
+        ("state-conv", {"levels": [8, 16, 32], "n_ref": 96}, "fine n=96 is not coarse n=32 refined"),
         ("alpha-sweep", {"alphas": [10.0]}, "at least 2"),
         ("alpha-sweep", {"alphas": [10.0, 1.0]}, "increasing"),
         ("alpha-sweep", {"alphas": [-1.0, 1.0]}, "positive"),
-        ("state-conv", {"gamma1_sides": []}, "proper subset"),
-        ("state-conv", {"gamma1_sides": ["bottom", "right", "top", "left"]}, "proper subset"),
-        ("state-conv", {"gamma1_sides": ["south"]}, "proper subset"),
+        ("state-conv", {"gamma1_sides": []}, "must not be empty"),
+        ("state-conv", {"gamma1_sides": ["bottom", "right", "top", "left"]}, "must not cover all four sides"),
+        ("state-conv", {"gamma1_sides": ["south"]}, "unknown sides"),
         ("state-conv", {"r": 2.0}, "unknown config keys"),
         ("state-conv", {"r": 1.0001}, "unknown config keys"),
         ("state-conv", {"bogus": 1}, "unknown config keys"),
@@ -231,7 +231,7 @@ def test_a_wrong_typed_config_field_is_a_value_error(key, value):
         ("constants", {"tol": {}}, "unknown config keys"),
         ("state-conv", {"tol": {"rate_slack": 10.0}}, "unknown config keys"),
         ("state-conv", {"r": 2.0, "tol": {"rate_slack": 0.15}}, "unknown config keys"),
-        ("state-conv", {"gamma1_sides": [["bottom"]]}, "proper subset"),
+        ("state-conv", {"gamma1_sides": [["bottom"]]}, "unknown sides"),
         ("state-conv", {"problem": {"g": {"name": ["warp"]}}}, "unknown field"),
         ("state-conv", {"problem": {"g": {"name": "constant", "value": None}}}, "wrong type"),
         ("state-conv", {"problem": {"g": float("nan")}}, "field value must be a finite number"),
@@ -272,6 +272,34 @@ def test_a_wrong_typed_config_field_is_a_value_error(key, value):
 def test_config_rejections(kind, data, fragment):
     with pytest.raises(ValueError, match=fragment):
         config_from_dict(kind, data)
+
+
+def _transfer(coarse_n, fine_n):
+    coarse = build_structured_mesh(coarse_n, ["bottom"])
+    prolongate(NodalField(coarse, np.zeros(len(coarse.vertices))), build_structured_mesh(fine_n, ["bottom"]))
+
+
+@pytest.mark.parametrize(
+    "kind, data, mesh_call",
+    [
+        ("state-conv", {"gamma1_sides": []}, lambda: build_structured_mesh(4, [])),
+        ("state-conv", {"gamma1_sides": list(SIDES)}, lambda: build_structured_mesh(4, list(SIDES))),
+        ("state-conv", {"gamma1_sides": ["south"]}, lambda: build_structured_mesh(4, ["south"])),
+        ("state-conv", {"gamma1_sides": [["bottom"]]}, lambda: build_structured_mesh(4, [["bottom"]])),
+        ("constants", {"levels": [4, 6]}, lambda: _transfer(4, 6)),
+        ("constants", {"levels": [4, 12]}, lambda: _transfer(4, 12)),
+        ("state-conv", {"levels": [16, 32, 64], "n_ref": 64}, lambda: _transfer(64, 64)),
+        ("state-conv", {"levels": [16, 32, 64], "n_ref": 96}, lambda: _transfer(64, 96)),
+    ],
+    ids=["no side", "all sides", "unknown side", "non-string side", "4 to 6", "4 to 12", "n_ref 64", "n_ref 96"],
+)
+def test_the_config_stage_rejects_a_grid_or_ladder_with_the_mesh_message(kind, data, mesh_call):
+    # one rule decides which grids exist and which nest; the config asks it
+    with pytest.raises(ValueError) as from_mesh:
+        mesh_call()
+    with pytest.raises(ValueError) as from_config:
+        config_from_dict(kind, data)
+    assert str(from_config.value) == str(from_mesh.value)
 
 
 @pytest.mark.parametrize("kind", harness.KINDS)

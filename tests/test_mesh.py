@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fluxopt.assembly import norm
@@ -26,6 +26,7 @@ from oracles import (
     boundary_edges,
     dof_partition_by_edges,
     evaluate_nodal,
+    has_free_vertex,
     interpolate_nodal,
     prolongate_trace_inline,
     restrict_trace_by_index,
@@ -113,12 +114,28 @@ def test_dof_partition_two_cells_bottom():
 @pytest.mark.parametrize("n", [*range(1, 10), 128])
 def test_dof_partition_matches_the_edge_derived_index_sets(n):
     for mask in range(1, 15):
-        mesh = build_structured_mesh(n, [s for k, s in enumerate(SIDES) if mask & (1 << k)])
+        sides = [s for k, s in enumerate(SIDES) if mask & (1 << k)]
+        if not has_free_vertex(n, sides):
+            continue
+        mesh = build_structured_mesh(n, sides)
         part, expect = dof_partition(mesh), dof_partition_by_edges(mesh)
         for name in ("gamma1_dofs", "free_dofs", "gamma2_trace_dofs"):
             got, want = getattr(part, name), getattr(expect, name)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "sides", [sides for count in (1, 2, 3) for sides in itertools.combinations(SIDES, count)], ids="+".join
+)
+def test_a_grid_is_built_exactly_when_it_keeps_a_free_vertex(sides):
+    # at n = 1 two opposite clamped sides, or three, clamp every vertex
+    for n in (1, 2, 3):
+        if has_free_vertex(n, sides):
+            assert len(dof_partition(build_structured_mesh(n, sides)).free_dofs) > 0
+        else:
+            with pytest.raises(ValueError, match=r"n = 1 clamped on \[.*\] leaves no free vertex"):
+                build_structured_mesh(n, sides)
 
 
 def test_a_mesh_keeps_no_triangle_or_edge_list():
@@ -253,6 +270,7 @@ def test_interpolation_error_first_order_in_v_norm():
 )
 def test_structural_invariants(n, mask):
     sides = [s for k, s in enumerate(SIDES) if mask & (1 << k)]
+    assume(has_free_vertex(n, sides))
     m = build_structured_mesh(n, sides)
     assert len(m.vertices) == (n + 1) ** 2
     assert len(triangles(m)) == 2 * n * n
@@ -279,11 +297,15 @@ def test_trace_prolongation_identity_roundtrip(n):
     assert np.array_equal(back.coefficients, q.coefficients)
 
 
-@pytest.mark.parametrize("coarse_n, fine_n", [(1, 2), (1, 8), (2, 4), (3, 12), (4, 32), (8, 64)])
 @pytest.mark.parametrize(
-    "sides",
-    [sides for count in (1, 2, 3) for sides in itertools.combinations(SIDES, count)],
-    ids="+".join,
+    "sides, coarse_n, fine_n",
+    [
+        (sides, coarse_n, fine_n)
+        for coarse_n, fine_n in [(1, 2), (1, 8), (2, 4), (3, 12), (4, 32), (8, 64)]
+        for sides in [sides for count in (1, 2, 3) for sides in itertools.combinations(SIDES, count)]
+        if has_free_vertex(coarse_n, sides)
+    ],
+    ids=lambda value: "+".join(value) if isinstance(value, tuple) else str(value),
 )
 def test_trace_transfers_match_the_index_oracles_bitwise(sides, coarse_n, fine_n):
     coarse = build_structured_mesh(coarse_n, sides)
