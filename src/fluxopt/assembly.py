@@ -6,7 +6,8 @@ triangle, which integrates quadratics exactly; the same rule backs the
 tracking-term evaluation so cost, adjoint right side and load vectors stay
 mutually consistent.  ``trace_mass`` is the flux-boundary mass on the trace
 vertices, the Q inner product of trace fields, which ``trace_inners`` alone
-forms; their maps to and from the vertex grid belong to ``mesh``.
+forms; ``trace_norms`` takes the Q norm of each column from it.  The maps of
+trace fields to and from the vertex grid belong to ``mesh``.
 
 The mesh's store keeps no per-triangle set-up data but the areas.  The
 vertex grid is a tensor grid, so the element geometry, computed once per
@@ -177,6 +178,11 @@ def trace_inners(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.atleast_1d(a @ tb if a.ndim == 1 else np.einsum("ij,ij->j", a, tb))
 
 
+def trace_norms(mesh: Mesh, q: np.ndarray) -> np.ndarray:
+    """|q|_Q of a trace vector, or column by column of a block; a rounded negative square reads 0."""
+    return np.sqrt(np.maximum(trace_inners(mesh, q, q), 0.0))
+
+
 @cached
 def _midpoint_lines(mesh: Mesh):
     """x (1, n, 2, 3) and y (n, 1, 2, 3) of the three edge midpoints of every triangle.
@@ -289,8 +295,7 @@ def norm(field, which: str) -> float:
             field = trace_restrict(field)
         if not isinstance(field, TraceField):
             raise ValueError("Q norm needs a trace field or a nodal field to restrict")
-        val = trace_inners(field.mesh, field.coefficients, field.coefficients)[0]
-        return float(np.sqrt(max(val, 0.0)))
+        return float(trace_norms(field.mesh, field.coefficients)[0])
     if not isinstance(field, NodalField):
         raise ValueError(f"{which!r} norm needs a nodal field")
     coeff = field.coefficients

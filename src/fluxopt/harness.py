@@ -1,11 +1,13 @@
 """Experiment runners for the convergence studies and their CSV reports.
 
 EXPERIMENTS holds one entry per experiment kind: its runner, a one-line
-summary and its default configuration.  An ExperimentConfig takes its kind's
-defaults and is checked once, when it is built; run dispatches it to the
-runner, which takes its problem data and ProblemSpec from prepare and
-produces a ConvergenceReport: rows keyed by column name, least-squares rate
-fits and named pass/fail checks; write_csv writes it.  Reference
+summary, its report's column notes and its default configuration.  An
+ExperimentConfig takes its kind's defaults and is checked once, when it is
+built.  run fetches the config's meshes, those of its levels and of its
+n_ref, and hands them to the kind's runner, which takes its problem data and
+ProblemSpec from prepare and returns rows keyed by column name, meta
+entries, least-squares rate fits and named pass/fail checks; run builds the
+ConvergenceReport of them, and write_csv writes it.  Reference
 solutions for the vanishing-mesh-size limit are computed on a fine nested
 mesh and compared through exact prolongation, so no cross-mesh interpolation
 error enters the reported numbers.
@@ -15,11 +17,11 @@ named built-in expressions rather than arbitrary code, which keeps configs
 portable and runs bit-reproducible.  Fields built from equal config entries
 are equal, so a mesh's store keeps one load vector per entry.
 
-The runners take their meshes from one registry per process
-(``_kept_mesh``), keyed by cells per side and clamped sides.  A kept mesh's
-store (matrices, modes, solvers, constants and loads) serves every later run
-of the process, of any kind, within a budget of ``_KEPT_VERTICES`` vertices;
-a process that runs one kind once gains nothing.
+run takes the meshes from one registry per process (``_kept_mesh``), keyed
+by cells per side and clamped sides.  A kept mesh's store (matrices, modes,
+solvers, constants and loads) serves every later run of the process, of any
+kind, within a budget of ``_KEPT_VERTICES`` vertices; a process that runs
+one kind once gains nothing.
 """
 
 from __future__ import annotations
@@ -205,9 +207,12 @@ def _kept_mesh(n, gamma1_sides) -> Mesh:
     """The process's mesh of n cells per side clamped on gamma1_sides, kept with its store.
 
     The mesh is built on every call, which checks n and the sides and gives
-    the key; a kept mesh of that key is returned in its place.  The least
-    recently used meshes go first once the kept ones hold more than
-    ``_KEPT_VERTICES`` vertices, and a larger mesh is returned but not kept.
+    the key; a kept mesh of that key is returned in its place.  A kept mesh
+    does not skip the build because the benchmark's traced suite must reach
+    ``mesh.build`` in its warm passes (``perfbench/run.py``, ``REACHES``).
+    The least recently used meshes go first once the kept ones hold more
+    than ``_KEPT_VERTICES`` vertices, and a larger mesh is returned but not
+    kept.
     """
     built = build_structured_mesh(n, gamma1_sides)
     key = (built.n, built.gamma1_sides)
@@ -259,11 +264,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown problem keys {sorted(unknown)} for {self.kind}; allowed: {allowed}")
         levels = experiment.levels if self.levels is None else self.levels
         alphas = experiment.alphas if self.alphas is None else self.alphas
-        n_ref = experiment.n_ref if self.n_ref is None else _integer(self.n_ref, "n_ref")
+        n_ref = experiment.n_ref if self.n_ref is None else check_grid(self.n_ref, self.gamma1_sides)[0]
         filled = {
             "problem": {**experiment.problem, **self.problem},
             "gamma1_sides": tuple(self.gamma1_sides),
-            "levels": tuple(_integer(n, "mesh level") for n in levels),
+            "levels": tuple(check_grid(n, self.gamma1_sides)[0] for n in levels),
             "alphas": tuple(_number(a, "alpha") for a in alphas),
             "n_ref": n_ref,
             "seed": _integer(self.seed, "seed"),
@@ -280,8 +285,6 @@ class ExperimentConfig:
                 f"{self.kind} reads at most {experiment.max_levels} mesh level, got {len(levels)}"
             )
         ladder = levels if n_ref is None else levels + (n_ref,)
-        for n in ladder:
-            check_grid(n, self.gamma1_sides)
         for coarse, fine in zip(ladder, ladder[1:]):
             check_nesting(coarse, fine)
         if experiment.alphas and len(self.alphas) < 2:
@@ -301,7 +304,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentKind:
-    """Runner, summary and defaults of one experiment kind.
+    """Runner, summary, column notes and defaults of one experiment kind.
+
+    ``runner(config, meshes, ref_mesh)`` gets the kept meshes of the
+    config's levels, in order, and of its n_ref (None for a kind without
+    one), and returns the report's (rows, meta, rates, checks); ``run``
+    builds the ConvergenceReport with the kind's ``column_notes``.
 
     A kind compares against a fine reference mesh when its default n_ref is
     set, needs an alpha ladder when its default alphas are nonempty, and
@@ -312,8 +320,9 @@ class ExperimentKind:
     thresholds.
     """
 
-    runner: Callable[[ExperimentConfig], ConvergenceReport]
+    runner: Callable[[ExperimentConfig, List[Mesh], Optional[Mesh]], tuple]
     summary: str
+    column_notes: str
     problem: dict
     levels: Tuple[int, ...]
     tol: Dict[str, float]
@@ -548,7 +557,7 @@ def _boundary_energy(mesh: Mesh, coefficients: np.ndarray) -> float:
     return float(coefficients @ (b1 @ coefficients))
 
 
-def _run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
+def _run_state_convergence(config: ExperimentConfig, meshes, ref_mesh):
     """Mesh-size convergence of state and adjoint at a fixed control.
 
     The state error is measured against the closed-form exact solution; the
@@ -558,18 +567,16 @@ def _run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
     fields, spec = prepare(config)
     q_star, exact = fields["q_star"], fields["exact"]
 
-    ref_mesh = _kept_mesh(config.n_ref, config.gamma1_sides)
     u_ref = pde.solve_state(ref_mesh, spec, interpolate_trace(q_star, ref_mesh))
     p_ref = pde.solve_adjoint(ref_mesh, spec, u_ref)
 
     rows = []
-    for n in config.levels:
-        mesh = _kept_mesh(n, config.gamma1_sides)
+    for mesh in meshes:
         u = pde.solve_state(mesh, spec, interpolate_trace(q_star, mesh))
         p = pde.solve_adjoint(mesh, spec, u)
         rows.append(
             {
-                "n": n,
+                "n": mesh.n,
                 "h": mesh.h,
                 "state_err": assembly.v_error_vs_exact(u, exact, exact.gradient),
                 "adjoint_err": assembly.norm(prolongate(p, ref_mesh) - p_ref, "V"),
@@ -583,21 +590,10 @@ def _run_state_convergence(config: ExperimentConfig) -> ConvergenceReport:
     }
     threshold = _EXPECTED_RATE - EXPERIMENTS[config.kind].tol["rate_slack"]
     checks = {name: _rate_check(fit, threshold) for name, fit in rates.items()}
-    return ConvergenceReport(
-        kind=config.kind,
-        column_notes=(
-            "n: cells per side; h: longest triangle side; "
-            "state_err: first-order-norm distance of the discrete state to the exact solution; "
-            "adjoint_err: first-order-norm distance of the prolonged adjoint to the reference adjoint"
-        ),
-        rows=rows,
-        meta={"n_ref": config.n_ref, "expected_rate": _EXPECTED_RATE, "M": spec.M},
-        rates=rates,
-        checks=checks,
-    )
+    return rows, {"n_ref": config.n_ref, "expected_rate": _EXPECTED_RATE, "M": spec.M}, rates, checks
 
 
-def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
+def _run_control_convergence(config: ExperimentConfig, level_meshes, ref_mesh):
     """Mesh-size convergence of the optimal control, its state and adjoint.
 
     Per-level optima come from the contraction iteration; the fine reference
@@ -608,10 +604,7 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
     gaps, each as its quadratic form about the optimum, and the two
     cost-consistency distances.
     """
-    level_meshes = [_kept_mesh(n, config.gamma1_sides) for n in config.levels]
     _, spec = prepare(config, level_meshes[0])
-
-    ref_mesh = _kept_mesh(config.n_ref, config.gamma1_sides)
     ref = optctl.solve_optimal_cg(ref_mesh, spec)
 
     rows = []
@@ -671,40 +664,25 @@ def _run_control_convergence(config: ExperimentConfig) -> ConvergenceReport:
         "cost_value_rate": _rate_check(rates["cost_value_rate"], first),
         "start_agreement": bool(start_gap <= tol["start_gap"]),
     }
-    return ConvergenceReport(
-        kind=config.kind,
-        column_notes=(
-            "control_err/state_err/adjoint_err: distances of the prolonged level optimum "
-            "to the reference optimum; "
-            "cost_gap_ref: reference cost at the prolonged level control minus the reference "
-            "optimal value (nonnegative, second order); "
-            "cost_gap_level: level cost at the restricted reference control minus the level "
-            "optimal value (nonnegative, second order); "
-            "cost_value_gap: |level cost at restricted reference control - reference optimal value|; "
-            "cost_opt_value_gap: |level optimal value - reference optimal value|"
-        ),
-        rows=rows,
-        meta={
-            "n_ref": config.n_ref,
-            "M": spec.M,
-            "expected_rate": _EXPECTED_RATE,
-            "start_gap": start_gap,
-            "reference_cost": ref.cost,
-            "reference_gradient_norm": ref.gradient_norm,
-        },
-        rates=rates,
-        checks=checks,
-    )
+    meta = {
+        "n_ref": config.n_ref,
+        "M": spec.M,
+        "expected_rate": _EXPECTED_RATE,
+        "start_gap": start_gap,
+        "reference_cost": ref.cost,
+        "reference_gradient_norm": ref.gradient_norm,
+    }
+    return rows, meta, rates, checks
 
 
-def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
+def _run_alpha_sweep(config: ExperimentConfig, meshes, ref_mesh):
     """Large-transfer-coefficient limit of the Robin family at a fixed mesh.
 
     Records, per ladder entry, the fixed-control state and adjoint distances
     to the clamped-family solution, the three optimal-solution distances, and
     the weighted boundary penalties whose boundedness encodes the limit.
     """
-    mesh = _kept_mesh(config.levels[-1], config.gamma1_sides)
+    (mesh,) = meshes
     fields, spec = prepare(config, mesh)
     constants = estimate_constants(mesh)
 
@@ -748,28 +726,17 @@ def _run_alpha_sweep(config: ExperimentConfig) -> ConvergenceReport:
         checks[name + "_small"] = _decay_ok(seq, tol["decay_factor"])
     for name in ("fixed_state_penalty", "state_penalty", "adjoint_penalty"):
         checks[name + "_bounded"] = _bounded_along_ladder(_column(rows, name), tol["penalty_growth"])
-    return ConvergenceReport(
-        kind=config.kind,
-        column_notes=(
-            "fixed_*_dist: Robin state/adjoint distance to the clamped solution at the fixed "
-            "control; control/state/adjoint_dist: Robin optimal solution distances to the "
-            "clamped optimum; *_penalty: (alpha-1) times the squared clamped-boundary "
-            "integral of the boundary mismatch (state) or of the adjoint"
-        ),
-        rows=rows,
-        meta={
-            "level": mesh.n,
-            "M": spec.M,
-            "clamped_cost": clamped.cost,
-            "contraction_bound_clamped": constants.contraction_bound(),
-            "contraction_bound_robin": constants.contraction_bound(config.alphas[0]),
-        },
-        rates=rates,
-        checks=checks,
-    )
+    meta = {
+        "level": mesh.n,
+        "M": spec.M,
+        "clamped_cost": clamped.cost,
+        "contraction_bound_clamped": constants.contraction_bound(),
+        "contraction_bound_robin": constants.contraction_bound(config.alphas[0]),
+    }
+    return rows, meta, rates, checks
 
 
-def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
+def _run_diagram(config: ExperimentConfig, level_meshes, ref_mesh):
     """Distance table of Robin-family optima to the limit across both axes.
 
     Cell (level, alpha) holds the boundary-norm distance between the
@@ -782,10 +749,7 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
     on the reduced Hessian, and every optimum at the finest level must agree
     with the dense reduced solve within its gradient bound.
     """
-    level_meshes = [_kept_mesh(n, config.gamma1_sides) for n in config.levels]
     _, spec = prepare(config, level_meshes[0])
-
-    ref_mesh = _kept_mesh(config.n_ref, config.gamma1_sides)
     ref = optctl.solve_optimal_cg(ref_mesh, spec)
     robin_refs = optctl.solve_ladder(ref_mesh, spec, config.alphas, cg=True)
     pure_alpha = [assembly.norm(robin_ref.q_opt - ref.q_opt, "Q") for robin_ref in robin_refs]
@@ -828,37 +792,18 @@ def _run_diagram(config: ExperimentConfig) -> ConvergenceReport:
         "corner_small": bool(corner <= factor * scale),
         "path_limits_agree": bool(max(limit_gaps) <= factor * scale),
     }
-    meta.update(
-        {
-            "tail_h": tail_h,
-            "tail_alpha": tail_alpha,
-            "corner": corner,
-            "max_limit_gap": max(limit_gaps),
-        }
-    )
-    return ConvergenceReport(
-        kind=config.kind,
-        column_notes=(
-            "distance: boundary-norm distance of the prolonged Robin optimum at (n, alpha) "
-            "to the clamped reference optimum at n_ref; pure_h_n*/pure_alpha_* meta entries "
-            "hold the single-limit tails"
-        ),
-        rows=rows,
-        meta=meta,
-        rates={},
-        checks=checks,
-    )
+    meta.update(tail_h=tail_h, tail_alpha=tail_alpha, corner=corner, max_limit_gap=max(limit_gaps))
+    return rows, meta, {}, checks
 
 
-def _run_constants(config: ExperimentConfig) -> ConvergenceReport:
+def _run_constants(config: ExperimentConfig, meshes, ref_mesh):
     """Surrogate coercivity and trace constants across mesh levels."""
     rows = []
-    for n in config.levels:
-        mesh = _kept_mesh(n, config.gamma1_sides)
+    for mesh in meshes:
         c = estimate_constants(mesh)
         rows.append(
             {
-                "n": n,
+                "n": mesh.n,
                 "h": mesh.h,
                 "lambda": c.lambda_h,
                 "lambda1": c.lambda1_h,
@@ -879,18 +824,7 @@ def _run_constants(config: ExperimentConfig) -> ConvergenceReport:
         "lambda1_nonincreasing": all(b <= a * (1.0 + 1e-9) for a, b in zip(lam1, lam1[1:])),
         "gamma0_nondecreasing": all(b >= a * (1.0 - 1e-9) for a, b in zip(gam, gam[1:])),
     }
-    return ConvergenceReport(
-        kind=config.kind,
-        column_notes=(
-            "lambda: clamped-space coercivity surrogate; lambda1: unit-transfer Robin "
-            "coercivity surrogate; gamma0_norm: flux-boundary trace norm surrogate; "
-            "bound_*: contraction thresholds for the penalty weight"
-        ),
-        rows=rows,
-        meta={},
-        rates={},
-        checks=checks,
-    )
+    return rows, {}, {}, checks
 
 
 # The optimizing kinds share one source; the large-alpha kinds one ladder.
@@ -901,6 +835,11 @@ EXPERIMENTS = {
     "state-conv": ExperimentKind(
         runner=_run_state_convergence,
         summary="mesh convergence of state and adjoint at a fixed control",
+        column_notes=(
+            "n: cells per side; h: longest triangle side; "
+            "state_err: first-order-norm distance of the discrete state to the exact solution; "
+            "adjoint_err: first-order-norm distance of the prolonged adjoint to the reference adjoint"
+        ),
         problem={
             "g": {"name": "mms_load"},
             "z_d": 0.0,
@@ -917,6 +856,16 @@ EXPERIMENTS = {
     "control-conv": ExperimentKind(
         runner=_run_control_convergence,
         summary="mesh convergence of the optimal control",
+        column_notes=(
+            "control_err/state_err/adjoint_err: distances of the prolonged level optimum "
+            "to the reference optimum; "
+            "cost_gap_ref: reference cost at the prolonged level control minus the reference "
+            "optimal value (nonnegative, second order); "
+            "cost_gap_level: level cost at the restricted reference control minus the level "
+            "optimal value (nonnegative, second order); "
+            "cost_value_gap: |level cost at restricted reference control - reference optimal value|; "
+            "cost_opt_value_gap: |level optimal value - reference optimal value|"
+        ),
         problem={"g": _SOURCE, "z_d": 0.0, "b": 1.0, "M": "auto"},
         levels=(4, 8, 16, 32),
         n_ref=128,
@@ -927,6 +876,12 @@ EXPERIMENTS = {
     "alpha-sweep": ExperimentKind(
         runner=_run_alpha_sweep,
         summary="large transfer coefficient limit at a fixed mesh",
+        column_notes=(
+            "fixed_*_dist: Robin state/adjoint distance to the clamped solution at the fixed "
+            "control; control/state/adjoint_dist: Robin optimal solution distances to the "
+            "clamped optimum; *_penalty: (alpha-1) times the squared clamped-boundary "
+            "integral of the boundary mismatch (state) or of the adjoint"
+        ),
         problem={"g": _SOURCE, "z_d": 0.0, "b": 1.0, "M": "auto", "q_star": {"name": "mms_flux"}},
         levels=(16,),
         alphas=_LADDER,
@@ -937,6 +892,11 @@ EXPERIMENTS = {
     "diagram": ExperimentKind(
         runner=_run_diagram,
         summary="joint mesh/transfer-coefficient distance table",
+        column_notes=(
+            "distance: boundary-norm distance of the prolonged Robin optimum at (n, alpha) "
+            "to the clamped reference optimum at n_ref; pure_h_n*/pure_alpha_* meta entries "
+            "hold the single-limit tails"
+        ),
         problem={"g": _SOURCE, "z_d": 0.0, "b": 1.0, "M": "auto"},
         levels=(4, 8, 16),
         alphas=_LADDER,
@@ -948,6 +908,11 @@ EXPERIMENTS = {
     "constants": ExperimentKind(
         runner=_run_constants,
         summary="discrete coercivity and trace constants per level",
+        column_notes=(
+            "lambda: clamped-space coercivity surrogate; lambda1: unit-transfer Robin "
+            "coercivity surrogate; gamma0_norm: flux-boundary trace norm surrogate; "
+            "bound_*: contraction thresholds for the penalty weight"
+        ),
         problem={},
         levels=(2, 4, 8, 16, 32),
         tol={},
@@ -958,5 +923,9 @@ KINDS = tuple(EXPERIMENTS)
 
 
 def run(config: ExperimentConfig) -> ConvergenceReport:
-    """Run a config's experiment."""
-    return EXPERIMENTS[config.kind].runner(config)
+    """Run a config's experiment on the kept meshes of its levels and n_ref."""
+    kind = EXPERIMENTS[config.kind]
+    meshes = [_kept_mesh(n, config.gamma1_sides) for n in config.levels]
+    ref_mesh = None if config.n_ref is None else _kept_mesh(config.n_ref, config.gamma1_sides)
+    rows, meta, rates, checks = kind.runner(config, meshes, ref_mesh)
+    return ConvergenceReport(config.kind, kind.column_notes, rows, meta, rates, checks)

@@ -9,9 +9,11 @@ boundary edges carry the controlled-flux tag (GAMMA2).  Which grids exist
 (``check_grid``) and which nest (``check_nesting``) is decided here alone.
 
 Trace fields, on the flux vertices, reach the vertex grid only through
-``trace_extend`` and ``trace_restrict``, and both transfers between nested
-meshes go through that grid.  A transfer takes the field and the mesh it
-goes to, and reads the mesh it comes from off the field.
+``trace_extend`` and ``trace_restrict``, but for one exception:
+``pde.solve_state`` subtracts B2's trace block from its load in place.  Both
+transfers between nested meshes go through that grid.  A transfer takes the
+field and the mesh it goes to, and reads the mesh it comes from off the
+field.
 
 The module owns the triangle layout (``_TRIANGLE_CORNERS``): cells are
 row-major, and cell k holds triangle 2k below its diagonal and 2k+1 above.

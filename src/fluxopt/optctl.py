@@ -113,11 +113,12 @@ def gradient(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField) -> TraceField:
     so the nodal combination below is the exact representer of the derivative
     in the boundary inner product.
     """
-    return TraceField(mesh, spec.M * q.coefficients - _adjoint_trace(mesh, spec, q))
+    return TraceField(mesh, _representer(spec, q.coefficients, _adjoint_trace(mesh, spec, q)))
 
 
-def _gradient_of_adjoint(spec, q, p) -> TraceField:
-    return TraceField(q.mesh, spec.M * q.coefficients - trace_restrict(p).coefficients)
+def _representer(spec, q, trace):
+    """M q - trace, the gradient's representer at the control array q from its adjoint's trace array."""
+    return spec.M * q - trace
 
 
 def _zero(x, y):
@@ -143,7 +144,7 @@ def cost_gap(mesh: Mesh, spec: pde.ProblemSpec, q: TraceField, opt: OptimalSolut
     and adjoint that opt holds.
     """
     e = q - opt.q_opt
-    grad = _gradient_of_adjoint(spec, opt.q_opt, opt.p_opt).coefficients
+    grad = _representer(spec, opt.q_opt.coefficients, trace_restrict(opt.p_opt).coefficients)
     return cost(mesh, _homogeneous(spec), e) + float(assembly.trace_inners(mesh, grad, e.coefficients)[0])
 
 
@@ -213,20 +214,15 @@ def _block(rows, cols):
     return rows[cols].T if len(cols) > 1 else rows[cols[0]]
 
 
-def _norms(mesh, q):
-    """|q|_Q of each column, as ``assembly.norm`` forms it, as a list."""
-    return np.sqrt(np.maximum(assembly.trace_inners(mesh, q, q), 0.0)).tolist()
-
-
 def _adjoint_trace(mesh, spec, q):
     """The adjoint's trace at the control q, a trace field, or for a ladder spec a block of them."""
     u = pde.solve_state(mesh, spec, q)
-    return pde.solve_adjoint(mesh, spec, u).coefficients[dof_partition(mesh).gamma2_trace_dofs]
+    return trace_restrict(pde.solve_adjoint(mesh, spec, u)).coefficients
 
 
 def _hessian(mesh, spec, d):
     """H d, the gradient of the homogeneous problem at d, for a vector or a block."""
-    return spec.M * d - _adjoint_trace(mesh, _homogeneous(spec), TraceField(mesh, d))
+    return _representer(spec, d, _adjoint_trace(mesh, _homogeneous(spec), TraceField(mesh, d)))
 
 
 def _at(alpha) -> str:
@@ -247,7 +243,7 @@ def _fixed_points(mesh, spec, q0=None) -> List[OptimalSolution]:
     for iteration in range(1, _MAX_ITER + 1):
         q = _block(rows, active)
         q_new = _adjoint_trace(mesh, _rungs(spec, alphas, active), TraceField(mesh, q)) / spec.M
-        steps, qnorms = _norms(mesh, q_new - q), _norms(mesh, q_new)
+        steps, qnorms = assembly.trace_norms(mesh, q_new - q).tolist(), assembly.trace_norms(mesh, q_new).tolist()
         rows[active] = q_new.T
         for j, step, qnorm in zip(list(active), steps, qnorms):
             if prev[j] > 1e-300:
@@ -317,7 +313,7 @@ def _optima(mesh, spec, rows, iterations, ratios, limits) -> List[OptimalSolutio
     q, block_spec = _block(rows, cols), _rungs(spec, alphas, cols)
     u = pde.solve_state(mesh, block_spec, TraceField(mesh, q))
     p = pde.solve_adjoint(mesh, block_spec, u)
-    gradient_norms = _norms(mesh, spec.M * q - p.coefficients[dof_partition(mesh).gamma2_trace_dofs])
+    gradient_norms = assembly.trace_norms(mesh, _representer(spec, q, trace_restrict(p).coefficients)).tolist()
     us, ps = np.atleast_2d(u.coefficients.T), np.atleast_2d(p.coefficients.T)
     optima = []
     for j, (alpha, gradient_norm) in enumerate(zip(alphas, gradient_norms)):

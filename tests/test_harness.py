@@ -3,9 +3,11 @@ and one end-to-end run whose errors sit at the solver floor."""
 
 import dataclasses
 import gc
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import re
 import warnings
 import weakref
@@ -222,11 +224,11 @@ def test_a_wrong_typed_config_field_is_a_value_error(key, value):
         ("state-conv", {"problem": {"g": {"name": "warp"}}}, "unknown field"),
         ("state-conv", {"problem": {"q_star": {"name": "warp"}}}, "unknown field"),
         ("constants", {"levels": 5}, "levels must be a list"),
-        ("constants", {"levels": [2.7, 4]}, "mesh level must be an integer"),
+        ("constants", {"levels": [2.7, 4]}, "n must be a positive integer, got 2.7"),
         ("constants", {"tol": 3}, "unknown config keys"),
         ("constants", {"problem": [1]}, "problem must be a JSON object"),
         ("constants", {"seed": None}, "seed must be an integer"),
-        ("state-conv", {"n_ref": 128.5}, "n_ref must be an integer"),
+        ("state-conv", {"n_ref": 128.5}, "n must be a positive integer, got 128.5"),
         ("state-conv", {"tol": {"rate_slack": 0.15}}, "unknown config keys"),
         ("constants", {"tol": {}}, "unknown config keys"),
         ("state-conv", {"tol": {"rate_slack": 10.0}}, "unknown config keys"),
@@ -556,6 +558,13 @@ def test_fields_from_equal_config_entries_are_equal():
     assert len({hand, harness.Field("sin_product", same[0]._fn)}) == 2
 
 
+def _load_by_path(path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_kept_meshes_serve_later_runs_of_every_kind_with_the_same_reports(tmp_path):
     def run_pass(number, kinds):
         for kind in kinds:
@@ -568,7 +577,11 @@ def test_kept_meshes_serve_later_runs_of_every_kind_with_the_same_reports(tmp_pa
     assert sorted(n for n, _ in kept) == [2, 4, 8, 16, 32, 64, 128]
     # a later pass adds nothing to a kept store: loads are keyed by their config entry
     assert run_pass(3, harness.KINDS) == kept
+    # the first pass's reports pass the benchmark's check against its references
+    workloads = _load_by_path(pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py")
     for kind in harness.KINDS:
+        reference = (pathlib.Path(workloads.REFERENCE_DIR) / f"{kind}.csv").read_text()
+        assert workloads.check_report((tmp_path / f"1-{kind}.csv").read_text(), reference) is None, kind
         first = (tmp_path / f"1-{kind}.csv").read_bytes()
         for number in (2, 3):
             assert (tmp_path / f"{number}-{kind}.csv").read_bytes() == first, (kind, number)
